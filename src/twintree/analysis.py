@@ -409,11 +409,7 @@ class GridAnalysis:
                              for row, s in zip(v1, s1)])
         self._v2 = np.array([[float(x) * s for x in row]
                              for row, s in zip(v2, s2)])
-        b1 = np.array([[x != 0 for x in row] for row in v1], dtype=int)
-        b2 = np.array([[x != 0 for x in row] for row in v2], dtype=int)
-        hits = b1 @ b2.T
-        omega = [(int(a), int(b)) for a, b in np.argwhere(hits > 0)]
-        self.freqs = FrequencySet(omega, basis_es.size, basis_os.size)
+        self.freqs = compute_omega(basis_es, basis_os, grid)
 
         raw = np.array([self._v1[k1] * self._v2[k2]
                         for k1, k2 in self.freqs.omega])
@@ -474,9 +470,15 @@ class GridAnalysis:
     def filtered_sum(self, h: dict[tuple[int, int], float],
                      fvals: np.ndarray) -> np.ndarray:
         """sum_k h(k) f_hat(k) (working function at k), over supp h."""
-        coeffs = self.analyze(fvals)
-        mix = {k: h[k] * coeffs[k] for k in coeffs if k in h and h[k]}
-        return self.synthesize(mix)
+        return self._filter(self.analyze(fvals), h)
+
+    def _filter(self, coeffs: dict[tuple[int, int], float],
+                h: dict[tuple[int, int], float],
+                mu: Optional[MultiplierSequence] = None) -> np.ndarray:
+        """Synthesize sum_k h(k) mu(k) c(k) over supp h (mu = 1 if None)."""
+        unit = mu is None
+        return self.synthesize({k: h[k] * (1.0 if unit else mu[k]) * c
+                                for k, c in coeffs.items() if h.get(k)})
 
     def rectangle_partial_sum(self, coeffs: dict, m: tuple[int, int]
                               ) -> np.ndarray:
@@ -541,17 +543,25 @@ class GridAnalysis:
         surrogate.  Nondecreasing in delta by construction.
         """
         fvals = np.asarray(fvals, dtype=float)
-        best = self.sup_norm(fvals)
-        coeffs = self.analyze(fvals)
-        r = mu.order
+        terms = self._graded_terms(fvals, self.analyze(fvals), mu)
+        return self._k_best(fvals, terms, delta, mu.order)
+
+    def _graded_terms(self, fvals: np.ndarray,
+                      coeffs: dict[tuple[int, int], float],
+                      mu: MultiplierSequence) -> list[tuple[float, float]]:
+        """(||f - sigma_n||, ||D sigma_n||) in the sup norm, shell by shell."""
+        out = []
         for n in range(self.max_shell() + 1):
             head = self.partition.head(n)
-            take = {k: coeffs[k] for k in coeffs if head.get(k, 0.0) > 0.0}
-            g = self.synthesize({k: head[k] * c for k, c in take.items()})
-            dg = self.synthesize({k: head[k] * mu[k] * c
-                                  for k, c in take.items()})
-            val = self.sup_norm(fvals - g) + delta ** r * self.sup_norm(dg)
-            best = min(best, val)
+            out.append((self.sup_norm(fvals - self._filter(coeffs, head)),
+                        self.sup_norm(self._filter(coeffs, head, mu))))
+        return out
+
+    def _k_best(self, fvals: np.ndarray, terms: list[tuple[float, float]],
+                delta: float, r: float) -> float:
+        best = self.sup_norm(fvals)
+        for err, dnorm in terms:
+            best = min(best, err + delta ** r * dnorm)
         return best
 
     # -- smoothness --------------------------------------------------------------
@@ -561,17 +571,19 @@ class GridAnalysis:
         """Fit the decay exponent of the four graded error sequences."""
         fvals = np.asarray(fvals, dtype=float)
         mu = default_multiplier(self.freqs, order, self.base)
-        top = self.max_shell()
+        coeffs = self.analyze(fvals)
+        terms = self._graded_terms(fvals, coeffs, mu)
+        shells = range(len(terms))
         seqs: dict[str, list[float]] = {
-            "degree_error": [], "projection_error": [],
-            "block_norm": [], "k_functional": []}
-        for n in range(top + 1):
-            seqs["degree_error"].append(self.best_uniform_approx(fvals, n)[0])
-            seqs["projection_error"].append(
-                self.sup_norm(fvals - self.sigma(fvals, n)))
-            seqs["block_norm"].append(self.sup_norm(self.tau(fvals, n)))
-            seqs["k_functional"].append(
-                self.k_functional(fvals, float(self.base) ** (-n), mu))
+            "degree_error": [self.best_uniform_approx(fvals, n)[0]
+                             for n in shells],
+            "projection_error": [err for err, _ in terms],
+            "block_norm": [self.sup_norm(self._filter(coeffs,
+                                                      self.partition.g(n)))
+                           for n in shells],
+            "k_functional": [self._k_best(fvals, terms,
+                                          float(self.base) ** (-n), order)
+                             for n in shells]}
         gamma: dict[str, Optional[float]] = {}
         fit_points: dict[str, list[int]] = {}
         for name, ys in seqs.items():

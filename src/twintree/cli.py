@@ -117,6 +117,13 @@ def _build_analysis(ws: Path) -> tuple[WeightedDigraph, GridAnalysis]:
     return G, engine
 
 
+def _label_index(G: WeightedDigraph) -> dict[int, int]:
+    """Vertex -> index of its top-level label class, classes sorted by name."""
+    classes = sorted({path[0] for path in G.labels.values()})
+    index = {c: i for i, c in enumerate(classes)}
+    return {v: index[path[0]] for v, path in G.labels.items()}
+
+
 def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
     """Grid function to analyze: per-vertex values in vertex-id order."""
     if kind == "outdeg":
@@ -124,10 +131,8 @@ def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
     if kind == "label":
         if not G.labels:
             raise SystemExit("graph carries no labels; use another signal")
-        classes = sorted({str(path[0]) for path in G.labels.values()})
-        index = {c: i for i, c in enumerate(classes)}
-        return np.array([float(index[str(G.labels[v][0])])
-                         for v in range(G.n)])
+        index = _label_index(G)
+        return np.array([float(index[v]) for v in range(G.n)])
     if kind.startswith("file:"):
         vals = [float(line) for line in
                 Path(kind[5:]).read_text().split()]
@@ -175,9 +180,7 @@ def cmd_cluster(args) -> int:
     if args.labeled:
         if not G.labels:
             raise SystemExit("--labeled needs a graph with labels")
-        classes = sorted({str(p[0]) for p in G.labels.values()})
-        index = {c: i for i, c in enumerate(classes)}
-        labeled = {v: index[str(p[0])] for v, p in G.labels.items()}
+        labeled = _label_index(G)
     tree_es, tree_os = twt(G, K, algo=args.algo, seed=args.seed,
                            labeled=labeled,
                            edge_length=args.edge_length,
@@ -309,19 +312,19 @@ def cmd_approx(args) -> int:
 def _sample_training_labels(G: WeightedDigraph, pct: float,
                             seed: int) -> dict[int, int]:
     """Pick pct% of each label class as training vertices, seeded."""
-    classes: dict[str, list[int]] = {}
+    index = _label_index(G)
+    classes: dict[int, list[int]] = {}
     for v in range(G.n):
-        classes.setdefault(str(G.labels[v][0]), []).append(v)
-    index = {c: i for i, c in enumerate(sorted(classes))}
+        classes.setdefault(index[v], []).append(v)
     rng = np.random.default_rng([seed, 13])
     train: dict[int, int] = {}
-    for name in sorted(classes):
-        members = sorted(classes[name])
+    for c in sorted(classes):
+        members = classes[c]
         take = max(1, int(round(pct / 100.0 * len(members))))
         picked = rng.choice(members, size=min(take, len(members)),
                             replace=False)
         for v in picked:
-            train[int(v)] = index[name]
+            train[int(v)] = c
     return train
 
 
@@ -358,9 +361,7 @@ def cmd_metrics(args) -> int:
         if args.train_pct > 0:
             labeled = _sample_training_labels(G, args.train_pct, tseed)
         elif cl.get("labeled") and G.labels:
-            classes = sorted({str(p[0]) for p in G.labels.values()})
-            index = {c: i for i, c in enumerate(classes)}
-            labeled = {v: index[str(p[0])] for v, p in G.labels.items()}
+            labeled = _label_index(G)
         tree_es, tree_os = twt(G, K, algo=cl["algo"], seed=tseed,
                                labeled=labeled,
                                edge_length=cl["edge_length"],

@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .digraph import (UndirectedGraph, WeightedDigraph, graph_distance,
-                      reciprocal_lengths, symmetrize, weak_component_indices)
+from .digraph import (UndirectedGraph, WeightedDigraph, _mirror_upper,
+                      graph_distance, reciprocal_lengths, symmetrize,
+                      weak_component_indices)
 
 
 # -- cluster trees ---------------------------------------------------------
@@ -38,7 +39,9 @@ class ClusterNode:
     parent: Optional[int]
     children: list[int] = field(default_factory=list)
     members: frozenset[int] = frozenset()
-    synthetic: bool = False  # created by depth padding
+    # Nothing sets this flag any more; it stays because tree JSON
+    # carries the key.
+    synthetic: bool = False
 
 
 class ClusterTree:
@@ -90,8 +93,8 @@ class ClusterTree:
         """Node id covering vertex v at the given level.
 
         A leaf shallower than the requested level counts as its own
-        ancestor (the depth-padding convention: a leaf is repeated as
-        its own leftmost child).
+        ancestor, as if it were repeated as its own only child down to
+        that level.
         """
         nid = self._leaf_of_vertex[v]
         node = self.nodes[nid]
@@ -102,7 +105,7 @@ class ClusterTree:
         return node.id
 
     def partition_at_level(self, level: int) -> list[frozenset[int]]:
-        """Vertex partition induced by a level, padding semantics included."""
+        """Vertex partition induced by a level; shallow leaves stay whole."""
         groups: dict[int, set[int]] = {}
         for v in sorted(self.vertices()):
             nid = self.ancestor_at_level(v, level)
@@ -220,32 +223,6 @@ def tree_from_partitions(vertices: Sequence[int],
     return tree
 
 
-def pad_to_depth(tree: ClusterTree, depth: int) -> ClusterTree:
-    """Extend shallow leaves by chains of synthetic single children.
-
-    Every leaf above the requested depth is repeated as its own
-    (leftmost and only) child until it reaches it; the copies carry the
-    synthetic flag so interval construction can collapse them again.
-    """
-    if depth < tree.depth():
-        raise ValueError("cannot pad to a depth above existing leaves")
-    nodes = {nid: ClusterNode(n.id, n.level, n.parent, list(n.children),
-                              n.members, n.synthetic)
-             for nid, n in tree.nodes.items()}
-    next_id = max(nodes) + 1
-    for leaf in tree.leaves():
-        cur = nodes[leaf.id]
-        while cur.level < depth:
-            child = ClusterNode(id=next_id, level=cur.level + 1,
-                                parent=cur.id, members=cur.members,
-                                synthetic=True)
-            next_id += 1
-            cur.children.append(child.id)
-            nodes[child.id] = child
-            cur = child
-    return ClusterTree(nodes, tree.root)
-
-
 # -- level specifications ---------------------------------------------------
 
 
@@ -352,25 +329,31 @@ def _labels_to_groups(assign: np.ndarray, units: list[frozenset[int]],
 
 def _medoid_hierarchy(G, K: Sequence[int], rng, dist_of,
                       seed_vertices: Optional[list[int]], n_init: int,
-                      max_iter: int) -> list[list[frozenset[int]]]:
+                      max_iter: int,
+                      finest: Optional[list[frozenset[int]]] = None
+                      ) -> list[list[frozenset[int]]]:
     """Finest-to-coarsest medoid clustering with coarse-graining.
 
     dist_of maps the current (coarse) graph to its distance matrix.
     Seeds apply to the finest level only, where vertices are original.
-    Returns the level partitions in coarsest-first order, each a list
-    of original-vertex sets.
+    A given ``finest`` partition is taken as the finest level instead of
+    clustering it.  Returns the level partitions in coarsest-first
+    order, each a list of original-vertex sets.
     """
     units = [frozenset([v]) for v in range(G.n)]
     current = G
     partitions: dict[int, list[frozenset[int]]] = {}
     for li in range(len(K), 0, -1):
         k = K[li - 1]
-        dist = dist_of(current)
-        seeds = seed_vertices if li == len(K) else None
-        assign = medoid_partition(dist, k, rng, seeds, n_init, max_iter)
-        coarse_units = [frozenset([u]) for u in range(current.n)]
-        coarse_groups = _labels_to_groups(assign, coarse_units, k)
-        groups = _labels_to_groups(assign, units, k)
+        if li == len(K) and finest is not None:
+            coarse_groups = groups = finest
+        else:
+            dist = dist_of(current)
+            seeds = seed_vertices if li == len(K) else None
+            assign = medoid_partition(dist, k, rng, seeds, n_init, max_iter)
+            coarse_units = [frozenset([u]) for u in range(current.n)]
+            coarse_groups = _labels_to_groups(assign, coarse_units, k)
+            groups = _labels_to_groups(assign, units, k)
         current = coarse_grain(current, coarse_groups)
         units = groups
         partitions[li] = groups
@@ -388,13 +371,18 @@ def _edge_length_graph(G: UndirectedGraph, edge_length: str) -> UndirectedGraph:
     raise ValueError(f"unknown edge_length {edge_length!r}")
 
 
+def _class_key(cls) -> str:
+    """Name of a label class: a label path joined by "/", else str()."""
+    return "/".join(cls) if isinstance(cls, tuple) else str(cls)
+
+
 def _label_seed_vertices(labeled: Optional[dict]) -> Optional[list[int]]:
     """One representative (lowest id) per distinct class, classes sorted."""
     if not labeled:
         return None
     reps: dict[str, int] = {}
     for v, cls in labeled.items():
-        key = "/".join(cls) if isinstance(cls, tuple) else str(cls)
+        key = _class_key(cls)
         if key not in reps or v < reps[key]:
             reps[key] = int(v)
     return [reps[key] for key in sorted(reps)]
@@ -450,7 +438,6 @@ def coarse_grain(G: WeightedDigraph,
                          shape=(k, G.n))
     coarse = sparse.csr_array(S @ G.weights @ S.T)
     if isinstance(G, UndirectedGraph):
-        from .digraph import _mirror_upper
         return UndirectedGraph(_mirror_upper(coarse))
     return WeightedDigraph(coarse)
 
@@ -594,37 +581,23 @@ def _cluster_component(S: UndirectedGraph, K: tuple[int, ...], algo: str,
     if algo == "mbo":
         if not labeled:
             raise ValueError("mbo needs labeled vertices")
-        classes = sorted({"/".join(c) if isinstance(c, tuple) else str(c)
-                          for c in labeled.values()})
+        classes = sorted({_class_key(c) for c in labeled.values()})
         if not K or K[-1] != len(classes):
             raise ValueError(
                 f"finest level must have {len(classes)} clusters "
                 f"(one per label class), got K={K}")
         class_idx = {name: i for i, name in enumerate(classes)}
-        lab = {int(v): class_idx["/".join(c) if isinstance(c, tuple)
-                                 else str(c)]
-               for v, c in labeled.items()}
+        lab = {int(v): class_idx[_class_key(c)] for v, c in labeled.items()}
         mbo_params = {p: algo_params[p] for p in
                       ("n_eig", "dt", "tol", "fidelity", "max_iter")
                       if p in algo_params}
         assign = mbo_cluster(S, lab, n_classes=K[-1], seed=seed, **mbo_params)
         units = [frozenset([v]) for v in range(S.n)]
-        finest = _labels_to_groups(assign, units, K[-1])
-        partitions = {len(K): finest}
-        current = coarse_grain(S, finest)
-        units2 = finest
-        rng = np.random.default_rng(seed)
-        for li in range(len(K) - 1, 0, -1):
-            k = K[li - 1]
-            dist = graph_distance(reciprocal_lengths(current))
-            assign2 = medoid_partition(dist, k, rng)
-            coarse_units = [frozenset([u]) for u in range(current.n)]
-            coarse_groups = _labels_to_groups(assign2, coarse_units, k)
-            groups = _labels_to_groups(assign2, units2, k)
-            current = coarse_grain(current, coarse_groups)
-            units2 = groups
-            partitions[li] = groups
-        ordered = [partitions[li] for li in range(1, len(K) + 1)]
+        # coarser levels: reciprocal lengths, one start, a fresh generator
+        ordered = _medoid_hierarchy(
+            S, K, np.random.default_rng(seed),
+            lambda cur: graph_distance(reciprocal_lengths(cur)), None, 1, 100,
+            finest=_labels_to_groups(assign, units, K[-1]))
         return tree_from_partitions(range(S.n), ordered)
     raise ValueError(f"unknown clustering algorithm {algo!r}")
 
@@ -678,8 +651,7 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
                 if not local_labeled:
                     local_labeled = None
             if algo == "mbo" and local_labeled:
-                classes = {"/".join(c) if isinstance(c, tuple) else str(c)
-                           for c in local_labeled.values()}
+                classes = {_class_key(c) for c in local_labeled.values()}
                 K_c = tuple(k for k in K_c if k < len(classes)) + (len(classes),)
                 if K_c[-1] >= len(idx) or K_c[-1] < 2:
                     subtrees.append(None)

@@ -125,10 +125,7 @@ class WeightedDigraph:
         names = [self.names[i] for i in idx]
         labels = {j: self.labels[int(v)]
                   for j, v in enumerate(idx) if int(v) in self.labels}
-        cls = WeightedDigraph if type(self) is UndirectedGraph else type(self)
-        if type(self) is UndirectedGraph:
-            return UndirectedGraph(sub, names, labels)
-        return cls(sub, names, labels)
+        return type(self)(sub, names, labels)
 
     # -- persistence -----------------------------------------------------
 
@@ -216,8 +213,7 @@ def symmetrize(G: WeightedDigraph, kind: str) -> UndirectedGraph:
         sym = (G.weights + G.weights.T) * 0.5
     elif kind in ("es", "os"):
         we = extend(G).weights
-        prod = we @ we.T if kind == "es" else we.T @ we
-        sym = prod
+        sym = we @ we.T if kind == "es" else we.T @ we
     else:
         raise ValueError(f"unknown symmetrization kind {kind!r}")
     return UndirectedGraph(_mirror_upper(sparse.csr_array(sym)),
@@ -235,10 +231,6 @@ def weak_component_indices(G: WeightedDigraph) -> list[np.ndarray]:
     groups = [np.flatnonzero(member == c) for c in range(ncomp)]
     groups.sort(key=lambda idx: (-len(idx), int(idx[0])))
     return groups
-
-def weak_components(G: WeightedDigraph) -> list[WeightedDigraph]:
-    """Split a digraph into its weakly connected sub-digraphs."""
-    return [G.subgraph(idx) for idx in weak_component_indices(G)]
 
 
 def is_strongly_connected(G: WeightedDigraph) -> bool:

@@ -129,9 +129,10 @@ class Filtration:
 def collapse_chains(tree: ClusterTree) -> ClusterTree:
     """Remove single-child chains so every internal node branches.
 
-    Depth padding repeats a leaf as its own only child; here each such
-    chain is merged back into its top node (which keeps its id), and
-    node levels are recomputed as depth from the root.
+    A node with a single child (a level that repeats a cluster of the
+    level above) is merged with that child into the chain's top node,
+    which keeps its id, and node levels are recomputed as depth from
+    the root.
     """
     nodes = {nid: ClusterNode(n.id, n.level, n.parent, list(n.children),
                               n.members, n.synthetic)

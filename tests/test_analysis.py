@@ -11,7 +11,7 @@ from twintree.analysis import (FrequencySet, GridAnalysis, PartitionOfUnity,
                                shell_index, variation_2d)
 from twintree.basis import TreeBasis
 from twintree.clustering import twt
-from twintree.digraph import synth_digraph
+from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
@@ -209,6 +209,43 @@ def test_exact_mode_is_orthonormal_and_complete(toy):
     assert toy.dropped == sorted(set(toy.freqs.omega) - set(toy.active),
                                  key=graded_lex_key)
     assert (0, 0) in toy.freqs
+
+
+def degenerate_graph(case):
+    """(digraph, twt keyword arguments) for one degenerate input."""
+    if case == "one_vertex":
+        return WeightedDigraph(np.zeros((1, 1))), {}
+    if case == "two_vertices":
+        return WeightedDigraph(np.array([[0.0, 1.0], [0.0, 0.0]])), {}
+    if case == "fragmented_sparse":
+        return synth_digraph("sparse", seed=3, n=40, density=0.02), {}
+    if case == "out_star":
+        W = np.zeros((12, 12))
+        W[0, 1:] = 1.0
+        return WeightedDigraph(W), {}
+    G = synth_digraph("planted", seed=5, sizes=(20, 20))
+    if case == "lognormal_weights":
+        W = G.weights.copy()
+        W.data = np.random.default_rng(6).lognormal(0.0, 6.0, W.nnz)
+        return WeightedDigraph(W, labels=G.labels), {}
+    return G, {"algo": "mll"}
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "volume"])
+@pytest.mark.parametrize("case", ["one_vertex", "two_vertices",
+                                  "fragmented_sparse", "out_star",
+                                  "lognormal_weights", "mll_planted"])
+def test_degenerate_graphs_give_complete_exact_systems(case, scheme):
+    G, kw = degenerate_graph(case)
+    es, os_ = twt(G, K=(2, 6), seed=7, **kw)
+    fes = build_filtration(es, scheme, G)
+    fos = build_filtration(os_, scheme, G)
+    an = GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+    assert len(an.active) == G.n
+    assert an.orthogonality_defect() <= 1e-10
+    f = G.out_degrees() + np.arange(G.n)
+    err = an.sup_norm(f - an.synthesize(an.analyze(f)))
+    assert err <= 1e-10 * max(1.0, an.sup_norm(f))
 
 
 def test_idealized_mode_reports_its_defect():
@@ -578,6 +615,13 @@ def test_power_law_signals_fit_their_exponent(toy):
     assert set(data["gamma"]) == {"degree_error", "projection_error",
                                   "block_norm", "k_functional"}
     assert data["gamma_spread"] == pytest.approx(spread)
+    # the profile's sequences are exactly the per-shell operators' values
+    seqs = toy.smoothness_profile(f, order=1.5).sequences
+    mu = default_multiplier(toy.freqs, order=1.5)
+    for n in range(toy.max_shell() + 1):
+        assert seqs["projection_error"][n] == toy.sup_norm(f - toy.sigma(f, n))
+        assert seqs["block_norm"][n] == toy.sup_norm(toy.tau(f, n))
+        assert seqs["k_functional"][n] == toy.k_functional(f, 2.0 ** -n, mu)
 
 
 def test_single_shell_signal_is_flagged_insufficient(toy):

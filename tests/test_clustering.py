@@ -4,7 +4,7 @@ from scipy import sparse
 
 from twintree.clustering import (ClusterNode, ClusterTree, check_level_spec,
                                  coarse_grain, medoid_partition, mbo_cluster,
-                                 mll_cluster, nhc_cluster, pad_to_depth,
+                                 mll_cluster, nhc_cluster,
                                  spectral_embedding, tree_from_partitions,
                                  twt)
 from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
@@ -77,16 +77,12 @@ def test_validate_catches_structural_damage():
 
 def test_ancestor_lookup_with_shallow_leaves():
     tree = chain_tree()
-    padded = pad_to_depth(tree, 4)
-    padded.validate()
-    assert padded.depth() == 4
-    deep = padded.nodes[padded.ancestor_at_level(2, 4)]
-    assert deep.synthetic and deep.members == frozenset({2})
-    # partitions at padded levels repeat the finest real split
-    assert padded.partition_at_level(4) == [frozenset({0}), frozenset({1}),
-                                            frozenset({2})]
-    with pytest.raises(ValueError):
-        pad_to_depth(tree, 1)
+    assert tree.depth() == 2
+    deep = tree.nodes[tree.ancestor_at_level(2, 4)]
+    assert not deep.children and deep.members == frozenset({2})
+    # partitions below the leaves repeat the finest real split
+    assert tree.partition_at_level(4) == [frozenset({0}), frozenset({1}),
+                                          frozenset({2})]
 
 
 def test_shallow_leaf_is_its_own_ancestor():
@@ -98,7 +94,8 @@ def test_shallow_leaf_is_its_own_ancestor():
 
 
 def test_tree_json_roundtrip(tmp_path):
-    tree = pad_to_depth(chain_tree(), 3)
+    tree = chain_tree()
+    tree.nodes[tree.leaf_of_vertex(2)].synthetic = True
     path = tmp_path / "tree.json"
     tree.save_json(path)
     back = ClusterTree.load_json(path)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.clustering import pad_to_depth, tree_from_partitions
+from twintree.clustering import tree_from_partitions
 from twintree.digraph import WeightedDigraph
 from twintree.filtration import (assign_weights, build_filtration,
                                  collapse_chains, llo_enumerate)
@@ -17,7 +17,11 @@ def small_tree():
 
 
 def test_collapse_removes_padding_chains():
-    tree = pad_to_depth(small_tree(), 5)
+    # repeated levels give single-child chains, above leaves and inner nodes
+    a, b = frozenset({0, 1}), frozenset({2, 3})
+    tree = tree_from_partitions(
+        range(4), [[a, b], [a, b], [frozenset({0}), frozenset({1}), b]])
+    assert tree.depth() == 4
     flat = collapse_chains(tree)
     flat.validate()
     assert flat.depth() == 2
