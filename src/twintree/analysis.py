@@ -203,26 +203,35 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray,
     drop_tol * max(1, own norm) is dropped as dependent.  Two projection
     passes keep the result orthonormal to machine precision.  Returns
     (orthonormal rows, kept row indices, dropped row indices).
+
+    The scan stops once as many rows are kept as there are columns and
+    reports every later row as dropped.  That exit is exact: N rows
+    orthonormal under the nu-weighted product force nu > 0 everywhere,
+    so they span R^N, and every later residual is roundoff far below
+    drop_tol.
     """
+    rows = np.asarray(rows, dtype=float)
+    ncols = rows.shape[1]
+    E = np.empty((ncols, ncols))
     kept: list[int] = []
     dropped: list[int] = []
-    basis: list[np.ndarray] = []
-    for i, row in enumerate(np.asarray(rows, dtype=float)):
+    for i, row in enumerate(rows):
+        if len(kept) == ncols:
+            dropped.extend(range(i, len(rows)))
+            break
+        basis = E[:len(kept)]
         r = row.copy()
         own = math.sqrt(float((row * row * masses).sum()))
         for _ in range(2):
-            if basis:
-                E = np.vstack(basis)
-                coef = E @ (r * masses)
-                r = r - coef @ E
+            coef = basis @ (r * masses)
+            r = r - coef @ basis
         norm = math.sqrt(float((r * r * masses).sum()))
         if norm <= drop_tol * max(1.0, own):
             dropped.append(i)
             continue
+        E[len(kept)] = r / norm
         kept.append(i)
-        basis.append(r / norm)
-    E = np.vstack(basis) if basis else np.zeros((0, rows.shape[1]))
-    return E, kept, dropped
+    return E[:len(kept)], kept, dropped
 
 
 # -- partitions of unity --------------------------------------------------------

@@ -48,7 +48,7 @@ bottom of the module.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -398,12 +398,26 @@ class TreeBasis:
         return self._leaf_bps
 
     def value_table(self) -> list[list]:
-        """values[n][cell]: psi_n on each leaf cell (exact)."""
+        """values[n][cell]: psi_n on each leaf cell (exact).
+
+        Filled in closed form: row 0 is 1, and row n >= 1, with parent
+        [a, b) and own interval [a', b'), is (b'-a')/(b-a) on the leaf
+        cells of [a, a'), -(a'-a)/(b-a) on those of [a', b') and 0
+        elsewhere; the cell ranges come from bisecting the leaf
+        breakpoints, which every node endpoint is one of.
+        """
         if self._values is None:
             grid = self.leaf_breakpoints()
-            mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
-            self._values = [[self.psi(n)(x) for x in mids]
-                            for n in range(self.size)]
+            ncells = len(grid) - 1
+            table = [[Fraction(1)] * ncells]
+            for n in range(1, self.size):
+                (a, b), (a2, b2) = self.intervals_of(n)
+                lo, mid, hi = (bisect_left(grid, x) for x in (a, a2, b2))
+                row = [Fraction(0)] * ncells
+                row[lo:mid] = [(b2 - a2) / (b - a)] * (mid - lo)
+                row[mid:hi] = [-(a2 - a) / (b - a)] * (hi - mid)
+                table.append(row)
+            self._values = table
         return self._values
 
     # -- expansions ------------------------------------------------------

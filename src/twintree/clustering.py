@@ -577,6 +577,8 @@ def _cluster_component(S: UndirectedGraph, K: tuple[int, ...], algo: str,
     if algo == "nhc":
         return nhc_cluster(S, K, seed=seed, labeled=labeled, **algo_params)
     if algo == "mll":
+        # distances live in the diffusion embedding, not on graph edges
+        algo_params.pop("edge_length", None)
         return mll_cluster(S, K, seed=seed, labeled=labeled, **algo_params)
     if algo == "mbo":
         if not labeled:

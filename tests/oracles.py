@@ -204,3 +204,32 @@ def coarse_grain_brute(W: np.ndarray, parts) -> np.ndarray:
         for j, Pj in enumerate(parts):
             out[i, j] = sum(W[u, v] for u in Pi for v in Pj)
     return out
+
+
+def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
+                   drop_tol: float = 1e-9
+                   ) -> tuple[np.ndarray, list[int], list[int]]:
+    """Weighted modified Gram-Schmidt that tests every row.
+
+    The same drop rule and two projection passes as the package, but the
+    basis is re-stacked for every row and the scan never stops early, so
+    a row after full rank is dropped only because its residual is small.
+    """
+    kept: list[int] = []
+    dropped: list[int] = []
+    basis: list[np.ndarray] = []
+    for i, row in enumerate(np.asarray(rows, dtype=float)):
+        r = row.copy()
+        own = np.sqrt(float((row * row * masses).sum()))
+        for _ in range(2):
+            if basis:
+                E = np.vstack(basis)
+                r = r - (E @ (r * masses)) @ E
+        norm = np.sqrt(float((r * r * masses).sum()))
+        if norm <= drop_tol * max(1.0, own):
+            dropped.append(i)
+            continue
+        kept.append(i)
+        basis.append(r / norm)
+    E = np.vstack(basis) if basis else np.zeros((0, rows.shape[1]))
+    return E, kept, dropped

@@ -15,7 +15,7 @@ from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import minimax_distance, variation_2d_brute
+from oracles import full_scan_gram, minimax_distance, variation_2d_brute
 from util import random_filtration
 
 
@@ -196,6 +196,42 @@ def test_gram_schmidt_preserves_the_span():
     c = np.linalg.lstsq(G, rows @ (masses * f), rcond=None)[0]
     proj_old = rows.T @ c
     assert np.allclose(proj_new, proj_old, atol=1e-10)
+
+
+def gram_case(case, request):
+    """(rows, masses) for one input of the full-rank exit property test."""
+    if case == "toy_raw":
+        toy = request.getfixturevalue("toy")
+        return toy._raw, toy.nu
+    rng = np.random.default_rng(list(case.encode()))
+    if case == "empty":
+        return np.zeros((0, 5)), rng.uniform(0.1, 1.0, 5)
+    if case == "rank_deficient":
+        rows = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 8))
+        return rows, rng.uniform(0.1, 1.0, 8)
+    ncols = int(rng.integers(3, 13))
+    nrows = ncols * int(rng.integers(5, 12))
+    rows = rng.standard_normal((nrows, ncols))
+    # dependent rows, both before and after full rank is reached
+    for i in rng.choice(np.arange(2, nrows), size=nrows // 3, replace=False):
+        a, b = rng.choice(i, size=2, replace=False)
+        rows[i] = rows[a] - 0.5 * rows[b]
+    return rows, rng.uniform(0.01, 1.0, ncols)
+
+
+@pytest.mark.parametrize("case", [f"tall_{i}" for i in range(6)]
+                         + ["rank_deficient", "empty", "toy_raw"])
+def test_full_rank_exit_matches_full_scan_oracle(case, request):
+    rows, masses = gram_case(case, request)
+    E, kept, dropped = gram_orthonormalize(rows, masses)
+    E_ref, kept_ref, dropped_ref = full_scan_gram(rows, masses)
+    assert kept == kept_ref
+    assert dropped == dropped_ref
+    assert np.array_equal(E, E_ref)
+    assert sorted(kept + dropped) == list(range(len(rows)))
+    if case.startswith("tall") or case == "toy_raw":
+        # full rank is reached with rows still to scan, so the exit fires
+        assert len(kept) == rows.shape[1] and kept[-1] < len(rows) - 1
 
 
 # -- the analysis engine -----------------------------------------------------------

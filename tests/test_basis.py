@@ -5,6 +5,9 @@ import pytest
 
 from twintree.basis import (PiecewiseConstant, TreeBasis, local_basis,
                             variation_1d, verify_local_identities)
+from twintree.clustering import tree_from_partitions, twt
+from twintree.digraph import synth_digraph
+from twintree.filtration import build_filtration
 
 from oracles import minimax_distance, weighted_lstsq_fit
 from util import random_filtration, random_leaf_function
@@ -175,6 +178,34 @@ def test_closed_form_norm_matches_intervals():
         assert fn(a2) == -(a2 - a) / (b - a)
         if b2 < 1:
             assert fn(b2) == 0
+
+
+def value_table_filtration(case):
+    if case in ("uniform", "volume"):
+        G = synth_digraph("planted", seed=4, sizes=(15, 25))
+        es, _ = twt(G, K=(2, 8), seed=3)
+        return build_filtration(es, case, G)
+    if case == "chain":
+        # repeated levels give single-child chains above leaves and inner nodes
+        a, b = frozenset({0, 1, 2}), frozenset({3, 4})
+        return build_filtration(tree_from_partitions(
+            range(5), [[a, b], [a, b],
+                       [frozenset({0}), frozenset({1, 2}), b],
+                       [frozenset({0}), frozenset({1}), frozenset({2}),
+                        frozenset({3}), frozenset({4})]]))
+    return build_filtration(tree_from_partitions(range(1), [[frozenset({0})]]))
+
+
+@pytest.mark.parametrize("case", ["uniform", "volume", "chain", "one_leaf"])
+def test_value_table_matches_pointwise_evaluation(case):
+    filt = value_table_filtration(case)
+    basis = TreeBasis(filt)
+    mids = [(leaf.a + leaf.b) / 2 for leaf in filt.leaves()]
+    table = basis.value_table()
+    assert table == [[basis.psi(n)(x) for x in mids]
+                     for n in range(basis.size)]
+    assert all(isinstance(v, Fraction) for row in table for v in row)
+    assert len(table) == len(mids) == filt.n_leaves()
 
 
 def test_analysis_synthesis_roundtrip_is_exact():

@@ -45,6 +45,16 @@ def test_pipeline_writes_every_artifact(workspace):
         assert "/" in row["x0"]  # exact rational endpoints
 
 
+def test_mll_pipeline_writes_every_artifact(tmp_path):
+    # --edge-length does not reach mll (it measures diffusion distance)
+    run_pipeline(tmp_path, algo="mll", edge_length="raw")
+    for name in ARTIFACTS:
+        assert (tmp_path / name).exists(), name
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["cluster"]["algo"] == "mll"
+    assert config["cluster"]["edge_length"] == "raw"
+
+
 def test_identical_runs_are_byte_identical(workspace, tmp_path):
     twin = tmp_path / "again"
     run_pipeline(twin)
