@@ -146,49 +146,31 @@ class FrequencySet:
     def max_shell(self, base: int = 2) -> int:
         return max(shell_index(k, base) for k in self.omega)
 
-    def enlarged(self) -> list[tuple[int, int]]:
-        """Dilation by the sup-ball of radius 2, clipped to the quadrant.
 
-        Contains every +-1 neighbor of the base set, so multipliers
-        defined on it survive the index shifts of summation by parts.
-        """
-        out = set()
-        for k1, k2 in self.omega:
-            for a in range(max(0, k1 - 2), k1 + 3):
-                for b in range(max(0, k2 - 2), k2 + 3):
-                    out.add((a, b))
-        return sorted(out, key=graded_lex_key)
+def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
+    """Exact psi values at the grid points, along the basis's own axis.
 
-
-def axis_value_matrix(basis: TreeBasis, filt: Filtration,
-                      grid: GridSet, axis: int) -> list[list]:
-    """Exact psi values at the grid points' axis coordinates.
-
-    Row n, column i: the n-th univariate function at the coordinate of
-    grid point i along the chosen axis (0 = first filtration).
+    Row n, column i: the n-th function of ``basis`` on the leaf cell of
+    ``basis.filtration`` that holds grid point i.
     """
+    filt = basis.filtration
     cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
     table = basis.value_table()
     cols = [cells[filt.vertex_leaf[p.vertex]] for p in grid.points]
     return [[table[n][c] for c in cols] for n in range(basis.size)]
 
 
-def compute_omega(basis_es: TreeBasis, basis_os: TreeBasis,
-                  grid: GridSet) -> FrequencySet:
+def compute_omega(v1: list[list], v2: list[list]) -> FrequencySet:
     """Indices whose tensor product survives restriction to the grid.
 
-    Exact arithmetic: a product is kept iff some grid point carries a
-    nonzero value of both factors.
+    Takes the two exact axis value matrices; a product is kept iff some
+    grid point carries a nonzero value of both factors.
     """
-    filt1 = basis_es.filtration
-    filt2 = basis_os.filtration
-    v1 = axis_value_matrix(basis_es, filt1, grid, 0)
-    v2 = axis_value_matrix(basis_os, filt2, grid, 1)
     b1 = np.array([[x != 0 for x in row] for row in v1], dtype=int)
     b2 = np.array([[x != 0 for x in row] for row in v2], dtype=int)
     hits = b1 @ b2.T
     omega = [(int(k1), int(k2)) for k1, k2 in np.argwhere(hits > 0)]
-    return FrequencySet(omega, basis_es.size, basis_os.size)
+    return FrequencySet(omega, len(v1), len(v2))
 
 
 # -- orthonormalization --------------------------------------------------------
@@ -321,31 +303,39 @@ def box_filter(n: int, base: int = 2) -> dict[tuple[int, int], float]:
 
 @dataclass
 class MultiplierSequence:
-    """A positive symbol on the dilated index set, of a given order."""
-    values: dict[tuple[int, int], float]
+    """The positive symbol base**(order * shell(k)), computed per index."""
     order: float
+    base: int = 2
 
     def __getitem__(self, k) -> float:
-        return self.values[tuple(k)]
+        return float(self.base) ** (self.order * shell_index(k, self.base))
 
     def restricted(self, g: dict[tuple[int, int], float]
                    ) -> dict[tuple[int, int], float]:
-        return {k: self.values[k] for k, v in g.items() if v > 0.0}
+        return {k: self[k] for k, v in g.items() if v > 0.0}
 
     def inverse_restricted(self, g: dict[tuple[int, int], float]
                            ) -> dict[tuple[int, int], float]:
-        return {k: 1.0 / self.values[k] for k, v in g.items() if v > 0.0}
+        return {k: 1.0 / self[k] for k, v in g.items() if v > 0.0}
 
 
 def default_multiplier(freqs: FrequencySet, order: float = 1.0,
                        base: int = 2) -> MultiplierSequence:
-    """The shellwise symbol base**(order * shell(k)) on the dilation."""
-    values = {k: float(base) ** (order * shell_index(k, base))
-              for k in freqs.enlarged()}
-    for k, v in values.items():
-        if v <= 0.0:
+    """The shellwise symbol base**(order * shell(k)) of the index set.
+
+    The symbol must be positive on the dilation of the index set by the
+    sup-ball of radius 2, which holds every +-1 neighbor that summation
+    by parts shifts to.  It is monotone in the shell, and each axis
+    shell grows with that axis's index, so shell 0 and the shell of
+    (max k1 + 2, max k2 + 2) bound it there.
+    """
+    mu = MultiplierSequence(order, base)
+    top = (max(k[0] for k in freqs.omega) + 2,
+           max(k[1] for k in freqs.omega) + 2)
+    for k in ((0, 0), top):
+        if mu[k] <= 0.0:
             raise ValueError(f"multiplier must be positive at {k}")
-    return MultiplierSequence(values, order)
+    return mu
 
 
 # -- mixed-difference variation ---------------------------------------------------
@@ -410,15 +400,15 @@ class GridAnalysis:
         if abs(self.nu.sum() - 1.0) > 1e-9 and grid.normalized:
             raise AssertionError("normalized grid mass must be 1")
 
-        v1 = axis_value_matrix(basis_es, basis_es.filtration, grid, 0)
-        v2 = axis_value_matrix(basis_os, basis_os.filtration, grid, 1)
+        v1 = axis_value_matrix(basis_es, grid)
+        v2 = axis_value_matrix(basis_os, grid)
         s1 = [math.sqrt(float(basis_es.aleph(n))) for n in range(basis_es.size)]
         s2 = [math.sqrt(float(basis_os.aleph(n))) for n in range(basis_os.size)]
         self._v1 = np.array([[float(x) * s for x in row]
                              for row, s in zip(v1, s1)])
         self._v2 = np.array([[float(x) * s for x in row]
                              for row, s in zip(v2, s2)])
-        self.freqs = compute_omega(basis_es, basis_os, grid)
+        self.freqs = compute_omega(v1, v2)
 
         raw = np.array([self._v1[k1] * self._v2[k2]
                         for k1, k2 in self.freqs.omega])

@@ -51,7 +51,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -353,9 +352,6 @@ class TreeBasis:
     def size(self) -> int:
         return len(self.enum)
 
-    def node_of(self, n: int) -> int:
-        return self.enum.order[n]
-
     def intervals_of(self, n: int):
         """((a, b), (a', b')): parent and own interval of index n >= 1."""
         node = self.filtration.node(self.enum.order[n])
@@ -383,9 +379,6 @@ class TreeBasis:
             return Fraction(1)
         (a, b), (a2, b2) = self.intervals_of(n)
         return (b - a) ** 2 / ((b2 - a2) * (a2 - a) * (b2 - a))
-
-    def psi_orthonormal(self, n: int) -> PiecewiseConstant:
-        return self.psi(n).to_float().scale(sqrt(float(self.aleph(n))))
 
     # -- evaluation on the leaf grid ------------------------------------
 

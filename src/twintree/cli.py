@@ -100,10 +100,9 @@ def _load_trees(ws: Path) -> tuple[ClusterTree, ClusterTree]:
             ClusterTree.load_json(_need(ws, "tree_os.json")))
 
 
-def _build_analysis(ws: Path) -> tuple[WeightedDigraph, GridAnalysis]:
+def _build_analysis(ws: Path, G: WeightedDigraph) -> GridAnalysis:
     """Reconstruct the exact grid and analysis engine from artifacts."""
     cfg = _load_config(ws)
-    G = _load_graph(ws)
     tree_es, tree_os = _load_trees(ws)
     scheme = cfg.get("grid", {}).get("scheme", "uniform")
     normalize = cfg.get("grid", {}).get("normalize", True)
@@ -112,9 +111,8 @@ def _build_analysis(ws: Path) -> tuple[WeightedDigraph, GridAnalysis]:
     filt_es = build_filtration(tree_es, scheme, G)
     filt_os = build_filtration(tree_os, scheme, G)
     grid = build_grid(filt_es, filt_os, normalize=normalize)
-    engine = GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
-                          mode=mode, partition_base=base)
-    return G, engine
+    return GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
+                        mode=mode, partition_base=base)
 
 
 def _label_index(G: WeightedDigraph) -> dict[int, int]:
@@ -157,12 +155,24 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    ws = _ws(args)
+def _parse_params(items) -> dict:
+    """--param KEY=JSON items as keyword arguments."""
     params = {}
-    for item in args.param or []:
-        key, _, val = item.partition("=")
-        params[key] = json.loads(val)
+    for item in items or []:
+        key, sep, val = item.partition("=")
+        try:
+            if not (key and sep):
+                raise ValueError
+            params[key] = json.loads(val)
+        except ValueError:
+            raise SystemExit(f"bad --param {item!r}: expected KEY=JSON, "
+                             "e.g. sizes=[20,20]") from None
+    return params
+
+
+def cmd_synth(args) -> int:
+    params = _parse_params(args.param)
+    ws = _ws(args)
     G = synth_digraph(args.kind, seed=args.seed, **params)
     G.save_json(ws / "digraph.json")
     _update_config(ws, "synth",
@@ -242,17 +252,18 @@ def cmd_grid(args) -> int:
 
 def cmd_analyze(args) -> int:
     ws = _ws(args)
+    G = _load_graph(ws)
+    f = vertex_signal(G, args.signal)
     _update_config(ws, "analyze",
                    {"mode": args.mode, "signal": args.signal,
                     "partition_base": args.partition_base})
-    G, engine = _build_analysis(ws)
+    engine = _build_analysis(ws, G)
     active = set(engine.active)
     rows = []
     for k in engine.freqs.omega:
         status = "active" if k in active else "dropped"
         rows.append([k[0], k[1], shell_index(k, engine.base), status])
     _write_csv(ws / "omega.csv", ["k1", "k2", "shell", "status"], rows)
-    f = vertex_signal(G, args.signal)
     coeffs = engine.analyze(f)
     _write_csv(ws / "coefficients.csv", ["k1", "k2", "coefficient"],
                [[k[0], k[1], float(c)] for k, c in coeffs.items()])
@@ -287,8 +298,9 @@ def cmd_approx(args) -> int:
     ws = _ws(args)
     cfg = _load_config(ws)
     signal = cfg.get("analyze", {}).get("signal", args.signal)
-    G, engine = _build_analysis(ws)
+    G = _load_graph(ws)
     f = vertex_signal(G, signal)
+    engine = _build_analysis(ws, G)
     report = engine.smoothness_profile(f, order=args.order)
     rows = []
     for n in range(len(report.sequences["degree_error"])):
@@ -409,8 +421,9 @@ def cmd_report(args) -> int:
     cfg = _load_config(ws)
     signal = cfg.get("analyze", {}).get("signal", "outdeg")
     order = cfg.get("approx", {}).get("order", 1.0)
-    G, engine = _build_analysis(ws)
+    G = _load_graph(ws)
     f = vertex_signal(G, signal)
+    engine = _build_analysis(ws, G)
     report = engine.smoothness_profile(f, order=order)
     report.save_json(ws / "smoothness.json")
     shown = {k: (f"{v:.3f}" if v is not None else "n/a")
@@ -450,6 +463,14 @@ def cmd_pipeline(args) -> int:
 
 
 # -- argument wiring -----------------------------------------------------------
+
+
+def _partition_base(text: str) -> int:
+    base = int(text)
+    if base < 2:
+        raise argparse.ArgumentTypeError(
+            f"partition base must be at least 2, got {base}")
+    return base
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "idealized"])
     p.add_argument("--signal", default="outdeg",
                    help="outdeg | label | file:PATH")
-    p.add_argument("--partition-base", type=int, default=2,
+    p.add_argument("--partition-base", type=_partition_base, default=2,
                    dest="partition_base")
     p.set_defaults(func=cmd_analyze)
 
@@ -556,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exact",
                    choices=["exact", "idealized"])
     p.add_argument("--signal", default="outdeg")
-    p.add_argument("--partition-base", type=int, default=2,
+    p.add_argument("--partition-base", type=_partition_base, default=2,
                    dest="partition_base")
     p.add_argument("--order", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=30)

@@ -9,6 +9,7 @@ Only the tests import this module.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -233,3 +234,37 @@ def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
         basis.append(r / norm)
     E = np.vstack(basis) if basis else np.zeros((0, rows.shape[1]))
     return E, kept, dropped
+
+
+def exact_greedy_rank(v1, v2) -> list[tuple[int, int]]:
+    """Index pairs kept by greedy exact elimination of tensor products.
+
+    Scans every pair (k1, k2) in graded-lex order (k1 + k2, then k1)
+    and keeps it iff the row v1[k1][i] * v2[k2][i] is independent of
+    the rows kept before it, in Fraction arithmetic; stops once as many
+    rows are kept as there are columns.  Positive row scalings and
+    positive point masses do not change which rows are independent, so
+    the unscaled products decide the same set as the weighted,
+    normalized ones.
+    """
+    ncols = len(v1[0])
+    pivots: dict[int, list[Fraction]] = {}  # column -> row with 1 there
+    kept: list[tuple[int, int]] = []
+    pairs = sorted(itertools.product(range(len(v1)), range(len(v2))),
+                   key=lambda k: (k[0] + k[1], k[0]))
+    for k1, k2 in pairs:
+        if len(kept) == ncols:
+            break
+        r = [Fraction(a) * b for a, b in zip(v1[k1], v2[k2])]
+        # later pivot rows vanish on earlier pivot columns, so one pass
+        # in insertion order clears every pivot column of r
+        for col, row in pivots.items():
+            if r[col]:
+                c = r[col]
+                r = [a - c * b for a, b in zip(r, row)]
+        lead = next((i for i, a in enumerate(r) if a), None)
+        if lead is None:
+            continue
+        pivots[lead] = [a / r[lead] for a in r]
+        kept.append((k1, k2))
+    return kept

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from twintree.analysis import (FrequencySet, GridAnalysis, PartitionOfUnity,
-                               box_filter, build_grid, compute_omega,
-                               default_multiplier, default_partition,
-                               gram_orthonormalize, graded_lex_key,
-                               shell_index, variation_2d)
+                               axis_value_matrix, box_filter, build_grid,
+                               compute_omega, default_multiplier,
+                               default_partition, gram_orthonormalize,
+                               graded_lex_key, shell_index, variation_2d)
 from twintree.basis import TreeBasis
 from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import full_scan_gram, minimax_distance, variation_2d_brute
+from oracles import (exact_greedy_rank, full_scan_gram, minimax_distance,
+                     variation_2d_brute)
 from util import random_filtration
 
 
@@ -115,29 +116,14 @@ def test_frequency_sets_sort_graded_lex():
     assert len(fs) == 5
 
 
-def test_enlargement_is_the_clipped_sup_ball():
-    fs = FrequencySet([(0, 0), (3, 1)], 5, 5)
-    got = set(fs.enlarged())
-    expect = set()
-    for k1, k2 in fs.omega:
-        for a in range(k1 - 2, k1 + 3):
-            for b in range(k2 - 2, k2 + 3):
-                if a >= 0 and b >= 0:
-                    expect.add((a, b))
-    assert got == expect
-    assert set(fs.omega) <= got
-    # every +-1 shift needed by summation by parts is present
-    for k1, k2 in fs.omega:
-        assert {(k1 + 1, k2), (k1, k2 + 1), (k1 + 1, k2 + 1)} <= got
-
-
 def test_active_indices_match_bruteforce_tensor_scan():
     rng = np.random.default_rng(5)
     f1 = random_filtration(rng, 7, [3], weights="integer")
     f2 = random_filtration(rng, 7, [2, 4], weights="integer")
     b1, b2 = TreeBasis(f1), TreeBasis(f2)
     grid = build_grid(f1, f2)
-    fs = compute_omega(b1, b2, grid)
+    fs = compute_omega(axis_value_matrix(b1, grid),
+                       axis_value_matrix(b2, grid))
     brute = set()
     for k1 in range(b1.size):
         for k2 in range(b2.size):
@@ -235,6 +221,40 @@ def test_full_rank_exit_matches_full_scan_oracle(case, request):
 
 
 # -- the analysis engine -----------------------------------------------------------
+
+
+def kept_set_case(case):
+    """(first filtration, second filtration) for the exact-rank oracle."""
+    if case.startswith("random"):
+        n, sizes1, sizes2 = {"random12": (12, [3], [2, 5]),
+                             "random16": (16, [2, 6], [4]),
+                             "random20": (20, [3, 8], [2, 5, 11]),
+                             "random25": (25, [4, 10], [3, 9])}[case]
+        rng = np.random.default_rng(list(case.encode()))
+        return (random_filtration(rng, n, sizes1, weights="integer"),
+                random_filtration(rng, n, sizes2, weights="integer"))
+    if case == "toy25":
+        G, K, seed = synth_digraph("toy25", seed=1), (2, 6), 9
+    else:
+        G = synth_digraph("planted", seed=3, sizes=[12, 12])
+        K, seed = (2, 4), 5
+    scheme = case.partition("_")[2] or "uniform"
+    es, os_ = twt(G, K=K, seed=seed)
+    return build_filtration(es, scheme, G), build_filtration(os_, scheme, G)
+
+
+@pytest.mark.parametrize("case", ["random12", "random16", "random20",
+                                  "random25", "toy25", "planted_uniform",
+                                  "planted_volume"])
+def test_kept_set_matches_exact_greedy_rank(case):
+    f1, f2 = kept_set_case(case)
+    grid = build_grid(f1, f2)
+    b1, b2 = TreeBasis(f1), TreeBasis(f2)
+    an = GridAnalysis(grid, b1, b2)
+    exact = exact_greedy_rank(axis_value_matrix(b1, grid),
+                              axis_value_matrix(b2, grid))
+    assert an.active == exact
+    assert len(an.active) == len(grid)
 
 
 def test_exact_mode_is_orthonormal_and_complete(toy):
@@ -578,7 +598,11 @@ def test_degree_error_matches_smoothed_minimax_oracle(toy):
 
 def test_default_multiplier_covers_the_dilation(toy):
     mu = default_multiplier(toy.freqs, order=1.0)
-    for k in toy.freqs.enlarged():
+    # the sup-ball of radius 2 around the index set, clipped to the quadrant
+    dilation = {(a, b) for k1, k2 in toy.freqs.omega
+                for a in range(max(0, k1 - 2), k1 + 3)
+                for b in range(max(0, k2 - 2), k2 + 3)}
+    for k in dilation:
         assert mu[k] == 2.0 ** shell_index(k)
     half = default_multiplier(toy.freqs, order=0.5)
     assert half[(0, 1)] == pytest.approx(math.sqrt(2.0))
@@ -588,6 +612,16 @@ def test_default_multiplier_covers_the_dilation(toy):
     inv = mu.inverse_restricted(g)
     for k in restr:
         assert inv[k] == pytest.approx(1.0 / restr[k])
+
+
+def test_default_multiplier_must_be_positive_on_the_dilation():
+    fs = FrequencySet([(0, 0), (1, 2)], 2, 3)
+    # shell 2 is the top of the index set, shell 3 that of its dilation
+    order = -1100.0 / 3
+    assert 2.0 ** (order * fs.max_shell()) > 0.0
+    with pytest.raises(ValueError, match="must be positive"):
+        default_multiplier(fs, order=order)
+    assert default_multiplier(fs, order=-1.0)[(3, 4)] == 0.125
 
 
 def test_shell_restricted_multiplier_variation_scales(toy):

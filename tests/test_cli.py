@@ -195,6 +195,41 @@ def test_label_signal_needs_labels(tmp_path):
         main(["analyze", "--out", str(ws), "--signal", "label"])
 
 
+def test_rejected_analyze_leaves_the_workspace_usable(tmp_path, capsys):
+    ws = tmp_path / "rejected"
+    for argv in (["synth", "--seed", "1"], ["cluster", "--seed", "9"],
+                 ["grid"], ["analyze"], ["approx"]):
+        assert main(argv + ["--out", str(ws)]) == 0
+    config = (ws / "config.json").read_bytes()
+    for flags in (["--partition-base", "1"], ["--partition-base", "0"]):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--out", str(ws)] + flags)
+        assert "at least 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit, match="unknown signal"):
+        main(["analyze", "--out", str(ws), "--signal", "label2"])
+    with pytest.raises(SystemExit, match="no labels"):
+        main(["analyze", "--out", str(ws), "--signal", "label"])
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--out", str(tmp_path / "never"),
+              "--partition-base", "1"])
+    assert "at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+    assert (ws / "config.json").read_bytes() == config
+    assert main(["approx", "--out", str(ws)]) == 0
+    assert main(["report", "--out", str(ws)]) == 0
+
+
+@pytest.mark.parametrize("item", ["sizes", "sizes=[20,", "=[20, 20]"])
+def test_malformed_generator_params_name_the_item(tmp_path, item):
+    for command in ("synth", "pipeline"):
+        ws = tmp_path / command
+        with pytest.raises(SystemExit, match=r"KEY=JSON") as exc:
+            main([command, "--out", str(ws), "--kind", "planted",
+                  "--param", item])
+        assert repr(item) in str(exc.value)
+        assert not (ws / "digraph.json").exists()
+
+
 def test_missing_artifacts_fail_loudly(tmp_path):
     ws = tmp_path / "empty"
     with pytest.raises(SystemExit, match="missing artifact"):

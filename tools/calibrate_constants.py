@@ -50,7 +50,11 @@ def random_filter(rng, top):
     return h
 
 
-def main():
+def calibrate() -> tuple[float, float, float]:
+    """Observed (Bernstein, Favard, filtered) maxima over the corpus.
+
+    Prints the running maxima after each corpus graph.
+    """
     rng = np.random.default_rng(20240824)
     bern = 0.0
     fav = 0.0
@@ -95,6 +99,11 @@ def main():
                 filt = max(filt, out / (variation_2d(h) * an.sup_norm(f)))
         print(f"{name}: running maxima  bernstein={bern:.6f}  "
               f"favard={fav:.6f}  filtered={filt:.6f}")
+    return bern, fav, filt
+
+
+def main():
+    bern, fav, filt = calibrate()
     print()
     print(f"observed BERNSTEIN_RATIO = {bern:.6f}")
     print(f"observed FAVARD_RATIO    = {fav:.6f}")
