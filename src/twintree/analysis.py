@@ -319,22 +319,31 @@ class MultiplierSequence:
         return {k: 1.0 / self[k] for k, v in g.items() if v > 0.0}
 
 
+class MultiplierError(ValueError):
+    """The symbol underflows to 0 or overflows somewhere it is needed."""
+
+
 def default_multiplier(freqs: FrequencySet, order: float = 1.0,
                        base: int = 2) -> MultiplierSequence:
     """The shellwise symbol base**(order * shell(k)) of the index set.
 
-    The symbol must be positive on the dilation of the index set by the
-    sup-ball of radius 2, which holds every +-1 neighbor that summation
-    by parts shifts to.  It is monotone in the shell, and each axis
-    shell grows with that axis's index, so shell 0 and the shell of
+    The symbol must be positive and finite on the dilation of the index
+    set by the sup-ball of radius 2, which holds every +-1 neighbor that
+    summation by parts shifts to.  It is monotone in the shell, and each
+    axis shell grows with that axis's index, so shell 0 and the shell of
     (max k1 + 2, max k2 + 2) bound it there.
     """
     mu = MultiplierSequence(order, base)
     top = (max(k[0] for k in freqs.omega) + 2,
            max(k[1] for k in freqs.omega) + 2)
     for k in ((0, 0), top):
-        if mu[k] <= 0.0:
-            raise ValueError(f"multiplier must be positive at {k}")
+        try:
+            value = mu[k]
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise MultiplierError(
+                f"multiplier must be positive and finite at {k}, got {value}")
     return mu
 
 

@@ -34,9 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics as metrics_mod
-from .analysis import GridAnalysis, build_grid, shell_index
+from .analysis import (GridAnalysis, MultiplierError, build_grid,
+                       shell_index)
 from .basis import TreeBasis
-from .clustering import ClusterTree, twt
+from .clustering import ClusterTree, TwinTreeBuilder, twt
 from .digraph import (WeightedDigraph, load_edge_list, load_labels,
                       synth_digraph)
 from .filtration import build_filtration
@@ -172,8 +173,11 @@ def _parse_params(items) -> dict:
 
 def cmd_synth(args) -> int:
     params = _parse_params(args.param)
+    try:
+        G = synth_digraph(args.kind, seed=args.seed, **params)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad --param for {args.kind!r}: {exc}") from None
     ws = _ws(args)
-    G = synth_digraph(args.kind, seed=args.seed, **params)
     G.save_json(ws / "digraph.json")
     _update_config(ws, "synth",
                    {"kind": args.kind, "seed": args.seed, "params": params})
@@ -301,7 +305,10 @@ def cmd_approx(args) -> int:
     G = _load_graph(ws)
     f = vertex_signal(G, signal)
     engine = _build_analysis(ws, G)
-    report = engine.smoothness_profile(f, order=args.order)
+    try:
+        report = engine.smoothness_profile(f, order=args.order)
+    except MultiplierError as exc:
+        raise SystemExit(f"--order {args.order}: {exc}") from None
     rows = []
     for n in range(len(report.sequences["degree_error"])):
         deg = report.sequences["degree_error"][n]
@@ -343,9 +350,11 @@ def _sample_training_labels(G: WeightedDigraph, pct: float,
 def cmd_metrics(args) -> int:
     """Seeded-trial scoring protocol.
 
-    Re-runs the tree construction ``--trials`` times with child seeds
-    (sampling --train-pct percent of each label class as training data
-    when positive), scores every level of the twin trees' common
+    Prepares the cluster stage's twin-tree construction once (weak
+    components, symmetrizations, and for nhc the finest-level
+    distances), then builds the trees ``--trials`` times with child
+    seeds (sampling --train-pct percent of each label class as training
+    data when positive), scores every level of the twin trees' common
     refinement, and writes mean/std rows per (level, metric).  A
     random-coloring modularity baseline is appended per level when
     --baseline-trials is positive.
@@ -363,7 +372,9 @@ def cmd_metrics(args) -> int:
         raise SystemExit("training percentage must lie in [0, 100)")
     if args.train_pct > 0 and not G.labels:
         raise SystemExit("--train-pct needs a labeled graph")
-    K = tuple(cl["levels"])
+    builder = TwinTreeBuilder(G, cl["levels"], algo=cl["algo"],
+                              edge_length=cl["edge_length"],
+                              n_init=cl["n_init"])
     child = np.random.SeedSequence([args.seed, 4242]).spawn(args.trials)
     by_level: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, list[float]] = {}
@@ -374,10 +385,7 @@ def cmd_metrics(args) -> int:
             labeled = _sample_training_labels(G, args.train_pct, tseed)
         elif cl.get("labeled") and G.labels:
             labeled = _label_index(G)
-        tree_es, tree_os = twt(G, K, algo=cl["algo"], seed=tseed,
-                               labeled=labeled,
-                               edge_length=cl["edge_length"],
-                               n_init=cl["n_init"])
+        tree_es, tree_os = builder.build(tseed, labeled)
         for rec in metrics_mod.align_and_score(G, tree_es, tree_os,
                                                labels=G.labels or None):
             lv = rec["level"]
@@ -434,7 +442,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    ws = _ws(args)
     if args.edges:
         cmd_ingest(argparse.Namespace(out=args.out, edges=args.edges,
                                       labels=args.labels))
@@ -458,7 +465,7 @@ def cmd_pipeline(args) -> int:
                                    train_pct=args.train_pct,
                                    baseline_trials=args.baseline_trials))
     cmd_report(argparse.Namespace(out=args.out))
-    print(f"pipeline complete in {ws}")
+    print(f"pipeline complete in {args.out}")
     return 0
 
 
@@ -471,6 +478,22 @@ def _partition_base(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"partition base must be at least 2, got {base}")
     return base
+
+
+def _order(text: str) -> float:
+    order = float(text)
+    if not math.isfinite(order):
+        raise argparse.ArgumentTypeError(
+            f"differentiation order must be finite, got {text}")
+    return order
+
+
+def _non_negative(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"count must not be negative, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="graded error sequences")
     add_out(p)
-    p.add_argument("--order", type=float, default=1.0,
+    p.add_argument("--order", type=_order, default=1.0,
                    help="differentiation order for the K-functional")
     p.add_argument("--signal", default="outdeg")
     p.set_defaults(func=cmd_approx)
@@ -550,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="train_pct",
                    help="percent of each label class used as training "
                         "data per trial (0 = unsupervised)")
-    p.add_argument("--baseline-trials", type=int, default=100,
+    p.add_argument("--baseline-trials", type=_non_negative, default=100,
                    dest="baseline_trials")
     p.set_defaults(func=cmd_metrics)
 
@@ -579,11 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", default="outdeg")
     p.add_argument("--partition-base", type=_partition_base, default=2,
                    dest="partition_base")
-    p.add_argument("--order", type=float, default=1.0)
+    p.add_argument("--order", type=_order, default=1.0)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--train-pct", type=float, default=0.0,
                    dest="train_pct")
-    p.add_argument("--baseline-trials", type=int, default=100,
+    p.add_argument("--baseline-trials", type=_non_negative, default=100,
                    dest="baseline_trials")
     p.set_defaults(func=cmd_pipeline)
 

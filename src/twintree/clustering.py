@@ -363,11 +363,12 @@ def _medoid_hierarchy(G, K: Sequence[int], rng, dist_of,
 # -- clusterers -------------------------------------------------------------
 
 
-def _edge_length_graph(G: UndirectedGraph, edge_length: str) -> UndirectedGraph:
+def _path_distance(G: UndirectedGraph, edge_length: str) -> np.ndarray:
+    """Shortest paths with edge lengths 1/w ("reciprocal") or w ("raw")."""
     if edge_length == "reciprocal":
-        return reciprocal_lengths(G)
+        return graph_distance(reciprocal_lengths(G))
     if edge_length == "raw":
-        return G
+        return graph_distance(G)
     raise ValueError(f"unknown edge_length {edge_length!r}")
 
 
@@ -403,12 +404,20 @@ def nhc_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
     coupled vertices are near each other; "raw" uses weights as lengths
     verbatim.
     """
+    return _nhc_tree(G, K, seed, labeled,
+                     lambda cur: _path_distance(cur, edge_length),
+                     n_init, max_iter)
+
+
+def _nhc_tree(G: UndirectedGraph, K: Sequence[int], seed: int,
+              labeled: Optional[dict], dist_of, n_init: int = 1,
+              max_iter: int = 100) -> ClusterTree:
+    """nhc_cluster with the distance of each level supplied by dist_of."""
     K = check_level_spec(K, G.n)
     rng = np.random.default_rng(seed)
-    ordered = _medoid_hierarchy(
-        G, K, rng,
-        lambda cur: graph_distance(_edge_length_graph(cur, edge_length)),
-        _label_seed_vertices(labeled), n_init, max_iter)
+    ordered = _medoid_hierarchy(G, K, rng, dist_of,
+                                _label_seed_vertices(labeled), n_init,
+                                max_iter)
     return tree_from_partitions(range(G.n), ordered)
 
 
@@ -571,14 +580,39 @@ def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
 _CLUSTER_ALGOS = ("nhc", "mll", "mbo")
 
 
-def _cluster_component(S: UndirectedGraph, K: tuple[int, ...], algo: str,
+class _Component:
+    """One weak component on one side, prepared for seeded builds.
+
+    Holds the component's vertex ids, its symmetrized subgraph S and the
+    level sizes clipped to what it can support.  For nhc, dist_of(S) is
+    computed once, on first use, and kept read-only; any other (coarse)
+    graph gets fresh distances.
+    """
+
+    def __init__(self, idx: np.ndarray, S: UndirectedGraph,
+                 K: tuple[int, ...], edge_length: str):
+        self.idx = idx
+        self.S = S
+        self.K = K
+        self.edge_length = edge_length
+        self.finest_dist: Optional[np.ndarray] = None
+
+    def dist_of(self, cur: UndirectedGraph) -> np.ndarray:
+        if cur is not self.S:
+            return _path_distance(cur, self.edge_length)
+        if self.finest_dist is None:
+            self.finest_dist = _path_distance(cur, self.edge_length)
+            self.finest_dist.setflags(write=False)
+        return self.finest_dist
+
+
+def _cluster_component(comp: _Component, K: tuple[int, ...], algo: str,
                        seed: int, labeled: Optional[dict],
                        algo_params: dict) -> ClusterTree:
+    S = comp.S
     if algo == "nhc":
-        return nhc_cluster(S, K, seed=seed, labeled=labeled, **algo_params)
+        return _nhc_tree(S, K, seed, labeled, comp.dist_of, **algo_params)
     if algo == "mll":
-        # distances live in the diffusion embedding, not on graph edges
-        algo_params.pop("edge_length", None)
         return mll_cluster(S, K, seed=seed, labeled=labeled, **algo_params)
     if algo == "mbo":
         if not labeled:
@@ -598,7 +632,7 @@ def _cluster_component(S: UndirectedGraph, K: tuple[int, ...], algo: str,
         # coarser levels: reciprocal lengths, one start, a fresh generator
         ordered = _medoid_hierarchy(
             S, K, np.random.default_rng(seed),
-            lambda cur: graph_distance(reciprocal_lengths(cur)), None, 1, 100,
+            lambda cur: _path_distance(cur, "reciprocal"), None, 1, 100,
             finest=_labels_to_groups(assign, units, K[-1]))
         return tree_from_partitions(range(S.n), ordered)
     raise ValueError(f"unknown clustering algorithm {algo!r}")
@@ -614,6 +648,77 @@ def _relabel_tree(tree: ClusterTree, vertex_map: Sequence[int]) -> ClusterTree:
     return ClusterTree(nodes, tree.root)
 
 
+class TwinTreeBuilder:
+    """The seed-independent part of the twin-tree construction.
+
+    Preparation finds the weak components and, for each side ("es",
+    then "os") and each component with at least tiny_threshold
+    vertices, symmetrizes the component's subgraph and clips the level
+    sizes K to it.  For nhc the finest level's shortest-path distances
+    are also kept, computed on first use.  build(seed, labeled) then
+    runs only the seeded clustering, so repeated trials share that work
+    and build the same trees as separate twt calls.
+    """
+
+    def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
+                 algo: str = "nhc", tiny_threshold: int = 4,
+                 **algo_params):
+        if algo not in _CLUSTER_ALGOS:
+            raise ValueError(f"unknown clustering algorithm {algo!r}")
+        self.G = G
+        self.algo = algo
+        # only nhc's graph distances use edge lengths (mll measures
+        # diffusion distance, mbo's coarse levels are reciprocal)
+        edge_length = algo_params.pop("edge_length", "reciprocal")
+        self.algo_params = algo_params
+        K = tuple(int(k) for k in K)
+        self.comps = weak_component_indices(G)
+        self.sides: list[list[Optional[_Component]]] = [
+            [_Component(idx, symmetrize(G.subgraph(idx), side),
+                        tuple(k for k in K if 1 < k < len(idx)), edge_length)
+             if len(idx) >= tiny_threshold else None
+             for idx in self.comps]
+            for side in ("es", "os")]
+
+    def build(self, seed: int = 0, labeled: Optional[dict] = None
+              ) -> tuple[ClusterTree, ClusterTree]:
+        """The twin trees for one seed (and optional labeled vertices)."""
+        seed_seq = np.random.SeedSequence(seed)
+        comp_seeds = [s.generate_state(1)[0]
+                      for s in seed_seq.spawn(2 * len(self.comps))]
+        trees = []
+        for side_index, comps in enumerate(self.sides):
+            subtrees: list[Optional[ClusterTree]] = []
+            for ci, comp in enumerate(comps):
+                sub_seed = int(comp_seeds[2 * ci + side_index])
+                if comp is None:
+                    subtrees.append(None)
+                    continue
+                K_c = comp.K
+                local_labeled = None
+                if labeled:
+                    pos = {int(v): j for j, v in enumerate(comp.idx)}
+                    local_labeled = {pos[v]: c for v, c in labeled.items()
+                                     if int(v) in pos}
+                    if not local_labeled:
+                        local_labeled = None
+                if self.algo == "mbo" and local_labeled:
+                    n_cls = len({_class_key(c)
+                                 for c in local_labeled.values()})
+                    K_c = tuple(k for k in K_c if k < n_cls) + (n_cls,)
+                    if K_c[-1] >= len(comp.idx) or K_c[-1] < 2:
+                        subtrees.append(None)
+                        continue
+                elif self.algo == "mbo":
+                    subtrees.append(None)
+                    continue
+                sub_tree = _cluster_component(comp, K_c, self.algo, sub_seed,
+                                              local_labeled, self.algo_params)
+                subtrees.append(_relabel_tree(sub_tree, comp.idx))
+            trees.append(_graft_components(self.G, self.comps, subtrees))
+        return trees[0], trees[1]
+
+
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
         seed: int = 0, labeled: Optional[dict] = None,
         tiny_threshold: int = 4,
@@ -625,47 +730,12 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
     clustered on its own symmetrized graph — the "es" companion for the
     first tree, the "os" companion for the second — with the requested
     level sizes clipped to what the component can support.  Components
-    below tiny_threshold vertices attach their vertices directly.
+    below tiny_threshold vertices attach their vertices directly.  One
+    TwinTreeBuilder preparation and one build; a caller building many
+    seeds of one graph keeps the builder instead.
     """
-    if algo not in _CLUSTER_ALGOS:
-        raise ValueError(f"unknown clustering algorithm {algo!r}")
-    K = tuple(int(k) for k in K)
-    comps = weak_component_indices(G)
-    seed_seq = np.random.SeedSequence(seed)
-    comp_seeds = [s.generate_state(1)[0] for s in seed_seq.spawn(2 * len(comps))]
-
-    trees = []
-    for side_index, side in enumerate(("es", "os")):
-        subtrees: list[Optional[ClusterTree]] = []
-        for ci, idx in enumerate(comps):
-            sub_seed = int(comp_seeds[2 * ci + side_index])
-            if len(idx) < tiny_threshold:
-                subtrees.append(None)
-                continue
-            sub = G.subgraph(idx)
-            S = symmetrize(sub, side)
-            K_c = tuple(k for k in K if 1 < k < len(idx))
-            local_labeled = None
-            if labeled:
-                pos = {int(v): j for j, v in enumerate(idx)}
-                local_labeled = {pos[v]: c for v, c in labeled.items()
-                                 if int(v) in pos}
-                if not local_labeled:
-                    local_labeled = None
-            if algo == "mbo" and local_labeled:
-                classes = {_class_key(c) for c in local_labeled.values()}
-                K_c = tuple(k for k in K_c if k < len(classes)) + (len(classes),)
-                if K_c[-1] >= len(idx) or K_c[-1] < 2:
-                    subtrees.append(None)
-                    continue
-            elif algo == "mbo":
-                subtrees.append(None)
-                continue
-            sub_tree = _cluster_component(S, K_c, algo, sub_seed,
-                                          local_labeled, dict(algo_params))
-            subtrees.append(_relabel_tree(sub_tree, idx))
-        trees.append(_graft_components(G, comps, subtrees))
-    return trees[0], trees[1]
+    return TwinTreeBuilder(G, K, algo, tiny_threshold,
+                           **algo_params).build(seed, labeled)
 
 
 def _graft_components(G: WeightedDigraph, comps: list[np.ndarray],

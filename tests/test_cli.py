@@ -230,6 +230,39 @@ def test_malformed_generator_params_name_the_item(tmp_path, item):
         assert not (ws / "digraph.json").exists()
 
 
+def test_unknown_generator_params_name_the_key(tmp_path):
+    for command in ("synth", "pipeline"):
+        ws = tmp_path / command
+        with pytest.raises(SystemExit, match="foo"):
+            main([command, "--out", str(ws), "--kind", "planted",
+                  "--param", "foo=1", "--param", "sizes=[20,20]"])
+        assert not ws.exists()
+
+
+def test_unusable_orders_and_counts_are_rejected(tmp_path, capsys):
+    ws = tmp_path / "order"
+    for argv in (["synth", "--seed", "1"], ["cluster", "--seed", "9"],
+                 ["grid"], ["analyze"]):
+        assert main(argv + ["--out", str(ws)]) == 0
+    config = (ws / "config.json").read_bytes()
+    for order in ("nan", "inf", "-inf"):
+        for command in ("approx", "pipeline"):
+            with pytest.raises(SystemExit):
+                main([command, "--out", str(ws), "--order", order])
+            assert "--order" in capsys.readouterr().err
+    for order in ("3000", "-3000"):
+        with pytest.raises(SystemExit, match="--order") as exc:
+            main(["approx", "--out", str(ws), "--order", order])
+        assert "finite" in str(exc.value)
+    for command in ("metrics", "pipeline"):
+        with pytest.raises(SystemExit):
+            main([command, "--out", str(ws), "--baseline-trials", "-1"])
+        assert "--baseline-trials" in capsys.readouterr().err
+    assert (ws / "config.json").read_bytes() == config
+    assert not (ws / "approx.csv").exists()
+    assert main(["approx", "--out", str(ws), "--order", "2.5"]) == 0
+
+
 def test_missing_artifacts_fail_loudly(tmp_path):
     ws = tmp_path / "empty"
     with pytest.raises(SystemExit, match="missing artifact"):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from twintree.clustering import (ClusterNode, ClusterTree, check_level_spec,
-                                 coarse_grain, medoid_partition, mbo_cluster,
-                                 mll_cluster, nhc_cluster,
-                                 spectral_embedding, tree_from_partitions,
-                                 twt)
+from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
+                                 check_level_spec, coarse_grain,
+                                 medoid_partition, mbo_cluster, mll_cluster,
+                                 nhc_cluster, spectral_embedding,
+                                 tree_from_partitions, twt)
 from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
                               synth_digraph, weak_component_indices)
 
@@ -382,3 +382,48 @@ def test_twin_trees_reject_unknown_algo():
     G = synth_digraph("sparse", seed=0, n=12)
     with pytest.raises(ValueError, match="algorithm"):
         twt(G, K=(2,), algo="zzz")
+
+
+def _tree_bytes(tmp_path, trees) -> list[bytes]:
+    out = []
+    for tree in trees:
+        path = tmp_path / "tree.json"
+        tree.save_json(path)
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("algo,params,labels", [
+    ("nhc", {"edge_length": "reciprocal"}, None),
+    ("nhc", {"edge_length": "raw", "n_init": 2}, None),
+    ("nhc", {}, "fixed"),
+    ("nhc", {}, "per_build"),
+    ("mll", {"edge_length": "raw"}, None),
+    ("mll", {}, "per_build"),
+    ("mbo", {"edge_length": "reciprocal"}, "fixed"),
+    ("mbo", {}, "per_build"),
+])
+def test_prepared_builds_match_fresh_twt_calls(tmp_path, algo, params,
+                                               labels):
+    G = synth_digraph("sparse", seed=10, n=40, density=0.025)
+    sizes = sorted(len(idx) for idx in weak_component_indices(G))
+    assert sizes == [1, 1, 1, 1, 3, 6, 27]  # two tiny-threshold kinds
+    K = (2,) if algo == "mbo" else (2, 5)
+    builder = TwinTreeBuilder(G, K, algo=algo, **params)
+    rng = np.random.default_rng(3)
+    for seed in range(5):
+        labeled = None
+        if labels == "fixed":
+            labeled = {v: v % 3 for v in range(G.n)}
+        elif labels == "per_build":  # a fresh training sample per build
+            picked = rng.choice(G.n, size=16, replace=False)
+            labeled = {int(v): int(v) % 3 for v in picked}
+        built = builder.build(seed, labeled)
+        fresh = twt(G, K, algo=algo, seed=seed, labeled=labeled, **params)
+        assert _tree_bytes(tmp_path, built) == _tree_bytes(tmp_path, fresh)
+    cached = [comp.finest_dist for side in builder.sides
+              for comp in side if comp is not None]
+    if algo == "nhc":
+        assert all(d is not None and not d.flags.writeable for d in cached)
+    else:  # mll and mbo compute their finest level per build
+        assert all(d is None for d in cached)

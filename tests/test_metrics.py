@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph, synth_digraph
@@ -8,7 +9,8 @@ from twintree.metrics import (align_and_score, check_partition,
                               partition_from_labels, product_partition,
                               random_coloring_baseline, tree_partition)
 
-from oracles import confusion_brute, f_measure_brute, modularity_brute
+from oracles import (confusion_brute, f_measure_brute, modularity_brute,
+                     modularity_sliced)
 from util import random_digraph
 
 
@@ -46,6 +48,48 @@ def test_modularity_matches_double_loop_oracle():
         got = modularity(G, partition_from_labels(labs))
         ref = modularity_brute(G.to_dense(), labs)
         assert got == pytest.approx(ref, abs=1e-12)
+
+
+def lognormal_digraph(rng, n, density):
+    """Digraph with lognormal(sigma=3) weights, self-loops allowed."""
+    mask = rng.random((n, n)) < density
+    loop = rng.integers(0, n)
+    mask[loop, loop] = True
+    W = np.where(mask, rng.lognormal(0.0, 3.0, (n, n)), 0.0)
+    return WeightedDigraph(sparse.csr_array(W))
+
+
+def test_modularity_equals_the_sliced_sum_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for trial in range(50):
+        n = int(rng.integers(2, 120))
+        G = lognormal_digraph(rng, n, float(rng.uniform(0.02, 0.5)))
+        assert any(G.weights.diagonal() > 0)
+        k = 1 if trial % 10 == 0 else int(rng.integers(1, min(n, 30) + 1))
+        labs = rng.integers(0, k, size=n)
+        # parts as lists of numpy ints in shuffled order
+        parts = [list(rng.permutation(np.flatnonzero(labs == j)))
+                 for j in rng.permutation(k) if np.any(labs == j)]
+        assert modularity(G, parts) == modularity_sliced(G, parts)
+        whole = [list(range(n))]
+        assert modularity(G, whole) == modularity_sliced(G, whole)
+
+
+def test_random_baseline_scores_each_coloring_like_its_partition():
+    rng = np.random.default_rng(21)
+    for n, k in ((30, 3), (8, 6), (40, 12)):
+        G = lognormal_digraph(rng, n, 0.2)
+        seed = int(rng.integers(1 << 30))
+        _, _, samples = random_coloring_baseline(G, k, trials=20, seed=seed)
+        colors = np.random.default_rng(seed)
+        missed = 0
+        for got in samples:
+            labs = colors.integers(0, k, size=n)
+            missed += len(set(labs.tolist())) < k
+            want = modularity_sliced(G, partition_from_labels(labs))
+            assert got == want
+        if n == 8:
+            assert missed > 0  # colorings that miss a color are covered
 
 
 def test_single_cluster_scores_zero():
