@@ -34,22 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics as metrics_mod
-from .analysis import (GridAnalysis, MultiplierError, build_grid,
-                       shell_index)
+from .analysis import (GridAnalysis, MultiplierError, SmoothnessReport,
+                       build_grid, shell_index)
 from .basis import TreeBasis
-from .clustering import ClusterTree, TwinTreeBuilder, twt
+from .clustering import ClusterTree, TwinTreeBuilder, check_level_spec, twt
 from .digraph import (WeightedDigraph, load_edge_list, load_labels,
                       synth_digraph)
 from .filtration import build_filtration
 
 
 # -- workspace helpers -------------------------------------------------------
-
-
-def _ws(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_config(ws: Path) -> dict:
@@ -101,19 +95,60 @@ def _load_trees(ws: Path) -> tuple[ClusterTree, ClusterTree]:
             ClusterTree.load_json(_need(ws, "tree_os.json")))
 
 
-def _build_analysis(ws: Path, G: WeightedDigraph) -> GridAnalysis:
-    """Reconstruct the exact grid and analysis engine from artifacts."""
+class PipelineRun:
+    """What the stages of one ``pipeline`` run share in memory.
+
+    cmd_pipeline makes one per run and hands it to analyze, approx and
+    report, so the run builds one engine and fits one smoothness
+    profile.  Nothing outlives the run: the next run builds its own,
+    and a stage run on its own gets none and rebuilds from artifacts.
+    """
+
+    def __init__(self):
+        self.engine_key: tuple | None = None
+        self.engine: GridAnalysis | None = None
+        self.profile_key: tuple | None = None
+        self.profile: SmoothnessReport | None = None
+
+
+def _build_analysis(ws: Path, G: WeightedDigraph,
+                    run: PipelineRun | None = None) -> GridAnalysis:
+    """Reconstruct the exact grid and analysis engine from artifacts.
+
+    With a run, the engine is built once and returned again while the
+    configured grid scheme and normalization, analyze mode and
+    partition base stay the same.
+    """
     cfg = _load_config(ws)
+    key = (cfg.get("grid", {}).get("scheme", "uniform"),
+           cfg.get("grid", {}).get("normalize", True),
+           cfg.get("analyze", {}).get("mode", "exact"),
+           cfg.get("analyze", {}).get("partition_base", 2))
+    if run is not None and run.engine_key == key:
+        return run.engine
+    scheme, normalize, mode, base = key
     tree_es, tree_os = _load_trees(ws)
-    scheme = cfg.get("grid", {}).get("scheme", "uniform")
-    normalize = cfg.get("grid", {}).get("normalize", True)
-    mode = cfg.get("analyze", {}).get("mode", "exact")
-    base = cfg.get("analyze", {}).get("partition_base", 2)
     filt_es = build_filtration(tree_es, scheme, G)
     filt_os = build_filtration(tree_os, scheme, G)
     grid = build_grid(filt_es, filt_os, normalize=normalize)
-    return GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
-                        mode=mode, partition_base=base)
+    engine = GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
+                          mode=mode, partition_base=base)
+    if run is not None:
+        run.engine_key, run.engine = key, engine
+    return engine
+
+
+def _smoothness_profile(engine: GridAnalysis, f: np.ndarray, order: float,
+                        run: PipelineRun | None = None) -> SmoothnessReport:
+    """The engine's smoothness profile of f, fitted once per run for one
+    engine, signal and order."""
+    key = (engine, f.tobytes(), order)
+    if run is not None and run.profile_key == key:
+        return run.profile
+    report = engine.smoothness_profile(f, order=order)
+    if run is not None:
+        run.profile_key, run.profile = key, report
+    return report
 
 
 def _label_index(G: WeightedDigraph) -> dict[int, int]:
@@ -146,8 +181,9 @@ def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
 
 
 def cmd_ingest(args) -> int:
-    ws = _ws(args)
     G = load_edge_list(args.edges, labels_source=args.labels)
+    ws = Path(args.out)
+    ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
     _update_config(ws, "ingest",
                    {"edges": str(args.edges),
@@ -177,7 +213,8 @@ def cmd_synth(args) -> int:
         G = synth_digraph(args.kind, seed=args.seed, **params)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad --param for {args.kind!r}: {exc}") from None
-    ws = _ws(args)
+    ws = Path(args.out)
+    ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
     _update_config(ws, "synth",
                    {"kind": args.kind, "seed": args.seed, "params": params})
@@ -187,9 +224,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ws = _ws(args)
+    ws = Path(args.out)
     G = _load_graph(ws)
-    K = tuple(int(x) for x in args.levels.split(","))
+    K = args.levels
     labeled = None
     if args.labeled:
         if not G.labels:
@@ -211,7 +248,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_trees(args) -> int:
-    ws = _ws(args)
+    ws = Path(args.out)
     tree_es, tree_os = _load_trees(ws)
     summary = {}
     for side, tree in (("es", tree_es), ("os", tree_os)):
@@ -233,7 +270,7 @@ def cmd_trees(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    ws = _ws(args)
+    ws = Path(args.out)
     G = _load_graph(ws)
     tree_es, tree_os = _load_trees(ws)
     filt_es = build_filtration(tree_es, args.scheme, G)
@@ -255,13 +292,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ws = _ws(args)
+    ws = Path(args.out)
     G = _load_graph(ws)
     f = vertex_signal(G, args.signal)
     _update_config(ws, "analyze",
                    {"mode": args.mode, "signal": args.signal,
                     "partition_base": args.partition_base})
-    engine = _build_analysis(ws, G)
+    engine = _build_analysis(ws, G, getattr(args, "run", None))
     active = set(engine.active)
     rows = []
     for k in engine.freqs.omega:
@@ -299,14 +336,15 @@ def cmd_approx(args) -> int:
     reconstruction is rounded back to the nearest class index and the
     per-shell agreement fraction is recorded alongside the errors.
     """
-    ws = _ws(args)
+    ws = Path(args.out)
     cfg = _load_config(ws)
     signal = cfg.get("analyze", {}).get("signal", args.signal)
     G = _load_graph(ws)
     f = vertex_signal(G, signal)
-    engine = _build_analysis(ws, G)
+    run = getattr(args, "run", None)
+    engine = _build_analysis(ws, G, run)
     try:
-        report = engine.smoothness_profile(f, order=args.order)
+        report = _smoothness_profile(engine, f, args.order, run)
     except MultiplierError as exc:
         raise SystemExit(f"--order {args.order}: {exc}") from None
     rows = []
@@ -359,7 +397,7 @@ def cmd_metrics(args) -> int:
     random-coloring modularity baseline is appended per level when
     --baseline-trials is positive.
     """
-    ws = _ws(args)
+    ws = Path(args.out)
     cfg = _load_config(ws)
     G = _load_graph(ws)
     cl = cfg.get("cluster")
@@ -425,14 +463,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ws = _ws(args)
+    ws = Path(args.out)
     cfg = _load_config(ws)
     signal = cfg.get("analyze", {}).get("signal", "outdeg")
     order = cfg.get("approx", {}).get("order", 1.0)
     G = _load_graph(ws)
     f = vertex_signal(G, signal)
-    engine = _build_analysis(ws, G)
-    report = engine.smoothness_profile(f, order=order)
+    run = getattr(args, "run", None)
+    engine = _build_analysis(ws, G, run)
+    report = _smoothness_profile(engine, f, order, run)
     report.save_json(ws / "smoothness.json")
     shown = {k: (f"{v:.3f}" if v is not None else "n/a")
              for k, v in report.gamma.items()}
@@ -442,6 +481,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    run = PipelineRun()
     if args.edges:
         cmd_ingest(argparse.Namespace(out=args.out, edges=args.edges,
                                       labels=args.labels))
@@ -457,14 +497,15 @@ def cmd_pipeline(args) -> int:
                                 no_normalize=False))
     cmd_analyze(argparse.Namespace(out=args.out, mode=args.mode,
                                    signal=args.signal,
-                                   partition_base=args.partition_base))
+                                   partition_base=args.partition_base,
+                                   run=run))
     cmd_approx(argparse.Namespace(out=args.out, order=args.order,
-                                  signal=args.signal))
+                                  signal=args.signal, run=run))
     cmd_metrics(argparse.Namespace(out=args.out, seed=args.seed,
                                    trials=args.trials,
                                    train_pct=args.train_pct,
                                    baseline_trials=args.baseline_trials))
-    cmd_report(argparse.Namespace(out=args.out))
+    cmd_report(argparse.Namespace(out=args.out, run=run))
     print(f"pipeline complete in {args.out}")
     return 0
 
@@ -486,6 +527,20 @@ def _order(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"differentiation order must be finite, got {text}")
     return order
+
+
+def _levels(text: str) -> tuple[int, ...]:
+    try:
+        K = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated cluster counts such as 2,6, "
+            f"got {text!r}") from None
+    try:
+        # counts at or above a component's size are clipped by twt
+        return check_level_spec(K, math.inf)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _non_negative(text: str) -> int:
@@ -525,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="build the twin hierarchies")
     add_out(p)
-    p.add_argument("--levels", default="2,6",
+    p.add_argument("--levels", type=_levels, default="2,6",
                    help="cluster counts per level, coarse to fine")
     p.add_argument("--algo", default="nhc", choices=["nhc", "mll", "mbo"])
     p.add_argument("--seed", type=int, default=0)
@@ -589,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["toy25", "planted", "sparse"])
     p.add_argument("--param", action="append", metavar="KEY=JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", default="2,6")
+    p.add_argument("--levels", type=_levels, default="2,6")
     p.add_argument("--algo", default="nhc", choices=["nhc", "mll", "mbo"])
     p.add_argument("--labeled", action="store_true")
     p.add_argument("--edge-length", default="reciprocal",

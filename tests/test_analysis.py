@@ -238,14 +238,20 @@ def kept_set_case(case):
     else:
         G = synth_digraph("planted", seed=3, sizes=[12, 12])
         K, seed = (2, 4), 5
-    scheme = case.partition("_")[2] or "uniform"
+    if case.endswith("_lognormal"):
+        # heavy-tailed degrees make the volume masses span many decades
+        W = G.weights.copy()
+        W.data = np.random.default_rng(8).lognormal(0.0, 3.0, W.nnz)
+        G = WeightedDigraph(W, labels=G.labels)
+    scheme = case.split("_")[1] if "_" in case else "uniform"
     es, os_ = twt(G, K=K, seed=seed)
     return build_filtration(es, scheme, G), build_filtration(os_, scheme, G)
 
 
 @pytest.mark.parametrize("case", ["random12", "random16", "random20",
                                   "random25", "toy25", "planted_uniform",
-                                  "planted_volume"])
+                                  "planted_volume",
+                                  "planted_volume_lognormal"])
 def test_kept_set_matches_exact_greedy_rank(case):
     f1, f2 = kept_set_case(case)
     grid = build_grid(f1, f2)

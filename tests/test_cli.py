@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from twintree.analysis import GridAnalysis
 from twintree.cli import main
 
 
@@ -53,6 +54,64 @@ def test_mll_pipeline_writes_every_artifact(tmp_path):
     config = json.loads((tmp_path / "config.json").read_text())
     assert config["cluster"]["algo"] == "mll"
     assert config["cluster"]["edge_length"] == "raw"
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_pipeline_builds_one_engine_and_one_profile(tmp_path, monkeypatch,
+                                                    capsys):
+    builds = count_calls(monkeypatch, GridAnalysis, "__init__")
+    profiles = count_calls(monkeypatch, GridAnalysis, "smoothness_profile")
+    run_pipeline(tmp_path / "first")
+    assert (len(builds), len(profiles)) == (1, 1)
+    # nothing is kept across runs: the next run builds its own engine
+    run_pipeline(tmp_path / "second")
+    assert (len(builds), len(profiles)) == (2, 2)
+    assert snapshot(tmp_path / "second") == snapshot(tmp_path / "first")
+    capsys.readouterr()
+
+
+# pipeline flags of each case, and the stages that take each flag
+STAGE_CASES = {
+    "toy25": {"kind": "toy25", "seed": "1", "levels": "2,6"},
+    "planted_volume_label": {"kind": "planted", "seed": "2",
+                             "param": "sizes=[15,15]", "scheme": "volume",
+                             "signal": "label", "mode": "idealized",
+                             "levels": "2,6"},
+}
+STAGE_FLAGS = {"synth": ("kind", "seed", "param"),
+               "cluster": ("levels", "seed"), "trees": (),
+               "grid": ("scheme",), "analyze": ("mode", "signal"),
+               "approx": (), "metrics": ("seed", "trials", "baseline_trials"),
+               "report": ()}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_pipeline_matches_stages_run_one_by_one(tmp_path, case, capsys):
+    flags = {**STAGE_CASES[case], "trials": "5", "baseline_trials": "40"}
+
+    def argv(command, names, out):
+        args = [command, "--out", str(out)]
+        for name in names:
+            if name in flags:
+                args += [f"--{name.replace('_', '-')}", flags[name]]
+        return args
+    assert main(argv("pipeline", flags, tmp_path / "pipeline")) == 0
+    for stage, names in STAGE_FLAGS.items():
+        assert main(argv(stage, names, tmp_path / "stages")) == 0
+    assert (snapshot(tmp_path / "stages")
+            == snapshot(tmp_path / "pipeline"))
+    capsys.readouterr()
 
 
 def test_identical_runs_are_byte_identical(workspace, tmp_path):
@@ -269,6 +328,34 @@ def test_missing_artifacts_fail_loudly(tmp_path):
         main(["trees", "--out", str(ws)])
     with pytest.raises(SystemExit, match="missing artifact"):
         main(["cluster", "--out", str(ws)])
+
+
+@pytest.mark.parametrize("command", ["cluster", "trees", "grid", "analyze",
+                                     "approx", "metrics", "report"])
+def test_stages_that_read_artifacts_create_no_workspace(tmp_path, command):
+    ws = tmp_path / "fresh"
+    with pytest.raises(SystemExit, match="missing artifact|stage first"):
+        main([command, "--out", str(ws)])
+    assert not ws.exists()
+
+
+def test_bad_levels_exit_before_touching_the_workspace(tmp_path, capsys):
+    ws = tmp_path / "levels"
+    assert main(["synth", "--out", str(ws), "--seed", "1"]) == 0
+    assert main(["cluster", "--out", str(ws), "--seed", "9"]) == 0
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    for levels, reason in (("6,2", "strictly increase"),
+                           ("2,x", "comma-separated"),
+                           ("1,4", "outside")):
+        for command, out in (("cluster", ws),
+                             ("pipeline", tmp_path / "never")):
+            with pytest.raises(SystemExit):
+                main([command, "--out", str(out), "--levels", levels])
+            err = capsys.readouterr().err
+            assert "--levels" in err and reason in err
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+    assert not (tmp_path / "never").exists()
 
 
 def test_metrics_validates_its_protocol(tmp_path):
