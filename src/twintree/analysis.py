@@ -131,7 +131,7 @@ class FrequencySet:
     omega: list[tuple[int, int]]
     n1: int
     n2: int
-    members: frozenset = field(default_factory=frozenset)
+    members: frozenset = field(init=False)
 
     def __post_init__(self):
         self.omega = sorted(self.omega, key=graded_lex_key)
@@ -176,13 +176,16 @@ def compute_omega(v1: list[list], v2: list[list]) -> FrequencySet:
 # -- orthonormalization --------------------------------------------------------
 
 
-def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray,
-                        drop_tol: float = 1e-9
+# Relative residual norm below which a row counts as dependent.
+DROP_TOL = 1e-9
+
+
+def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
                         ) -> tuple[np.ndarray, list[int], list[int]]:
     """Modified Gram-Schmidt under a weighted inner product.
 
     Rows are processed in order; a row whose residual norm falls below
-    drop_tol * max(1, own norm) is dropped as dependent.  Two projection
+    DROP_TOL * max(1, own norm) is dropped as dependent.  Two projection
     passes keep the result orthonormal to machine precision.  Returns
     (orthonormal rows, kept row indices, dropped row indices).
 
@@ -190,7 +193,7 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray,
     reports every later row as dropped.  That exit is exact: N rows
     orthonormal under the nu-weighted product force nu > 0 everywhere,
     so they span R^N, and every later residual is roundoff far below
-    drop_tol.
+    DROP_TOL.
     """
     rows = np.asarray(rows, dtype=float)
     ncols = rows.shape[1]
@@ -208,7 +211,7 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray,
             coef = basis @ (r * masses)
             r = r - coef @ basis
         norm = math.sqrt(float((r * r * masses).sum()))
-        if norm <= drop_tol * max(1.0, own):
+        if norm <= DROP_TOL * max(1.0, own):
             dropped.append(i)
             continue
         E[len(kept)] = r / norm
@@ -397,7 +400,7 @@ class GridAnalysis:
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
                  basis_os: TreeBasis, mode: str = "exact",
-                 drop_tol: float = 1e-9, partition_base: int = 2):
+                 partition_base: int = 2):
         if mode not in ("exact", "idealized"):
             raise ValueError(f"unknown mode {mode!r}")
         self.grid = grid
@@ -423,7 +426,7 @@ class GridAnalysis:
                         for k1, k2 in self.freqs.omega])
         self._raw = raw
         if mode == "exact":
-            E, kept, dropped = gram_orthonormalize(raw, self.nu, drop_tol)
+            E, kept, dropped = gram_orthonormalize(raw, self.nu)
             self.active = [self.freqs.omega[i] for i in kept]
             self.dropped = [self.freqs.omega[i] for i in dropped]
             self._rows = E
@@ -574,9 +577,13 @@ class GridAnalysis:
 
     # -- smoothness --------------------------------------------------------------
 
-    def smoothness_profile(self, fvals: np.ndarray, order: float = 1.0,
-                           rho: float = math.inf) -> "SmoothnessReport":
-        """Fit the decay exponent of the four graded error sequences."""
+    def smoothness_profile(self, fvals: np.ndarray, order: float = 1.0
+                           ) -> "SmoothnessReport":
+        """Fit the decay exponent of the four graded error sequences.
+
+        Every sequence is measured in the sup norm, which the report
+        records as rho = inf.
+        """
         fvals = np.asarray(fvals, dtype=float)
         mu = default_multiplier(self.freqs, order, self.base)
         coeffs = self.analyze(fvals)
@@ -606,7 +613,7 @@ class GridAnalysis:
             gamma[name] = float(-slope)
         insufficient = any(v is None for v in gamma.values())
         return SmoothnessReport(gamma=gamma, sequences=seqs,
-                                fit_points=fit_points, rho=rho,
+                                fit_points=fit_points,
                                 order=order, insufficient=insufficient)
 
 
@@ -616,7 +623,6 @@ class SmoothnessReport:
     gamma: dict[str, Optional[float]]
     sequences: dict[str, list[float]]
     fit_points: dict[str, list[int]]
-    rho: float
     order: float
     insufficient: bool
 
@@ -636,7 +642,7 @@ class SmoothnessReport:
             "sequences": {k: [float(x) for x in v]
                           for k, v in self.sequences.items()},
             "fit_points": self.fit_points,
-            "rho": ("inf" if math.isinf(self.rho) else float(self.rho)),
+            "rho": "inf",
             "order": float(self.order),
             "insufficient_resolution": bool(self.insufficient),
         }

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .filtration import Filtration, LLOEnumeration, llo_enumerate
+from .filtration import Filtration, llo_enumerate
 
 
 # -- piecewise-constant functions -------------------------------------------
@@ -340,10 +340,9 @@ def verify_local_identities(basis: LocalBasis) -> dict:
 class TreeBasis:
     """The orthogonal system of a filtration, one function per leaf."""
 
-    def __init__(self, filt: Filtration,
-                 enum: Optional[LLOEnumeration] = None):
+    def __init__(self, filt: Filtration):
         self.filtration = filt
-        self.enum = enum if enum is not None else llo_enumerate(filt)
+        self.enum = llo_enumerate(filt)
         self._cache: dict[int, PiecewiseConstant] = {}
         self._leaf_bps: Optional[list] = None
         self._values: Optional[list[list]] = None

@@ -295,6 +295,8 @@ def cmd_analyze(args) -> int:
     ws = Path(args.out)
     G = _load_graph(ws)
     f = vertex_signal(G, args.signal)
+    _need(ws, "tree_es.json")
+    _need(ws, "tree_os.json")
     _update_config(ws, "analyze",
                    {"mode": args.mode, "signal": args.signal,
                     "partition_base": args.partition_base})
@@ -404,10 +406,6 @@ def cmd_metrics(args) -> int:
     if cl is None:
         raise SystemExit("run the cluster stage first (its parameters "
                          "define the trial protocol)")
-    if args.trials < 1:
-        raise SystemExit("need at least one trial")
-    if not 0 <= args.train_pct < 100:
-        raise SystemExit("training percentage must lie in [0, 100)")
     if args.train_pct > 0 and not G.labels:
         raise SystemExit("--train-pct needs a labeled graph")
     builder = TwinTreeBuilder(G, cl["levels"], algo=cl["algo"],
@@ -551,6 +549,25 @@ def _non_negative(text: str) -> int:
     return count
 
 
+def _at_least_one(unit: str):
+    """Parser of an integer count of at least one ``unit``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"need at least one {unit}, got {value}")
+        return value
+    return count
+
+
+def _train_pct(text: str) -> float:
+    pct = float(text)
+    if not 0 <= pct < 100:
+        raise argparse.ArgumentTypeError(
+            f"training percentage must lie in [0, 100), got {text}")
+    return pct
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twintree",
@@ -588,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed/anchor clustering with the graph's labels")
     p.add_argument("--edge-length", default="reciprocal",
                    choices=["reciprocal", "raw"], dest="edge_length")
-    p.add_argument("--n-init", type=int, default=1, dest="n_init")
+    p.add_argument("--n-init", type=_at_least_one("start"), default=1,
+                   dest="n_init")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("trees", help="summarize the twin hierarchies")
@@ -623,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="seeded-trial scoring protocol")
     add_out(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--train-pct", type=float, default=0.0,
+    p.add_argument("--trials", type=_at_least_one("trial"), default=30)
+    p.add_argument("--train-pct", type=_train_pct, default=0.0,
                    dest="train_pct",
                    help="percent of each label class used as training "
                         "data per trial (0 = unsupervised)")
@@ -649,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", action="store_true")
     p.add_argument("--edge-length", default="reciprocal",
                    choices=["reciprocal", "raw"], dest="edge_length")
-    p.add_argument("--n-init", type=int, default=1, dest="n_init")
+    p.add_argument("--n-init", type=_at_least_one("start"), default=1,
+                   dest="n_init")
     p.add_argument("--scheme", default="uniform",
                    choices=["uniform", "volume"])
     p.add_argument("--mode", default="exact",
@@ -658,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition-base", type=_partition_base, default=2,
                    dest="partition_base")
     p.add_argument("--order", type=_order, default=1.0)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--train-pct", type=float, default=0.0,
+    p.add_argument("--trials", type=_at_least_one("trial"), default=30)
+    p.add_argument("--train-pct", type=_train_pct, default=0.0,
                    dest="train_pct")
     p.add_argument("--baseline-trials", type=_non_negative, default=100,
                    dest="baseline_trials")

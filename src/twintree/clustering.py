@@ -314,50 +314,52 @@ def medoid_partition(dist: np.ndarray, k: int, rng: np.random.Generator,
     return best[1]
 
 
-def _labels_to_groups(assign: np.ndarray, units: list[frozenset[int]],
-                      k: int) -> list[frozenset[int]]:
-    groups = []
-    for j in range(k):
-        idx = np.flatnonzero(assign == j)
-        if idx.size:
-            merged: set[int] = set()
-            for i in idx:
-                merged |= units[int(i)]
-            groups.append(frozenset(merged))
-    return groups
+def _parts(labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending vertex ids of each label 0, 1, ..., max(labels)."""
+    by_label = np.argsort(labels, kind="stable")
+    return np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _medoid_hierarchy(G, K: Sequence[int], rng, dist_of,
-                      seed_vertices: Optional[list[int]], n_init: int,
-                      max_iter: int,
-                      finest: Optional[list[frozenset[int]]] = None
-                      ) -> list[list[frozenset[int]]]:
+def _medoid_hierarchy(G, K: Sequence[int], seed: int,
+                      labeled: Optional[dict], dist_of, n_init: int = 1,
+                      max_iter: int = 100,
+                      finest: Optional[np.ndarray] = None
+                      ) -> list[np.ndarray]:
     """Finest-to-coarsest medoid clustering with coarse-graining.
 
     dist_of maps the current (coarse) graph to its distance matrix.
-    Seeds apply to the finest level only, where vertices are original.
-    A given ``finest`` partition is taken as the finest level instead of
-    clustering it.  Returns the level partitions in coarsest-first
-    order, each a list of original-vertex sets.
+    Labeled vertices seed the finest level only, where vertices are
+    original.  A given ``finest`` label vector is taken as the finest
+    level instead of clustering it.  Returns one label vector over G's
+    vertices per level, coarsest first; a level's nonempty clusters are
+    numbered 0, 1, ... in the order of their cluster indices.
     """
-    units = [frozenset([v]) for v in range(G.n)]
+    K = check_level_spec(K, G.n)
+    rng = np.random.default_rng(seed)
+    seed_vertices = _label_seed_vertices(labeled)
     current = G
-    partitions: dict[int, list[frozenset[int]]] = {}
+    labels = np.arange(G.n)
+    levels = []
     for li in range(len(K), 0, -1):
-        k = K[li - 1]
         if li == len(K) and finest is not None:
-            coarse_groups = groups = finest
+            assign = finest
         else:
-            dist = dist_of(current)
             seeds = seed_vertices if li == len(K) else None
-            assign = medoid_partition(dist, k, rng, seeds, n_init, max_iter)
-            coarse_units = [frozenset([u]) for u in range(current.n)]
-            coarse_groups = _labels_to_groups(assign, coarse_units, k)
-            groups = _labels_to_groups(assign, units, k)
-        current = coarse_grain(current, coarse_groups)
-        units = groups
-        partitions[li] = groups
-    return [partitions[li] for li in range(1, len(K) + 1)]
+            assign = medoid_partition(dist_of(current), K[li - 1], rng,
+                                      seeds, n_init, max_iter)
+        _, assign = np.unique(assign, return_inverse=True)
+        current = coarse_grain(current, _parts(assign))
+        labels = assign[labels]
+        levels.append(labels)
+    return levels[::-1]
+
+
+def _tree(idx: np.ndarray, levels: Sequence[np.ndarray]) -> ClusterTree:
+    """ClusterTree on vertex ids idx; levels[l][i] is idx[i]'s cluster
+    at level l + 1."""
+    return tree_from_partitions(
+        idx.tolist(), [[frozenset(idx[part].tolist()) for part in _parts(lab)]
+                       for lab in levels])
 
 
 # -- clusterers -------------------------------------------------------------
@@ -404,21 +406,9 @@ def nhc_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
     coupled vertices are near each other; "raw" uses weights as lengths
     verbatim.
     """
-    return _nhc_tree(G, K, seed, labeled,
-                     lambda cur: _path_distance(cur, edge_length),
-                     n_init, max_iter)
-
-
-def _nhc_tree(G: UndirectedGraph, K: Sequence[int], seed: int,
-              labeled: Optional[dict], dist_of, n_init: int = 1,
-              max_iter: int = 100) -> ClusterTree:
-    """nhc_cluster with the distance of each level supplied by dist_of."""
-    K = check_level_spec(K, G.n)
-    rng = np.random.default_rng(seed)
-    ordered = _medoid_hierarchy(G, K, rng, dist_of,
-                                _label_seed_vertices(labeled), n_init,
-                                max_iter)
-    return tree_from_partitions(range(G.n), ordered)
+    return _tree(np.arange(G.n), _medoid_hierarchy(
+        G, K, seed, labeled, lambda cur: _path_distance(cur, edge_length),
+        n_init, max_iter))
 
 
 def coarse_grain(G: WeightedDigraph,
@@ -429,22 +419,17 @@ def coarse_grain(G: WeightedDigraph,
     original weights from members of part i to members of part j.
     Passing the singleton partition returns a graph equal to G.
     """
-    parts = [frozenset(p) for p in partition]
-    covered: set[int] = set()
-    for p in parts:
-        if covered & p:
-            raise ValueError("partition parts overlap")
-        covered |= p
-    if covered != set(range(G.n)):
+    parts = [np.unique(np.fromiter(p, dtype=np.intp)) for p in partition]
+    ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    by_id = np.argsort(ids, kind="stable")
+    ids = ids[by_id]
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("partition parts overlap")
+    if not np.array_equal(ids, np.arange(G.n)):
         raise ValueError("partition must cover every vertex")
-    k = len(parts)
-    rows, cols = [], []
-    for j, p in enumerate(parts):
-        for v in p:
-            rows.append(j)
-            cols.append(v)
-    S = sparse.csr_array((np.ones(len(rows)), (rows, cols)),
-                         shape=(k, G.n))
+    labels = np.repeat(np.arange(len(parts)), [p.size for p in parts])[by_id]
+    S = sparse.csr_array((np.ones(G.n), (labels, ids)),
+                         shape=(len(parts), G.n))
     coarse = sparse.csr_array(S @ G.weights @ S.T)
     if isinstance(G, UndirectedGraph):
         return UndirectedGraph(_mirror_upper(coarse))
@@ -499,18 +484,22 @@ def mll_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
     embedded points; levels above the finest re-embed the coarse-grained
     graph.
     """
-    K = check_level_spec(K, G.n)
-    rng = np.random.default_rng(seed)
+    return _tree(np.arange(G.n),
+                 _mll_levels(G, K, seed, n_eig, t, labeled, n_init, max_iter))
 
+
+def _mll_levels(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
+                n_eig: int = 30, t: float = 1.0,
+                labeled: Optional[dict] = None, n_init: int = 1,
+                max_iter: int = 100) -> list[np.ndarray]:
+    """The level label vectors of mll_cluster, coarsest first."""
     def embed_dist(cur):
         coords = spectral_embedding(cur, n_eig, t, seed)
         diff = coords[:, None, :] - coords[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
 
-    ordered = _medoid_hierarchy(G, K, rng, embed_dist,
-                                _label_seed_vertices(labeled), n_init,
-                                max_iter)
-    return tree_from_partitions(range(G.n), ordered)
+    return _medoid_hierarchy(G, K, seed, labeled, embed_dist, n_init,
+                             max_iter)
 
 
 def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
@@ -606,53 +595,54 @@ class _Component:
         return self.finest_dist
 
 
-def _cluster_component(comp: _Component, K: tuple[int, ...], algo: str,
-                       seed: int, labeled: Optional[dict],
-                       algo_params: dict) -> ClusterTree:
-    S = comp.S
+def _cluster_component(comp: _Component, algo: str, seed: int,
+                       labeled: Optional[dict],
+                       algo_params: dict) -> list[np.ndarray]:
+    """Level label vectors of one component, coarsest first.
+
+    The labeled vertices inside the component seed (nhc, mll) or anchor
+    (mbo) its clustering.  mbo's finest level has one cluster per label
+    class present; a component with no labeled vertex, or with fewer
+    than two classes or no fewer vertices than classes, gets no levels.
+    """
+    pos = {int(v): j for j, v in enumerate(comp.idx)}
+    local = {pos[int(v)]: c for v, c in (labeled or {}).items()
+             if int(v) in pos} or None
     if algo == "nhc":
-        return _nhc_tree(S, K, seed, labeled, comp.dist_of, **algo_params)
+        return _medoid_hierarchy(comp.S, comp.K, seed, local, comp.dist_of,
+                                 **algo_params)
     if algo == "mll":
-        return mll_cluster(S, K, seed=seed, labeled=labeled, **algo_params)
-    if algo == "mbo":
-        if not labeled:
-            raise ValueError("mbo needs labeled vertices")
-        classes = sorted({_class_key(c) for c in labeled.values()})
-        if not K or K[-1] != len(classes):
-            raise ValueError(
-                f"finest level must have {len(classes)} clusters "
-                f"(one per label class), got K={K}")
-        class_idx = {name: i for i, name in enumerate(classes)}
-        lab = {int(v): class_idx[_class_key(c)] for v, c in labeled.items()}
-        mbo_params = {p: algo_params[p] for p in
-                      ("n_eig", "dt", "tol", "fidelity", "max_iter")
-                      if p in algo_params}
-        assign = mbo_cluster(S, lab, n_classes=K[-1], seed=seed, **mbo_params)
-        units = [frozenset([v]) for v in range(S.n)]
-        # coarser levels: reciprocal lengths, one start, a fresh generator
-        ordered = _medoid_hierarchy(
-            S, K, np.random.default_rng(seed),
-            lambda cur: _path_distance(cur, "reciprocal"), None, 1, 100,
-            finest=_labels_to_groups(assign, units, K[-1]))
-        return tree_from_partitions(range(S.n), ordered)
-    raise ValueError(f"unknown clustering algorithm {algo!r}")
+        return _mll_levels(comp.S, comp.K, seed=seed, labeled=local,
+                           **algo_params)
+    if not local:
+        return []
+    classes = sorted({_class_key(c) for c in local.values()})
+    K = tuple(k for k in comp.K if k < len(classes)) + (len(classes),)
+    if not 2 <= K[-1] < len(comp.idx):
+        return []
+    class_idx = {name: i for i, name in enumerate(classes)}
+    lab = {v: class_idx[_class_key(c)] for v, c in local.items()}
+    mbo_params = {p: algo_params[p] for p in
+                  ("n_eig", "dt", "tol", "fidelity", "max_iter")
+                  if p in algo_params}
+    assign = mbo_cluster(comp.S, lab, n_classes=K[-1], seed=seed,
+                         **mbo_params)
+    # coarser levels: reciprocal lengths, one start, a fresh generator
+    return _medoid_hierarchy(
+        comp.S, K, seed, None, lambda cur: _path_distance(cur, "reciprocal"),
+        finest=assign)
 
 
-def _relabel_tree(tree: ClusterTree, vertex_map: Sequence[int]) -> ClusterTree:
-    """Rewrite member ids through a local-id -> original-id map."""
-    nodes = {}
-    for nid, n in tree.nodes.items():
-        nodes[nid] = ClusterNode(
-            n.id, n.level, n.parent, list(n.children),
-            frozenset(int(vertex_map[v]) for v in n.members), n.synthetic)
-    return ClusterTree(nodes, tree.root)
+# Components with fewer vertices are not clustered: their vertices hang
+# straight off the component's node.
+_TINY_COMPONENT = 4
 
 
 class TwinTreeBuilder:
     """The seed-independent part of the twin-tree construction.
 
     Preparation finds the weak components and, for each side ("es",
-    then "os") and each component with at least tiny_threshold
+    then "os") and each component with at least _TINY_COMPONENT
     vertices, symmetrizes the component's subgraph and clips the level
     sizes K to it.  For nhc the finest level's shortest-path distances
     are also kept, computed on first use.  build(seed, labeled) then
@@ -661,8 +651,7 @@ class TwinTreeBuilder:
     """
 
     def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
-                 algo: str = "nhc", tiny_threshold: int = 4,
-                 **algo_params):
+                 algo: str = "nhc", **algo_params):
         if algo not in _CLUSTER_ALGOS:
             raise ValueError(f"unknown clustering algorithm {algo!r}")
         self.G = G
@@ -676,7 +665,7 @@ class TwinTreeBuilder:
         self.sides: list[list[Optional[_Component]]] = [
             [_Component(idx, symmetrize(G.subgraph(idx), side),
                         tuple(k for k in K if 1 < k < len(idx)), edge_length)
-             if len(idx) >= tiny_threshold else None
+             if len(idx) >= _TINY_COMPONENT else None
              for idx in self.comps]
             for side in ("es", "os")]
 
@@ -688,40 +677,20 @@ class TwinTreeBuilder:
                       for s in seed_seq.spawn(2 * len(self.comps))]
         trees = []
         for side_index, comps in enumerate(self.sides):
-            subtrees: list[Optional[ClusterTree]] = []
-            for ci, comp in enumerate(comps):
-                sub_seed = int(comp_seeds[2 * ci + side_index])
-                if comp is None:
-                    subtrees.append(None)
-                    continue
-                K_c = comp.K
-                local_labeled = None
-                if labeled:
-                    pos = {int(v): j for j, v in enumerate(comp.idx)}
-                    local_labeled = {pos[v]: c for v, c in labeled.items()
-                                     if int(v) in pos}
-                    if not local_labeled:
-                        local_labeled = None
-                if self.algo == "mbo" and local_labeled:
-                    n_cls = len({_class_key(c)
-                                 for c in local_labeled.values()})
-                    K_c = tuple(k for k in K_c if k < n_cls) + (n_cls,)
-                    if K_c[-1] >= len(comp.idx) or K_c[-1] < 2:
-                        subtrees.append(None)
-                        continue
-                elif self.algo == "mbo":
-                    subtrees.append(None)
-                    continue
-                sub_tree = _cluster_component(comp, K_c, self.algo, sub_seed,
-                                              local_labeled, self.algo_params)
-                subtrees.append(_relabel_tree(sub_tree, comp.idx))
-            trees.append(_graft_components(self.G, self.comps, subtrees))
+            subtrees = []
+            for ci, (idx, comp) in enumerate(zip(self.comps, comps)):
+                levels = []
+                if comp is not None:
+                    sub_seed = int(comp_seeds[2 * ci + side_index])
+                    levels = _cluster_component(comp, self.algo, sub_seed,
+                                                labeled, self.algo_params)
+                subtrees.append(_tree(idx, levels))
+            trees.append(_graft_components(self.G, subtrees))
         return trees[0], trees[1]
 
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
         seed: int = 0, labeled: Optional[dict] = None,
-        tiny_threshold: int = 4,
         **algo_params) -> tuple[ClusterTree, ClusterTree]:
     """Build the twin cluster trees of a digraph.
 
@@ -730,71 +699,37 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
     clustered on its own symmetrized graph — the "es" companion for the
     first tree, the "os" companion for the second — with the requested
     level sizes clipped to what the component can support.  Components
-    below tiny_threshold vertices attach their vertices directly.  One
+    of fewer than four vertices attach their vertices directly.  One
     TwinTreeBuilder preparation and one build; a caller building many
     seeds of one graph keeps the builder instead.
     """
-    return TwinTreeBuilder(G, K, algo, tiny_threshold,
-                           **algo_params).build(seed, labeled)
+    return TwinTreeBuilder(G, K, algo, **algo_params).build(seed, labeled)
 
 
-def _graft_components(G: WeightedDigraph, comps: list[np.ndarray],
-                      subtrees: list[Optional[ClusterTree]]) -> ClusterTree:
-    if len(comps) == 1:
-        if subtrees[0] is not None:
-            tree = subtrees[0]
-            tree.validate()
-            return tree
-        # a single tiny component: vertices hang straight off the root
-        nodes = {0: ClusterNode(id=0, level=0, parent=None,
-                                members=frozenset(range(G.n)))}
-        for v in range(G.n):
-            nodes[v + 1] = ClusterNode(id=v + 1, level=1, parent=0,
-                                       members=frozenset([v]))
-            nodes[0].children.append(v + 1)
-        tree = ClusterTree(nodes, 0)
-        tree.validate()
-        return tree
+def _graft_components(G: WeightedDigraph,
+                      subtrees: list[ClusterTree]) -> ClusterTree:
+    """One tree whose root's children are the components' trees.
 
-    nodes: dict[int, ClusterNode] = {}
+    A single component's tree is the whole tree.  Otherwise component
+    trees follow one another, each with its node ids shifted past those
+    before it; this needs each numbered 0, 1, ... from its root, as
+    tree_from_partitions numbers them.
+    """
+    if len(subtrees) == 1:
+        return subtrees[0]
     root = ClusterNode(id=0, level=0, parent=None,
                        members=frozenset(range(G.n)))
-    nodes[0] = root
-    next_id = 1
-    for idx, sub in zip(comps, subtrees):
-        comp_node = ClusterNode(id=next_id, level=1, parent=0,
-                                members=frozenset(int(v) for v in idx))
-        nodes[next_id] = comp_node
-        root.children.append(next_id)
-        next_id += 1
-        if sub is None:
-            for v in sorted(int(v) for v in idx):
-                leaf = ClusterNode(id=next_id, level=2, parent=comp_node.id,
-                                   members=frozenset([v]))
-                nodes[next_id] = leaf
-                comp_node.children.append(next_id)
-                next_id += 1
-            continue
-        # graft: the subtree root coincides with the component node
-        remap = {sub.root: comp_node.id}
-        order = [c for c in sub.nodes[sub.root].children]
-        queue = list(order)
-        while queue:
-            old = queue.pop(0)
-            n = sub.nodes[old]
-            remap[old] = next_id
-            next_id += 1
-            queue.extend(n.children)
-        for old, new in remap.items():
-            if old == sub.root:
-                continue
-            n = sub.nodes[old]
-            nodes[new] = ClusterNode(
-                id=new, level=n.level + 1, parent=remap[n.parent],
-                children=[remap[c] for c in n.children],
+    nodes = {0: root}
+    offset = 1
+    for sub in subtrees:
+        root.children.append(offset)
+        for n in sub.nodes.values():
+            nodes[n.id + offset] = ClusterNode(
+                id=n.id + offset, level=n.level + 1,
+                parent=0 if n.parent is None else n.parent + offset,
+                children=[c + offset for c in n.children],
                 members=n.members, synthetic=n.synthetic)
-        comp_node.children.extend(remap[c]
-                                  for c in sub.nodes[sub.root].children)
+        offset += len(sub.nodes)
     tree = ClusterTree(nodes, 0)
     tree.validate()
     return tree

@@ -270,11 +270,10 @@ class LLOEnumeration:
     the number of leaves.
     """
     order: list[int]
-    index_of: dict[int, int] = field(default_factory=dict)
+    index_of: dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index_of:
-            self.index_of = {nid: i for i, nid in enumerate(self.order)}
+        self.index_of = {nid: i for i, nid in enumerate(self.order)}
 
     def __len__(self) -> int:
         return len(self.order)

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from twintree.clustering import coarse_grain, medoid_partition
+
 
 def minimax_distance(A: np.ndarray, f: np.ndarray) -> float:
     """Best sup-norm distance from f to the column span of A.
@@ -287,3 +289,45 @@ def exact_greedy_rank(v1, v2) -> list[tuple[int, int]]:
         pivots[lead] = [a / r[lead] for a in r]
         kept.append((k1, k2))
     return kept
+
+
+def _labels_to_groups(assign: np.ndarray, units: list[frozenset[int]],
+                      k: int) -> list[frozenset[int]]:
+    groups = []
+    for j in range(k):
+        idx = np.flatnonzero(assign == j)
+        if idx.size:
+            merged: set[int] = set()
+            for i in idx:
+                merged |= units[int(i)]
+            groups.append(frozenset(merged))
+    return groups
+
+
+def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
+                  finest=None) -> list[list[frozenset[int]]]:
+    """Finest-to-coarsest medoid clustering on sets of original vertices.
+
+    The frozenset form of the package's medoid hierarchy: every level is
+    kept as a list of vertex sets, merged cluster by cluster through the
+    units of the level below.  ``finest`` is a list of sets.  Returns
+    the level partitions coarsest first.
+    """
+    units = [frozenset([v]) for v in range(G.n)]
+    current = G
+    partitions: dict[int, list[frozenset[int]]] = {}
+    for li in range(len(K), 0, -1):
+        k = K[li - 1]
+        if li == len(K) and finest is not None:
+            coarse_groups = groups = finest
+        else:
+            dist = dist_of(current)
+            seeds = seed_vertices if li == len(K) else None
+            assign = medoid_partition(dist, k, rng, seeds, n_init, max_iter)
+            coarse_units = [frozenset([u]) for u in range(current.n)]
+            coarse_groups = _labels_to_groups(assign, coarse_units, k)
+            groups = _labels_to_groups(assign, units, k)
+        current = coarse_grain(current, coarse_groups)
+        units = groups
+        partitions[li] = groups
+    return [partitions[li] for li in range(1, len(K) + 1)]

@@ -358,19 +358,50 @@ def test_bad_levels_exit_before_touching_the_workspace(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
-def test_metrics_validates_its_protocol(tmp_path):
+def test_metrics_validates_its_protocol(tmp_path, capsys):
     ws = tmp_path / "proto"
     assert main(["synth", "--out", str(ws), "--seed", "1"]) == 0
     with pytest.raises(SystemExit, match="cluster stage"):
         main(["metrics", "--out", str(ws)])
     assert main(["cluster", "--out", str(ws), "--seed", "9"]) == 0
-    with pytest.raises(SystemExit, match="one trial"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
         main(["metrics", "--out", str(ws), "--trials", "0"])
-    with pytest.raises(SystemExit, match=r"\[0, 100\)"):
+    assert "one trial" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
         main(["metrics", "--out", str(ws), "--train-pct", "100"])
+    assert "[0, 100)" in capsys.readouterr().err
     with pytest.raises(SystemExit, match="labeled graph"):
         main(["metrics", "--out", str(ws), "--train-pct", "10",
               "--trials", "2"])
+
+
+def test_bad_protocol_counts_exit_before_any_stage(tmp_path, capsys):
+    ws = tmp_path / "proto"
+    assert main(["synth", "--out", str(ws), "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    for flag, value, stage, reason in (
+            ("--trials", "0", "metrics", "one trial"),
+            ("--train-pct", "150", "metrics", "[0, 100)"),
+            ("--train-pct", "nan", "metrics", "[0, 100)"),
+            ("--n-init", "-3", "cluster", "one start")):
+        for command, out in ((stage, ws), ("pipeline", tmp_path / "fresh")):
+            with pytest.raises(SystemExit):
+                main([command, "--out", str(out), flag, value])
+            err = capsys.readouterr().err
+            assert flag in err and reason in err
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_analyze_without_trees_leaves_the_config_alone(tmp_path):
+    ws = tmp_path / "untreed"
+    assert main(["synth", "--out", str(ws), "--seed", "1"]) == 0
+    config = (ws / "config.json").read_bytes()
+    with pytest.raises(SystemExit, match="missing artifact"):
+        main(["analyze", "--out", str(ws)])
+    assert (ws / "config.json").read_bytes() == config
 
 
 def test_version_flag(capsys):

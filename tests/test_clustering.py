@@ -3,15 +3,17 @@ import pytest
 from scipy import sparse
 
 from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
-                                 check_level_spec, coarse_grain,
-                                 medoid_partition, mbo_cluster, mll_cluster,
-                                 nhc_cluster, spectral_embedding,
+                                 _label_seed_vertices, _medoid_hierarchy,
+                                 _path_distance, check_level_spec,
+                                 coarse_grain, medoid_partition, mbo_cluster,
+                                 mll_cluster, nhc_cluster, spectral_embedding,
                                  tree_from_partitions, twt)
 from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
                               synth_digraph, weak_component_indices)
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
-                     label_propagation, random_walk_embedding)
+                     label_propagation, random_walk_embedding,
+                     set_hierarchy)
 from util import random_digraph, random_nested_partitions
 
 
@@ -205,8 +207,12 @@ def test_coarse_grain_identity_and_errors():
     assert np.allclose(same.to_dense(), G.to_dense())
     with pytest.raises(ValueError, match="overlap"):
         coarse_grain(G, [frozenset({0, 1}), frozenset({1, 2, 3, 4, 5})])
-    with pytest.raises(ValueError, match="cover"):
-        coarse_grain(G, [frozenset({0, 1})])
+    for parts in ([frozenset({0, 1})],
+                  [frozenset({0, 1, 2}), frozenset({3, 4, 6})],
+                  [frozenset({-1, 0, 1}), frozenset({2, 3, 4})],
+                  []):
+        with pytest.raises(ValueError, match="cover"):
+            coarse_grain(G, parts)
     S = symmetrize(G, "es")
     CS = coarse_grain(S, [frozenset({0, 1, 2}), frozenset({3, 4, 5})])
     assert isinstance(CS, UndirectedGraph)
@@ -427,3 +433,74 @@ def test_prepared_builds_match_fresh_twt_calls(tmp_path, algo, params,
         assert all(d is not None and not d.flags.writeable for d in cached)
     else:  # mll and mbo compute their finest level per build
         assert all(d is None for d in cached)
+
+
+def _embedding_distance(cur):
+    coords = spectral_embedding(cur, 30, 1.0, 0)
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _two_places(cur):
+    """Even and odd vertices sit at two points: clusters can be empty."""
+    parity = np.arange(cur.n) % 2
+    return (parity[:, None] != parity[None, :]).astype(float)
+
+
+def _hierarchy_cases():
+    """(graph, K, seed, labeled, dist_of, n_init, finest label vector)."""
+    _, S = planted_companion(4)
+    G3 = synth_digraph("planted", seed=2, sizes=(10, 12, 14), p_in=0.4,
+                       p_out=0.03)
+    S3 = symmetrize(G3, "os")
+    truth3 = {v: int(v >= 10) + int(v >= 22) for v in range(G3.n)}
+    finest = mbo_cluster(S3, {v: truth3[v] for v in range(0, 36, 5)},
+                         n_classes=3, seed=1)
+    cases = {
+        "nhc_reciprocal": (S, (2, 4, 8), 0, None,
+                           lambda cur: _path_distance(cur, "reciprocal"), 1,
+                           None),
+        "nhc_raw_n_init_2": (S3, (3, 6, 12), 5, None,
+                             lambda cur: _path_distance(cur, "raw"), 2, None),
+        "nhc_labeled": (S3, (2, 3), 1, {0: ("a",), 10: ("b",), 30: ("c",)},
+                        lambda cur: _path_distance(cur, "reciprocal"), 1,
+                        None),
+        "mll": (S, (2, 6), 3, None, _embedding_distance, 1, None),
+        "mbo_finest": (S3, (2, 3), 7, None,
+                       lambda cur: _path_distance(cur, "reciprocal"), 1,
+                       finest),
+        # seeded centers 0, 2 and 1: 0 and 2 coincide, so cluster 1 of
+        # the finest level stays empty and clusters 0 and 2 remain
+        "coincident": (S3, (2, 3), 0, {0: ("a",), 2: ("b",), 1: ("c",)},
+                       _two_places, 1, None),
+    }
+    sparse40 = synth_digraph("sparse", seed=10, n=40, density=0.025)
+    for idx in weak_component_indices(sparse40):
+        if len(idx) >= 4:
+            for side in ("es", "os"):
+                cases[f"sparse40_{len(idx)}_{side}"] = (
+                    symmetrize(sparse40.subgraph(idx), side),
+                    tuple(k for k in (2, 5) if k < len(idx)), 2, None,
+                    lambda cur: _path_distance(cur, "reciprocal"), 1, None)
+    return cases
+
+
+HIERARCHY_CASES = _hierarchy_cases()
+
+
+@pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+def test_label_vector_hierarchy_matches_the_set_oracle(case):
+    G, K, seed, labeled, dist_of, n_init, finest = HIERARCHY_CASES[case]
+    levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init, 100,
+                               finest=finest)
+    got = [[frozenset(v for v in range(G.n) if lab[v] == j)
+            for j in range(max(lab) + 1)] for lab in levels]
+    want = set_hierarchy(
+        G, K, np.random.default_rng(seed), dist_of,
+        _label_seed_vertices(labeled), n_init, 100,
+        None if finest is None else
+        [frozenset(np.flatnonzero(finest == j).tolist())
+         for j in range(K[-1]) if np.any(finest == j)])
+    assert got == want
+    if case == "coincident":  # two places hold at most two clusters
+        assert [len(level) for level in got] == [2, 2]
