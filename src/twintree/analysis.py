@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -104,47 +104,51 @@ def build_grid(filt_es: Filtration, filt_os: Filtration,
 # -- frequencies --------------------------------------------------------------
 
 
-def _axis_shell(k: int, base: int) -> int:
-    j, cap = 0, 1
-    while k + 1 > cap:
+def shell_array(k1, k2, base: int = 2) -> np.ndarray:
+    """Shell of each index pair (k1[i], k2[i]): the number of powers
+    base**j <= max(k1[i], k2[i]), i.e. max over axes of
+    ceil(log_base(ki + 1)), counted in integer arithmetic."""
+    if base < 2:
+        raise ValueError("shell base must be at least 2")
+    top = np.maximum(np.asarray(k1, dtype=np.int64),
+                     np.asarray(k2, dtype=np.int64))
+    out, cap = np.zeros(top.shape, dtype=np.int64), 1
+    while (above := top >= cap).any():
+        out += above
         cap *= base
-        j += 1
-    return j
+    return out
 
 
 def shell_index(k: tuple[int, int], base: int = 2) -> int:
     """Shell of an index pair: max over axes of ceil(log_base(ki + 1))."""
-    if base == 2:
-        return max(int(k[0]).bit_length(), int(k[1]).bit_length())
-    if base < 2:
-        raise ValueError("shell base must be at least 2")
-    return max(_axis_shell(int(k[0]), base), _axis_shell(int(k[1]), base))
+    return int(shell_array([int(k[0])], [int(k[1])], base)[0])
 
 
 def graded_lex_key(k: tuple[int, int]) -> tuple[int, int]:
     return (k[0] + k[1], k[0])
 
 
-@dataclass
 class FrequencySet:
-    """Nonvanishing tensor indices on a grid, graded-lex sorted."""
-    omega: list[tuple[int, int]]
-    n1: int
-    n2: int
-    members: frozenset = field(init=False)
+    """Nonvanishing tensor indices on a grid as graded-lex arrays k1, k2."""
 
-    def __post_init__(self):
-        self.omega = sorted(self.omega, key=graded_lex_key)
-        self.members = frozenset(self.omega)
+    def __init__(self, omega, n1: int, n2: int):
+        pairs = np.asarray(omega, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((pairs[:, 0], pairs[:, 0] + pairs[:, 1]))
+        self.k1, self.k2 = pairs[order, 0], pairs[order, 1]
+        self.n1, self.n2 = n1, n2
+
+    @property
+    def omega(self) -> list[tuple[int, int]]:
+        return list(zip(self.k1.tolist(), self.k2.tolist()))
 
     def __len__(self) -> int:
-        return len(self.omega)
+        return len(self.k1)
 
     def __contains__(self, k) -> bool:
-        return tuple(k) in self.members
+        return bool(np.any((self.k1 == k[0]) & (self.k2 == k[1])))
 
     def max_shell(self, base: int = 2) -> int:
-        return max(shell_index(k, base) for k in self.omega)
+        return int(shell_array(self.k1, self.k2, base).max())
 
 
 def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
@@ -160,17 +164,14 @@ def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
     return [[table[n][c] for c in cols] for n in range(basis.size)]
 
 
-def compute_omega(v1: list[list], v2: list[list]) -> FrequencySet:
+def compute_omega(v1, v2) -> FrequencySet:
     """Indices whose tensor product survives restriction to the grid.
 
-    Takes the two exact axis value matrices; a product is kept iff some
-    grid point carries a nonzero value of both factors.
+    Takes the two axis value matrices, exact or float; a product is kept
+    iff some grid point carries a nonzero value of both factors.
     """
-    b1 = np.array([[x != 0 for x in row] for row in v1], dtype=int)
-    b2 = np.array([[x != 0 for x in row] for row in v2], dtype=int)
-    hits = b1 @ b2.T
-    omega = [(int(k1), int(k2)) for k1, k2 in np.argwhere(hits > 0)]
-    return FrequencySet(omega, len(v1), len(v2))
+    b1, b2 = ((np.asarray(v) != 0).astype(float) for v in (v1, v2))
+    return FrequencySet(np.argwhere(b1 @ b2.T > 0), len(v1), len(v2))
 
 
 # -- orthonormalization --------------------------------------------------------
@@ -235,9 +236,7 @@ class PartitionOfUnity:
         return len(self.shells)
 
     def g(self, j: int) -> dict[tuple[int, int], float]:
-        if 0 <= j < len(self.shells):
-            return self.shells[j]
-        return {}
+        return self.shells[j] if 0 <= j < len(self.shells) else {}
 
     def head(self, n: int) -> dict[tuple[int, int], float]:
         """H_n = g_0 + ... + g_n."""
@@ -264,10 +263,7 @@ class PartitionOfUnity:
                     raise ValueError(
                         f"shells {j} and {j2} overlap beyond gap "
                         f"{self.m_star}")
-        total: dict[tuple[int, int], float] = {}
-        for g in self.shells:
-            for k, v in g.items():
-                total[k] = total.get(k, 0.0) + v
+        total = self.head(len(self.shells) - 1)
         for k in freqs.omega:
             if abs(total.get(k, 0.0) - 1.0) > 1e-12:
                 raise ValueError(f"shells do not sum to 1 at {k}")
@@ -275,15 +271,13 @@ class PartitionOfUnity:
 
 def default_partition(freqs: FrequencySet, base: int = 2
                       ) -> PartitionOfUnity:
-    """Crisp split: shell j holds exactly the indices with shell j."""
-    top = freqs.max_shell(base)
-    shells: list[dict[tuple[int, int], float]] = [dict() for _ in
-                                                  range(top + 1)]
-    for k in freqs.omega:
-        shells[shell_index(k, base)][k] = 1.0
-    part = PartitionOfUnity(shells, m_star=0, base=base)
-    part.validate(freqs)
-    return part
+    """Crisp split: shell j holds exactly the indices with shell j
+    (valid by construction, so ``validate`` is not run)."""
+    shell = shell_array(freqs.k1, freqs.k2, base)
+    parts: list[dict] = [{} for _ in range(int(shell.max()) + 1)]
+    for k, j in zip(freqs.omega, shell.tolist()):
+        parts[j][k] = 1.0
+    return PartitionOfUnity(parts, m_star=0, base=base)
 
 
 def box_filter(n: int, base: int = 2) -> dict[tuple[int, int], float]:
@@ -313,12 +307,10 @@ class MultiplierSequence:
     def __getitem__(self, k) -> float:
         return float(self.base) ** (self.order * shell_index(k, self.base))
 
-    def restricted(self, g: dict[tuple[int, int], float]
-                   ) -> dict[tuple[int, int], float]:
+    def restricted(self, g: dict) -> dict:
         return {k: self[k] for k, v in g.items() if v > 0.0}
 
-    def inverse_restricted(self, g: dict[tuple[int, int], float]
-                           ) -> dict[tuple[int, int], float]:
+    def inverse_restricted(self, g: dict) -> dict:
         return {k: 1.0 / self[k] for k, v in g.items() if v > 0.0}
 
 
@@ -337,8 +329,7 @@ def default_multiplier(freqs: FrequencySet, order: float = 1.0,
     (max k1 + 2, max k2 + 2) bound it there.
     """
     mu = MultiplierSequence(order, base)
-    top = (max(k[0] for k in freqs.omega) + 2,
-           max(k[1] for k in freqs.omega) + 2)
+    top = (int(freqs.k1.max()) + 2, int(freqs.k2.max()) + 2)
     for k in ((0, 0), top):
         try:
             value = mu[k]
@@ -375,9 +366,7 @@ def _to_padded_array(h) -> np.ndarray:
     if isinstance(h, dict):
         if not h:
             return np.zeros((1, 1))
-        k1max = max(k[0] for k in h)
-        k2max = max(k[1] for k in h)
-        arr = np.zeros((k1max + 2, k2max + 2))
+        arr = np.zeros((max(k[0] for k in h) + 2, max(k[1] for k in h) + 2))
         for (k1, k2), v in h.items():
             arr[k1, k2] = float(v)
         return arr
@@ -396,6 +385,10 @@ class GridAnalysis:
     indices in ``active``); mode="idealized" keeps the raw restricted
     products of the orthonormalized univariate functions and reports
     their orthogonality defect.
+
+    The shells of Omega (``omega_shell``) and of the kept rows are
+    computed once per build; heads, blocks, degree spans and multiplier
+    symbols are masks or per-shell scales of one coefficient array.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
@@ -412,41 +405,43 @@ class GridAnalysis:
         if abs(self.nu.sum() - 1.0) > 1e-9 and grid.normalized:
             raise AssertionError("normalized grid mass must be 1")
 
-        v1 = axis_value_matrix(basis_es, grid)
-        v2 = axis_value_matrix(basis_os, grid)
-        s1 = [math.sqrt(float(basis_es.aleph(n))) for n in range(basis_es.size)]
-        s2 = [math.sqrt(float(basis_os.aleph(n))) for n in range(basis_os.size)]
-        self._v1 = np.array([[float(x) * s for x in row]
-                             for row, s in zip(v1, s1)])
-        self._v2 = np.array([[float(x) * s for x in row]
-                             for row, s in zip(v2, s2)])
-        self.freqs = compute_omega(v1, v2)
-
-        raw = np.array([self._v1[k1] * self._v2[k2]
-                        for k1, k2 in self.freqs.omega])
-        self._raw = raw
+        # float value tables, row n scaled by sqrt(aleph(n))
+        self._v1, self._v2 = (
+            np.array(axis_value_matrix(b, grid), dtype=float)
+            * np.sqrt([float(b.aleph(n)) for n in range(b.size)])[:, None]
+            for b in (basis_es, basis_os))
+        self.freqs = compute_omega(self._v1, self._v2)
+        k1, k2 = self.freqs.k1, self.freqs.k2
+        self._raw = raw = self._v1[k1]
+        for s in range(0, len(k1), 1024):  # no second |Omega| x N temporary
+            raw[s:s + 1024] *= self._v2[k2[s:s + 1024]]
         if mode == "exact":
-            E, kept, dropped = gram_orthonormalize(raw, self.nu)
-            self.active = [self.freqs.omega[i] for i in kept]
-            self.dropped = [self.freqs.omega[i] for i in dropped]
-            self._rows = E
+            self._rows, kept, dropped = gram_orthonormalize(raw, self.nu)
         else:
-            self.active = list(self.freqs.omega)
-            self.dropped = []
-            self._rows = raw
+            self._rows, kept, dropped = raw, list(range(len(k1))), []
+        omega = self.freqs.omega
+        self.active = [omega[i] for i in kept]
+        self.dropped = [omega[i] for i in dropped]
         self._index = {k: i for i, k in enumerate(self.active)}
-        self.partition = default_partition(self.freqs, self.base)
+        self.omega_shell = shell_array(k1, k2, self.base)
+        self._shell = self.omega_shell[kept]
 
     # -- bookkeeping -----------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.grid)
 
+    @property
+    def partition(self) -> PartitionOfUnity:
+        """The crisp default partition of Omega, built afresh per access;
+        sigma and tau apply it as masks of the shell array."""
+        return default_partition(self.freqs, self.base)
+
     def row(self, k) -> np.ndarray:
         return self._rows[self._index[tuple(k)]]
 
     def max_shell(self) -> int:
-        return max(shell_index(k, self.base) for k in self.active)
+        return int(self._shell.max())
 
     def orthogonality_defect(self) -> float:
         """Max deviation of the working system's Gram matrix from I."""
@@ -463,13 +458,30 @@ class GridAnalysis:
 
     # -- expansions ---------------------------------------------------------
 
-    def analyze(self, fvals: np.ndarray) -> dict[tuple[int, int], float]:
-        """Coefficients of a grid function against the working system."""
+    def _coef(self, fvals: np.ndarray) -> np.ndarray:
+        """Coefficients against the working system, one per kept row."""
         fvals = np.asarray(fvals, dtype=float)
         if fvals.shape != (len(self.grid),):
             raise ValueError("need one value per grid point")
-        coef = self._rows @ (fvals * self.nu)
-        return {k: float(c) for k, c in zip(self.active, coef)}
+        return self._rows @ (fvals * self.nu)
+
+    def _synth(self, w: np.ndarray) -> np.ndarray:
+        """sum_i w[i] (kept row i) over the nonzero w[i], in kept-row order."""
+        out = np.zeros(len(self.grid))
+        for i in np.flatnonzero(w):
+            out += w[i] * self._rows[i]
+        return out
+
+    def _symbol(self, mu: MultiplierSequence) -> np.ndarray:
+        """mu on the kept rows, one power of mu.base per shell."""
+        shell = (self._shell if mu.base == self.base
+                 else shell_array(*np.array(self.active).T, mu.base))
+        return np.array([float(mu.base) ** (mu.order * j)
+                         for j in range(int(shell.max()) + 1)])[shell]
+
+    def analyze(self, fvals: np.ndarray) -> dict[tuple[int, int], float]:
+        """Coefficients of a grid function against the working system."""
+        return dict(zip(self.active, self._coef(fvals).tolist()))
 
     def synthesize(self, coeffs: dict[tuple[int, int], float]) -> np.ndarray:
         out = np.zeros(len(self.grid))
@@ -481,37 +493,30 @@ class GridAnalysis:
     def filtered_sum(self, h: dict[tuple[int, int], float],
                      fvals: np.ndarray) -> np.ndarray:
         """sum_k h(k) f_hat(k) (working function at k), over supp h."""
-        return self._filter(self.analyze(fvals), h)
-
-    def _filter(self, coeffs: dict[tuple[int, int], float],
-                h: dict[tuple[int, int], float],
-                mu: Optional[MultiplierSequence] = None) -> np.ndarray:
-        """Synthesize sum_k h(k) mu(k) c(k) over supp h (mu = 1 if None)."""
-        unit = mu is None
-        return self.synthesize({k: h[k] * (1.0 if unit else mu[k]) * c
-                                for k, c in coeffs.items() if h.get(k)})
+        coef = self._coef(fvals)
+        hk = np.array([h.get(k, 0.0) for k in self.active], dtype=float)
+        return self._synth(np.multiply(hk, coef, out=np.zeros_like(coef),
+                                       where=hk != 0))
 
     def rectangle_partial_sum(self, coeffs: dict, m: tuple[int, int]
                               ) -> np.ndarray:
         """Truncation to indices k <= m componentwise."""
-        take = {k: c for k, c in coeffs.items()
-                if k[0] <= m[0] and k[1] <= m[1]}
-        return self.synthesize(take)
+        return self.synthesize({k: c for k, c in coeffs.items()
+                                if k[0] <= m[0] and k[1] <= m[1]})
 
     # -- graded approximation ------------------------------------------------
 
     def sigma(self, fvals: np.ndarray, n: int) -> np.ndarray:
         """Filtered sum with the head H_n of the partition of unity."""
-        return self.filtered_sum(self.partition.head(n), fvals)
+        return self._synth(np.where(self._shell <= n, self._coef(fvals), 0.0))
 
     def tau(self, fvals: np.ndarray, j: int) -> np.ndarray:
         """Block j of the graded decomposition (sigma_j - sigma_{j-1})."""
-        return self.filtered_sum(self.partition.g(j), fvals)
+        return self._synth(np.where(self._shell == j, self._coef(fvals), 0.0))
 
     def degree_span(self, n: int) -> list[tuple[int, int]]:
         """Active indices reached by the head H_n."""
-        head = self.partition.head(n)
-        return [k for k in self.active if head.get(k, 0.0) > 0.0]
+        return [k for k, j in zip(self.active, self._shell.tolist()) if j <= n]
 
     def best_uniform_approx(self, fvals: np.ndarray, n: int
                             ) -> tuple[float, np.ndarray]:
@@ -519,10 +524,10 @@ class GridAnalysis:
 
         Returns (distance, best approximant's grid values).
         """
-        span = self.degree_span(n)
-        if not span:
+        span = self._shell <= n
+        if not span.any():
             return self.sup_norm(fvals), np.zeros(len(self.grid))
-        A = np.vstack([self._rows[self._index[k]] for k in span]).T
+        A = self._rows[span].T
         npts, ncols = A.shape
         A_ub = np.block([[A, -np.ones((npts, 1))],
                          [-A, -np.ones((npts, 1))]])
@@ -542,8 +547,7 @@ class GridAnalysis:
     def derivative(self, fvals: np.ndarray, mu: MultiplierSequence
                    ) -> np.ndarray:
         """Coefficientwise action of a multiplier symbol."""
-        coeffs = self.analyze(fvals)
-        return self.synthesize({k: mu[k] * c for k, c in coeffs.items()})
+        return self._synth(self._symbol(mu) * self._coef(fvals))
 
     def k_functional(self, fvals: np.ndarray, delta: float,
                      mu: MultiplierSequence) -> float:
@@ -554,26 +558,25 @@ class GridAnalysis:
         surrogate.  Nondecreasing in delta by construction.
         """
         fvals = np.asarray(fvals, dtype=float)
-        terms = self._graded_terms(fvals, self.analyze(fvals), mu)
+        terms = self._graded_terms(fvals, self._coef(fvals), mu)
         return self._k_best(fvals, terms, delta, mu.order)
 
-    def _graded_terms(self, fvals: np.ndarray,
-                      coeffs: dict[tuple[int, int], float],
+    def _graded_terms(self, fvals: np.ndarray, coef: np.ndarray,
                       mu: MultiplierSequence) -> list[tuple[float, float]]:
         """(||f - sigma_n||, ||D sigma_n||) in the sup norm, shell by shell."""
+        scaled = self._symbol(mu) * coef
         out = []
         for n in range(self.max_shell() + 1):
-            head = self.partition.head(n)
-            out.append((self.sup_norm(fvals - self._filter(coeffs, head)),
-                        self.sup_norm(self._filter(coeffs, head, mu))))
+            head = self._shell <= n
+            out.append(
+                (self.sup_norm(fvals - self._synth(np.where(head, coef, 0.0))),
+                 self.sup_norm(self._synth(np.where(head, scaled, 0.0)))))
         return out
 
     def _k_best(self, fvals: np.ndarray, terms: list[tuple[float, float]],
                 delta: float, r: float) -> float:
-        best = self.sup_norm(fvals)
-        for err, dnorm in terms:
-            best = min(best, err + delta ** r * dnorm)
-        return best
+        return min([self.sup_norm(fvals)]
+                   + [err + delta ** r * dnorm for err, dnorm in terms])
 
     # -- smoothness --------------------------------------------------------------
 
@@ -586,31 +589,28 @@ class GridAnalysis:
         """
         fvals = np.asarray(fvals, dtype=float)
         mu = default_multiplier(self.freqs, order, self.base)
-        coeffs = self.analyze(fvals)
-        terms = self._graded_terms(fvals, coeffs, mu)
-        shells = range(len(terms))
+        coef = self._coef(fvals)
+        terms = self._graded_terms(fvals, coef, mu)
+        top = range(len(terms))
         seqs: dict[str, list[float]] = {
             "degree_error": [self.best_uniform_approx(fvals, n)[0]
-                             for n in shells],
+                             for n in top],
             "projection_error": [err for err, _ in terms],
-            "block_norm": [self.sup_norm(self._filter(coeffs,
-                                                      self.partition.g(n)))
-                           for n in shells],
+            "block_norm": [self.sup_norm(self._synth(
+                               np.where(self._shell == n, coef, 0.0)))
+                           for n in top],
             "k_functional": [self._k_best(fvals, terms,
                                           float(self.base) ** (-n), order)
-                             for n in shells]}
+                             for n in top]}
         gamma: dict[str, Optional[float]] = {}
         fit_points: dict[str, list[int]] = {}
         for name, ys in seqs.items():
-            pts = [(j, y) for j, y in enumerate(ys) if y > 1e-13]
-            fit_points[name] = [j for j, _ in pts]
-            if len(pts) < 3:
-                gamma[name] = None
-                continue
-            xs = np.array([j for j, _ in pts], dtype=float)
-            ly = np.log([y for _, y in pts]) / math.log(self.base)
-            slope = np.polyfit(xs, ly, 1)[0]
-            gamma[name] = float(-slope)
+            xs = fit_points[name] = [j for j, y in enumerate(ys) if y > 1e-13]
+            gamma[name] = None
+            if len(xs) >= 3:
+                ly = np.log([ys[j] for j in xs]) / math.log(self.base)
+                gamma[name] = float(-np.polyfit(np.array(xs, dtype=float),
+                                                ly, 1)[0])
         insufficient = any(v is None for v in gamma.values())
         return SmoothnessReport(gamma=gamma, sequences=seqs,
                                 fit_points=fit_points,

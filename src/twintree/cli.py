@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, metrics as metrics_mod
 from .analysis import (GridAnalysis, MultiplierError, SmoothnessReport,
-                       build_grid, shell_index)
+                       build_grid)
 from .basis import TreeBasis
 from .clustering import ClusterTree, TwinTreeBuilder, check_level_spec, twt
 from .digraph import (WeightedDigraph, load_edge_list, load_labels,
@@ -158,6 +158,14 @@ def _label_index(G: WeightedDigraph) -> dict[int, int]:
     return {v: index[path[0]] for v, path in G.labels.items()}
 
 
+def _check_labels_cover(G: WeightedDigraph, use: str) -> None:
+    """Exit unless every vertex of a labeled graph carries a label."""
+    missing = sum(1 for v in range(G.n) if v not in G.labels)
+    if missing:
+        raise SystemExit(f"{use} needs a label on every vertex: {missing} "
+                         f"of {G.n} vertices carry none")
+
+
 def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
     """Grid function to analyze: per-vertex values in vertex-id order."""
     if kind == "outdeg":
@@ -165,14 +173,27 @@ def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
     if kind == "label":
         if not G.labels:
             raise SystemExit("graph carries no labels; use another signal")
+        _check_labels_cover(G, "--signal label")
         index = _label_index(G)
         return np.array([float(index[v]) for v in range(G.n)])
     if kind.startswith("file:"):
-        vals = [float(line) for line in
-                Path(kind[5:]).read_text().split()]
+        path = Path(kind[5:])
+        try:
+            tokens = path.read_text().split()
+        except OSError as exc:
+            raise SystemExit(f"cannot read signal file {path}: "
+                             f"{exc.strerror or exc}") from None
+        try:
+            vals = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise SystemExit(f"signal file {path}: {exc}") from None
         if len(vals) != G.n:
             raise SystemExit(
                 f"signal file has {len(vals)} values for {G.n} vertices")
+        bad = [v for v, x in enumerate(vals) if not math.isfinite(x)]
+        if bad:
+            raise SystemExit(f"signal file {path}: value {tokens[bad[0]]!r} "
+                             f"of vertex {bad[0]} is not finite")
         return np.array(vals)
     raise SystemExit(f"unknown signal {kind!r}")
 
@@ -303,9 +324,9 @@ def cmd_analyze(args) -> int:
     engine = _build_analysis(ws, G, getattr(args, "run", None))
     active = set(engine.active)
     rows = []
-    for k in engine.freqs.omega:
+    for k, shell in zip(engine.freqs.omega, engine.omega_shell.tolist()):
         status = "active" if k in active else "dropped"
-        rows.append([k[0], k[1], shell_index(k, engine.base), status])
+        rows.append([k[0], k[1], shell, status])
     _write_csv(ws / "omega.csv", ["k1", "k2", "shell", "status"], rows)
     coeffs = engine.analyze(f)
     _write_csv(ws / "coefficients.csv", ["k1", "k2", "coefficient"],
@@ -408,6 +429,8 @@ def cmd_metrics(args) -> int:
                          "define the trial protocol)")
     if args.train_pct > 0 and not G.labels:
         raise SystemExit("--train-pct needs a labeled graph")
+    if G.labels:  # the F scores and --train-pct read every vertex's label
+        _check_labels_cover(G, "metrics")
     builder = TwinTreeBuilder(G, cl["levels"], algo=cl["algo"],
                               edge_length=cl["edge_length"],
                               n_init=cl["n_init"])

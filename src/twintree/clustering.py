@@ -348,7 +348,8 @@ def _medoid_hierarchy(G, K: Sequence[int], seed: int,
             assign = medoid_partition(dist_of(current), K[li - 1], rng,
                                       seeds, n_init, max_iter)
         _, assign = np.unique(assign, return_inverse=True)
-        current = coarse_grain(current, _parts(assign))
+        if li > 1:  # the coarsest level's graph is never clustered
+            current = coarse_grain(current, _parts(assign))
         labels = assign[labels]
         levels.append(labels)
     return levels[::-1]

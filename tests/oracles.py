@@ -331,3 +331,33 @@ def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
         units = groups
         partitions[li] = groups
     return [partitions[li] for li in range(1, len(K) + 1)]
+
+
+def shell_loop(k, base: int = 2) -> int:
+    """Shell of an index pair: for each axis, multiply a cap by base
+    until it exceeds ki, counting the steps; the larger count wins."""
+    out = 0
+    for ki in k:
+        j, cap = 0, 1
+        while cap < int(ki) + 1:
+            cap *= base
+            j += 1
+        out = max(out, j)
+    return out
+
+
+def dict_filtered_synthesis(row, npts: int, coeffs: dict, h: dict,
+                            mu=None) -> np.ndarray:
+    """sum_k h(k) mu(k) c(k) (row k), accumulated key by key.
+
+    The dict-keyed route: walk the coefficient dict in its own order,
+    skip k outside supp h, form h[k] * mu[k] * c (mu = 1 if None), and
+    add each nonzero product times ``row(k)`` to a zero vector.
+    """
+    out = np.zeros(npts)
+    for k, c in coeffs.items():
+        if h.get(k):
+            w = h[k] * (1.0 if mu is None else mu[k]) * c
+            if w:
+                out += w * row(k)
+    return out

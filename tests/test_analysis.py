@@ -6,16 +6,18 @@ import pytest
 
 from twintree.analysis import (FrequencySet, GridAnalysis, PartitionOfUnity,
                                axis_value_matrix, box_filter, build_grid,
-                               compute_omega, default_multiplier,
-                               default_partition, gram_orthonormalize,
-                               graded_lex_key, shell_index, variation_2d)
+                               MultiplierSequence, compute_omega,
+                               default_multiplier, default_partition,
+                               gram_orthonormalize, graded_lex_key,
+                               shell_array, shell_index, variation_2d)
 from twintree.basis import TreeBasis
 from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import (exact_greedy_rank, full_scan_gram, minimax_distance,
+from oracles import (dict_filtered_synthesis, exact_greedy_rank,
+                     full_scan_gram, minimax_distance, shell_loop,
                      variation_2d_brute)
 from util import random_filtration
 
@@ -719,3 +721,114 @@ def test_report_roundtrips_to_json(tmp_path, toy):
     data = json.loads(out.read_text())
     assert data["order"] == 1.0
     assert len(data["sequences"]["degree_error"]) == toy.max_shell() + 1
+
+
+# -- the array index against the dict-keyed route ----------------------------------
+
+
+def oracle_engine(case):
+    if case == "toy":
+        return make_analysis()
+    if case == "toy_base3":
+        return make_analysis(partition_base=3)
+    G = synth_digraph("planted", seed=3, sizes=[30, 30])
+    es, os_ = twt(G, K=(2, 8), seed=3)
+    fes = build_filtration(es, "volume", G)
+    fos = build_filtration(os_, "volume", G)
+    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+
+
+@pytest.mark.parametrize("case", ["toy", "planted_volume", "toy_base3"])
+def test_graded_operators_match_the_dict_oracle_bit_for_bit(case):
+    an = oracle_engine(case)
+    base, omega = an.base, an.freqs.omega
+    shell = {k: shell_loop(k, base) for k in omega}
+    assert an.omega_shell.tolist() == [shell[k] for k in omega]
+    top = max(shell[k] for k in an.active)
+    assert an.max_shell() == top
+    # the dict-keyed heads and blocks, from the loop formula
+    head = {n: {k: 1.0 for k in omega if shell[k] <= n}
+            for n in range(-1, top + 2)}
+    block = {j: {k: 1.0 for k in omega if shell[k] == j}
+             for j in range(-1, top + 2)}
+    everywhere = {k: 1.0 for k in an.active}
+    part = an.partition
+    rng = np.random.default_rng(list(case.encode()))
+    for f in (rng.standard_normal(len(an)), np.arange(len(an)) % 3 - 1.0):
+        coeffs = an.analyze(f)
+
+        def oracle(h, mu=None):
+            return dict_filtered_synthesis(an.row, len(an), coeffs, h, mu)
+
+        for n in range(-1, top + 2):
+            assert np.array_equal(an.sigma(f, n), oracle(head[n]))
+            assert np.array_equal(an.tau(f, n), oracle(block[n]))
+            assert np.array_equal(an.filtered_sum(head[n], f),
+                                  oracle(head[n]))
+            assert an.degree_span(n) == [k for k in an.active
+                                         if shell[k] <= n]
+            assert np.array_equal(an.filtered_sum(part.head(n), f),
+                                  oracle(head[n]))
+            if n >= 0:
+                box = box_filter(n, base)
+                assert np.array_equal(an.filtered_sum(box, f), oracle(box))
+        for order, mu_base in ((1.0, base), (1.5, base), (0.5, 5)):
+            mu = MultiplierSequence(order, mu_base)
+            sym = {k: float(mu_base) ** (order * shell_loop(k, mu_base))
+                   for k in an.active}
+            assert np.array_equal(an.derivative(f, mu),
+                                  oracle(everywhere, sym))
+        order = 1.5
+        sym = {k: float(base) ** (order * shell[k]) for k in an.active}
+        seqs = an.smoothness_profile(f, order=order).sequences
+        terms = [(an.sup_norm(f - oracle(head[n])),
+                  an.sup_norm(oracle(head[n], sym))) for n in range(top + 1)]
+        assert seqs["projection_error"] == [err for err, _ in terms]
+        assert seqs["block_norm"] == [an.sup_norm(oracle(block[n]))
+                                      for n in range(top + 1)]
+        for n in range(top + 1):
+            delta, best = float(base) ** (-n), an.sup_norm(f)
+            for err, dnorm in terms:
+                best = min(best, err + delta ** order * dnorm)
+            assert seqs["k_functional"][n] == best
+            assert seqs["degree_error"][n] == an.best_uniform_approx(f, n)[0]
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_shell_array_matches_the_integer_loop(base):
+    rng = np.random.default_rng(base)
+    edges = sorted({base ** j + d for j in range(21) for d in (-1, 0, 1)
+                    if base ** j + d <= 2 ** 20} | {2 ** 20})
+    k1 = np.concatenate([edges, rng.integers(0, 2 ** 20 + 1, 500), edges])
+    k2 = np.concatenate([edges[::-1], rng.integers(0, 2 ** 20 + 1, 500),
+                         np.zeros(len(edges), dtype=int)])
+    got = shell_array(k1, k2, base)
+    assert got.tolist() == [shell_loop(k, base) for k in zip(k1, k2)]
+    assert [shell_index(k, base) for k in zip(k1[:50], k2[:50])] \
+        == got[:50].tolist()
+
+
+def test_graded_methods_use_no_per_key_lookups(toy, monkeypatch):
+    calls = []
+    for cls, name in ((PartitionOfUnity, "head"), (PartitionOfUnity, "g"),
+                      (MultiplierSequence, "__getitem__")):
+        def counted(self, *args, _orig=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    mu = MultiplierSequence(1.0)
+    f = np.random.default_rng(83).standard_normal(len(toy))
+    for n in range(-1, toy.max_shell() + 2):
+        toy.sigma(f, n)
+        toy.tau(f, n)
+        toy.degree_span(n)
+        toy.best_uniform_approx(f, n)
+    toy.derivative(f, mu)
+    toy.k_functional(f, 0.5, mu)
+    toy.filtered_sum({(0, 0): 1.0, (1, 2): -0.5}, f)
+    assert calls == []
+    # the profile's only lookups are default_multiplier's two bound checks
+    default_multiplier(toy.freqs, 1.5)
+    checks, calls[:] = list(calls), []
+    toy.smoothness_profile(f, order=1.5)
+    assert calls == checks == ["__getitem__"] * 2

@@ -243,6 +243,34 @@ def test_signal_from_file(tmp_path):
         main(["analyze", "--out", str(ws), "--signal", f"file:{short}"])
     with pytest.raises(SystemExit, match="unknown signal"):
         main(["analyze", "--out", str(ws), "--signal", "indeg"])
+    config = (ws / "config.json").read_bytes()
+    bad = {"word": " ".join(["1"] * 24 + ["x1"]),
+           "nan": " ".join(["1"] * 24 + ["nan"]),
+           "inf": " ".join(["-inf"] + ["1"] * 24)}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    for name, message in (("missing", "cannot read signal file .*missing"),
+                          ("word", "float: 'x1'"),
+                          ("nan", "'nan' of vertex 24 is not finite"),
+                          ("inf", "'-inf' of vertex 0 is not finite")):
+        with pytest.raises(SystemExit, match=message):
+            main(["analyze", "--out", str(ws),
+                  "--signal", f"file:{tmp_path / name}"])
+        assert (ws / "config.json").read_bytes() == config
+
+
+def partly_labeled_workspace(ws: Path) -> None:
+    """A planted 17-vertex workspace, clustered and gridded, whose
+    digraph.json has lost vertex 3's label."""
+    from twintree.digraph import WeightedDigraph
+    assert main(["synth", "--out", str(ws), "--kind", "planted",
+                 "--seed", "3", "--param", "sizes=[8, 9]"]) == 0
+    G = WeightedDigraph.load_json(ws / "digraph.json")
+    labels = {v: path for v, path in G.labels.items() if v != 3}
+    WeightedDigraph(G.weights, G.names, labels).save_json(ws / "digraph.json")
+    assert main(["cluster", "--out", str(ws), "--levels", "2,4",
+                 "--seed", "5"]) == 0
+    assert main(["grid", "--out", str(ws)]) == 0
 
 
 def test_label_signal_needs_labels(tmp_path):
@@ -252,6 +280,26 @@ def test_label_signal_needs_labels(tmp_path):
     assert main(["grid", "--out", str(ws)]) == 0
     with pytest.raises(SystemExit, match="no labels"):
         main(["analyze", "--out", str(ws), "--signal", "label"])
+    partial = tmp_path / "partial"
+    partly_labeled_workspace(partial)
+    config = (partial / "config.json").read_bytes()
+    with pytest.raises(SystemExit, match="1 of 17 vertices carry none"):
+        main(["analyze", "--out", str(partial), "--signal", "label"])
+    assert (partial / "config.json").read_bytes() == config
+
+
+def test_metrics_needs_a_label_on_every_vertex(tmp_path, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    ws = tmp_path / "partial"
+    partly_labeled_workspace(ws)
+    monkeypatch.setattr("twintree.cli.TwinTreeBuilder.build", no_trial)
+    for extra in ([], ["--train-pct", "40"]):
+        with pytest.raises(SystemExit, match="1 of 17 vertices carry none"):
+            main(["metrics", "--out", str(ws), "--trials", "2",
+                  "--baseline-trials", "5"] + extra)
+    assert not (ws / "metrics.csv").exists()
 
 
 def test_rejected_analyze_leaves_the_workspace_usable(tmp_path, capsys):

@@ -489,10 +489,19 @@ HIERARCHY_CASES = _hierarchy_cases()
 
 
 @pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
-def test_label_vector_hierarchy_matches_the_set_oracle(case):
+def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
     G, K, seed, labeled, dist_of, n_init, finest = HIERARCHY_CASES[case]
+    calls = []
+
+    def counted(graph, partition):
+        calls.append(len(partition))
+        return coarse_grain(graph, partition)
+
+    monkeypatch.setattr("twintree.clustering.coarse_grain", counted)
     levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init, 100,
                                finest=finest)
+    # every level but the coarsest is coarse-grained onto, finest first
+    assert calls == [max(lab) + 1 for lab in levels[:0:-1]]
     got = [[frozenset(v for v in range(G.n) if lab[v] == j)
             for j in range(max(lab) + 1)] for lab in levels]
     want = set_hierarchy(
@@ -504,3 +513,4 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case):
     assert got == want
     if case == "coincident":  # two places hold at most two clusters
         assert [len(level) for level in got] == [2, 2]
+
