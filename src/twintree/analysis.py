@@ -522,16 +522,21 @@ class GridAnalysis:
                             ) -> tuple[float, np.ndarray]:
         """Sup-norm distance to the degree-n span, by linear program.
 
-        Returns (distance, best approximant's grid values).
+        Returns (distance, best approximant's grid values).  In exact
+        mode a span of as many kept rows as there are grid points needs
+        no LP: those rows are nu-orthonormal, so they span R^N and f
+        itself is the best approximant, at distance exactly 0.
         """
+        fvals = np.asarray(fvals, dtype=float)
         span = self._shell <= n
         if not span.any():
             return self.sup_norm(fvals), np.zeros(len(self.grid))
+        if self.mode == "exact" and span.sum() == len(self.grid) == len(fvals):
+            return 0.0, fvals.copy()
         A = self._rows[span].T
         npts, ncols = A.shape
         A_ub = np.block([[A, -np.ones((npts, 1))],
                          [-A, -np.ones((npts, 1))]])
-        fvals = np.asarray(fvals, dtype=float)
         b_ub = np.concatenate([fvals, -fvals])
         cost = np.zeros(ncols + 1)
         cost[-1] = 1.0
@@ -585,16 +590,22 @@ class GridAnalysis:
         """Fit the decay exponent of the four graded error sequences.
 
         Every sequence is measured in the sup norm, which the report
-        records as rho = inf.
+        records as rho = inf.  The degree spans are nested and E_n >= 0,
+        so once one shell's degree error is exactly 0 every later one is
+        0 as well and gets no LP (nor does the full-span top shell in
+        exact mode, see best_uniform_approx).
         """
         fvals = np.asarray(fvals, dtype=float)
         mu = default_multiplier(self.freqs, order, self.base)
         coef = self._coef(fvals)
         terms = self._graded_terms(fvals, coef, mu)
         top = range(len(terms))
+        degree: list[float] = []
+        for n in top:
+            degree.append(0.0 if degree and degree[-1] == 0.0
+                          else self.best_uniform_approx(fvals, n)[0])
         seqs: dict[str, list[float]] = {
-            "degree_error": [self.best_uniform_approx(fvals, n)[0]
-                             for n in top],
+            "degree_error": degree,
             "projection_error": [err for err, _ in terms],
             "block_norm": [self.sup_norm(self._synth(
                                np.where(self._shell == n, coef, 0.0)))

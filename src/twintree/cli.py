@@ -509,6 +509,8 @@ def cmd_pipeline(args) -> int:
     else:
         cmd_synth(argparse.Namespace(out=args.out, kind=args.kind,
                                      seed=args.seed, param=args.param))
+    # a bad --signal exits here, before any stage past the graph's runs
+    vertex_signal(_load_graph(Path(args.out)), args.signal)
     cmd_cluster(argparse.Namespace(
         out=args.out, levels=args.levels, algo=args.algo, seed=args.seed,
         labeled=args.labeled, edge_length=args.edge_length,

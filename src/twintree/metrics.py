@@ -57,24 +57,31 @@ def modularity(G: WeightedDigraph, partition: Sequence) -> float:
     labels = np.empty(G.n, dtype=np.intp)
     for j, part in enumerate(parts):
         labels[np.fromiter(part, dtype=np.intp)] = j
-    return _label_modularity(G, labels, len(parts))
+    return _label_modularity(G, labels, len(parts), _degree_totals(G))
+
+
+def _degree_totals(G: WeightedDigraph
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(m, out-degrees, in-degrees): the graph-side terms of every
+    modularity score of G, computed once per graph."""
+    m = G.total_weight()
+    if m <= 0:
+        raise ValueError("modularity needs at least one edge")
+    return m, G.out_degrees(), G.in_degrees()
 
 
 def _label_modularity(G: WeightedDigraph, labels: np.ndarray,
-                      n_parts: int) -> float:
-    """Modularity of the partition {v : labels[v] == j}, j = 0..n_parts-1.
+                      n_parts: int, totals) -> float:
+    """Modularity of the partition {v : labels[v] == j}, j = 0..n_parts-1,
+    given G's ``_degree_totals``.
 
     Empty labels are skipped.  The internal edges are grouped by label
     with a stable sort, so each cluster's weights are summed in CSR
     order, the order of its submatrix's stored entries; clusters are
     added up in label order.
     """
-    m = G.total_weight()
-    if m <= 0:
-        raise ValueError("modularity needs at least one edge")
+    m, k_out, k_in = totals
     W = G.weights
-    k_out = G.out_degrees()
-    k_in = G.in_degrees()
     row_label = np.repeat(labels, np.diff(W.indptr))
     inside = row_label == labels[W.indices]
     edge_label = row_label[inside]
@@ -100,13 +107,15 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
 
     Colorings that miss a color are kept (their occupied classes form
     the partition, in color order); the std is the population standard
-    deviation.  Each coloring is scored straight from its color vector.
+    deviation.  Each coloring is scored straight from its color vector,
+    against degree totals computed once per call.
     """
     rng = np.random.default_rng(seed)
+    totals = _degree_totals(G)
     samples = []
     for _ in range(trials):
         colors = rng.integers(0, n_colors, size=G.n)
-        samples.append(_label_modularity(G, colors, n_colors))
+        samples.append(_label_modularity(G, colors, n_colors, totals))
     arr = np.array(samples)
     return float(arr.mean()), float(arr.std()), samples
 

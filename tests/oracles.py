@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
 from twintree.clustering import coarse_grain, medoid_partition
@@ -360,4 +360,28 @@ def dict_filtered_synthesis(row, npts: int, coeffs: dict, h: dict,
             w = h[k] * (1.0 if mu is None else mu[k]) * c
             if w:
                 out += w * row(k)
+    return out
+
+
+def lp_degree_errors(engine, f) -> list[float]:
+    """E_n(f) for every shell n = 0..max_shell, one minimax LP each.
+
+    Solves min t subject to -t <= f - A c <= t over the kept rows of
+    shells <= n (the 2N x (d + 1) inequality system, HiGHS), for every
+    shell including the full-span top one and those after an exact
+    zero: no shortcut, so it shows what each skipped LP would return.
+    """
+    f = np.asarray(f, dtype=float)
+    out = []
+    for n in range(engine.max_shell() + 1):
+        A = np.vstack([engine.row(k) for k in engine.degree_span(n)]).T
+        npts, ncols = A.shape
+        ones = np.ones((npts, 1))
+        res = linprog(np.r_[np.zeros(ncols), 1.0],
+                      A_ub=np.block([[A, -ones], [-A, -ones]]),
+                      b_ub=np.concatenate([f, -f]),
+                      bounds=[(None, None)] * ncols + [(0, None)],
+                      method="highs")
+        assert res.success, res.message
+        out.append(float(res.fun))
     return out

@@ -10,15 +10,17 @@ from twintree.analysis import (FrequencySet, GridAnalysis, PartitionOfUnity,
                                default_multiplier, default_partition,
                                gram_orthonormalize, graded_lex_key,
                                shell_array, shell_index, variation_2d)
+from twintree import analysis
 from twintree.basis import TreeBasis
+from twintree.cli import vertex_signal
 from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
 from oracles import (dict_filtered_synthesis, exact_greedy_rank,
-                     full_scan_gram, minimax_distance, shell_loop,
-                     variation_2d_brute)
+                     full_scan_gram, lp_degree_errors, minimax_distance,
+                     shell_loop, variation_2d_brute)
 from util import random_filtration
 
 
@@ -727,20 +729,27 @@ def test_report_roundtrips_to_json(tmp_path, toy):
 
 
 def oracle_engine(case):
-    if case == "toy":
-        return make_analysis()
-    if case == "toy_base3":
-        return make_analysis(partition_base=3)
-    G = synth_digraph("planted", seed=3, sizes=[30, 30])
-    es, os_ = twt(G, K=(2, 8), seed=3)
-    fes = build_filtration(es, "volume", G)
-    fos = build_filtration(os_, "volume", G)
-    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+    """(engine, graph) for the oracle tests: the toy graph, or a planted
+    one under volume masses, in base 2 or 3, exact or idealized."""
+    if case.startswith("toy"):
+        G = synth_digraph("toy25", seed=1)
+        K, seed, scheme = (2, 6), 9, "uniform"
+    else:
+        G = synth_digraph("planted", seed=3, sizes=[30, 30])
+        K, seed, scheme = (2, 8), 3, "volume"
+    es, os_ = twt(G, K=K, seed=seed)
+    fes = build_filtration(es, scheme, G)
+    fos = build_filtration(os_, scheme, G)
+    kw = {"partition_base": 3} if case.endswith("base3") else {}
+    if case.endswith("idealized"):
+        kw["mode"] = "idealized"
+    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos),
+                        **kw), G
 
 
 @pytest.mark.parametrize("case", ["toy", "planted_volume", "toy_base3"])
 def test_graded_operators_match_the_dict_oracle_bit_for_bit(case):
-    an = oracle_engine(case)
+    an, _ = oracle_engine(case)
     base, omega = an.base, an.freqs.omega
     shell = {k: shell_loop(k, base) for k in omega}
     assert an.omega_shell.tolist() == [shell[k] for k in omega]
@@ -832,3 +841,56 @@ def test_graded_methods_use_no_per_key_lookups(toy, monkeypatch):
     checks, calls[:] = list(calls), []
     toy.smoothness_profile(f, order=1.5)
     assert calls == checks == ["__getitem__"] * 2
+
+
+# -- degree errors against the minimax LP at every shell ----------------------------
+
+
+@pytest.mark.parametrize("case", ["toy", "toy_base3", "planted_volume",
+                                  "planted_base3", "planted_idealized"])
+def test_degree_errors_equal_the_lp_oracle_at_every_shell(case):
+    an, G = oracle_engine(case)
+    top = an.max_shell()
+    signals = {"outdeg": vertex_signal(G, "outdeg"),
+               "noise": np.random.default_rng(list(case.encode()))
+               .standard_normal(len(an))}
+    if G.labels:
+        signals["label"] = vertex_signal(G, "label")
+    for name, f in signals.items():
+        want = lp_degree_errors(an, f)
+        got = an.smoothness_profile(f).sequences["degree_error"]
+        # bit for bit, the sign of a zero included
+        assert [x.hex() for x in got] == [x.hex() for x in want], name
+        if an.mode == "exact":
+            assert an.best_uniform_approx(f, top)[0] == want[-1] == 0.0
+    if G.labels:
+        # the label signal reaches an exact zero below the top shell
+        assert want.index(0.0) < top
+
+
+@pytest.mark.parametrize("case", ["planted_volume", "planted_idealized"])
+def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, monkeypatch):
+    an, G = oracle_engine(case)
+    calls = []
+
+    def counted(*args, _real=analysis.linprog, **kw):
+        calls.append(1)
+        return _real(*args, **kw)
+
+    monkeypatch.setattr(analysis, "linprog", counted)
+    top = an.max_shell()
+    exact = an.mode == "exact"
+    noise = np.random.default_rng(89).standard_normal(len(an))
+    generic = an.smoothness_profile(noise).sequences["degree_error"]
+    assert 0.0 not in generic[:-1]
+    # one LP per shell, but for the full-span top shell in exact mode
+    assert len(calls) == (top if exact else top + 1)
+    calls.clear()
+    degree = an.smoothness_profile(vertex_signal(G, "label")).sequences[
+        "degree_error"]
+    first = degree.index(0.0)
+    assert first < top and degree[first:] == [0.0] * (top + 1 - first)
+    assert len(calls) == first + 1
+    calls.clear()
+    assert an.best_uniform_approx(noise, top)[0] == generic[-1]
+    assert len(calls) == (0 if exact else 1)

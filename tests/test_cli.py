@@ -259,6 +259,22 @@ def test_signal_from_file(tmp_path):
         assert (ws / "config.json").read_bytes() == config
 
 
+@pytest.mark.parametrize("signal, message", [
+    ("file:{tmp}/missing.txt", "cannot read signal file"),
+    ("file:{tmp}/short.txt", "3 values for 25 vertices"),
+    ("label", "no labels"),
+    ("indeg", "unknown signal")])
+def test_bad_pipeline_signal_exits_after_the_graph_stage(tmp_path, signal,
+                                                         message):
+    (tmp_path / "short.txt").write_text("1 2 3")
+    ws = tmp_path / "ws"
+    with pytest.raises(SystemExit, match=message):
+        run_pipeline(ws, signal=signal.format(tmp=tmp_path))
+    assert sorted(p.name for p in ws.iterdir()) == ["config.json",
+                                                    "digraph.json"]
+    assert list(json.loads((ws / "config.json").read_text())) == ["synth"]
+
+
 def partly_labeled_workspace(ws: Path) -> None:
     """A planted 17-vertex workspace, clustered and gridded, whose
     digraph.json has lost vertex 3's label."""
