@@ -38,7 +38,7 @@ from .analysis import (GridAnalysis, MultiplierError, SmoothnessReport,
                        build_grid)
 from .basis import TreeBasis
 from .clustering import ClusterTree, TwinTreeBuilder, check_level_spec, twt
-from .digraph import (WeightedDigraph, load_edge_list, load_labels,
+from .digraph import (WeightedDigraph, label_index, load_edge_list,
                       synth_digraph)
 from .filtration import build_filtration
 
@@ -86,13 +86,30 @@ def _need(ws: Path, name: str) -> Path:
     return path
 
 
+def _load(ws: Path, name: str, load):
+    """load(path) of an artifact; a malformed one exits naming the file."""
+    path = _need(ws, name)
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit(f"malformed artifact {path}: {exc}") from None
+
+
 def _load_graph(ws: Path) -> WeightedDigraph:
-    return WeightedDigraph.load_json(_need(ws, "digraph.json"))
+    return _load(ws, "digraph.json", WeightedDigraph.load_json)
 
 
-def _load_trees(ws: Path) -> tuple[ClusterTree, ClusterTree]:
-    return (ClusterTree.load_json(_need(ws, "tree_es.json")),
-            ClusterTree.load_json(_need(ws, "tree_os.json")))
+def _load_trees(ws: Path, G: WeightedDigraph
+                ) -> tuple[ClusterTree, ClusterTree]:
+    """The twin trees, each checked to be a hierarchy over G's vertices."""
+    def load(path: Path) -> ClusterTree:
+        tree = ClusterTree.load_json(path)
+        tree.validate()
+        if tree.vertices() != frozenset(range(G.n)):
+            raise ValueError(
+                f"the tree does not cover the graph's {G.n} vertices")
+        return tree
+    return (_load(ws, "tree_es.json", load), _load(ws, "tree_os.json", load))
 
 
 class PipelineRun:
@@ -127,7 +144,7 @@ def _build_analysis(ws: Path, G: WeightedDigraph,
     if run is not None and run.engine_key == key:
         return run.engine
     scheme, normalize, mode, base = key
-    tree_es, tree_os = _load_trees(ws)
+    tree_es, tree_os = _load_trees(ws, G)
     filt_es = build_filtration(tree_es, scheme, G)
     filt_os = build_filtration(tree_os, scheme, G)
     grid = build_grid(filt_es, filt_os, normalize=normalize)
@@ -151,19 +168,19 @@ def _smoothness_profile(engine: GridAnalysis, f: np.ndarray, order: float,
     return report
 
 
-def _label_index(G: WeightedDigraph) -> dict[int, int]:
-    """Vertex -> index of its top-level label class, classes sorted by name."""
-    classes = sorted({path[0] for path in G.labels.values()})
-    index = {c: i for i, c in enumerate(classes)}
-    return {v: index[path[0]] for v, path in G.labels.items()}
-
-
 def _check_labels_cover(G: WeightedDigraph, use: str) -> None:
     """Exit unless every vertex of a labeled graph carries a label."""
     missing = sum(1 for v in range(G.n) if v not in G.labels)
     if missing:
         raise SystemExit(f"{use} needs a label on every vertex: {missing} "
                          f"of {G.n} vertices carry none")
+
+
+def _check_has_edges(G: WeightedDigraph) -> None:
+    """Exit unless G has an edge, which the modularity of metrics needs."""
+    if G.total_weight() <= 0:
+        raise SystemExit("metrics scores modularity, which needs at least "
+                         "one edge; the graph has none")
 
 
 def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
@@ -174,7 +191,7 @@ def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
         if not G.labels:
             raise SystemExit("graph carries no labels; use another signal")
         _check_labels_cover(G, "--signal label")
-        index = _label_index(G)
+        index = label_index(G.labels)
         return np.array([float(index[v]) for v in range(G.n)])
     if kind.startswith("file:"):
         path = Path(kind[5:])
@@ -203,6 +220,8 @@ def vertex_signal(G: WeightedDigraph, kind: str) -> np.ndarray:
 
 def cmd_ingest(args) -> int:
     G = load_edge_list(args.edges, labels_source=args.labels)
+    if G.n == 0:
+        raise SystemExit(f"edge list {args.edges} has no vertices")
     ws = Path(args.out)
     ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
@@ -234,6 +253,9 @@ def cmd_synth(args) -> int:
         G = synth_digraph(args.kind, seed=args.seed, **params)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad --param for {args.kind!r}: {exc}") from None
+    if G.n == 0:
+        raise SystemExit(f"synth {args.kind!r} with --param {params} "
+                         "has no vertices")
     ws = Path(args.out)
     ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
@@ -252,7 +274,7 @@ def cmd_cluster(args) -> int:
     if args.labeled:
         if not G.labels:
             raise SystemExit("--labeled needs a graph with labels")
-        labeled = _label_index(G)
+        labeled = label_index(G.labels)
     tree_es, tree_os = twt(G, K, algo=args.algo, seed=args.seed,
                            labeled=labeled,
                            edge_length=args.edge_length,
@@ -270,7 +292,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_trees(args) -> int:
     ws = Path(args.out)
-    tree_es, tree_os = _load_trees(ws)
+    tree_es, tree_os = _load_trees(ws, _load_graph(ws))
     summary = {}
     for side, tree in (("es", tree_es), ("os", tree_os)):
         levels = []
@@ -293,7 +315,7 @@ def cmd_trees(args) -> int:
 def cmd_grid(args) -> int:
     ws = Path(args.out)
     G = _load_graph(ws)
-    tree_es, tree_os = _load_trees(ws)
+    tree_es, tree_os = _load_trees(ws, G)
     filt_es = build_filtration(tree_es, args.scheme, G)
     filt_os = build_filtration(tree_os, args.scheme, G)
     grid = build_grid(filt_es, filt_os, normalize=not args.no_normalize)
@@ -389,13 +411,13 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _sample_training_labels(G: WeightedDigraph, pct: float,
+def _sample_training_labels(index: dict[int, int], pct: float,
                             seed: int) -> dict[int, int]:
-    """Pick pct% of each label class as training vertices, seeded."""
-    index = _label_index(G)
+    """Pick pct% of each label class of ``label_index`` as training
+    vertices, seeded."""
     classes: dict[int, list[int]] = {}
-    for v in range(G.n):
-        classes.setdefault(index[v], []).append(v)
+    for v, c in sorted(index.items()):
+        classes.setdefault(c, []).append(v)
     rng = np.random.default_rng([seed, 13])
     train: dict[int, int] = {}
     for c in sorted(classes):
@@ -431,6 +453,8 @@ def cmd_metrics(args) -> int:
         raise SystemExit("--train-pct needs a labeled graph")
     if G.labels:  # the F scores and --train-pct read every vertex's label
         _check_labels_cover(G, "metrics")
+    _check_has_edges(G)
+    index = label_index(G.labels)
     builder = TwinTreeBuilder(G, cl["levels"], algo=cl["algo"],
                               edge_length=cl["edge_length"],
                               n_init=cl["n_init"])
@@ -441,9 +465,9 @@ def cmd_metrics(args) -> int:
         tseed = int(child[t].generate_state(1)[0])
         labeled = None
         if args.train_pct > 0:
-            labeled = _sample_training_labels(G, args.train_pct, tseed)
+            labeled = _sample_training_labels(index, args.train_pct, tseed)
         elif cl.get("labeled") and G.labels:
-            labeled = _label_index(G)
+            labeled = index
         tree_es, tree_os = builder.build(tseed, labeled)
         for rec in metrics_mod.align_and_score(G, tree_es, tree_os,
                                                labels=G.labels or None):
@@ -502,33 +526,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    run = PipelineRun()
-    if args.edges:
-        cmd_ingest(argparse.Namespace(out=args.out, edges=args.edges,
-                                      labels=args.labels))
-    else:
-        cmd_synth(argparse.Namespace(out=args.out, kind=args.kind,
-                                     seed=args.seed, param=args.param))
-    # a bad --signal exits here, before any stage past the graph's runs
-    vertex_signal(_load_graph(Path(args.out)), args.signal)
-    cmd_cluster(argparse.Namespace(
-        out=args.out, levels=args.levels, algo=args.algo, seed=args.seed,
-        labeled=args.labeled, edge_length=args.edge_length,
-        n_init=args.n_init))
-    cmd_trees(argparse.Namespace(out=args.out))
-    cmd_grid(argparse.Namespace(out=args.out, scheme=args.scheme,
-                                no_normalize=False))
-    cmd_analyze(argparse.Namespace(out=args.out, mode=args.mode,
-                                   signal=args.signal,
-                                   partition_base=args.partition_base,
-                                   run=run))
-    cmd_approx(argparse.Namespace(out=args.out, order=args.order,
-                                  signal=args.signal, run=run))
-    cmd_metrics(argparse.Namespace(out=args.out, seed=args.seed,
-                                   trials=args.trials,
-                                   train_pct=args.train_pct,
-                                   baseline_trials=args.baseline_trials))
-    cmd_report(argparse.Namespace(out=args.out, run=run))
+    args.run = PipelineRun()
+    (cmd_ingest if args.edges else cmd_synth)(args)
+    # a bad --signal or an edgeless graph exits here, before any stage
+    # past the graph's runs
+    G = _load_graph(Path(args.out))
+    vertex_signal(G, args.signal)
+    _check_has_edges(G)
+    for stage in (cmd_cluster, cmd_trees, cmd_grid, cmd_analyze, cmd_approx,
+                  cmd_metrics, cmd_report):
+        stage(args)
     print(f"pipeline complete in {args.out}")
     return 0
 
@@ -594,6 +601,8 @@ def _train_pct(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The twintree CLI.  Each option is declared once, in a parent parser
+    that every stage taking it shares; pipeline takes them all."""
     parser = argparse.ArgumentParser(
         prog="twintree",
         description="twin hierarchies and harmonic analysis on digraphs")
@@ -601,114 +610,79 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", default="twintree_out",
-                       help="workspace directory (default: %(default)s)")
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
 
-    p = sub.add_parser("ingest", help="load an edge list")
-    add_out(p)
-    p.add_argument("--edges", required=True, help="edge list file")
-    p.add_argument("--labels", default=None, help="optional label file")
-    p.set_defaults(func=cmd_ingest)
+    out = group()
+    out.add_argument("--out", default="twintree_out",
+                     help="workspace directory (default: %(default)s)")
+    seed = group()
+    seed.add_argument("--seed", type=int, default=0)
+    signal = group()
+    signal.add_argument("--signal", default="outdeg",
+                        help="outdeg | label | file:PATH")
+    ingest = group()
+    ingest.add_argument("--labels", default=None, help="optional label file")
+    synth = group()
+    synth.add_argument("--kind", default="toy25",
+                       choices=["toy25", "planted", "sparse"])
+    synth.add_argument("--param", action="append", metavar="KEY=JSON",
+                       help="extra generator parameter, repeatable")
+    cluster = group()
+    cluster.add_argument("--levels", type=_levels, default="2,6",
+                         help="cluster counts per level, coarse to fine")
+    cluster.add_argument("--algo", default="nhc",
+                         choices=["nhc", "mll", "mbo"])
+    cluster.add_argument("--labeled", action="store_true",
+                         help="seed/anchor clustering with the graph's labels")
+    cluster.add_argument("--edge-length", default="reciprocal",
+                         choices=["reciprocal", "raw"], dest="edge_length")
+    cluster.add_argument("--n-init", type=_at_least_one("start"), default=1,
+                         dest="n_init")
+    grid = group()
+    grid.add_argument("--scheme", default="uniform",
+                      choices=["uniform", "volume"])
+    analyze = group()
+    analyze.add_argument("--mode", default="exact",
+                         choices=["exact", "idealized"])
+    analyze.add_argument("--partition-base", type=_partition_base, default=2,
+                         dest="partition_base")
+    approx = group()
+    approx.add_argument("--order", type=_order, default=1.0,
+                        help="differentiation order for the K-functional")
+    metrics = group()
+    metrics.add_argument("--trials", type=_at_least_one("trial"), default=30)
+    metrics.add_argument("--train-pct", type=_train_pct, default=0.0,
+                         dest="train_pct",
+                         help="percent of each label class used as training "
+                              "data per trial (0 = unsupervised)")
+    metrics.add_argument("--baseline-trials", type=_non_negative,
+                         default=100, dest="baseline_trials")
 
-    p = sub.add_parser("synth", help="synthesize a benchmark digraph")
-    add_out(p)
-    p.add_argument("--kind", default="toy25",
-                   choices=["toy25", "planted", "sparse"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--param", action="append", metavar="KEY=JSON",
-                   help="extra generator parameter, repeatable")
-    p.set_defaults(func=cmd_synth)
+    def stage(name, func, summary, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[out, *groups])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("cluster", help="build the twin hierarchies")
-    add_out(p)
-    p.add_argument("--levels", type=_levels, default="2,6",
-                   help="cluster counts per level, coarse to fine")
-    p.add_argument("--algo", default="nhc", choices=["nhc", "mll", "mbo"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--labeled", action="store_true",
-                   help="seed/anchor clustering with the graph's labels")
-    p.add_argument("--edge-length", default="reciprocal",
-                   choices=["reciprocal", "raw"], dest="edge_length")
-    p.add_argument("--n-init", type=_at_least_one("start"), default=1,
-                   dest="n_init")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("trees", help="summarize the twin hierarchies")
-    add_out(p)
-    p.set_defaults(func=cmd_trees)
-
-    p = sub.add_parser("grid", help="build the product grid")
-    add_out(p)
-    p.add_argument("--scheme", default="uniform",
-                   choices=["uniform", "volume"])
-    p.add_argument("--no-normalize", action="store_true",
-                   dest="no_normalize")
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("analyze", help="expand a signal on the grid")
-    add_out(p)
-    p.add_argument("--mode", default="exact",
-                   choices=["exact", "idealized"])
-    p.add_argument("--signal", default="outdeg",
-                   help="outdeg | label | file:PATH")
-    p.add_argument("--partition-base", type=_partition_base, default=2,
-                   dest="partition_base")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("approx", help="graded error sequences")
-    add_out(p)
-    p.add_argument("--order", type=_order, default=1.0,
-                   help="differentiation order for the K-functional")
-    p.add_argument("--signal", default="outdeg")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("metrics", help="seeded-trial scoring protocol")
-    add_out(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_at_least_one("trial"), default=30)
-    p.add_argument("--train-pct", type=_train_pct, default=0.0,
-                   dest="train_pct",
-                   help="percent of each label class used as training "
-                        "data per trial (0 = unsupervised)")
-    p.add_argument("--baseline-trials", type=_non_negative, default=100,
-                   dest="baseline_trials")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("report", help="fit smoothness exponents")
-    add_out(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("pipeline", help="run every stage in order")
-    add_out(p)
-    p.add_argument("--edges", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--kind", default="toy25",
-                   choices=["toy25", "planted", "sparse"])
-    p.add_argument("--param", action="append", metavar="KEY=JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_levels, default="2,6")
-    p.add_argument("--algo", default="nhc", choices=["nhc", "mll", "mbo"])
-    p.add_argument("--labeled", action="store_true")
-    p.add_argument("--edge-length", default="reciprocal",
-                   choices=["reciprocal", "raw"], dest="edge_length")
-    p.add_argument("--n-init", type=_at_least_one("start"), default=1,
-                   dest="n_init")
-    p.add_argument("--scheme", default="uniform",
-                   choices=["uniform", "volume"])
-    p.add_argument("--mode", default="exact",
-                   choices=["exact", "idealized"])
-    p.add_argument("--signal", default="outdeg")
-    p.add_argument("--partition-base", type=_partition_base, default=2,
-                   dest="partition_base")
-    p.add_argument("--order", type=_order, default=1.0)
-    p.add_argument("--trials", type=_at_least_one("trial"), default=30)
-    p.add_argument("--train-pct", type=_train_pct, default=0.0,
-                   dest="train_pct")
-    p.add_argument("--baseline-trials", type=_non_negative, default=100,
-                   dest="baseline_trials")
-    p.set_defaults(func=cmd_pipeline)
-
+    edges_help = "edge list file"
+    stage("ingest", cmd_ingest, "load an edge list", ingest).add_argument(
+        "--edges", required=True, help=edges_help)
+    stage("synth", cmd_synth, "synthesize a benchmark digraph", synth, seed)
+    stage("cluster", cmd_cluster, "build the twin hierarchies", cluster, seed)
+    stage("trees", cmd_trees, "summarize the twin hierarchies")
+    stage("grid", cmd_grid, "build the product grid", grid).add_argument(
+        "--no-normalize", action="store_true", dest="no_normalize")
+    stage("analyze", cmd_analyze, "expand a signal on the grid",
+          analyze, signal)
+    stage("approx", cmd_approx, "graded error sequences", approx, signal)
+    stage("metrics", cmd_metrics, "seeded-trial scoring protocol",
+          metrics, seed)
+    stage("report", cmd_report, "fit smoothness exponents")
+    # with --edges, pipeline ingests the edge list instead of synthesizing
+    p = stage("pipeline", cmd_pipeline, "run every stage in order", ingest,
+              synth, seed, cluster, grid, analyze, signal, approx, metrics)
+    p.add_argument("--edges", default=None, help=edges_help)
+    p.set_defaults(no_normalize=False)
     return parser
 
 

@@ -122,6 +122,9 @@ class ClusterTree:
             if node.children:
                 union: set[int] = set()
                 for c in node.children:
+                    if c not in self.nodes:
+                        raise ValueError(f"node {node.id} lists a missing "
+                                         f"child {c}")
                     child = self.nodes[c]
                     if child.parent != node.id:
                         raise ValueError(f"broken parent link at node {c}")

@@ -357,6 +357,17 @@ def load_labels(source) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def label_index(labels: dict) -> dict[int, int]:
+    """Vertex -> index of its top-level label class, classes sorted by name.
+
+    A vertex's class is the first component of its label path; only the
+    vertices in ``labels`` appear, in its order.
+    """
+    classes = sorted({str(path[0]) for path in labels.values()})
+    index = {c: i for i, c in enumerate(classes)}
+    return {v: index[str(path[0])] for v, path in labels.items()}
+
+
 # -- synthetic digraphs ---------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clustering import ClusterTree
-from .digraph import WeightedDigraph
+from .digraph import WeightedDigraph, label_index
 
 
 Partition = list[frozenset]
@@ -194,12 +194,12 @@ def align_and_score(G: WeightedDigraph, tree_es: ClusterTree,
         levels = range(1, depth + 1)
     truth = None
     if labels:
-        classes: dict[str, set[int]] = {}
+        index = label_index(labels)
+        classes: dict[int, set[int]] = {}
         for v in range(G.n):
-            path = labels.get(v)
-            if path is None:
+            if v not in index:
                 raise ValueError(f"vertex {v} has no label")
-            classes.setdefault(str(path[0]), set()).add(v)
+            classes.setdefault(index[v], set()).add(v)
         truth = [frozenset(classes[c]) for c in sorted(classes)]
     records = []
     for level in levels:

@@ -1,11 +1,13 @@
+import argparse
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from twintree.analysis import GridAnalysis
-from twintree.cli import main
+from twintree.cli import build_parser, main
 
 
 ARTIFACTS = ["digraph.json", "tree_es.json", "tree_os.json", "trees.json",
@@ -112,6 +114,31 @@ def test_pipeline_matches_stages_run_one_by_one(tmp_path, case, capsys):
     assert (snapshot(tmp_path / "stages")
             == snapshot(tmp_path / "pipeline"))
     capsys.readouterr()
+
+
+def test_pipeline_takes_every_stage_option_unchanged():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+
+    def options(command: str) -> dict[str, argparse.Action]:
+        return {a.option_strings[0]: a for a in sub.choices[command]._actions
+                if a.option_strings and a.dest != "help"}
+    pipeline = options("pipeline")
+    taken = set()
+    for stage in ("ingest", "synth", "cluster", "trees", "grid", "analyze",
+                  "approx", "metrics", "report"):
+        for flag, action in options(stage).items():
+            if flag == "--no-normalize":  # pipeline always normalizes
+                continue
+            taken.add(flag)
+            fields = ["dest", "default", "type", "choices", "help"]
+            if flag != "--edges":  # required by ingest, picks it in pipeline
+                fields.append("required")
+            for field in fields:
+                assert (getattr(pipeline[flag], field)
+                        == getattr(action, field)), (stage, flag, field)
+    assert set(pipeline) == taken
+    assert not pipeline["--edges"].required
 
 
 def test_identical_runs_are_byte_identical(workspace, tmp_path):
@@ -473,3 +500,118 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "twintree" in capsys.readouterr().out
+
+
+def test_metrics_on_a_graph_without_edges_exits_before_any_tree(
+        tmp_path, monkeypatch, capsys):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    edgeless = ["--kind", "sparse", "--param", "n=30",
+                "--param", "density=0"]
+    ws = tmp_path / "stages"
+    assert main(["synth", "--out", str(ws), *edgeless]) == 0
+    assert main(["cluster", "--out", str(ws)]) == 0
+    config = (ws / "config.json").read_bytes()
+    monkeypatch.setattr("twintree.cli.TwinTreeBuilder.build", no_tree)
+    monkeypatch.setattr("twintree.cli.twt", no_tree)
+    with pytest.raises(SystemExit, match="needs at least one edge"):
+        main(["metrics", "--out", str(ws), "--trials", "2"])
+    assert (ws / "config.json").read_bytes() == config
+    assert not (ws / "metrics.csv").exists()
+    with pytest.raises(SystemExit, match="needs at least one edge"):
+        main(["pipeline", "--out", str(tmp_path / "pipeline"), *edgeless])
+    assert sorted(p.name for p in (tmp_path / "pipeline").iterdir()) == [
+        "config.json", "digraph.json"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["synth", "--kind", "sparse", "--param", "n=0"], "'sparse'"),
+    (["synth", "--kind", "planted", "--param", "sizes=[]"], "'planted'"),
+    (["pipeline", "--kind", "sparse", "--param", "n=0"], "'sparse'"),
+    (["ingest", "--edges", "{edges}"], "{edges}"),
+    (["pipeline", "--edges", "{edges}"], "{edges}")])
+def test_graphs_without_vertices_exit_before_the_workspace(tmp_path, argv,
+                                                           source):
+    edges = tmp_path / "empty.edges"
+    edges.write_text("# no edges\n")
+    ws = tmp_path / "ws"
+    with pytest.raises(SystemExit, match="no vertices") as exc:
+        main([a.format(edges=edges) for a in argv] + ["--out", str(ws)])
+    assert source.format(edges=edges) in str(exc.value)
+    assert not ws.exists()
+
+
+@pytest.fixture(scope="module")
+def gridded(tmp_path_factory):
+    """A toy25 workspace, clustered and gridded."""
+    ws = tmp_path_factory.mktemp("gridded")
+    for argv in (["synth", "--seed", "1"], ["cluster", "--seed", "9"],
+                 ["grid"]):
+        assert main(argv + ["--out", str(ws)]) == 0
+    return ws
+
+
+def edit_tree(edit):
+    """Corruption of a tree artifact by edit(tree dict)."""
+    def corrupt(text: str) -> str:
+        tree = json.loads(text)
+        edit(tree, [n for n in tree["nodes"] if not n["children"]])
+        return json.dumps(tree)
+    return corrupt
+
+
+def drop_leaf(tree, leaves):
+    tree["nodes"].remove(leaves[-1])
+    for node in tree["nodes"]:
+        if leaves[-1]["id"] in node["children"]:
+            node["children"].remove(leaves[-1]["id"])
+
+
+CORRUPTIONS = {
+    "two-vertex leaf": (
+        "tree_es.json", "exactly one vertex",
+        edit_tree(lambda t, leaves: leaves[0]["members"].extend(
+            leaves[1]["members"]))),
+    "no nodes": ("tree_os.json", "no root", lambda text: '{"nodes": []}'),
+    "tree not JSON": ("tree_es.json", "Expecting value",
+                      lambda text: "not JSON"),
+    "dropped leaf": ("tree_os.json", "do not cover its members",
+                     edit_tree(drop_leaf)),
+    "dangling child": ("tree_es.json", "missing child",
+                       edit_tree(lambda t, leaves: t["nodes"].remove(
+                           leaves[0]))),
+    "graph not JSON": ("digraph.json", "Expecting value",
+                       lambda text: "not JSON"),
+}
+
+
+@pytest.mark.parametrize("stage", ["trees", "grid", "analyze"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_artifacts_exit_naming_the_file(gridded, tmp_path, stage,
+                                                  corruption):
+    name, message, corrupt = CORRUPTIONS[corruption]
+    ws = tmp_path / "ws"
+    shutil.copytree(gridded, ws)
+    path = ws / name
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(SystemExit, match=message) as exc:
+        main([stage, "--out", str(ws)])
+    assert f"malformed artifact {path}" in str(exc.value)
+
+
+def test_trees_must_cover_the_graph(gridded, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(gridded, ws)
+    for name in ("tree_es.json", "tree_os.json"):
+        tree = json.loads((ws / name).read_text())
+        leaf = [n for n in tree["nodes"] if not n["children"]][-1]
+        vertex = leaf["members"][0]
+        drop_leaf(tree, [leaf])
+        for node in tree["nodes"]:
+            if vertex in node["members"]:
+                node["members"].remove(vertex)
+        (ws / name).write_text(json.dumps(tree))
+    with pytest.raises(SystemExit, match="cover the graph's 25 vertices"):
+        main(["grid", "--out", str(ws)])

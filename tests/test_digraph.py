@@ -8,8 +8,9 @@ from scipy import sparse
 
 from twintree.digraph import (GraphFormatError, UndirectedGraph,
                               WeightedDigraph, extend, graph_distance,
-                              is_strongly_connected, load_edge_list,
-                              load_labels, reciprocal_lengths, symmetrize,
+                              is_strongly_connected, label_index,
+                              load_edge_list, load_labels,
+                              reciprocal_lengths, symmetrize,
                               synth_digraph, weak_component_indices)
 
 from oracles import components_union_find, floyd_warshall
@@ -231,6 +232,15 @@ def test_label_files_attach_paths_by_name():
     assert parsed == {"x": ("p", "q", "r")}
     with pytest.raises(GraphFormatError, match="line 1"):
         load_labels(io.StringIO("loner\n"))
+
+
+def test_label_index_numbers_top_level_classes_by_name():
+    labels = {4: ("red", "warm"), 0: ("blue",), 2: ("red", "cold"),
+              3: ("10",), 5: ("9",)}
+    index = label_index(labels)
+    assert index == {4: 3, 0: 2, 2: 3, 3: 0, 5: 1}
+    assert list(index) == list(labels)
+    assert label_index({}) == {}
 
 
 def test_json_roundtrip_preserves_everything(tmp_path):
