@@ -389,6 +389,15 @@ class GridAnalysis:
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
     symbols are masks or per-shell scales of one coefficient array.
+
+    Exact mode keeps exactly N = len(grid) rows.  Every grid point owns
+    a singleton leaf of each tree (``build_grid`` pairs only those, and
+    loaded trees end in singleton leaves), and each basis spans its
+    tree's leaf-measurable functions, so each axis value table has rank
+    N on the grid.  psi_0 is a nonzero constant, so every nonzero row
+    k1 of the first table puts (k1, 0) in Omega, and those rows alone
+    span R^N.  The build raises AssertionError, naming both counts, if
+    the float rank scan ever keeps fewer.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
@@ -417,6 +426,10 @@ class GridAnalysis:
             raw[s:s + 1024] *= self._v2[k2[s:s + 1024]]
         if mode == "exact":
             self._rows, kept, dropped = gram_orthonormalize(raw, self.nu)
+            if len(kept) < len(grid):
+                raise AssertionError(
+                    f"exact mode kept {len(kept)} rows for {len(grid)} grid "
+                    "points; their span must be all of R^N")
         else:
             self._rows, kept, dropped = raw, list(range(len(k1))), []
         omega = self.freqs.omega

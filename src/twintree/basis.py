@@ -117,25 +117,12 @@ class PiecewiseConstant:
             total += v * (hi - lo)
         return total
 
-    def _merged(self, other: "PiecewiseConstant") -> list:
-        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return cuts
-
     def inner(self, other: "PiecewiseConstant"):
         """Integral of the pointwise product over [0, 1)."""
-        cuts = self._merged(other)
-        total = 0
-        i = j = 0
-        for lo, hi in zip(cuts, cuts[1:]):
-            while self.breakpoints[i + 1] <= lo:
-                i += 1
-            while other.breakpoints[j + 1] <= lo:
-                j += 1
-            total += self.values[i] * other.values[j] * (hi - lo)
-        return total
+        return self.product(other).integral()
 
     def _zip_with(self, other: "PiecewiseConstant", op) -> "PiecewiseConstant":
-        cuts = self._merged(other)
+        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
         vals = []
         i = j = 0
         for lo in cuts[:-1]:

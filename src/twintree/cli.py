@@ -78,29 +78,48 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def _need(ws: Path, name: str) -> Path:
+def _load(ws: Path, name: str, load):
+    """load(path); a missing or malformed artifact exits naming the file."""
     path = ws / name
     if not path.exists():
         raise SystemExit(
             f"missing artifact {path}; run the producing stage first")
-    return path
-
-
-def _load(ws: Path, name: str, load):
-    """load(path) of an artifact; a malformed one exits naming the file."""
-    path = _need(ws, name)
     try:
         return load(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"malformed artifact {path}: {exc}") from None
 
 
-def _load_graph(ws: Path) -> WeightedDigraph:
-    return _load(ws, "digraph.json", WeightedDigraph.load_json)
+class PipelineRun:
+    """What one ``pipeline`` run shares in memory: each artifact parsed
+    once, and one grid, engine and smoothness profile.  Nothing outlives
+    the run; a stage run on its own rebuilds from artifacts."""
+
+    def __init__(self):
+        self.held: dict[tuple, object] = {}
 
 
-def _load_trees(ws: Path, G: WeightedDigraph
-                ) -> tuple[ClusterTree, ClusterTree]:
+def _shared(args, key: tuple, make):
+    """make(), computed once per key in a pipeline run (``args.run``).
+    The key names what the result is built from; config.json is never
+    held, because every stage rewrites it."""
+    held = getattr(args, "run", PipelineRun()).held
+    if key not in held:
+        held[key] = make()
+    return held[key]
+
+
+def _load_graph(args) -> WeightedDigraph:
+    def load(path: Path) -> WeightedDigraph:
+        G = WeightedDigraph.load_json(path)
+        if G.n == 0:
+            raise ValueError("the graph has no vertices")
+        return G
+    return _shared(args, ("graph",),
+                   lambda: _load(Path(args.out), "digraph.json", load))
+
+
+def _load_trees(args, G: WeightedDigraph) -> tuple[ClusterTree, ClusterTree]:
     """The twin trees, each checked to be a hierarchy over G's vertices."""
     def load(path: Path) -> ClusterTree:
         tree = ClusterTree.load_json(path)
@@ -109,63 +128,37 @@ def _load_trees(ws: Path, G: WeightedDigraph
             raise ValueError(
                 f"the tree does not cover the graph's {G.n} vertices")
         return tree
-    return (_load(ws, "tree_es.json", load), _load(ws, "tree_os.json", load))
+    return _shared(args, ("trees",), lambda: tuple(
+        _load(Path(args.out), f"tree_{side}.json", load)
+        for side in ("es", "os")))
 
 
-class PipelineRun:
-    """What the stages of one ``pipeline`` run share in memory.
-
-    cmd_pipeline makes one per run and hands it to analyze, approx and
-    report, so the run builds one engine and fits one smoothness
-    profile.  Nothing outlives the run: the next run builds its own,
-    and a stage run on its own gets none and rebuilds from artifacts.
-    """
-
-    def __init__(self):
-        self.engine_key: tuple | None = None
-        self.engine: GridAnalysis | None = None
-        self.profile_key: tuple | None = None
-        self.profile: SmoothnessReport | None = None
+def _grid(args, G: WeightedDigraph, scheme: str, normalize: bool):
+    """(es filtration, os filtration, product grid) of the twin trees."""
+    def make():
+        filts = [build_filtration(t, scheme, G) for t in _load_trees(args, G)]
+        return (*filts, build_grid(*filts, normalize=normalize))
+    return _shared(args, ("grid", scheme, normalize), make)
 
 
-def _build_analysis(ws: Path, G: WeightedDigraph,
-                    run: PipelineRun | None = None) -> GridAnalysis:
-    """Reconstruct the exact grid and analysis engine from artifacts.
+def _build_analysis(args, G: WeightedDigraph, mode: str,
+                    base: int) -> GridAnalysis:
+    """The analysis engine on the grid that the grid stage configured."""
+    grid_cfg = _load_config(Path(args.out)).get("grid", {})
+    scheme = grid_cfg.get("scheme", "uniform")
+    normalize = grid_cfg.get("normalize", True)
 
-    With a run, the engine is built once and returned again while the
-    configured grid scheme and normalization, analyze mode and
-    partition base stay the same.
-    """
-    cfg = _load_config(ws)
-    key = (cfg.get("grid", {}).get("scheme", "uniform"),
-           cfg.get("grid", {}).get("normalize", True),
-           cfg.get("analyze", {}).get("mode", "exact"),
-           cfg.get("analyze", {}).get("partition_base", 2))
-    if run is not None and run.engine_key == key:
-        return run.engine
-    scheme, normalize, mode, base = key
-    tree_es, tree_os = _load_trees(ws, G)
-    filt_es = build_filtration(tree_es, scheme, G)
-    filt_os = build_filtration(tree_os, scheme, G)
-    grid = build_grid(filt_es, filt_os, normalize=normalize)
-    engine = GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
-                          mode=mode, partition_base=base)
-    if run is not None:
-        run.engine_key, run.engine = key, engine
-    return engine
+    def make() -> GridAnalysis:
+        filt_es, filt_os, grid = _grid(args, G, scheme, normalize)
+        return GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
+                            mode=mode, partition_base=base)
+    return _shared(args, ("engine", scheme, normalize, mode, base), make)
 
 
-def _smoothness_profile(engine: GridAnalysis, f: np.ndarray, order: float,
-                        run: PipelineRun | None = None) -> SmoothnessReport:
-    """The engine's smoothness profile of f, fitted once per run for one
-    engine, signal and order."""
-    key = (engine, f.tobytes(), order)
-    if run is not None and run.profile_key == key:
-        return run.profile
-    report = engine.smoothness_profile(f, order=order)
-    if run is not None:
-        run.profile_key, run.profile = key, report
-    return report
+def _smoothness_profile(args, engine: GridAnalysis, f: np.ndarray,
+                        order: float) -> SmoothnessReport:
+    return _shared(args, ("profile", engine, f.tobytes(), order),
+                   lambda: engine.smoothness_profile(f, order=order))
 
 
 def _check_labels_cover(G: WeightedDigraph, use: str) -> None:
@@ -268,7 +261,7 @@ def cmd_synth(args) -> int:
 
 def cmd_cluster(args) -> int:
     ws = Path(args.out)
-    G = _load_graph(ws)
+    G = _load_graph(args)
     K = args.levels
     labeled = None
     if args.labeled:
@@ -292,7 +285,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_trees(args) -> int:
     ws = Path(args.out)
-    tree_es, tree_os = _load_trees(ws, _load_graph(ws))
+    tree_es, tree_os = _load_trees(args, _load_graph(args))
     summary = {}
     for side, tree in (("es", tree_es), ("os", tree_os)):
         levels = []
@@ -314,11 +307,8 @@ def cmd_trees(args) -> int:
 
 def cmd_grid(args) -> int:
     ws = Path(args.out)
-    G = _load_graph(ws)
-    tree_es, tree_os = _load_trees(ws, G)
-    filt_es = build_filtration(tree_es, args.scheme, G)
-    filt_os = build_filtration(tree_os, args.scheme, G)
-    grid = build_grid(filt_es, filt_os, normalize=not args.no_normalize)
+    G = _load_graph(args)
+    _, _, grid = _grid(args, G, args.scheme, not args.no_normalize)
     rows = []
     for p in grid.points:
         x0, x1, y0, y1 = p.rect
@@ -336,14 +326,9 @@ def cmd_grid(args) -> int:
 
 def cmd_analyze(args) -> int:
     ws = Path(args.out)
-    G = _load_graph(ws)
+    G = _load_graph(args)
     f = vertex_signal(G, args.signal)
-    _need(ws, "tree_es.json")
-    _need(ws, "tree_os.json")
-    _update_config(ws, "analyze",
-                   {"mode": args.mode, "signal": args.signal,
-                    "partition_base": args.partition_base})
-    engine = _build_analysis(ws, G, getattr(args, "run", None))
+    engine = _build_analysis(args, G, args.mode, args.partition_base)
     active = set(engine.active)
     rows = []
     for k, shell in zip(engine.freqs.omega, engine.omega_shell.tolist()):
@@ -369,6 +354,9 @@ def cmd_analyze(args) -> int:
     with open(ws / "analysis.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    _update_config(ws, "analyze",
+                   {"mode": args.mode, "signal": args.signal,
+                    "partition_base": args.partition_base})
     print(f"mode {engine.mode}: {len(engine.active)} active of "
           f"{len(engine.freqs)} indices, defect {defect:.2e}")
     return 0
@@ -382,14 +370,14 @@ def cmd_approx(args) -> int:
     per-shell agreement fraction is recorded alongside the errors.
     """
     ws = Path(args.out)
-    cfg = _load_config(ws)
-    signal = cfg.get("analyze", {}).get("signal", args.signal)
-    G = _load_graph(ws)
+    analyzed = _load_config(ws).get("analyze", {})
+    signal = analyzed.get("signal", args.signal)
+    G = _load_graph(args)
     f = vertex_signal(G, signal)
-    run = getattr(args, "run", None)
-    engine = _build_analysis(ws, G, run)
+    engine = _build_analysis(args, G, analyzed.get("mode", "exact"),
+                             analyzed.get("partition_base", 2))
     try:
-        report = _smoothness_profile(engine, f, args.order, run)
+        report = _smoothness_profile(args, engine, f, args.order)
     except MultiplierError as exc:
         raise SystemExit(f"--order {args.order}: {exc}") from None
     rows = []
@@ -444,7 +432,7 @@ def cmd_metrics(args) -> int:
     """
     ws = Path(args.out)
     cfg = _load_config(ws)
-    G = _load_graph(ws)
+    G = _load_graph(args)
     cl = cfg.get("cluster")
     if cl is None:
         raise SystemExit("run the cluster stage first (its parameters "
@@ -510,13 +498,13 @@ def cmd_metrics(args) -> int:
 def cmd_report(args) -> int:
     ws = Path(args.out)
     cfg = _load_config(ws)
-    signal = cfg.get("analyze", {}).get("signal", "outdeg")
+    analyzed = cfg.get("analyze", {})
     order = cfg.get("approx", {}).get("order", 1.0)
-    G = _load_graph(ws)
-    f = vertex_signal(G, signal)
-    run = getattr(args, "run", None)
-    engine = _build_analysis(ws, G, run)
-    report = _smoothness_profile(engine, f, order, run)
+    G = _load_graph(args)
+    f = vertex_signal(G, analyzed.get("signal", "outdeg"))
+    engine = _build_analysis(args, G, analyzed.get("mode", "exact"),
+                             analyzed.get("partition_base", 2))
+    report = _smoothness_profile(args, engine, f, order)
     report.save_json(ws / "smoothness.json")
     shown = {k: (f"{v:.3f}" if v is not None else "n/a")
              for k, v in report.gamma.items()}
@@ -530,7 +518,7 @@ def cmd_pipeline(args) -> int:
     (cmd_ingest if args.edges else cmd_synth)(args)
     # a bad --signal or an edgeless graph exits here, before any stage
     # past the graph's runs
-    G = _load_graph(Path(args.out))
+    G = _load_graph(args)
     vertex_signal(G, args.signal)
     _check_has_edges(G)
     for stage in (cmd_cluster, cmd_trees, cmd_grid, cmd_analyze, cmd_approx,
@@ -617,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default="twintree_out",
                      help="workspace directory (default: %(default)s)")
     seed = group()
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
     signal = group()
     signal.add_argument("--signal", default="outdeg",
                         help="outdeg | label | file:PATH")
@@ -625,42 +613,51 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--labels", default=None, help="optional label file")
     synth = group()
     synth.add_argument("--kind", default="toy25",
-                       choices=["toy25", "planted", "sparse"])
+                       choices=["toy25", "planted", "sparse"],
+                       help="graph generator")
     synth.add_argument("--param", action="append", metavar="KEY=JSON",
                        help="extra generator parameter, repeatable")
     cluster = group()
     cluster.add_argument("--levels", type=_levels, default="2,6",
                          help="cluster counts per level, coarse to fine")
     cluster.add_argument("--algo", default="nhc",
-                         choices=["nhc", "mll", "mbo"])
+                         choices=["nhc", "mll", "mbo"],
+                         help="medoids on path (nhc) or diffusion (mll) "
+                              "distance, or threshold dynamics (mbo)")
     cluster.add_argument("--labeled", action="store_true",
                          help="seed/anchor clustering with the graph's labels")
     cluster.add_argument("--edge-length", default="reciprocal",
-                         choices=["reciprocal", "raw"], dest="edge_length")
+                         choices=["reciprocal", "raw"], dest="edge_length",
+                         help="path length of an edge of weight w: 1/w or w")
     cluster.add_argument("--n-init", type=_at_least_one("start"), default=1,
-                         dest="n_init")
+                         dest="n_init", help="best of this many medoid runs")
     grid = group()
     grid.add_argument("--scheme", default="uniform",
-                      choices=["uniform", "volume"])
+                      choices=["uniform", "volume"],
+                      help="leaf masses: equal, or by weighted out-degree")
     analyze = group()
     analyze.add_argument("--mode", default="exact",
-                         choices=["exact", "idealized"])
+                         choices=["exact", "idealized"],
+                         help="re-orthonormalized or raw tensor products")
     analyze.add_argument("--partition-base", type=_partition_base, default=2,
-                         dest="partition_base")
+                         dest="partition_base", help="shell base, at least 2")
     approx = group()
     approx.add_argument("--order", type=_order, default=1.0,
                         help="differentiation order for the K-functional")
     metrics = group()
-    metrics.add_argument("--trials", type=_at_least_one("trial"), default=30)
+    metrics.add_argument("--trials", type=_at_least_one("trial"), default=30,
+                         help="seeded tree builds to score")
     metrics.add_argument("--train-pct", type=_train_pct, default=0.0,
                          dest="train_pct",
                          help="percent of each label class used as training "
                               "data per trial (0 = unsupervised)")
     metrics.add_argument("--baseline-trials", type=_non_negative,
-                         default=100, dest="baseline_trials")
+                         default=100, dest="baseline_trials",
+                         help="random colorings per level (0 = no baseline)")
 
     def stage(name, func, summary, *groups) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=[out, *groups])
+        p = sub.add_parser(name, help=summary, description=summary,
+                           parents=[out, *groups])
         p.set_defaults(func=func)
         return p
 
@@ -671,15 +668,16 @@ def build_parser() -> argparse.ArgumentParser:
     stage("cluster", cmd_cluster, "build the twin hierarchies", cluster, seed)
     stage("trees", cmd_trees, "summarize the twin hierarchies")
     stage("grid", cmd_grid, "build the product grid", grid).add_argument(
-        "--no-normalize", action="store_true", dest="no_normalize")
+        "--no-normalize", action="store_true", dest="no_normalize",
+        help="keep raw product masses, not a probability measure")
     stage("analyze", cmd_analyze, "expand a signal on the grid",
           analyze, signal)
     stage("approx", cmd_approx, "graded error sequences", approx, signal)
     stage("metrics", cmd_metrics, "seeded-trial scoring protocol",
           metrics, seed)
     stage("report", cmd_report, "fit smoothness exponents")
-    # with --edges, pipeline ingests the edge list instead of synthesizing
-    p = stage("pipeline", cmd_pipeline, "run every stage in order", ingest,
+    p = stage("pipeline", cmd_pipeline, "run every stage in order; --edges "
+              "ingests an edge list instead of synthesizing a graph", ingest,
               synth, seed, cluster, grid, analyze, signal, approx, metrics)
     p.add_argument("--edges", default=None, help=edges_help)
     p.set_defaults(no_normalize=False)

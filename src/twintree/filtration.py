@@ -16,7 +16,6 @@ as the tree has leaves.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,19 +107,6 @@ class Filtration:
                 if pos != node.b:
                     raise ValueError(
                         f"children of {node.id} do not exhaust it")
-
-    def to_json_dict(self) -> dict:
-        return {"nodes": [
-            {"node": n.id,
-             "parent": n.parent,
-             "weight": float(n.weight),
-             "interval": [float(n.a), float(n.b)]}
-            for n in sorted(self.nodes.values(), key=lambda x: x.id)]}
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 # -- chain collapsing --------------------------------------------------------

@@ -267,6 +267,24 @@ def test_kept_set_matches_exact_greedy_rank(case):
     assert len(an.active) == len(grid)
 
 
+@pytest.mark.parametrize("case", ["toy25", "planted_uniform",
+                                  "planted_volume_lognormal"])
+def test_exact_mode_asserts_one_kept_row_per_grid_point(case, monkeypatch):
+    f1, f2 = kept_set_case(case)
+    grid = build_grid(f1, f2)
+    n = len(grid)
+    assert len(GridAnalysis(grid, TreeBasis(f1), TreeBasis(f2)).active) == n
+    scan = analysis.gram_orthonormalize
+
+    def lose_last_row(rows, masses):
+        E, kept, dropped = scan(rows, masses)
+        return E[:-1], kept[:-1], sorted(dropped + kept[-1:])
+    monkeypatch.setattr(analysis, "gram_orthonormalize", lose_last_row)
+    with pytest.raises(AssertionError,
+                       match=f"kept {n - 1} rows for {n} grid points"):
+        GridAnalysis(grid, TreeBasis(f1), TreeBasis(f2))
+
+
 def test_exact_mode_is_orthonormal_and_complete(toy):
     assert toy.mode == "exact"
     assert toy.orthogonality_defect() <= 1e-10

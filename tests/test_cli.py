@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from twintree import cli
 from twintree.analysis import GridAnalysis
 from twintree.cli import build_parser, main
+from twintree.clustering import ClusterTree
+from twintree.digraph import WeightedDigraph
 
 
 ARTIFACTS = ["digraph.json", "tree_es.json", "tree_os.json", "trees.json",
@@ -72,13 +75,16 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 def test_pipeline_builds_one_engine_and_one_profile(tmp_path, monkeypatch,
                                                     capsys):
-    builds = count_calls(monkeypatch, GridAnalysis, "__init__")
-    profiles = count_calls(monkeypatch, GridAnalysis, "smoothness_profile")
+    calls = [count_calls(monkeypatch, owner, name) for owner, name in (
+        (GridAnalysis, "__init__"), (GridAnalysis, "smoothness_profile"),
+        (WeightedDigraph, "load_json"), (ClusterTree, "load_json"),
+        (cli, "build_filtration"), (cli, "build_grid"))]
+    per_run = [1, 1, 1, 2, 2, 1]
     run_pipeline(tmp_path / "first")
-    assert (len(builds), len(profiles)) == (1, 1)
-    # nothing is kept across runs: the next run builds its own engine
+    assert [len(c) for c in calls] == per_run
+    # nothing is kept across runs: the next run loads and builds its own
     run_pipeline(tmp_path / "second")
-    assert (len(builds), len(profiles)) == (2, 2)
+    assert [len(c) for c in calls] == [2 * n for n in per_run]
     assert snapshot(tmp_path / "second") == snapshot(tmp_path / "first")
     capsys.readouterr()
 
@@ -139,6 +145,9 @@ def test_pipeline_takes_every_stage_option_unchanged():
                         == getattr(action, field)), (stage, flag, field)
     assert set(pipeline) == taken
     assert not pipeline["--edges"].required
+    for command in sub.choices:
+        for flag, action in options(command).items():
+            assert action.help, (command, flag)
 
 
 def test_identical_runs_are_byte_identical(workspace, tmp_path):
@@ -584,6 +593,8 @@ CORRUPTIONS = {
                            leaves[0]))),
     "graph not JSON": ("digraph.json", "Expecting value",
                        lambda text: "not JSON"),
+    "graph without vertices": ("digraph.json", "the graph has no vertices",
+                               lambda text: '{"vertices": [], "edges": []}'),
 }
 
 
@@ -596,8 +607,18 @@ def test_malformed_artifacts_exit_naming_the_file(gridded, tmp_path, stage,
     shutil.copytree(gridded, ws)
     path = ws / name
     path.write_text(corrupt(path.read_text()))
+    config = (ws / "config.json").read_bytes()
     with pytest.raises(SystemExit, match=message) as exc:
         main([stage, "--out", str(ws)])
+    assert f"malformed artifact {path}" in str(exc.value)
+    assert (ws / "config.json").read_bytes() == config
+
+
+def test_cluster_on_a_graph_without_vertices_names_the_file(tmp_path):
+    path = tmp_path / "digraph.json"
+    path.write_text('{"vertices": [], "edges": []}')
+    with pytest.raises(SystemExit, match="the graph has no vertices") as exc:
+        main(["cluster", "--out", str(tmp_path)])
     assert f"malformed artifact {path}" in str(exc.value)
 
 

@@ -168,15 +168,3 @@ def test_enumeration_matches_leaf_count_identity():
     internal = [n for n in filt.nodes.values() if n.children]
     expected = 1 + sum(len(n.children) - 1 for n in internal)
     assert len(llo_enumerate(filt)) == expected == filt.n_leaves()
-
-
-def test_filtration_json_shape(tmp_path):
-    filt = build_filtration(small_tree())
-    path = tmp_path / "filt.json"
-    filt.save_json(path)
-    import json
-    data = json.loads(path.read_text())
-    recs = {r["node"]: r for r in data["nodes"]}
-    assert recs[filt.root]["interval"] == [0.0, 1.0]
-    assert recs[filt.root]["parent"] is None
-    assert all(r["weight"] > 0 for r in data["nodes"])
