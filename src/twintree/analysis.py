@@ -80,13 +80,11 @@ def build_grid(filt_es: Filtration, filt_os: Filtration,
     leaf masses, divided by the total when ``normalize`` is set so the
     grid carries a probability measure.
     """
-    verts_es = set(filt_es.vertex_leaf)
-    verts_os = set(filt_os.vertex_leaf)
-    if verts_es != verts_os:
+    if filt_es.vertices() != filt_os.vertices():
         raise ValueError("filtrations cover different vertex sets")
     points = []
     raw_total = Fraction(0)
-    for v in sorted(verts_es):
+    for v in sorted(filt_es.vertices()):
         x0, x1 = filt_es.leaf_interval(v)
         y0, y1 = filt_os.leaf_interval(v)
         mass = (x1 - x0) * (y1 - y0)
@@ -160,7 +158,7 @@ def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
     filt = basis.filtration
     cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
     table = basis.value_table()
-    cols = [cells[filt.vertex_leaf[p.vertex]] for p in grid.points]
+    cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
     return [[table[n][c] for c in cols] for n in range(basis.size)]
 
 
@@ -396,8 +394,9 @@ class GridAnalysis:
     tree's leaf-measurable functions, so each axis value table has rank
     N on the grid.  psi_0 is a nonzero constant, so every nonzero row
     k1 of the first table puts (k1, 0) in Omega, and those rows alone
-    span R^N.  The build raises AssertionError, naming both counts, if
-    the float rank scan ever keeps fewer.
+    span R^N; so do idealized mode's raw rows, which include them.  The
+    build raises AssertionError, naming both counts, if the float rank
+    scan ever keeps fewer.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
@@ -535,16 +534,18 @@ class GridAnalysis:
                             ) -> tuple[float, np.ndarray]:
         """Sup-norm distance to the degree-n span, by linear program.
 
-        Returns (distance, best approximant's grid values).  In exact
-        mode a span of as many kept rows as there are grid points needs
-        no LP: those rows are nu-orthonormal, so they span R^N and f
-        itself is the best approximant, at distance exactly 0.
+        Returns (distance, best approximant's grid values).  The top
+        shell's span needs no LP in either mode: it holds every row, and
+        those span R^N (see the class docstring), so f itself is the
+        best approximant, at distance exactly 0.
         """
         fvals = np.asarray(fvals, dtype=float)
+        if fvals.shape != (len(self.grid),):
+            raise ValueError("need one value per grid point")
         span = self._shell <= n
         if not span.any():
             return self.sup_norm(fvals), np.zeros(len(self.grid))
-        if self.mode == "exact" and span.sum() == len(self.grid) == len(fvals):
+        if n >= self.max_shell():
             return 0.0, fvals.copy()
         A = self._rows[span].T
         npts, ncols = A.shape
@@ -605,8 +606,8 @@ class GridAnalysis:
         Every sequence is measured in the sup norm, which the report
         records as rho = inf.  The degree spans are nested and E_n >= 0,
         so once one shell's degree error is exactly 0 every later one is
-        0 as well and gets no LP (nor does the full-span top shell in
-        exact mode, see best_uniform_approx).
+        0 as well and gets no LP (nor does the full-span top shell, see
+        best_uniform_approx).
         """
         fvals = np.asarray(fvals, dtype=float)
         mu = default_multiplier(self.freqs, order, self.base)

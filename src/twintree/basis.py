@@ -340,7 +340,7 @@ class TreeBasis:
 
     def intervals_of(self, n: int):
         """((a, b), (a', b')): parent and own interval of index n >= 1."""
-        node = self.filtration.node(self.enum.order[n])
+        node = self.filtration.node(self.enum[n])
         parent = self.filtration.node(node.parent)
         return (parent.a, parent.b), (node.a, node.b)
 

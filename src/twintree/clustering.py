@@ -50,6 +50,7 @@ class ClusterTree:
     def __init__(self, nodes: dict[int, ClusterNode], root: int = 0):
         self.nodes = nodes
         self.root = root
+        self._leaves: Optional[list[ClusterNode]] = None
         self._leaf_of_vertex: dict[int, int] = {}
         for node in nodes.values():
             if not node.children:
@@ -72,16 +73,20 @@ class ClusterTree:
         return max(n.level for n in self.nodes.values())
 
     def leaves(self) -> list[ClusterNode]:
-        """Leaf nodes in left-to-right (depth-first) order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = self.nodes[stack.pop()]
-            if not node.children:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        """Leaf nodes in left-to-right (depth-first) order, walked on the
+        first call so that a malformed tree still reaches ``validate``."""
+        if self._leaves is None:
+            self._leaves, stack = [], [self.root]
+            while stack:
+                node = self.nodes[stack.pop()]
+                if not node.children:
+                    self._leaves.append(node)
+                else:
+                    stack.extend(reversed(node.children))
+        return list(self._leaves)
+
+    def n_leaves(self) -> int:
+        return len(self.leaves())
 
     def level_nodes(self, level: int) -> list[ClusterNode]:
         return [n for n in self.nodes.values() if n.level == level]
@@ -96,10 +101,7 @@ class ClusterTree:
         ancestor, as if it were repeated as its own only child down to
         that level.
         """
-        nid = self._leaf_of_vertex[v]
-        node = self.nodes[nid]
-        if node.level <= level:
-            return nid
+        node = self.nodes[self._leaf_of_vertex[v]]
         while node.level > level:
             node = self.nodes[node.parent]
         return node.id
@@ -440,6 +442,18 @@ def coarse_grain(G: WeightedDigraph,
     return WeightedDigraph(coarse)
 
 
+def _normalized_adjacency(G: UndirectedGraph
+                          ) -> tuple[np.ndarray, sparse.csr_array]:
+    """D^-1/2 (as a vector) and D^-1/2 A D^-1/2 of a graph without
+    zero-degree vertices."""
+    deg = G.out_degrees()
+    if np.any(deg <= 0):
+        raise ValueError("every vertex needs positive degree")
+    dhalf = 1.0 / np.sqrt(deg)
+    return dhalf, sparse.csr_array(
+        G.weights.multiply(dhalf[:, None]).multiply(dhalf[None, :]))
+
+
 def spectral_embedding(G: UndirectedGraph, n_eig: int, t: float = 1.0,
                        seed: int = 0) -> np.ndarray:
     """Diffusion coordinates from the degree-normalized adjacency.
@@ -451,12 +465,7 @@ def spectral_embedding(G: UndirectedGraph, n_eig: int, t: float = 1.0,
     """
     n = G.n
     n_eig = min(n_eig, n)
-    deg = G.out_degrees()
-    if np.any(deg <= 0):
-        raise ValueError("every vertex needs positive degree to embed")
-    dhalf = 1.0 / np.sqrt(deg)
-    A = G.weights
-    S = sparse.csr_array(A.multiply(dhalf[:, None]).multiply(dhalf[None, :]))
+    dhalf, S = _normalized_adjacency(G)
     if n_eig >= n - 1 or n <= 400:
         lam, U = np.linalg.eigh(S.toarray())
         lam, U = lam[::-1], U[:, ::-1]
@@ -530,13 +539,7 @@ def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
         if not 0 <= int(c) < n_classes:
             raise ValueError(f"label class {c} outside 0..{n_classes - 1}")
     n_eig = min(n_eig, n)
-    deg = G.out_degrees()
-    if np.any(deg <= 0):
-        raise ValueError("every vertex needs positive degree")
-    dhalf = 1.0 / np.sqrt(deg)
-    A = G.weights
-    S = A.multiply(dhalf[:, None]).multiply(dhalf[None, :])
-    lap = np.eye(n) - np.asarray(S.todense())
+    lap = np.eye(n) - _normalized_adjacency(G)[1].toarray()
     lam, U = np.linalg.eigh(lap)
     lam, U = lam[:n_eig], U[:, :n_eig]
 

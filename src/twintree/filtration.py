@@ -1,8 +1,9 @@
 """Trees materialized as nested half-open subintervals of [0, 1).
 
-A filtration is a rooted tree whose root carries mass 1, whose every
-internal node has at least two children, and whose children's masses
-sum exactly to their parent's.  Nodes become subintervals [a, b) of the
+A filtration is a cluster tree whose single-child chains are collapsed,
+so that every internal node has at least two children, and which
+carries exact masses: the root has mass 1, and children's masses sum
+exactly to their parent's.  Nodes become subintervals [a, b) of the
 unit interval: the root is [0, 1), and each node's children tile it
 left to right in child order.  All endpoints and masses are computed in
 exact rational arithmetic (stdlib Fractions); floats appear only in
@@ -17,20 +18,16 @@ as the tree has leaves.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .clustering import ClusterNode, ClusterTree
 
 
 @dataclass
-class FiltrationNode:
-    id: int
-    parent: Optional[int]
-    children: list[int]
-    members: frozenset[int]
-    depth: int
+class FiltrationNode(ClusterNode):
+    """A collapsed cluster-tree node with its exact mass and interval."""
     weight: Fraction = Fraction(0)
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(0)
@@ -40,42 +37,15 @@ class FiltrationNode:
         return (self.a, self.b)
 
 
-class Filtration:
-    """A weighted tree with exact interval geometry."""
+class Filtration(ClusterTree):
+    """A collapsed cluster tree with exact interval geometry.
 
-    def __init__(self, nodes: dict[int, FiltrationNode], root: int):
-        self.nodes = nodes
-        self.root = root
-        self._leaves: list[FiltrationNode] = []
-        stack = [root]
-        while stack:
-            node = nodes[stack.pop()]
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                self._leaves.append(node)
-        self.vertex_leaf = {}
-        for leaf in self._leaves:
-            if len(leaf.members) == 1:
-                (v,) = leaf.members
-                self.vertex_leaf[v] = leaf.id
-
-    def node(self, nid: int) -> FiltrationNode:
-        return self.nodes[nid]
-
-    def leaves(self) -> list[FiltrationNode]:
-        """Leaves in left-to-right interval order."""
-        return list(self._leaves)
-
-    def n_leaves(self) -> int:
-        return len(self._leaves)
-
-    def depth(self) -> int:
-        return max(n.depth for n in self.nodes.values())
+    Node lookup, depth, leaf order and the vertex-to-leaf map are the
+    cluster tree's; levels are depths from the root.
+    """
 
     def leaf_interval(self, vertex: int) -> tuple[Fraction, Fraction]:
-        node = self.nodes[self.vertex_leaf[vertex]]
-        return (node.a, node.b)
+        return self.nodes[self.leaf_of_vertex(vertex)].interval
 
     def child_index(self, nid: int) -> int:
         node = self.nodes[nid]
@@ -84,6 +54,7 @@ class Filtration:
         return self.nodes[node.parent].children.index(nid)
 
     def validate(self) -> None:
+        """Raise unless the masses are positive and tile [0, 1) exactly."""
         root = self.nodes[self.root]
         if root.weight != 1 or root.a != 0 or root.b != 1:
             raise ValueError("root must carry mass 1 on [0, 1)")
@@ -115,35 +86,23 @@ class Filtration:
 def collapse_chains(tree: ClusterTree) -> ClusterTree:
     """Remove single-child chains so every internal node branches.
 
-    A node with a single child (a level that repeats a cluster of the
-    level above) is merged with that child into the chain's top node,
-    which keeps its id, and node levels are recomputed as depth from
-    the root.
+    One walk from the root: each kept node skips down its single-child
+    chain (a level that repeats a cluster of the level above), keeps
+    the chain top's id and members, takes the chain bottom's children,
+    and gets its depth from the root as its level.
     """
-    nodes = {nid: ClusterNode(n.id, n.level, n.parent, list(n.children),
-                              n.members, n.synthetic)
-             for nid, n in tree.nodes.items()}
-    changed = True
-    while changed:
-        changed = False
-        for node in list(nodes.values()):
-            if node.id not in nodes or len(node.children) != 1:
-                continue
-            child = nodes[node.children[0]]
-            node.children = list(child.children)
-            for gc in child.children:
-                nodes[gc].parent = node.id
-            del nodes[child.id]
-            changed = True
-    # recompute levels as depth from the root
-    queue = [(tree.root, 0)]
-    while queue:
-        nid, depth = queue.pop()
-        nodes[nid].level = depth
-        queue.extend((c, depth + 1) for c in nodes[nid].children)
-    for node in nodes.values():
-        if node.children and len(node.children) < 2:
-            raise ValueError(f"node {node.id} still has a single child")
+    nodes: dict[int, ClusterNode] = {}
+
+    def keep(nid: int, parent: Optional[int], level: int) -> None:
+        top = bottom = tree.nodes[nid]
+        while len(bottom.children) == 1:
+            bottom = tree.nodes[bottom.children[0]]
+        nodes[nid] = ClusterNode(nid, level, parent, list(bottom.children),
+                                 top.members, top.synthetic)
+        for c in bottom.children:
+            keep(c, nid, level + 1)
+
+    keep(tree.root, None, 0)
     return ClusterTree(nodes, tree.root)
 
 
@@ -223,11 +182,8 @@ def build_filtration(tree: ClusterTree, scheme: str = "uniform",
     collapsed = collapse_chains(tree)
     if weights is None:
         weights = assign_weights(collapsed, scheme, graph)
-    nodes: dict[int, FiltrationNode] = {}
-    for nid, n in collapsed.nodes.items():
-        nodes[nid] = FiltrationNode(
-            id=nid, parent=n.parent, children=list(n.children),
-            members=n.members, depth=n.level, weight=Fraction(weights[nid]))
+    nodes = {nid: FiltrationNode(**vars(n), weight=Fraction(weights[nid]))
+             for nid, n in collapsed.nodes.items()}
 
     def place(nid: int, a: Fraction) -> None:
         node = nodes[nid]
@@ -247,33 +203,20 @@ def build_filtration(tree: ClusterTree, scheme: str = "uniform",
 # -- level-by-level enumeration ----------------------------------------------
 
 
-@dataclass
-class LLOEnumeration:
+def llo_enumerate(filt: Filtration) -> list[int]:
     """Global indexing of the root plus every non-leftmost child.
 
-    order[n] is the node carrying index n; index 0 is the root, and
-    within each depth the indices run left to right.  The count equals
-    the number of leaves.
+    Entry n is the node carrying index n: the root, then depth by depth
+    the non-leftmost children, left to right (by increasing a).  One
+    breadth-first walk, whose frontier runs left to right; there are
+    exactly as many entries as leaves.
     """
-    order: list[int]
-    index_of: dict[int, int] = field(init=False)
-
-    def __post_init__(self):
-        self.index_of = {nid: i for i, nid in enumerate(self.order)}
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-def llo_enumerate(filt: Filtration) -> LLOEnumeration:
     order = [filt.root]
-    for depth in range(1, filt.depth() + 1):
-        level = [n for n in filt.nodes.values() if n.depth == depth
-                 and n.parent is not None
-                 and filt.nodes[n.parent].children[0] != n.id]
-        level.sort(key=lambda n: n.a)
-        order.extend(n.id for n in level)
-    enum = LLOEnumeration(order)
-    if len(enum) != filt.n_leaves():
+    frontier = [filt.root]
+    while frontier:
+        kids = [filt.nodes[nid].children for nid in frontier]
+        order.extend(c for ch in kids for c in ch[1:])
+        frontier = [c for ch in kids for c in ch]
+    if len(order) != filt.n_leaves():
         raise AssertionError("enumeration size must equal the leaf count")
-    return enum
+    return order

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from twintree.clustering import coarse_grain, medoid_partition
+from twintree.clustering import (ClusterNode, ClusterTree, coarse_grain,
+                                 medoid_partition)
 
 
 def minimax_distance(A: np.ndarray, f: np.ndarray) -> float:
@@ -385,3 +386,44 @@ def lp_degree_errors(engine, f) -> list[float]:
         assert res.success, res.message
         out.append(float(res.fun))
     return out
+
+
+def collapse_chains_fixpoint(tree) -> ClusterTree:
+    """Single-child chains removed by merging parent and child until no
+    merge applies, then levels recomputed as depth from the root: the
+    repeat-until-stable route to ``filtration.collapse_chains``."""
+    nodes = {nid: ClusterNode(n.id, n.level, n.parent, list(n.children),
+                              n.members, n.synthetic)
+             for nid, n in tree.nodes.items()}
+    changed = True
+    while changed:
+        changed = False
+        for node in list(nodes.values()):
+            if node.id not in nodes or len(node.children) != 1:
+                continue
+            child = nodes[node.children[0]]
+            node.children = list(child.children)
+            for gc in child.children:
+                nodes[gc].parent = node.id
+            del nodes[child.id]
+            changed = True
+    queue = [(tree.root, 0)]
+    while queue:
+        nid, depth = queue.pop()
+        nodes[nid].level = depth
+        queue.extend((c, depth + 1) for c in nodes[nid].children)
+    return ClusterTree(nodes, tree.root)
+
+
+def llo_by_depth_scan(filt) -> list[int]:
+    """Root, then for each depth the non-leftmost children of that depth
+    sorted by left endpoint, found by scanning every node once per depth:
+    the per-depth route to ``filtration.llo_enumerate``."""
+    order = [filt.root]
+    for depth in range(1, filt.depth() + 1):
+        level = [n for n in filt.nodes.values() if n.level == depth
+                 and n.parent is not None
+                 and filt.nodes[n.parent].children[0] != n.id]
+        level.sort(key=lambda n: n.a)
+        order.extend(n.id for n in level)
+    return order

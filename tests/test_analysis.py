@@ -879,8 +879,7 @@ def test_degree_errors_equal_the_lp_oracle_at_every_shell(case):
         got = an.smoothness_profile(f).sequences["degree_error"]
         # bit for bit, the sign of a zero included
         assert [x.hex() for x in got] == [x.hex() for x in want], name
-        if an.mode == "exact":
-            assert an.best_uniform_approx(f, top)[0] == want[-1] == 0.0
+        assert an.best_uniform_approx(f, top)[0] == want[-1] == 0.0
     if G.labels:
         # the label signal reaches an exact zero below the top shell
         assert want.index(0.0) < top
@@ -897,12 +896,11 @@ def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, monkeypatch):
 
     monkeypatch.setattr(analysis, "linprog", counted)
     top = an.max_shell()
-    exact = an.mode == "exact"
     noise = np.random.default_rng(89).standard_normal(len(an))
     generic = an.smoothness_profile(noise).sequences["degree_error"]
     assert 0.0 not in generic[:-1]
-    # one LP per shell, but for the full-span top shell in exact mode
-    assert len(calls) == (top if exact else top + 1)
+    # one LP per shell, but for the full-span top shell
+    assert len(calls) == top
     calls.clear()
     degree = an.smoothness_profile(vertex_signal(G, "label")).sequences[
         "degree_error"]
@@ -911,4 +909,4 @@ def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, monkeypatch):
     assert len(calls) == first + 1
     calls.clear()
     assert an.best_uniform_approx(noise, top)[0] == generic[-1]
-    assert len(calls) == (0 if exact else 1)
+    assert len(calls) == 0

@@ -3,12 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.clustering import tree_from_partitions
-from twintree.digraph import WeightedDigraph
+from twintree.clustering import tree_from_partitions, twt
+from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import (assign_weights, build_filtration,
                                  collapse_chains, llo_enumerate)
 
-from util import random_filtration, random_tree
+from oracles import collapse_chains_fixpoint, llo_by_depth_scan
+from util import random_filtration, random_nested_partitions, random_tree
 
 
 def small_tree():
@@ -127,7 +128,7 @@ def test_vertex_leaf_lookup():
     filt = random_filtration(rng, 12, [4])
     for v in range(12):
         a, b = filt.leaf_interval(v)
-        node = filt.nodes[filt.vertex_leaf[v]]
+        node = filt.nodes[filt.leaf_of_vertex(v)]
         assert node.members == frozenset({v})
         assert (node.a, node.b) == (a, b)
 
@@ -146,18 +147,15 @@ def test_enumeration_counts_and_order():
         filt = random_filtration(rng, 18, [3, 7], weights="integer")
         enum = llo_enumerate(filt)
         assert len(enum) == filt.n_leaves()
-        assert enum.order[0] == filt.root
+        assert enum[0] == filt.root
         # index 0 is the root; everything else skips leftmost children
-        for nid in enum.order[1:]:
+        for nid in enum[1:]:
             node = filt.nodes[nid]
             assert filt.nodes[node.parent].children[0] != nid
         # indices are sorted by (depth, left endpoint)
-        keys = [(filt.nodes[nid].depth, filt.nodes[nid].a)
-                for nid in enum.order[1:]]
+        keys = [(filt.nodes[nid].level, filt.nodes[nid].a)
+                for nid in enum[1:]]
         assert keys == sorted(keys)
-        # round-trip through the inverse map
-        for i, nid in enumerate(enum.order):
-            assert enum.index_of[nid] == i
 
 
 def test_enumeration_matches_leaf_count_identity():
@@ -168,3 +166,60 @@ def test_enumeration_matches_leaf_count_identity():
     internal = [n for n in filt.nodes.values() if n.children]
     expected = 1 + sum(len(n.children) - 1 for n in internal)
     assert len(llo_enumerate(filt)) == expected == filt.n_leaves()
+
+
+def chained_tree(seed):
+    """Random nested partitions with every level repeated 1-3 times,
+    under 1-3 copies of the whole set (chains at the root) and over 0-3
+    copies of the singletons (chains above leaves, up to length 4)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    k = int(rng.integers(1, 4))
+    sizes = sorted(int(s) for s in rng.choice(np.arange(2, n + 1), k,
+                                                replace=False))
+    levels = [[frozenset(range(n))]] * int(rng.integers(1, 4))
+    for part in random_nested_partitions(rng, n, sizes):
+        levels += [part] * int(rng.integers(1, 4))
+    levels += [[frozenset({v}) for v in range(n)]] * int(rng.integers(0, 4))
+    return tree_from_partitions(range(n), levels)
+
+
+def degenerate_twin_trees():
+    """twt trees whose grafts hang tiny components off the root."""
+    fragmented = synth_digraph("sparse", seed=3, n=40, density=0.02)
+    star = np.zeros((12, 12))
+    star[0, 1:] = 1.0
+    planted = synth_digraph("planted", seed=5, sizes=(10, 10))
+    loops = WeightedDigraph(planted.weights.toarray() + np.eye(20))
+    heavy = planted.weights.copy()
+    heavy.data = np.random.default_rng(6).lognormal(0.0, 6.0, heavy.nnz)
+    for G in (fragmented, WeightedDigraph(star), loops,
+              WeightedDigraph(heavy)):
+        yield from twt(G, K=(2, 6), seed=7)
+
+
+@pytest.mark.parametrize("source", ["chained", "twt"])
+def test_collapse_and_enumeration_match_their_oracles(source):
+    trees = ([chained_tree(seed) for seed in range(40)]
+             if source == "chained" else list(degenerate_twin_trees()))
+
+    def single(t, nid, steps):  # nid starts a chain of that many steps
+        for _ in range(steps):
+            if len(t.nodes[nid].children) != 1:
+                return False
+            nid = t.nodes[nid].children[0]
+        return True
+    if source == "chained":  # the corpus holds every kind of chain
+        assert any(single(t, t.root, 1) for t in trees)
+        assert any(single(t, nid, 3) for t in trees for nid in t.nodes)
+        assert any(single(t, t.nodes[leaf.id].parent, 1)
+                   for t in trees for leaf in t.leaves())
+    for tree in trees:
+        flat, want = collapse_chains(tree), collapse_chains_fixpoint(tree)
+        # node by node: id, level, parent, children in order, members
+        assert flat.root == want.root and flat.nodes == want.nodes
+        filt = build_filtration(tree)
+        assert llo_enumerate(filt) == llo_by_depth_scan(filt)
+        assert [n.id for n in filt.leaves()] == [n.id for n in want.leaves()]
+        for v in tree.vertices():
+            assert filt.leaf_of_vertex(v) == want.leaf_of_vertex(v)
