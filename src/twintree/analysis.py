@@ -129,11 +129,10 @@ def graded_lex_key(k: tuple[int, int]) -> tuple[int, int]:
 class FrequencySet:
     """Nonvanishing tensor indices on a grid as graded-lex arrays k1, k2."""
 
-    def __init__(self, omega, n1: int, n2: int):
+    def __init__(self, omega):
         pairs = np.asarray(omega, dtype=np.int64).reshape(-1, 2)
         order = np.lexsort((pairs[:, 0], pairs[:, 0] + pairs[:, 1]))
         self.k1, self.k2 = pairs[order, 0], pairs[order, 1]
-        self.n1, self.n2 = n1, n2
 
     @property
     def omega(self) -> list[tuple[int, int]]:
@@ -169,7 +168,7 @@ def compute_omega(v1, v2) -> FrequencySet:
     iff some grid point carries a nonzero value of both factors.
     """
     b1, b2 = ((np.asarray(v) != 0).astype(float) for v in (v1, v2))
-    return FrequencySet(np.argwhere(b1 @ b2.T > 0), len(v1), len(v2))
+    return FrequencySet(np.argwhere(b1 @ b2.T > 0))
 
 
 # -- orthonormalization --------------------------------------------------------

@@ -628,9 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed/anchor clustering with the graph's labels")
     cluster.add_argument("--edge-length", default="reciprocal",
                          choices=["reciprocal", "raw"], dest="edge_length",
-                         help="path length of an edge of weight w: 1/w or w")
+                         help="path length of an edge of weight w: 1/w or "
+                              "w (nhc only)")
     cluster.add_argument("--n-init", type=_at_least_one("start"), default=1,
-                         dest="n_init", help="best of this many medoid runs")
+                         dest="n_init",
+                         help="best of this many medoid runs (nhc and mll; "
+                              "mbo's coarse levels take one start)")
     grid = group()
     grid.add_argument("--scheme", default="uniform",
                       choices=["uniform", "volume"],

@@ -327,7 +327,6 @@ def _parts(labels: np.ndarray) -> list[np.ndarray]:
 
 def _medoid_hierarchy(G, K: Sequence[int], seed: int,
                       labeled: Optional[dict], dist_of, n_init: int = 1,
-                      max_iter: int = 100,
                       finest: Optional[np.ndarray] = None
                       ) -> list[np.ndarray]:
     """Finest-to-coarsest medoid clustering with coarse-graining.
@@ -351,7 +350,7 @@ def _medoid_hierarchy(G, K: Sequence[int], seed: int,
         else:
             seeds = seed_vertices if li == len(K) else None
             assign = medoid_partition(dist_of(current), K[li - 1], rng,
-                                      seeds, n_init, max_iter)
+                                      seeds, n_init)
         _, assign = np.unique(assign, return_inverse=True)
         if li > 1:  # the coarsest level's graph is never clustered
             current = coarse_grain(current, _parts(assign))
@@ -380,27 +379,22 @@ def _path_distance(G: UndirectedGraph, edge_length: str) -> np.ndarray:
     raise ValueError(f"unknown edge_length {edge_length!r}")
 
 
-def _class_key(cls) -> str:
-    """Name of a label class: a label path joined by "/", else str()."""
-    return "/".join(cls) if isinstance(cls, tuple) else str(cls)
-
-
 def _label_seed_vertices(labeled: Optional[dict]) -> Optional[list[int]]:
-    """One representative (lowest id) per distinct class, classes sorted."""
+    """One representative (lowest id) per distinct class, classes sorted
+    by their own values (label_index integers or label-path tuples)."""
     if not labeled:
         return None
-    reps: dict[str, int] = {}
+    reps: dict = {}
     for v, cls in labeled.items():
-        key = _class_key(cls)
-        if key not in reps or v < reps[key]:
-            reps[key] = int(v)
-    return [reps[key] for key in sorted(reps)]
+        if cls not in reps or v < reps[cls]:
+            reps[cls] = int(v)
+    return [reps[cls] for cls in sorted(reps)]
 
 
 def nhc_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
                 labeled: Optional[dict] = None,
-                edge_length: str = "reciprocal", n_init: int = 1,
-                max_iter: int = 100) -> ClusterTree:
+                edge_length: str = "reciprocal", n_init: int = 1
+                ) -> ClusterTree:
     """Hierarchical medoid clustering under graph distance.
 
     The finest level partitions the vertices into K[-1] clusters by the
@@ -410,11 +404,11 @@ def nhc_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
     between their members.  With edge_length="reciprocal" (default) an
     edge of weight w contributes length 1/w to a path, so heavily
     coupled vertices are near each other; "raw" uses weights as lengths
-    verbatim.
+    verbatim.  Each medoid start runs at most 100 rounds.
     """
     return _tree(np.arange(G.n), _medoid_hierarchy(
         G, K, seed, labeled, lambda cur: _path_distance(cur, edge_length),
-        n_init, max_iter))
+        n_init))
 
 
 def coarse_grain(G: WeightedDigraph,
@@ -454,14 +448,14 @@ def _normalized_adjacency(G: UndirectedGraph
         G.weights.multiply(dhalf[:, None]).multiply(dhalf[None, :]))
 
 
-def spectral_embedding(G: UndirectedGraph, n_eig: int, t: float = 1.0,
+def spectral_embedding(G: UndirectedGraph, n_eig: int,
                        seed: int = 0) -> np.ndarray:
     """Diffusion coordinates from the degree-normalized adjacency.
 
     Rows are vertices; column i is the i-th largest-eigenvalue
-    eigenvector of the random-walk matrix, scaled by eigenvalue**t.
-    Signs are fixed (largest-magnitude entry positive) so the embedding
-    is reproducible.
+    eigenvector of the random-walk matrix, scaled by its eigenvalue
+    (diffusion time 1).  Signs are fixed (largest-magnitude entry
+    positive) so the embedding is reproducible.
     """
     n = G.n
     n_eig = min(n_eig, n)
@@ -480,55 +474,47 @@ def spectral_embedding(G: UndirectedGraph, n_eig: int, t: float = 1.0,
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0:
             U[:, j] = -U[:, j]
-    phi = dhalf[:, None] * U
-    scale = np.sign(lam) * np.abs(lam) ** t if t != 1.0 else lam
-    return phi * scale[None, :]
+    return dhalf[:, None] * U * lam[None, :]
 
 
 def mll_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
-                n_eig: int = 30, t: float = 1.0,
-                labeled: Optional[dict] = None, n_init: int = 1,
-                max_iter: int = 100) -> ClusterTree:
+                labeled: Optional[dict] = None, n_init: int = 1
+                ) -> ClusterTree:
     """Hierarchical medoid clustering in diffusion-embedding space.
 
-    Per level the current (coarse) graph is embedded with up to n_eig
+    Per level the current (coarse) graph is embedded with up to 30
     eigenvectors and clustered by the same center/medoid iteration as
-    the graph-metric clusterer, but under Euclidean distance between
-    embedded points; levels above the finest re-embed the coarse-grained
-    graph.
+    the graph-metric clusterer (at most 100 rounds per start), but under
+    Euclidean distance between embedded points; levels above the finest
+    re-embed the coarse-grained graph.
     """
-    return _tree(np.arange(G.n),
-                 _mll_levels(G, K, seed, n_eig, t, labeled, n_init, max_iter))
+    return _tree(np.arange(G.n), _medoid_hierarchy(
+        G, K, seed, labeled, _embedding_distance(seed), n_init))
 
 
-def _mll_levels(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
-                n_eig: int = 30, t: float = 1.0,
-                labeled: Optional[dict] = None, n_init: int = 1,
-                max_iter: int = 100) -> list[np.ndarray]:
-    """The level label vectors of mll_cluster, coarsest first."""
-    def embed_dist(cur):
-        coords = spectral_embedding(cur, n_eig, t, seed)
+def _embedding_distance(seed: int):
+    """mll's dist_of: Euclidean distances between a graph's diffusion
+    coordinates on up to 30 eigenvectors."""
+    def dist_of(cur):
+        coords = spectral_embedding(cur, 30, seed)
         diff = coords[:, None, :] - coords[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
 
-    return _medoid_hierarchy(G, K, seed, labeled, embed_dist, n_init,
-                             max_iter)
+    return dist_of
 
 
-def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
-                n_eig: int = 50, dt: float = 0.01, tol: float = 1e-3,
-                fidelity: float = 50.0, seed: int = 0,
-                max_iter: int = 500) -> np.ndarray:
+def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int],
+                n_classes: int) -> np.ndarray:
     """Semi-supervised partition by thresholded diffusion.
 
-    Class indicator rows diffuse in the span of the lowest n_eig
-    eigenvectors of the symmetric normalized Laplacian, with a fidelity
-    term of strength ``fidelity`` pinning labeled rows, and are
-    re-thresholded to the nearest class indicator after every step; the
-    iteration stops when the relative change of the thresholded state
-    drops below tol.  Unlabeled rows start at the simplex barycenter so
-    the labels alone drive the spread.  Returns the class index per
-    vertex.
+    Class indicator rows diffuse in the span of the lowest 50
+    eigenvectors of the symmetric normalized Laplacian, in time steps of
+    0.01 with a fidelity term of strength 50 pinning labeled rows, and
+    are re-thresholded to the nearest class indicator after every step;
+    the iteration stops after 500 steps, or once the relative change of
+    the thresholded state drops below 1e-3.  Unlabeled rows start at the
+    simplex barycenter so the labels alone drive the spread.  Returns
+    the class index per vertex.
     """
     if not labeled:
         raise ValueError("semi-supervised clustering needs labeled vertices")
@@ -538,7 +524,7 @@ def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
     for v, c in labeled.items():
         if not 0 <= int(c) < n_classes:
             raise ValueError(f"label class {c} outside 0..{n_classes - 1}")
-    n_eig = min(n_eig, n)
+    n_eig, dt = min(50, n), 0.01
     lap = np.eye(n) - _normalized_adjacency(G)[1].toarray()
     lam, U = np.linalg.eigh(lap)
     lam, U = lam[:n_eig], U[:, :n_eig]
@@ -553,8 +539,8 @@ def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
     u[mask == 1.0] = anchor[mask == 1.0]
 
     prev = u.copy()
-    for _ in range(max_iter):
-        force = fidelity * mask[:, None] * (u - anchor)
+    for _ in range(500):
+        force = 50.0 * mask[:, None] * (u - anchor)
         a = U.T @ u
         b = U.T @ force
         a = (a - dt * b) / (1.0 + dt * lam[:, None])
@@ -564,7 +550,7 @@ def mbo_cluster(G: UndirectedGraph, labeled: dict[int, int], n_classes: int,
         u[np.arange(n), idx] = 1.0
         change = float(((u - prev) ** 2).sum())
         scale = max(float((u ** 2).sum()), 1.0)
-        if change / scale < tol:
+        if change / scale < 1e-3:
             break
         prev = u.copy()
     return np.argmax(u, axis=1)
@@ -604,7 +590,7 @@ class _Component:
 
 def _cluster_component(comp: _Component, algo: str, seed: int,
                        labeled: Optional[dict],
-                       algo_params: dict) -> list[np.ndarray]:
+                       n_init: int) -> list[np.ndarray]:
     """Level label vectors of one component, coarsest first.
 
     The labeled vertices inside the component seed (nhc, mll) or anchor
@@ -615,25 +601,18 @@ def _cluster_component(comp: _Component, algo: str, seed: int,
     pos = {int(v): j for j, v in enumerate(comp.idx)}
     local = {pos[int(v)]: c for v, c in (labeled or {}).items()
              if int(v) in pos} or None
-    if algo == "nhc":
-        return _medoid_hierarchy(comp.S, comp.K, seed, local, comp.dist_of,
-                                 **algo_params)
-    if algo == "mll":
-        return _mll_levels(comp.S, comp.K, seed=seed, labeled=local,
-                           **algo_params)
+    if algo != "mbo":
+        dist_of = comp.dist_of if algo == "nhc" else _embedding_distance(seed)
+        return _medoid_hierarchy(comp.S, comp.K, seed, local, dist_of, n_init)
     if not local:
         return []
-    classes = sorted({_class_key(c) for c in local.values()})
+    classes = sorted(set(local.values()))
     K = tuple(k for k in comp.K if k < len(classes)) + (len(classes),)
     if not 2 <= K[-1] < len(comp.idx):
         return []
-    class_idx = {name: i for i, name in enumerate(classes)}
-    lab = {v: class_idx[_class_key(c)] for v, c in local.items()}
-    mbo_params = {p: algo_params[p] for p in
-                  ("n_eig", "dt", "tol", "fidelity", "max_iter")
-                  if p in algo_params}
-    assign = mbo_cluster(comp.S, lab, n_classes=K[-1], seed=seed,
-                         **mbo_params)
+    class_idx = {c: i for i, c in enumerate(classes)}
+    assign = mbo_cluster(comp.S, {v: class_idx[c] for v, c in local.items()},
+                         K[-1])
     # coarser levels: reciprocal lengths, one start, a fresh generator
     return _medoid_hierarchy(
         comp.S, K, seed, None, lambda cur: _path_distance(cur, "reciprocal"),
@@ -658,15 +637,17 @@ class TwinTreeBuilder:
     """
 
     def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
-                 algo: str = "nhc", **algo_params):
+                 algo: str = "nhc", edge_length: str = "reciprocal",
+                 n_init: int = 1):
         if algo not in _CLUSTER_ALGOS:
             raise ValueError(f"unknown clustering algorithm {algo!r}")
-        self.G = G
-        self.algo = algo
         # only nhc's graph distances use edge lengths (mll measures
         # diffusion distance, mbo's coarse levels are reciprocal)
-        edge_length = algo_params.pop("edge_length", "reciprocal")
-        self.algo_params = algo_params
+        if edge_length not in ("reciprocal", "raw"):
+            raise ValueError(f"unknown edge_length {edge_length!r}")
+        self.G = G
+        self.algo = algo
+        self.n_init = n_init
         K = tuple(int(k) for k in K)
         self.comps = weak_component_indices(G)
         self.sides: list[list[Optional[_Component]]] = [
@@ -690,7 +671,7 @@ class TwinTreeBuilder:
                 if comp is not None:
                     sub_seed = int(comp_seeds[2 * ci + side_index])
                     levels = _cluster_component(comp, self.algo, sub_seed,
-                                                labeled, self.algo_params)
+                                                labeled, self.n_init)
                 subtrees.append(_tree(idx, levels))
             trees.append(_graft_components(self.G, subtrees))
         return trees[0], trees[1]
@@ -698,7 +679,8 @@ class TwinTreeBuilder:
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
         seed: int = 0, labeled: Optional[dict] = None,
-        **algo_params) -> tuple[ClusterTree, ClusterTree]:
+        edge_length: str = "reciprocal", n_init: int = 1
+        ) -> tuple[ClusterTree, ClusterTree]:
     """Build the twin cluster trees of a digraph.
 
     Weak components become the root's children (unless there is exactly
@@ -710,7 +692,8 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
     TwinTreeBuilder preparation and one build; a caller building many
     seeds of one graph keeps the builder instead.
     """
-    return TwinTreeBuilder(G, K, algo, **algo_params).build(seed, labeled)
+    builder = TwinTreeBuilder(G, K, algo, edge_length, n_init)
+    return builder.build(seed, labeled)
 
 
 def _graft_components(G: WeightedDigraph,

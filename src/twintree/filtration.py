@@ -86,23 +86,22 @@ class Filtration(ClusterTree):
 def collapse_chains(tree: ClusterTree) -> ClusterTree:
     """Remove single-child chains so every internal node branches.
 
-    One walk from the root: each kept node skips down its single-child
-    chain (a level that repeats a cluster of the level above), keeps
-    the chain top's id and members, takes the chain bottom's children,
-    and gets its depth from the root as its level.
+    One preorder walk from the root, kept nodes in that order: each kept
+    node skips down its single-child chain (a level that repeats a
+    cluster of the level above), keeps the chain top's id and members,
+    takes the chain bottom's children, and gets its depth from the root
+    as its level.
     """
     nodes: dict[int, ClusterNode] = {}
-
-    def keep(nid: int, parent: Optional[int], level: int) -> None:
+    stack: list[tuple[int, Optional[int], int]] = [(tree.root, None, 0)]
+    while stack:
+        nid, parent, level = stack.pop()
         top = bottom = tree.nodes[nid]
         while len(bottom.children) == 1:
             bottom = tree.nodes[bottom.children[0]]
         nodes[nid] = ClusterNode(nid, level, parent, list(bottom.children),
                                  top.members, top.synthetic)
-        for c in bottom.children:
-            keep(c, nid, level + 1)
-
-    keep(tree.root, None, 0)
+        stack.extend((c, nid, level + 1) for c in reversed(bottom.children))
     return ClusterTree(nodes, tree.root)
 
 
@@ -156,17 +155,15 @@ def assign_weights(tree: ClusterTree, scheme: str = "uniform",
         raise ValueError(f"unknown weight scheme {scheme!r}")
 
     weights = dict(leaf_mass)
-
-    def fill(nid: int) -> Fraction:
-        node = tree.nodes[nid]
-        if not node.children:
-            return weights[nid]
-        total = sum(fill(c) for c in node.children)
-        weights[nid] = total
-        return total
-
-    total = fill(tree.root)
-    if total != 1:
+    internal, stack = [], [tree.root]
+    while stack:  # preorder, so children come after their parents
+        node = tree.nodes[stack.pop()]
+        if node.children:
+            internal.append(node)
+            stack.extend(node.children)
+    for node in reversed(internal):
+        weights[node.id] = sum(weights[c] for c in node.children)
+    if weights[tree.root] != 1:
         raise AssertionError("leaf masses do not sum to 1")
     return weights
 
@@ -184,17 +181,12 @@ def build_filtration(tree: ClusterTree, scheme: str = "uniform",
         weights = assign_weights(collapsed, scheme, graph)
     nodes = {nid: FiltrationNode(**vars(n), weight=Fraction(weights[nid]))
              for nid, n in collapsed.nodes.items()}
-
-    def place(nid: int, a: Fraction) -> None:
-        node = nodes[nid]
-        node.a = a
-        node.b = a + node.weight
-        pos = a
+    for node in nodes.values():  # preorder: a parent sets its children's a
+        node.b = node.a + node.weight
+        pos = node.a
         for c in node.children:
-            place(c, pos)
+            nodes[c].a = pos
             pos += nodes[c].weight
-
-    place(collapsed.root, Fraction(0))
     filt = Filtration(nodes, collapsed.root)
     filt.validate()
     return filt

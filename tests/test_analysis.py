@@ -112,7 +112,7 @@ def test_shell_index_values():
 
 
 def test_frequency_sets_sort_graded_lex():
-    fs = FrequencySet([(2, 0), (0, 0), (0, 1), (1, 1), (1, 0)], 3, 3)
+    fs = FrequencySet([(2, 0), (0, 0), (0, 1), (1, 1), (1, 0)])
     assert fs.omega == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
     assert (1, 1) in fs
     assert (5, 5) not in fs
@@ -417,7 +417,7 @@ def test_default_partition_is_crisp_and_valid(toy):
 
 
 def test_partition_validation_catches_bad_shapes():
-    fs = FrequencySet([(0, 0), (0, 1), (1, 1)], 2, 2)
+    fs = FrequencySet([(0, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError, match="constant index"):
         PartitionOfUnity([{(0, 0): 0.5}]).validate(fs)
     with pytest.raises(ValueError, match="above its band"):
@@ -643,7 +643,7 @@ def test_default_multiplier_covers_the_dilation(toy):
 
 
 def test_default_multiplier_must_be_positive_on_the_dilation():
-    fs = FrequencySet([(0, 0), (1, 2)], 2, 3)
+    fs = FrequencySet([(0, 0), (1, 2)])
     # shell 2 is the top of the index set, shell 3 that of its dilation
     order = -1100.0 / 3
     assert 2.0 ** (order * fs.max_shell()) > 0.0

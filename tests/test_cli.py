@@ -4,13 +4,17 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from twintree import cli
 from twintree.analysis import GridAnalysis
 from twintree.cli import build_parser, main
 from twintree.clustering import ClusterTree
 from twintree.digraph import WeightedDigraph
+
+from util import caterpillar
 
 
 ARTIFACTS = ["digraph.json", "tree_es.json", "tree_os.json", "trees.json",
@@ -636,3 +640,16 @@ def test_trees_must_cover_the_graph(gridded, tmp_path):
         (ws / name).write_text(json.dumps(tree))
     with pytest.raises(SystemExit, match="cover the graph's 25 vertices"):
         main(["grid", "--out", str(ws)])
+
+
+def test_grid_takes_trees_deeper_than_the_recursion_limit(tmp_path):
+    n = 1201
+    path = sparse.csr_array((np.ones(n - 1), (np.arange(n - 1),
+                                              np.arange(1, n))), shape=(n, n))
+    WeightedDigraph(path).save_json(tmp_path / "digraph.json")
+    for side in ("es", "os"):
+        caterpillar(n).save_json(tmp_path / f"tree_{side}.json")
+    assert main(["grid", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "grid.csv")
+    assert [(r["x0"], r["x1"]) for r in rows[:2]] == [
+        ("0/1", f"1/{n}"), (f"1/{n}", f"2/{n}")]

@@ -224,7 +224,7 @@ def test_coarse_grain_identity_and_errors():
 def test_embedding_matches_random_walk_oracle():
     rng = np.random.default_rng(9)
     G = symmetrize(random_digraph(rng, 15, density=0.5), "es")
-    coords = spectral_embedding(G, n_eig=6, t=1.0)
+    coords = spectral_embedding(G, n_eig=6)
     lam, ref = random_walk_embedding(G.to_dense(), 6, t=1.0)
     assert coords.shape == (15, 6)
     for j in range(6):
@@ -315,14 +315,14 @@ def test_labeled_seeding_controls_cluster_identity():
 def test_diffusion_classifier_respects_full_labels():
     _, S = planted_companion(7)
     labeled = {v: int(v >= 15) for v in range(30)}
-    assign = mbo_cluster(S, labeled, n_classes=2, seed=0)
+    assign = mbo_cluster(S, labeled, n_classes=2)
     assert np.array_equal(assign, np.array([0] * 15 + [1] * 15))
 
 
 def test_diffusion_classifier_spreads_sparse_labels():
     G, S = planted_companion(11)
     labeled = {0: 0, 1: 0, 15: 1, 16: 1}
-    assign = mbo_cluster(S, labeled, n_classes=2, seed=2)
+    assign = mbo_cluster(S, labeled, n_classes=2)
     truth = np.array([0] * 15 + [1] * 15)
     assert np.array_equal(assign, truth)
     ref = label_propagation(S.to_dense(), labeled, 2)
@@ -390,6 +390,24 @@ def test_twin_trees_reject_unknown_algo():
         twt(G, K=(2,), algo="zzz")
 
 
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_twin_trees_reject_unknown_parameters(algo):
+    G = synth_digraph("sparse", seed=0, n=12)
+    with pytest.raises(TypeError):
+        twt(G, K=(2,), algo=algo, fidelty=5.0)
+    for build in (TwinTreeBuilder, twt):  # at construction, for every algo
+        with pytest.raises(ValueError, match="edge_length"):
+            build(G, (2,), algo=algo, edge_length="bogus")
+
+
+def test_label_seeds_order_classes_by_value():
+    assert _label_seed_vertices({0: 10, 1: 2, 2: 1}) == [2, 1, 0]
+    assert _label_seed_vertices({v: 12 - v for v in range(13)}) == list(
+        range(12, -1, -1))
+    paths = {0: ("a", "b"), 1: ("a-",), 2: ("a",)}
+    assert _label_seed_vertices(paths) == [2, 0, 1]
+
+
 def _tree_bytes(tmp_path, trees) -> list[bytes]:
     out = []
     for tree in trees:
@@ -436,7 +454,7 @@ def test_prepared_builds_match_fresh_twt_calls(tmp_path, algo, params,
 
 
 def _embedding_distance(cur):
-    coords = spectral_embedding(cur, 30, 1.0, 0)
+    coords = spectral_embedding(cur, 30, 0)
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
@@ -455,7 +473,7 @@ def _hierarchy_cases():
     S3 = symmetrize(G3, "os")
     truth3 = {v: int(v >= 10) + int(v >= 22) for v in range(G3.n)}
     finest = mbo_cluster(S3, {v: truth3[v] for v in range(0, 36, 5)},
-                         n_classes=3, seed=1)
+                         n_classes=3)
     cases = {
         "nhc_reciprocal": (S, (2, 4, 8), 0, None,
                            lambda cur: _path_distance(cur, "reciprocal"), 1,
@@ -498,7 +516,7 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
         return coarse_grain(graph, partition)
 
     monkeypatch.setattr("twintree.clustering.coarse_grain", counted)
-    levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init, 100,
+    levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init,
                                finest=finest)
     # every level but the coarsest is coarse-grained onto, finest first
     assert calls == [max(lab) + 1 for lab in levels[:0:-1]]

@@ -9,7 +9,8 @@ from twintree.filtration import (assign_weights, build_filtration,
                                  collapse_chains, llo_enumerate)
 
 from oracles import collapse_chains_fixpoint, llo_by_depth_scan
-from util import random_filtration, random_nested_partitions, random_tree
+from util import (caterpillar, random_filtration, random_nested_partitions,
+                  random_tree)
 
 
 def small_tree():
@@ -99,6 +100,20 @@ def test_filtration_tiles_the_unit_interval():
         for left, right in zip(leaves, leaves[1:]):
             assert left.b == right.a
         assert sum((lf.b - lf.a for lf in leaves), Fraction(0)) == 1
+
+
+def test_filtrations_deeper_than_the_recursion_limit():
+    n = 1201  # 1200 levels, past the default recursion limit of 1000
+    tree = caterpillar(n)
+    flat = collapse_chains(tree)
+    # preorder: internal node d, then its leaf, then the rest
+    assert list(flat.nodes) == [x for d in range(n - 1)
+                                for x in (d, n - 1 + d)] + [2 * n - 2]
+    assert assign_weights(tree)[0] == 1
+    filt = build_filtration(tree, "uniform")
+    assert filt.depth() == n - 1
+    for d in range(n):
+        assert filt.leaf_interval(d) == (Fraction(d, n), Fraction(d + 1, n))
 
 
 def test_filtration_weights_are_exact():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from twintree.clustering import ClusterTree, tree_from_partitions
+from twintree.clustering import (ClusterNode, ClusterTree,
+                                 tree_from_partitions)
 from twintree.digraph import WeightedDigraph
 from twintree.filtration import Filtration, build_filtration
 
@@ -44,6 +45,22 @@ def random_tree(rng: np.random.Generator, n: int,
                 sizes: list[int]) -> ClusterTree:
     return tree_from_partitions(
         range(n), random_nested_partitions(rng, n, sizes))
+
+
+def caterpillar(n: int) -> ClusterTree:
+    """A tree n - 1 levels deep on range(n): the internal node d, at depth
+    d, holds d..n-1, and its children are [leaf d, the rest]; vertex v's
+    leaf is node n - 1 + v."""
+    nodes = {}
+    for d in range(n - 1):
+        rest = d + 1 if d < n - 2 else 2 * n - 2
+        nodes[d] = ClusterNode(d, d, d - 1 if d else None,
+                               [n - 1 + d, rest], frozenset(range(d, n)))
+        nodes[n - 1 + d] = ClusterNode(n - 1 + d, d + 1, d,
+                                       members=frozenset([d]))
+    nodes[2 * n - 2] = ClusterNode(2 * n - 2, n - 1, n - 2,
+                                   members=frozenset([n - 1]))
+    return ClusterTree(nodes)
 
 
 def random_filtration(rng: np.random.Generator, n_leaves: int,

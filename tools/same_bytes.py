@@ -6,7 +6,7 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides eight synthesized graphs, the corpus ingests five edge lists
+Besides ten synthesized graphs, the corpus ingests five edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph and four degenerate ones (fragmented, out-star,
 self-loops, heavy-tailed weights).  Run it once per checkout; then
@@ -36,10 +36,13 @@ SYNTH = {
                                     "idealized"],
     "planted_base3": PLANTED + ["--partition-base", "3", "--order", "2.5"],
     "planted_mll": PLANTED + ["--algo", "mll"],
+    "planted_mll_labeled": PLANTED + ["--algo", "mll", "--labeled",
+                                      "--n-init", "3"],
     "planted_mbo": PLANTED + ["--param", "sizes=[20,20,20]", "--algo", "mbo",
                               "--labeled", "--levels", "2",
                               "--edge-length", "raw"],
     "planted_train": PLANTED + ["--train-pct", "20", "--labeled"],
+    "planted_raw_n_init": PLANTED + ["--edge-length", "raw", "--n-init", "2"],
     "sparse_volume": ["--kind", "sparse", "--param", "n=40", "--scheme",
                       "volume"],
 }
