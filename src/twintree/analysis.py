@@ -177,6 +177,9 @@ def compute_omega(v1, v2) -> FrequencySet:
 # Relative residual norm below which a row counts as dependent.
 DROP_TOL = 1e-9
 
+# Rows per block wherever the engine streams over its |Omega| rows.
+CHUNK = 1024
+
 
 def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
                         ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -396,6 +399,25 @@ class GridAnalysis:
     span R^N; so do idealized mode's raw rows, which include them.  The
     build raises AssertionError, naming both counts, if the float rank
     scan ever keeps fewer.
+
+    Exact mode answers E_n without an LP on a *cell shell*.  An axis
+    class at level n is a sign pattern of the prefix {psi_k : k <
+    base**n} on the grid points (each psi_k, k > 0, takes one positive
+    value, one negative value and 0, so its signs decide its values); a
+    cell is the set of grid points that share their classes on both
+    axes.  Shell n is a cell shell when, in integers,
+      - the kept rows of shell <= n are the first d kept rows.
+        Gram-Schmidt keeps the span of every prefix, so those rows span
+        the same space as d raw products with k1, k2 < base**n, and each
+        such product is constant on cells;
+      - d equals the number of occupied cells, the dimension of the
+        functions constant on cells.
+    The degree-n span is then exactly that space, and E_n(f) is the
+    largest cellwise (max f - min f) / 2; it, and what is derived from
+    it (the degree error, its ratio and the smoothness sequences), may
+    differ from the LP's value in the last bits.  Each shell is decided
+    on first use and kept, so the build does no extra work.  Idealized
+    mode keeps the LP: its row count is not its span's dimension.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
@@ -420,8 +442,8 @@ class GridAnalysis:
         self.freqs = compute_omega(self._v1, self._v2)
         k1, k2 = self.freqs.k1, self.freqs.k2
         self._raw = raw = self._v1[k1]
-        for s in range(0, len(k1), 1024):  # no second |Omega| x N temporary
-            raw[s:s + 1024] *= self._v2[k2[s:s + 1024]]
+        for s in range(0, len(k1), CHUNK):  # no second |Omega| x N temporary
+            raw[s:s + CHUNK] *= self._v2[k2[s:s + CHUNK]]
         if mode == "exact":
             self._rows, kept, dropped = gram_orthonormalize(raw, self.nu)
             if len(kept) < len(grid):
@@ -436,6 +458,7 @@ class GridAnalysis:
         self._index = {k: i for i, k in enumerate(self.active)}
         self.omega_shell = shell_array(k1, k2, self.base)
         self._shell = self.omega_shell[kept]
+        self._cell_memo: dict[int, Optional[np.ndarray]] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -455,9 +478,18 @@ class GridAnalysis:
         return int(self._shell.max())
 
     def orthogonality_defect(self) -> float:
-        """Max deviation of the working system's Gram matrix from I."""
-        G = (self._rows * self.nu) @ self._rows.T
-        return float(np.max(np.abs(G - np.eye(len(G)))))
+        """Max deviation of the working system's Gram matrix from I.
+
+        The Gram matrix is formed CHUNK rows at a time, so idealized
+        mode's |Omega| rows never need an |Omega| x |Omega| matrix.
+        """
+        rows, defect = self._rows, 0.0
+        for s in range(0, len(rows), CHUNK):
+            G = (rows[s:s + CHUNK] * self.nu) @ rows.T
+            G[np.arange(len(G)), np.arange(s, s + len(G))] -= 1.0
+            defect = max(defect, float(G.max()), -float(G.min()))
+            del G  # one block alive at a time
+        return defect
 
     # -- norms ------------------------------------------------------------
 
@@ -529,23 +561,72 @@ class GridAnalysis:
         """Active indices reached by the head H_n."""
         return [k for k, j in zip(self.active, self._shell.tolist()) if j <= n]
 
+    def _finite(self, fvals: np.ndarray) -> np.ndarray:
+        """One finite float per grid point, else a ValueError naming the
+        first grid point whose value is not finite."""
+        fvals = np.asarray(fvals, dtype=float)
+        if fvals.shape != (len(self.grid),):
+            raise ValueError("need one value per grid point")
+        bad = np.flatnonzero(~np.isfinite(fvals))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"signal value {fvals[i]} at grid point {i} "
+                             f"(vertex {self.grid.points[i].vertex}) is "
+                             "not finite")
+        return fvals
+
+    def _cells(self, n: int) -> Optional[np.ndarray]:
+        """Cell index per grid point if shell n is a cell shell, else None.
+
+        Decided on the first call for each shell and kept.  See the class
+        docstring for the two integer tests.
+        """
+        if n not in self._cell_memo:
+            span = self._shell <= n
+            d = int(span.sum())
+            cells = None
+            if self.mode == "exact" and span[:d].all():
+                top = self.base ** n
+                axes = [np.unique(np.sign(v[:top]), axis=1,
+                                  return_inverse=True)[1].reshape(-1)
+                        for v in (self._v1, self._v2)]
+                occupied, labels = np.unique(np.stack(axes), axis=1,
+                                             return_inverse=True)
+                if occupied.shape[1] == d:
+                    cells = labels.reshape(-1)
+            self._cell_memo[n] = cells
+        return self._cell_memo[n]
+
     def best_uniform_approx(self, fvals: np.ndarray, n: int
                             ) -> tuple[float, np.ndarray]:
-        """Sup-norm distance to the degree-n span, by linear program.
+        """Sup-norm distance to the degree-n span.
 
         Returns (distance, best approximant's grid values).  The top
         shell's span needs no LP in either mode: it holds every row, and
         those span R^N (see the class docstring), so f itself is the
-        best approximant, at distance exactly 0.
+        best approximant, at distance exactly 0.  In exact mode a cell
+        shell (class docstring) needs none either: its span is the
+        functions constant on cells, so the distance is the largest
+        cellwise (max f - min f) / 2 and the cellwise midrange is a best
+        approximant (Chebyshev).  That value may differ from the LP's in
+        the last bits.  Every other shell, and every shell below the top
+        in idealized mode, solves the minimax LP.  A non-finite value of
+        f is a ValueError naming its grid point.
         """
-        fvals = np.asarray(fvals, dtype=float)
-        if fvals.shape != (len(self.grid),):
-            raise ValueError("need one value per grid point")
+        fvals = self._finite(fvals)
         span = self._shell <= n
         if not span.any():
             return self.sup_norm(fvals), np.zeros(len(self.grid))
         if n >= self.max_shell():
             return 0.0, fvals.copy()
+        cells = self._cells(n)
+        if cells is not None:
+            hi = np.full(int(span.sum()), -np.inf)
+            lo = np.full(len(hi), np.inf)
+            np.maximum.at(hi, cells, fvals)
+            np.minimum.at(lo, cells, fvals)
+            half = (hi - lo) / 2
+            return float(half.max()), (lo + half)[cells]
         A = self._rows[span].T
         npts, ncols = A.shape
         A_ub = np.block([[A, -np.ones((npts, 1))],
@@ -605,10 +686,14 @@ class GridAnalysis:
         Every sequence is measured in the sup norm, which the report
         records as rho = inf.  The degree spans are nested and E_n >= 0,
         so once one shell's degree error is exactly 0 every later one is
-        0 as well and gets no LP (nor does the full-span top shell, see
-        best_uniform_approx).
+        0 as well and gets no LP (nor does the full-span top shell, nor,
+        in exact mode, a cell shell: see best_uniform_approx and the
+        class docstring).  On cell shells the degree error, and the
+        exponent fitted from it, may differ from the LP's in the last
+        bits.  A non-finite value of f is a ValueError naming its grid
+        point.
         """
-        fvals = np.asarray(fvals, dtype=float)
+        fvals = self._finite(fvals)
         mu = default_multiplier(self.freqs, order, self.base)
         coef = self._coef(fvals)
         terms = self._graded_terms(fvals, coef, mu)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
+from twintree.analysis import axis_value_matrix
 from twintree.clustering import (ClusterNode, ClusterTree, coarse_grain,
                                  medoid_partition)
 
@@ -386,6 +387,63 @@ def lp_degree_errors(engine, f) -> list[float]:
         assert res.success, res.message
         out.append(float(res.fun))
     return out
+
+
+def exact_cells(engine, n: int) -> list[tuple]:
+    """Cell of each grid point at shell n, from exact values.
+
+    A point's class on an axis is the tuple of its exact values of
+    psi_k, k < base**n, read from the Fraction columns of
+    ``axis_value_matrix``; its cell is the pair of its two classes.
+    """
+    top = engine.base ** n
+    tables = [axis_value_matrix(b, engine.grid)[:top]
+              for b in (engine.basis_es, engine.basis_os)]
+    return [tuple(tuple(row[i] for row in t) for t in tables)
+            for i in range(len(engine.grid))]
+
+
+def cell_midrange_errors(engine, f) -> list[float]:
+    """Largest cellwise (max f - min f) / 2 at every shell 0..max_shell.
+
+    Cells come from ``exact_cells``; the extremes and their half
+    difference are Fractions of the float signal, rounded to float once.
+    On a shell whose degree span is the space of functions constant on
+    cells this is E_n(f) (the best constant on a finite set is its
+    midrange); on a span inside that space it is a lower bound, and on
+    any other span it bounds nothing.
+    """
+    vals = [Fraction(float(x)) for x in f]
+    out = []
+    for n in range(engine.max_shell() + 1):
+        extremes: dict[tuple, tuple[Fraction, Fraction]] = {}
+        for cell, x in zip(exact_cells(engine, n), vals):
+            lo, hi = extremes.get(cell, (x, x))
+            extremes[cell] = (min(lo, x), max(hi, x))
+        out.append(float(max((hi - lo) / 2 for lo, hi in extremes.values())))
+    return out
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals, by Fraction row reduction.
+
+    Repeated columns are merged first and the scan stops at full column
+    rank; neither changes the rank.
+    """
+    cols = list(dict.fromkeys(zip(*rows)))
+    pivots: dict[int, list[Fraction]] = {}  # column -> row with 1 there
+    for row in zip(*cols):
+        if len(pivots) == len(cols):
+            break
+        r = [Fraction(a) for a in row]
+        for col, piv in pivots.items():
+            if r[col]:
+                c = r[col]
+                r = [a - c * b for a, b in zip(r, piv)]
+        lead = next((i for i, a in enumerate(r) if a), None)
+        if lead is not None:
+            pivots[lead] = [a / r[lead] for a in r]
+    return len(pivots)
 
 
 def collapse_chains_fixpoint(tree) -> ClusterTree:

@@ -18,7 +18,8 @@ from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import (dict_filtered_synthesis, exact_greedy_rank,
+from oracles import (cell_midrange_errors, dict_filtered_synthesis,
+                     exact_cells, exact_greedy_rank, exact_rank,
                      full_scan_gram, lp_degree_errors, minimax_distance,
                      shell_loop, variation_2d_brute)
 from util import random_filtration
@@ -339,6 +340,33 @@ def test_idealized_mode_reports_its_defect():
     assert an.orthogonality_defect() > 1e-6  # genuinely non-orthonormal
     with pytest.raises(ValueError, match="mode"):
         make_analysis(mode="sloppy")
+
+
+@pytest.mark.parametrize("chunk", [7, analysis.CHUNK])
+@pytest.mark.parametrize("case", ["toy", "toy_idealized", "planted_volume",
+                                  "planted_idealized"])
+def test_orthogonality_defect_streams_the_full_gram(case, chunk,
+                                                    monkeypatch):
+    an, _ = oracle_engine(case)
+    G = (an._rows * an.nu) @ an._rows.T
+    full = float(np.max(np.abs(G - np.eye(len(G)))))
+    monkeypatch.setattr(analysis, "CHUNK", chunk)
+    assert an.orthogonality_defect() == full
+
+
+@pytest.mark.parametrize("mode", ["exact", "idealized"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_signals_are_rejected_naming_the_point(mode, bad):
+    an = make_analysis(mode=mode)
+    f = np.arange(len(an), dtype=float)
+    f[[7, 11]] = bad, math.nan
+    vertex = an.grid.points[7].vertex
+    where = rf"at grid point 7 \(vertex {vertex}\) is not finite"
+    for n in range(-1, an.max_shell() + 1):
+        with pytest.raises(ValueError, match=where):
+            an.best_uniform_approx(f, n)
+    with pytest.raises(ValueError, match=where):
+        an.smoothness_profile(f)
 
 
 def test_constant_function_has_single_coefficient(toy):
@@ -864,30 +892,88 @@ def test_graded_methods_use_no_per_key_lookups(toy, monkeypatch):
 # -- degree errors against the minimax LP at every shell ----------------------------
 
 
+def cell_shells(an) -> list[int]:
+    """The shells below the top that the engine answers without an LP."""
+    return [n for n in range(an.max_shell()) if an._cells(n) is not None]
+
+
 @pytest.mark.parametrize("case", ["toy", "toy_base3", "planted_volume",
                                   "planted_base3", "planted_idealized"])
 def test_degree_errors_equal_the_lp_oracle_at_every_shell(case):
     an, G = oracle_engine(case)
     top = an.max_shell()
+    closed = cell_shells(an)
+    # shell 0 spans the constants, one cell; idealized mode keeps its LPs
+    assert closed[:1] == ([] if case.endswith("idealized") else [0])
     signals = {"outdeg": vertex_signal(G, "outdeg"),
                "noise": np.random.default_rng(list(case.encode()))
                .standard_normal(len(an))}
     if G.labels:
         signals["label"] = vertex_signal(G, "label")
     for name, f in signals.items():
-        want = lp_degree_errors(an, f)
+        lp = lp_degree_errors(an, f)
+        midrange = cell_midrange_errors(an, f)
+        want = [midrange[n] if n in closed else lp[n] for n in range(top + 1)]
         got = an.smoothness_profile(f).sequences["degree_error"]
         # bit for bit, the sign of a zero included
         assert [x.hex() for x in got] == [x.hex() for x in want], name
         assert an.best_uniform_approx(f, top)[0] == want[-1] == 0.0
+        for n in closed:
+            # the closed form is the LP's value up to roundoff
+            assert abs(midrange[n] - lp[n]) <= 1e-12 * abs(lp[n]), (name, n)
     if G.labels:
         # the label signal reaches an exact zero below the top shell
         assert want.index(0.0) < top
 
 
-@pytest.mark.parametrize("case", ["planted_volume", "planted_idealized"])
-def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, monkeypatch):
-    an, G = oracle_engine(case)
+def soundness_engine(case):
+    """An exact engine of the oracle corpus or of the degenerate one."""
+    if case in ("toy", "toy_base3", "planted_volume", "planted_base3"):
+        return oracle_engine(case)[0]
+    name, scheme = case.rsplit("_", 1)
+    G, kw = degenerate_graph(name)
+    es, os_ = twt(G, K=(2, 6), seed=7, **kw)
+    fes = build_filtration(es, scheme, G)
+    fos = build_filtration(os_, scheme, G)
+    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+
+
+@pytest.mark.parametrize("case", ["toy", "toy_base3", "planted_volume",
+                                  "planted_base3"]
+                         + [f"{c}_{s}" for c in ("one_vertex", "two_vertices",
+                                                 "fragmented_sparse",
+                                                 "out_star",
+                                                 "lognormal_weights",
+                                                 "mll_planted")
+                            for s in ("uniform", "volume")])
+def test_cell_shells_span_exactly_the_cell_space(case):
+    an = soundness_engine(case)
+    v1, v2 = (axis_value_matrix(b, an.grid)
+              for b in (an.basis_es, an.basis_os))
+    for n in cell_shells(an):
+        cells = an._cells(n)
+        exact = exact_cells(an, n)
+        # the engine's sign classes are the exact cells
+        assert (len(set(zip(cells.tolist(), exact))) == len(set(exact))
+                == len(set(cells.tolist())))
+        top = an.base ** n
+        pairs = sorted(((a, b) for a in range(min(top, len(v1)))
+                        for b in range(min(top, len(v2)))),
+                       key=graded_lex_key)
+        products = [[a * b for a, b in zip(v1[k1], v2[k2])]
+                    for k1, k2 in pairs]
+        span = an.degree_span(n)
+        assert exact_rank(products) == len(set(exact)) == len(span)
+        for k in span:
+            row = an.row(k)
+            for c in range(len(span)):
+                on_cell = row[cells == c]
+                assert np.ptp(on_cell) <= 1e-12 * max(1.0, an.sup_norm(row))
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per minimax LP the engine solves."""
     calls = []
 
     def counted(*args, _real=analysis.linprog, **kw):
@@ -895,18 +981,39 @@ def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, monkeypatch):
         return _real(*args, **kw)
 
     monkeypatch.setattr(analysis, "linprog", counted)
+    return calls
+
+
+def test_a_shell_whose_count_matches_but_not_its_prefix_keeps_its_lp(
+        lp_calls):
+    an, G = oracle_engine("toy")
+    # (0, 2), shell 2, is kept before (1, 1), shell 1
+    assert an.active[3:5] == [(0, 2), (1, 1)]
+    assert len(set(exact_cells(an, 1))) == len(an.degree_span(1)) == 4
+    assert an._cells(1) is None
+    f = vertex_signal(G, "outdeg")
+    assert an.best_uniform_approx(f, 1)[0] == lp_degree_errors(an, f)[1]
+    assert len(lp_calls) == 1
+
+
+@pytest.mark.parametrize("case", ["planted_volume", "planted_idealized"])
+def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, lp_calls):
+    an, G = oracle_engine(case)
     top = an.max_shell()
+    open_shells = [n for n in range(top) if n not in cell_shells(an)]
+    if case.endswith("idealized"):
+        assert open_shells == list(range(top))
     noise = np.random.default_rng(89).standard_normal(len(an))
     generic = an.smoothness_profile(noise).sequences["degree_error"]
     assert 0.0 not in generic[:-1]
-    # one LP per shell, but for the full-span top shell
-    assert len(calls) == top
-    calls.clear()
+    # one LP per shell but the full-span top shell and the cell shells
+    assert len(lp_calls) == len(open_shells)
+    lp_calls.clear()
     degree = an.smoothness_profile(vertex_signal(G, "label")).sequences[
         "degree_error"]
     first = degree.index(0.0)
     assert first < top and degree[first:] == [0.0] * (top + 1 - first)
-    assert len(calls) == first + 1
-    calls.clear()
+    assert len(lp_calls) == len([n for n in open_shells if n <= first])
+    lp_calls.clear()
     assert an.best_uniform_approx(noise, top)[0] == generic[-1]
-    assert len(calls) == 0
+    assert len(lp_calls) == 0
