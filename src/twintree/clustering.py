@@ -189,43 +189,56 @@ def tree_from_partitions(vertices: Sequence[int],
 
     ``partitions[l-1]`` is the partition at level l (l = 1..L), coarsest
     first; each must refine the previous.  Leaves (single vertices) are
-    appended below the finest partition, ordered by vertex id.
+    appended below the finest partition, ordered by vertex id.  A
+    parent's children follow the order of their parts in the level.
     """
-    vertices = sorted(vertices)
-    levels: list[list[frozenset[int]]] = [
-        [frozenset(p) for p in level] for level in partitions]
-    levels.append([frozenset([v]) for v in vertices])
-
-    nodes: dict[int, ClusterNode] = {}
-    root = ClusterNode(id=0, level=0, parent=None,
-                       members=frozenset(vertices))
-    nodes[0] = root
-    next_id = 1
-    prev_nodes = [root]
-    for depth, groups in enumerate(levels, start=1):
-        union: set[int] = set()
-        for g in groups:
-            union |= g
-        if union != set(vertices):
+    idx = np.array(sorted(vertices), dtype=np.intp)
+    pos = {v: i for i, v in enumerate(idx.tolist())}
+    levels = []
+    for depth, groups in enumerate(partitions, start=1):
+        parts = [frozenset(g) for g in groups]
+        if set().union(*parts) != pos.keys():
             raise ValueError(f"level {depth} does not cover the vertex set")
-        this_level: list[ClusterNode] = []
-        for parent in prev_nodes:
-            for g in groups:
-                if not g <= parent.members:
-                    if g & parent.members:
-                        raise ValueError(
-                            f"level {depth} does not nest in level {depth-1}")
-                    continue
-                node = ClusterNode(id=next_id, level=depth,
-                                   parent=parent.id, members=g)
-                next_id += 1
-                parent.children.append(node.id)
-                nodes[node.id] = node
-                this_level.append(node)
-        prev_nodes = this_level
-    tree = ClusterTree(nodes)
-    tree.validate()
-    return tree
+        if not all(parts) or sum(map(len, parts)) != len(pos):
+            raise ValueError(f"level {depth} has empty or overlapping parts")
+        lab = np.empty(idx.size, dtype=np.intp)
+        for j, part in enumerate(parts):
+            lab[[pos[v] for v in part]] = j
+        levels.append(lab)
+    return _tree(idx, levels)
+
+
+def _tree(idx: np.ndarray, levels: Sequence[np.ndarray]) -> ClusterTree:
+    """ClusterTree on the ascending vertex ids idx; levels[l][i] is
+    idx[i]'s cluster at level l + 1 (labels 0, 1, ...; each level nested
+    in the last).
+
+    Below the root (node 0, holding every vertex), each level's nodes
+    are its distinct (parent node, label) pairs in lexicographic order,
+    numbered on from the level above; a last level of single-vertex
+    leaves, ordered by vertex id, ends every branch.  So a parent's
+    children come in label order, and a label that meets two parents
+    breaks the nesting.
+    """
+    nodes = {0: ClusterNode(id=0, level=0, parent=None,
+                            members=frozenset(idx.tolist()))}
+    above = np.zeros(idx.size, dtype=np.intp)  # node one level up
+    for depth, lab in enumerate([*levels, np.arange(idx.size)], start=1):
+        width = int(lab.max()) + 1 if lab.size else 1
+        pairs, node_of = np.unique(above * width + lab, return_inverse=True)
+        parents, labs = np.divmod(pairs, width)
+        if np.unique(labs).size < labs.size:
+            raise ValueError(f"level {depth} does not nest in level {depth-1}")
+        first = len(nodes)
+        flat = idx[np.argsort(node_of, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(node_of)).tolist()
+        for nid, parent, lo, hi in zip(range(first, first + len(ends)),
+                                       parents.tolist(), [0, *ends], ends):
+            nodes[nid] = ClusterNode(nid, depth, parent, [],
+                                     frozenset(flat[lo:hi]))
+            nodes[parent].children.append(nid)
+        above = node_of + first
+    return ClusterTree(nodes)
 
 
 # -- level specifications ---------------------------------------------------
@@ -322,7 +335,8 @@ def medoid_partition(dist: np.ndarray, k: int, rng: np.random.Generator,
 def _parts(labels: np.ndarray) -> list[np.ndarray]:
     """Ascending vertex ids of each label 0, 1, ..., max(labels)."""
     by_label = np.argsort(labels, kind="stable")
-    return np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [by_label[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def _medoid_hierarchy(G, K: Sequence[int], seed: int,
@@ -357,14 +371,6 @@ def _medoid_hierarchy(G, K: Sequence[int], seed: int,
         labels = assign[labels]
         levels.append(labels)
     return levels[::-1]
-
-
-def _tree(idx: np.ndarray, levels: Sequence[np.ndarray]) -> ClusterTree:
-    """ClusterTree on vertex ids idx; levels[l][i] is idx[i]'s cluster
-    at level l + 1."""
-    return tree_from_partitions(
-        idx.tolist(), [[frozenset(idx[part].tolist()) for part in _parts(lab)]
-                       for lab in levels])
 
 
 # -- clusterers -------------------------------------------------------------
@@ -703,7 +709,7 @@ def _graft_components(G: WeightedDigraph,
     A single component's tree is the whole tree.  Otherwise component
     trees follow one another, each with its node ids shifted past those
     before it; this needs each numbered 0, 1, ... from its root, as
-    tree_from_partitions numbers them.
+    _tree numbers them.
     """
     if len(subtrees) == 1:
         return subtrees[0]

@@ -4,37 +4,39 @@ All scores accept a partition as a list of disjoint vertex sets
 covering 0..n-1.  Modularity follows the directed convention (out-
 degrees against in-degrees, total edge weight as the normalizer), so
 it applies unchanged to both digraphs and their symmetrizations.
+
+Scores are computed on label vectors (a cluster index per vertex).
+One kernel scores any number of them at once: each cluster's internal
+weight is summed over its edges in CSR order and its out- and
+in-weights over its vertices in vertex order, each sum running from
+0.0, and the clusters are added up in label order.  The seeded-trial
+protocol scores the twin trees' common refinement level by level, and
+``random_coloring_baseline`` scores its colorings in blocks.  On
+integer weights every sum is exact; on other weights a score can
+differ in the last bits from one summed in another order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterTree
+from .clustering import ClusterTree, _parts
 from .digraph import WeightedDigraph, label_index
 
 
 Partition = list[frozenset]
 
+# random_coloring_baseline scores at most this many (coloring, stored
+# edge) pairs at once, which bounds its transient arrays.
+BLOCK_ENTRIES = 1 << 16
+
 
 def check_partition(partition: Sequence, n: int) -> Partition:
     """Validate a disjoint cover of range(n); returns frozensets."""
-    seen: set[int] = set()
-    out: Partition = []
-    for part in partition:
-        fs = frozenset(int(v) for v in part)
-        if not fs:
-            raise ValueError("empty cluster in partition")
-        if fs & seen:
-            raise ValueError("overlapping clusters in partition")
-        seen |= fs
-        out.append(fs)
-    if seen != set(range(n)):
-        raise ValueError("partition does not cover the vertex set")
-    return out
+    labels, _ = _partition_labels(partition, n)
+    return [frozenset(part.tolist()) for part in _parts(labels)]
 
 
 def partition_from_labels(labels: Sequence[int]) -> Partition:
@@ -45,19 +47,40 @@ def partition_from_labels(labels: Sequence[int]) -> Partition:
     return [frozenset(groups[k]) for k in sorted(groups)]
 
 
+def _partition_labels(partition: Sequence, n: int) -> tuple[np.ndarray, int]:
+    """(label vector, part count) of a disjoint cover of range(n): part j's
+    vertices get label j.  A vertex repeated inside one part counts once;
+    an empty part, a vertex in two parts, or a vertex outside range(n) or
+    missing from every part is an error."""
+    ids = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
+           else np.fromiter(p, dtype=np.intp) for p in partition]
+    sizes = [p.size for p in ids]
+    if 0 in sizes:
+        raise ValueError("empty cluster in partition")
+    ids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError("partition does not cover the vertex set")
+    part_of = np.repeat(np.arange(len(sizes)), sizes)
+    labels = np.full(n, -1, dtype=np.intp)
+    labels[ids] = part_of
+    if np.any(labels[ids] != part_of):
+        raise ValueError("overlapping clusters in partition")
+    if np.any(labels < 0):
+        raise ValueError("partition does not cover the vertex set")
+    return labels, len(sizes)
+
+
 def modularity(G: WeightedDigraph, partition: Sequence) -> float:
     """Directed weighted modularity of a partition.
 
     (1/m) * sum over clusters of [ internal weight
         - (out-weight of cluster) * (in-weight of cluster) / m ].
     A graph with no edges has no modularity; a single cluster scores 0.
-    One pass over the edges scores every cluster (see _label_modularity).
+    Clusters are added in partition order (see _modularity_scores).
     """
-    parts = check_partition(partition, G.n)
-    labels = np.empty(G.n, dtype=np.intp)
-    for j, part in enumerate(parts):
-        labels[np.fromiter(part, dtype=np.intp)] = j
-    return _label_modularity(G, labels, len(parts), _degree_totals(G))
+    labels, n_parts = _partition_labels(partition, G.n)
+    return float(_modularity_scores(G, labels[None, :], n_parts,
+                                    _degree_totals(G))[0])
 
 
 def _degree_totals(G: WeightedDigraph
@@ -70,34 +93,31 @@ def _degree_totals(G: WeightedDigraph
     return m, G.out_degrees(), G.in_degrees()
 
 
-def _label_modularity(G: WeightedDigraph, labels: np.ndarray,
-                      n_parts: int, totals) -> float:
-    """Modularity of the partition {v : labels[v] == j}, j = 0..n_parts-1,
-    given G's ``_degree_totals``.
+def _modularity_scores(G: WeightedDigraph, labels: np.ndarray,
+                       n_parts: int, totals) -> np.ndarray:
+    """Modularity of each row t of labels (trials x n), the partition
+    {v : labels[t, v] == j}, j = 0..n_parts-1, given G's ``_degree_totals``.
 
-    Empty labels are skipped.  The internal edges are grouped by label
-    with a stable sort, so each cluster's weights are summed in CSR
-    order, the order of its submatrix's stored entries; clusters are
-    added up in label order.
+    Cluster j of row t is bin t*n_parts + j.  Weighted bincounts sum each
+    bin's internal edge weights in CSR order and its out- and in-degrees
+    in vertex order, each from 0.0; a cumulative sum then adds each row's
+    cluster terms in label order.  An empty cluster's term is exactly
+    0.0, so it adds nothing.
     """
     m, k_out, k_in = totals
     W = G.weights
-    row_label = np.repeat(labels, np.diff(W.indptr))
-    inside = row_label == labels[W.indices]
-    edge_label = row_label[inside]
-    by_label = np.argsort(edge_label, kind="stable")
-    internal = W.data[inside][by_label]
-    edge_bounds = np.searchsorted(edge_label[by_label], np.arange(n_parts + 1))
-    members = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[members], np.arange(n_parts + 1))
-    score = 0.0
-    for j in range(n_parts):
-        idx = members[bounds[j]:bounds[j + 1]]
-        if idx.size == 0:
-            continue
-        inner = float(internal[edge_bounds[j]:edge_bounds[j + 1]].sum())
-        score += inner - float(k_out[idx].sum()) * float(k_in[idx].sum()) / m
-    return score / m
+    trials, n = labels.shape
+    n_bins = trials * n_parts
+    bins = labels + n_parts * np.arange(trials)[:, None]
+    tail = bins[:, np.repeat(np.arange(n), np.diff(W.indptr))]
+    inside = tail == bins[:, W.indices]
+    inner = np.bincount(tail[inside],
+                        np.broadcast_to(W.data, tail.shape)[inside], n_bins)
+    flat = bins.ravel()
+    out_w = np.bincount(flat, np.tile(k_out, trials), n_bins)
+    in_w = np.bincount(flat, np.tile(k_in, trials), n_bins)
+    terms = (inner - out_w * in_w / m).reshape(trials, n_parts)
+    return np.cumsum(terms, axis=1)[:, -1] / m
 
 
 def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
@@ -107,15 +127,20 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
 
     Colorings that miss a color are kept (their occupied classes form
     the partition, in color order); the std is the population standard
-    deviation.  Each coloring is scored straight from its color vector,
-    against degree totals computed once per call.
+    deviation.  Each coloring is one ``rng.integers`` draw; the
+    colorings are scored in blocks of at most BLOCK_ENTRIES
+    (coloring, stored edge) pairs, against degree totals computed once
+    per call.  Each coloring's sums stay in its own bins, so the block
+    size does not change a score.
     """
     rng = np.random.default_rng(seed)
     totals = _degree_totals(G)
-    samples = []
-    for _ in range(trials):
-        colors = rng.integers(0, n_colors, size=G.n)
-        samples.append(_label_modularity(G, colors, n_colors, totals))
+    block = max(1, BLOCK_ENTRIES // G.weights.nnz)
+    samples: list[float] = []
+    for start in range(0, trials, block):
+        colors = np.array([rng.integers(0, n_colors, size=G.n)
+                           for _ in range(min(block, trials - start))])
+        samples += _modularity_scores(G, colors, n_colors, totals).tolist()
     arr = np.array(samples)
     return float(arr.mean()), float(arr.std()), samples
 
@@ -127,13 +152,20 @@ def f_measure(pred: Sequence, truth: Sequence, n: int) -> float:
     overlap 2|C & L| / (|C| + |L|); the scores are averaged with
     weights |C|.  Equal partitions score 1.
     """
-    pred = check_partition(pred, n)
-    truth = check_partition(truth, n)
-    total = 0.0
-    for C in pred:
-        best = max(2.0 * len(C & L) / (len(C) + len(L)) for L in truth)
-        total += len(C) * best
-    return total / n
+    pred_labels, n_pred = _partition_labels(pred, n)
+    truth_labels, n_truth = _partition_labels(truth, n)
+    return _label_f_measure(pred_labels, n_pred, truth_labels, n_truth)
+
+
+def _label_f_measure(pred: np.ndarray, n_pred: int, truth: np.ndarray,
+                     n_truth: int) -> float:
+    """f_measure of two label vectors, from one contingency table; the
+    weighted best matches are added in predicted-label order."""
+    overlap = np.bincount(pred * n_truth + truth,
+                          minlength=n_pred * n_truth).reshape(n_pred, n_truth)
+    size = overlap.sum(axis=1)
+    best = (2.0 * overlap / (size[:, None] + overlap.sum(axis=0))).max(axis=1)
+    return float(np.cumsum(size * best)[-1] / pred.size)
 
 
 def confusion_matrix(pred: Sequence, truth: Sequence, n: int) -> np.ndarray:
@@ -163,20 +195,50 @@ def tree_partition(tree: ClusterTree, level: int, n: int) -> Partition:
     return check_partition(tree.partition_at_level(level), n)
 
 
+def _ancestor_ids(tree: ClusterTree, n: int, levels: Sequence[int]
+                  ) -> dict[int, np.ndarray]:
+    """level -> the node id covering each vertex 0..n-1 at that level.
+
+    ``tree.ancestor_at_level`` for every vertex at once: each vertex
+    starts at its leaf and steps up a parent array while its node lies
+    below the level, the levels taken deepest first.
+    """
+    ids = np.fromiter(tree.nodes, dtype=np.intp, count=len(tree.nodes))
+    parent = np.arange(int(ids.max()) + 1)
+    depth = np.zeros_like(parent)
+    parent[ids] = [nd.id if nd.parent is None else nd.parent
+                   for nd in tree.nodes.values()]
+    depth[ids] = [nd.level for nd in tree.nodes.values()]
+    node = np.fromiter((tree.leaf_of_vertex(v) for v in range(n)),
+                       dtype=np.intp, count=n)
+    out = {}
+    for level in sorted(set(levels), reverse=True):
+        while np.any(deep := (depth[node] > level) & (parent[node] != node)):
+            node = np.where(deep, parent[node], node)
+        out[level] = node
+    return out
+
+
+def _product_labels(es_ids: np.ndarray, os_ids: np.ndarray
+                    ) -> tuple[np.ndarray, int]:
+    """(label vector, cluster count) of the common refinement: vertices
+    grouped by the pair (es node, os node), groups in sorted pair order."""
+    pairs, labels = np.unique(es_ids * (int(os_ids.max()) + 1) + os_ids,
+                              return_inverse=True)
+    return labels, pairs.size
+
+
 def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
                       level: int, n: int) -> Partition:
     """Common refinement of the two trees' level partitions.
 
     Vertices are grouped by the pair (ancestor in the first tree,
-    ancestor in the second); empty intersections vanish.
+    ancestor in the second), in sorted pair order; empty intersections
+    vanish.
     """
-    groups: dict[tuple[int, int], set[int]] = {}
-    for v in range(n):
-        key = (tree_es.ancestor_at_level(v, level),
-               tree_os.ancestor_at_level(v, level))
-        groups.setdefault(key, set()).add(v)
-    return check_partition(
-        [groups[k] for k in sorted(groups)], n)
+    labels, _ = _product_labels(_ancestor_ids(tree_es, n, [level])[level],
+                                _ancestor_ids(tree_os, n, [level])[level])
+    return [frozenset(part.tolist()) for part in _parts(labels)]
 
 
 def align_and_score(G: WeightedDigraph, tree_es: ClusterTree,
@@ -187,29 +249,31 @@ def align_and_score(G: WeightedDigraph, tree_es: ClusterTree,
 
     Returns one record per level with the cluster count and modularity,
     plus the F score against ground-truth labels when given (labels use
-    their first path component as the class).
+    their first path component as the class).  Every level's refinement
+    is a label vector; ``modularity`` scores its parts.
     """
     depth = min(tree_es.depth(), tree_os.depth())
-    if levels is None:
-        levels = range(1, depth + 1)
+    levels = list(range(1, depth + 1) if levels is None else levels)
     truth = None
     if labels:
         index = label_index(labels)
-        classes: dict[int, set[int]] = {}
-        for v in range(G.n):
-            if v not in index:
-                raise ValueError(f"vertex {v} has no label")
-            classes.setdefault(index[v], set()).add(v)
-        truth = [frozenset(classes[c]) for c in sorted(classes)]
+        truth = np.fromiter((index.get(v, -1) for v in range(G.n)),
+                            dtype=np.intp, count=G.n)
+        if np.any(truth < 0):
+            raise ValueError(f"vertex {np.argmax(truth < 0)} has no label")
+        classes, truth = np.unique(truth, return_inverse=True)
+    es_ids = _ancestor_ids(tree_es, G.n, levels)
+    os_ids = _ancestor_ids(tree_os, G.n, levels)
     records = []
     for level in levels:
-        parts = product_partition(tree_es, tree_os, level, G.n)
+        lab, n_clusters = _product_labels(es_ids[level], os_ids[level])
         rec = {
             "level": int(level),
-            "n_clusters": len(parts),
-            "modularity": modularity(G, parts),
+            "n_clusters": n_clusters,
+            "modularity": modularity(G, _parts(lab)),
         }
         if truth is not None:
-            rec["f_measure"] = f_measure(parts, truth, G.n)
+            rec["f_measure"] = _label_f_measure(lab, n_clusters, truth,
+                                                classes.size)
         records.append(rec)
     return records

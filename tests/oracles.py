@@ -113,6 +113,78 @@ def modularity_sliced(G, partition) -> float:
     return score / m
 
 
+def modularity_sequential(G, labels) -> float:
+    """Directed modularity of a label vector, summed one float at a time.
+
+    A pure-Python loop over the CSR edges adds each internal edge's
+    weight to its cluster in edge order, a loop over the vertices adds
+    their out- and in-degrees in vertex order, and the nonempty clusters'
+    terms are added up in label order, every sum starting at 0.0.
+    """
+    W = G.weights
+    lab = [int(x) for x in labels]
+    k = max(lab) + 1
+    m = G.total_weight()
+    inner, out_w, in_w, size = [0.0] * k, [0.0] * k, [0.0] * k, [0] * k
+    indptr, indices, data = (W.indptr.tolist(), W.indices.tolist(),
+                             W.data.tolist())
+    for u in range(G.n):
+        for e in range(indptr[u], indptr[u + 1]):
+            if lab[u] == lab[indices[e]]:
+                inner[lab[u]] += data[e]
+    for v, (ko, ki) in enumerate(zip(G.out_degrees().tolist(),
+                                     G.in_degrees().tolist())):
+        out_w[lab[v]] += ko
+        in_w[lab[v]] += ki
+        size[lab[v]] += 1
+    score = 0.0
+    for j in range(k):
+        if size[j]:
+            score += inner[j] - out_w[j] * in_w[j] / m
+    return score / m
+
+
+def tree_by_subset_scan(vertices, partitions) -> ClusterTree:
+    """ClusterTree from nested level partitions (coarsest first) by
+    scanning, for every parent in id order, every part of the next level
+    in its given order for subsets of the parent; single-vertex leaves in
+    vertex order come last.  The scan the package ran before it assembled
+    trees from label vectors."""
+    vertices = sorted(vertices)
+    levels = [[frozenset(p) for p in level] for level in partitions]
+    levels.append([frozenset([v]) for v in vertices])
+    nodes = {0: ClusterNode(id=0, level=0, parent=None,
+                            members=frozenset(vertices))}
+    prev = [nodes[0]]
+    for depth, groups in enumerate(levels, start=1):
+        this_level = []
+        for parent in prev:
+            for g in groups:
+                if g <= parent.members:
+                    node = ClusterNode(id=len(nodes), level=depth,
+                                       parent=parent.id, members=g)
+                    parent.children.append(node.id)
+                    nodes[node.id] = node
+                    this_level.append(node)
+        prev = this_level
+    tree = ClusterTree(nodes)
+    tree.validate()
+    return tree
+
+
+def product_partition_by_ancestors(tree_es, tree_os, level: int, n: int):
+    """Common refinement of two trees' level partitions as frozensets,
+    grouped by the pair of ``ancestor_at_level`` ids of every vertex and
+    ordered by that pair: the route the package took before it worked on
+    label vectors."""
+    groups: dict[tuple[int, int], set[int]] = {}
+    for v in range(n):
+        key = (tree_es.ancestor_at_level(v, level),
+               tree_os.ancestor_at_level(v, level))
+        groups.setdefault(key, set()).add(v)
+    return [frozenset(groups[k]) for k in sorted(groups)]
+
+
 def f_measure_brute(pred, truth, n: int) -> float:
     total = 0.0
     for C in pred:

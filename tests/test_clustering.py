@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from twintree import clustering
 from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
                                  _label_seed_vertices, _medoid_hierarchy,
                                  _path_distance, check_level_spec,
@@ -13,8 +14,8 @@ from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
                      label_propagation, random_walk_embedding,
-                     set_hierarchy)
-from util import random_digraph, random_nested_partitions
+                     set_hierarchy, tree_by_subset_scan)
+from util import degenerate_digraphs, random_digraph, random_nested_partitions
 
 
 def chain_tree():
@@ -53,6 +54,65 @@ def test_random_nested_partitions_always_build():
         tree.validate()
         assert tree.depth() == 4
         assert len(tree.level_nodes(2)) == 7
+
+
+def label_levels(rng, n):
+    """Nested label vectors over n positions, coarsest first, each level
+    numbered 0, 1, ...: none to three distinct partitions (the finest
+    sometimes all single vertices), each repeated one to three times."""
+    finest = (np.arange(n) if rng.random() < 0.3
+              else rng.integers(0, int(rng.integers(1, n + 1)), n))
+    levels = [np.unique(finest, return_inverse=True)[1]]
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(levels[-1].max()) + 1
+        merge = rng.integers(0, int(rng.integers(1, k + 1)), k)
+        levels.append(np.unique(merge[levels[-1]], return_inverse=True)[1])
+    levels = levels[: int(rng.integers(0, len(levels) + 1))]
+    return [lab for lab in levels[::-1] for _ in range(rng.integers(1, 4))]
+
+
+def as_partitions(idx, levels):
+    return [[frozenset(idx[lab == j].tolist()) for j in range(lab.max() + 1)]
+            for lab in levels]
+
+
+def test_label_vector_trees_match_the_subset_scan():
+    kinds = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        idx = np.sort(rng.choice(3 * n, size=n, replace=False))
+        levels = label_levels(rng, n)
+        if not levels:
+            kinds.add("no levels")
+        elif any(np.array_equal(a, b) for a, b in zip(levels, levels[1:])):
+            kinds.add("repeated level")
+        if levels and levels[-1].max() == n - 1:
+            kinds.add("single vertices")
+        want = tree_by_subset_scan(idx.tolist(), as_partitions(idx, levels))
+        for got in (clustering._tree(idx, levels),
+                    tree_from_partitions(idx.tolist(),
+                                         as_partitions(idx, levels))):
+            # node by node: id, level, parent, children in order, members
+            assert got.root == want.root and got.nodes == want.nodes
+    assert kinds == {"no levels", "repeated level", "single vertices"}
+
+
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_twt_trees_match_the_subset_scan(monkeypatch, algo):
+    built, real = [], clustering._tree
+
+    def recording(idx, levels):
+        built.append((idx, levels, real(idx, levels)))
+        return built[-1][2]
+    monkeypatch.setattr(clustering, "_tree", recording)
+    for G in degenerate_digraphs().values():
+        labeled = {v: v % 3 for v in range(G.n)} if algo == "mbo" else None
+        twt(G, K=(2, 6), algo=algo, seed=7, labeled=labeled)
+    assert any(levels for _, levels, _ in built)
+    for idx, levels, got in built:
+        want = tree_by_subset_scan(idx.tolist(), as_partitions(idx, levels))
+        assert got.root == want.root and got.nodes == want.nodes
 
 
 def test_validate_catches_structural_damage():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from twintree.clustering import tree_from_partitions, twt
-from twintree.digraph import WeightedDigraph, synth_digraph
+from twintree.digraph import WeightedDigraph
 from twintree.filtration import (assign_weights, build_filtration,
                                  collapse_chains, llo_enumerate)
 
 from oracles import collapse_chains_fixpoint, llo_by_depth_scan
-from util import (caterpillar, random_filtration, random_nested_partitions,
-                  random_tree)
+from util import (caterpillar, degenerate_digraphs, random_filtration,
+                  random_nested_partitions, random_tree)
 
 
 def small_tree():
@@ -201,15 +201,7 @@ def chained_tree(seed):
 
 def degenerate_twin_trees():
     """twt trees whose grafts hang tiny components off the root."""
-    fragmented = synth_digraph("sparse", seed=3, n=40, density=0.02)
-    star = np.zeros((12, 12))
-    star[0, 1:] = 1.0
-    planted = synth_digraph("planted", seed=5, sizes=(10, 10))
-    loops = WeightedDigraph(planted.weights.toarray() + np.eye(20))
-    heavy = planted.weights.copy()
-    heavy.data = np.random.default_rng(6).lognormal(0.0, 6.0, heavy.nnz)
-    for G in (fragmented, WeightedDigraph(star), loops,
-              WeightedDigraph(heavy)):
+    for G in degenerate_digraphs().values():
         yield from twt(G, K=(2, 6), seed=7)
 
 

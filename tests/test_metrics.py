@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from twintree import metrics
 from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.metrics import (align_and_score, check_partition,
@@ -10,8 +11,9 @@ from twintree.metrics import (align_and_score, check_partition,
                               random_coloring_baseline, tree_partition)
 
 from oracles import (confusion_brute, f_measure_brute, modularity_brute,
-                     modularity_sliced)
-from util import random_digraph
+                     modularity_sequential, modularity_sliced,
+                     product_partition_by_ancestors)
+from util import degenerate_digraphs, random_digraph
 
 
 def random_labels(rng, n, k):
@@ -59,7 +61,7 @@ def lognormal_digraph(rng, n, density):
     return WeightedDigraph(sparse.csr_array(W))
 
 
-def test_modularity_equals_the_sliced_sum_bit_for_bit():
+def test_modularity_equals_the_sequential_sum_bit_for_bit():
     rng = np.random.default_rng(20)
     for trial in range(50):
         n = int(rng.integers(2, 120))
@@ -70,9 +72,16 @@ def test_modularity_equals_the_sliced_sum_bit_for_bit():
         # parts as lists of numpy ints in shuffled order
         parts = [list(rng.permutation(np.flatnonzero(labs == j)))
                  for j in rng.permutation(k) if np.any(labs == j)]
-        assert modularity(G, parts) == modularity_sliced(G, parts)
+        in_order = np.empty(n, dtype=int)  # clusters add up in part order
+        for j, part in enumerate(parts):
+            in_order[part] = j
+        got = modularity(G, parts)
+        assert got == modularity_sequential(G, in_order)
+        assert got == pytest.approx(modularity_sliced(G, parts), abs=1e-12)
         whole = [list(range(n))]
-        assert modularity(G, whole) == modularity_sliced(G, whole)
+        got = modularity(G, whole)
+        assert got == modularity_sequential(G, np.zeros(n, dtype=int))
+        assert got == pytest.approx(modularity_sliced(G, whole), abs=1e-12)
 
 
 def test_random_baseline_scores_each_coloring_like_its_partition():
@@ -86,10 +95,29 @@ def test_random_baseline_scores_each_coloring_like_its_partition():
         for got in samples:
             labs = colors.integers(0, k, size=n)
             missed += len(set(labs.tolist())) < k
-            want = modularity_sliced(G, partition_from_labels(labs))
-            assert got == want
+            # a missed color is an empty cluster: the occupied ones score
+            assert got == modularity_sequential(G, labs)
+            assert got == pytest.approx(
+                modularity_sliced(G, partition_from_labels(labs)), abs=1e-12)
         if n == 8:
             assert missed > 0  # colorings that miss a color are covered
+
+
+def test_random_baseline_blocks_do_not_change_a_sample(monkeypatch):
+    rng = np.random.default_rng(22)
+    for n, k in ((30, 3), (8, 6), (40, 12)):
+        G = lognormal_digraph(rng, n, 0.2)
+        seed = int(rng.integers(1 << 30))
+        runs = []
+        # one coloring per block, seven per block, one block
+        for entries in (1, 7 * G.weights.nnz, 1 << 40):
+            monkeypatch.setattr(metrics, "BLOCK_ENTRIES", entries)
+            runs.append(random_coloring_baseline(G, k, trials=20, seed=seed))
+        assert runs[0] == runs[1] == runs[2]
+        if n == 8:  # colorings that miss a color are covered
+            colors = np.random.default_rng(seed)
+            assert any(len(set(colors.integers(0, k, size=n).tolist())) < k
+                       for _ in range(20))
 
 
 def test_single_cluster_scores_zero():
@@ -227,3 +255,38 @@ def test_alignment_requires_complete_labels(twin_trees):
     labels = {v: ("a",) for v in range(G.n - 1)}
     with pytest.raises(ValueError, match="no label"):
         align_and_score(G, es, os_, labels=labels)
+
+
+@pytest.fixture(scope="module")
+def degenerate_scores():
+    """(digraph, twin trees, class labels) of the degenerate corpus."""
+    out = []
+    for G in degenerate_digraphs().values():
+        labels = {v: (f"c{v % 3}", v) for v in range(G.n)}
+        out.append((G, *twt(G, K=(2, 6), seed=7), labels))
+    return out
+
+
+def test_scoring_matches_the_frozenset_route(degenerate_scores):
+    kinds = set()  # integer weights, and lognormal ones
+    for G, es, os_, labels in degenerate_scores:
+        integral = bool(np.all(G.weights.data == np.round(G.weights.data)))
+        kinds.add(integral)
+        truth = partition_from_labels([v % 3 for v in range(G.n)])
+        # past the shallower tree's depth too, where leaves stand in
+        levels = range(0, max(es.depth(), os_.depth()) + 2)
+        for rec in align_and_score(G, es, os_, labels, levels):
+            parts = product_partition_by_ancestors(es, os_, rec["level"], G.n)
+            assert product_partition(es, os_, rec["level"], G.n) == parts
+            assert rec["n_clusters"] == len(parts)
+            assert rec["f_measure"] == f_measure_brute(parts, truth, G.n)
+            want = modularity_sliced(G, parts)
+            if integral:
+                assert rec["modularity"] == want
+            else:
+                assert rec["modularity"] == pytest.approx(want, abs=1e-12)
+            for tree in (es, os_):
+                assert tree_partition(tree, rec["level"], G.n) == (
+                    product_partition_by_ancestors(tree, tree, rec["level"],
+                                                   G.n))
+    assert kinds == {True, False}

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from twintree.clustering import (ClusterNode, ClusterTree,
                                  tree_from_partitions)
-from twintree.digraph import WeightedDigraph
+from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import Filtration, build_filtration
 
 
@@ -99,3 +99,20 @@ def random_leaf_function(rng: np.random.Generator, filt: Filtration):
     vals = [Fraction(int(a), 8) for a in rng.integers(-40, 41,
                                                       size=len(bps) - 1)]
     return PiecewiseConstant(bps, vals)
+
+
+def degenerate_digraphs() -> dict[str, WeightedDigraph]:
+    """Digraphs whose twin trees graft tiny components off the root or
+    see unusual weights: fragmented, out-star, self-loops, heavy-tailed."""
+    star = np.zeros((12, 12))
+    star[0, 1:] = 1.0
+    planted = synth_digraph("planted", seed=5, sizes=(10, 10))
+    heavy = planted.weights.copy()
+    heavy.data = np.random.default_rng(6).lognormal(0.0, 6.0, heavy.nnz)
+    return {
+        "fragmented": synth_digraph("sparse", seed=3, n=40, density=0.02),
+        "out_star": WeightedDigraph(star),
+        "self_loops": WeightedDigraph(planted.weights.toarray()
+                                      + np.eye(20)),
+        "heavy_tailed": WeightedDigraph(heavy),
+    }
