@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .digraph import (UndirectedGraph, WeightedDigraph, _mirror_upper,
-                      graph_distance, reciprocal_lengths, symmetrize,
-                      weak_component_indices)
+from .digraph import (UndirectedGraph, WeightedDigraph, graph_distance,
+                      reciprocal_lengths, symmetrize, weak_component_indices)
 
 
 # -- cluster trees ---------------------------------------------------------
@@ -284,11 +283,12 @@ def _medoid_iterate(dist: np.ndarray, k: int, centers: np.ndarray,
             counts = np.bincount(assign, minlength=k)
             reseeds += 1
         new_centers = centers.copy()
-        for j in range(k):
-            member = np.flatnonzero(assign == j)
+        for j, member in enumerate(_parts(assign)):
             if member.size == 0:
                 continue
-            within = dist[np.ix_(member, member)].sum(axis=1)
+            # the gather is C-contiguous, as np.ix_'s is, so each row
+            # sums in the same order; dist[member][:, member] is not
+            within = dist[member[:, None], member].sum(axis=1)
             new_centers[j] = member[int(np.argmin(within))]
         if np.array_equal(new_centers, centers):
             break
@@ -422,8 +422,10 @@ def coarse_grain(G: WeightedDigraph,
     """Sum-collapse a graph onto a partition of its vertices.
 
     The weight between coarse vertices i and j is the sum of all
-    original weights from members of part i to members of part j.
-    Passing the singleton partition returns a graph equal to G.
+    original weights from members of part i to members of part j,
+    added from 0.0 in CSR order; an undirected graph's upper triangle
+    is mirrored.  Passing the singleton partition returns a graph equal
+    to G.
     """
     parts = [np.unique(np.fromiter(p, dtype=np.intp)) for p in partition]
     ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
@@ -433,12 +435,14 @@ def coarse_grain(G: WeightedDigraph,
         raise ValueError("partition parts overlap")
     if not np.array_equal(ids, np.arange(G.n)):
         raise ValueError("partition must cover every vertex")
-    labels = np.repeat(np.arange(len(parts)), [p.size for p in parts])[by_id]
-    S = sparse.csr_array((np.ones(G.n), (labels, ids)),
-                         shape=(len(parts), G.n))
-    coarse = sparse.csr_array(S @ G.weights @ S.T)
+    k = len(parts)
+    labels = np.repeat(np.arange(k), [p.size for p in parts])[by_id]
+    W = G.weights
+    tail = np.repeat(np.arange(G.n), np.diff(W.indptr))
+    coarse = np.bincount(labels[tail] * k + labels[W.indices], W.data,
+                         minlength=k * k).reshape(k, k)
     if isinstance(G, UndirectedGraph):
-        return UndirectedGraph(_mirror_upper(coarse))
+        return UndirectedGraph(np.triu(coarse) + np.triu(coarse, 1).T)
     return WeightedDigraph(coarse)
 
 

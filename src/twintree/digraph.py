@@ -172,9 +172,14 @@ class UndirectedGraph(WeightedDigraph):
 
     def __init__(self, weights, names=None, labels=None):
         super().__init__(weights, names, labels)
-        diff = (self.weights - self.weights.T).tocsr()
-        diff.eliminate_zeros()
-        if diff.nnz:
+        # canonical CSR without stored zeros: symmetric exactly when the
+        # arrays equal those of the transpose
+        W = self.weights
+        T = W.T.tocsr()
+        T.sort_indices()
+        if not (np.array_equal(W.indptr, T.indptr)
+                and np.array_equal(W.indices, T.indices)
+                and np.array_equal(W.data, T.data)):
             raise ValueError("undirected graph requires a symmetric matrix")
 
 

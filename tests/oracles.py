@@ -16,8 +16,8 @@ from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
 from twintree.analysis import axis_value_matrix
-from twintree.clustering import (ClusterNode, ClusterTree, coarse_grain,
-                                 medoid_partition)
+from twintree.clustering import ClusterNode, ClusterTree, medoid_partition
+from twintree.digraph import UndirectedGraph
 
 
 def minimax_distance(A: np.ndarray, f: np.ndarray) -> float:
@@ -292,13 +292,24 @@ def weighted_lstsq_fit(rows: np.ndarray, masses: np.ndarray,
     return np.asarray(rows, dtype=float).T @ c
 
 
-def coarse_grain_brute(W: np.ndarray, parts) -> np.ndarray:
-    """Double-loop cluster-graph weights."""
+def coarse_grain_brute(W: np.ndarray, parts,
+                       mirror: bool = False) -> np.ndarray:
+    """Double-loop cluster-graph weights.
+
+    Each sum runs over the members of both parts in ascending vertex
+    order from 0, absent edges adding 0.0, so it adds the edges in the
+    order of a CSR matrix.  With ``mirror`` every entry below the
+    diagonal is copied from the one above it.
+    """
     k = len(parts)
     out = np.zeros((k, k))
     for i, Pi in enumerate(parts):
         for j, Pj in enumerate(parts):
-            out[i, j] = sum(W[u, v] for u in Pi for v in Pj)
+            out[i, j] = sum(W[u, v] for u in sorted(Pi) for v in sorted(Pj))
+    if mirror:
+        for i in range(k):
+            for j in range(i):
+                out[i, j] = out[j, i]
     return out
 
 
@@ -365,6 +376,39 @@ def exact_greedy_rank(v1, v2) -> list[tuple[int, int]]:
     return kept
 
 
+def medoid_iterate_ix(dist: np.ndarray, k: int, centers: np.ndarray,
+                      max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The center/medoid iteration with one index scan and one np.ix_
+    gather per cluster; same ties and re-seeding as the package."""
+    n = dist.shape[0]
+    centers = centers.copy()
+    assign = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        to_centers = dist[centers]
+        assign = np.argmin(to_centers, axis=0)
+        counts = np.bincount(assign, minlength=k)
+        reseeds = 0
+        while counts.min() == 0 and reseeds < 2 * k:
+            empty = int(np.flatnonzero(counts == 0)[0])
+            own = to_centers[assign, np.arange(n)]
+            centers[empty] = int(np.argmax(own))
+            to_centers = dist[centers]
+            assign = np.argmin(to_centers, axis=0)
+            counts = np.bincount(assign, minlength=k)
+            reseeds += 1
+        new_centers = centers.copy()
+        for j in range(k):
+            member = np.flatnonzero(assign == j)
+            if member.size == 0:
+                continue
+            within = dist[np.ix_(member, member)].sum(axis=1)
+            new_centers[j] = member[int(np.argmin(within))]
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    return assign, centers
+
+
 def _labels_to_groups(assign: np.ndarray, units: list[frozenset[int]],
                       k: int) -> list[frozenset[int]]:
     groups = []
@@ -384,8 +428,9 @@ def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
 
     The frozenset form of the package's medoid hierarchy: every level is
     kept as a list of vertex sets, merged cluster by cluster through the
-    units of the level below.  ``finest`` is a list of sets.  Returns
-    the level partitions coarsest first.
+    units of the level below, and each coarse graph comes from
+    ``coarse_grain_brute``.  G is undirected; ``finest`` is a list of
+    sets.  Returns the level partitions coarsest first.
     """
     units = [frozenset([v]) for v in range(G.n)]
     current = G
@@ -401,7 +446,8 @@ def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
             coarse_units = [frozenset([u]) for u in range(current.n)]
             coarse_groups = _labels_to_groups(assign, coarse_units, k)
             groups = _labels_to_groups(assign, units, k)
-        current = coarse_grain(current, coarse_groups)
+        current = UndirectedGraph(coarse_grain_brute(
+            current.to_dense(), coarse_groups, mirror=True))
         units = groups
         partitions[li] = groups
     return [partitions[li] for li in range(1, len(K) + 1)]

@@ -13,8 +13,9 @@ from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
                               synth_digraph, weak_component_indices)
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
-                     label_propagation, random_walk_embedding,
-                     set_hierarchy, tree_by_subset_scan)
+                     label_propagation, medoid_iterate_ix,
+                     random_walk_embedding, set_hierarchy,
+                     tree_by_subset_scan)
 from util import degenerate_digraphs, random_digraph, random_nested_partitions
 
 
@@ -198,6 +199,44 @@ def assignment_objective(dist, assign):
     return float(total)
 
 
+def _medoid_starts():
+    """(dist, k, centers) on reciprocal es/os distances of planted
+    graphs: 240 seeded starts, k = 1 among them."""
+    starts = []
+    for seed in range(10):
+        G = synth_digraph("planted", seed=seed, sizes=(12, 10, 8),
+                          p_in=0.4, p_out=0.05)
+        G = G.subgraph(weak_component_indices(G)[0])
+        for side in ("es", "os"):
+            dist = _path_distance(symmetrize(G, side), "reciprocal")
+            rng = np.random.default_rng(seed)
+            for k in range(1, 7):
+                for _ in range(2):
+                    starts.append((dist, k,
+                                   rng.choice(G.n, size=k, replace=False)))
+    return starts
+
+
+def test_medoid_steps_match_the_ix_loop():
+    starts = _medoid_starts()
+    # coincident points: cluster 1 starts empty and is re-seeded at the
+    # far point; on the second line every re-seed coincides too
+    for pos, centers in (([0.0, 0.0, 1.0, 2.0, 5.0], [0, 1, 2]),
+                         ([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], [0, 1, 3])):
+        pos = np.asarray(pos)
+        starts.append((np.abs(pos[:, None] - pos[None, :]), len(centers),
+                       np.asarray(centers)))
+    assert len(starts) >= 200
+    empty = 0
+    for dist, k, centers in starts:
+        assign, got = clustering._medoid_iterate(dist, k, centers, 100)
+        want_assign, want = medoid_iterate_ix(dist, k, centers, 100)
+        assert np.array_equal(assign, want_assign)
+        assert np.array_equal(got, want)
+        empty += np.bincount(assign, minlength=k).min() == 0
+    assert empty == 1  # the second coincident line keeps an empty cluster
+
+
 def test_medoid_partition_finds_planted_blobs():
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -247,17 +286,36 @@ def test_seed_vertices_become_first_centers():
 # -- coarse graining ----------------------------------------------------------
 
 
+def _random_parts(rng, n, k):
+    """k nonempty parts of range(n), numbered in a random order."""
+    labels = rng.permutation(np.arange(n) % k)
+    return [frozenset(np.flatnonzero(labels == j).tolist())
+            for j in rng.permutation(k)]
+
+
 def test_coarse_grain_matches_brute_force():
-    for seed in range(10):
+    """Bit for bit, on integer and lognormal weights, on a digraph, its
+    es/os companions and their coarse graphs coarse-grained again."""
+    for seed in range(20):
         rng = np.random.default_rng(200 + seed)
-        G = random_digraph(rng, 12, density=0.3)
-        parts = [frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
-                 frozenset(range(7, 12))]
-        C = coarse_grain(G, parts)
-        assert np.allclose(C.to_dense(), coarse_grain_brute(G.to_dense(),
-                                                            parts),
-                           atol=1e-12)
-        assert C.total_weight() == pytest.approx(G.total_weight(), rel=1e-12)
+        W = random_digraph(rng, 12, density=0.3).to_dense()
+        edges = int((W > 0).sum())
+        W[W > 0] = (rng.integers(1, 10, edges) if seed % 2 else
+                    rng.lognormal(0.0, 6.0, edges))
+        G = WeightedDigraph(W)
+        for graph in (G, symmetrize(G, "es"), symmetrize(G, "os")):
+            mirror = isinstance(graph, UndirectedGraph)
+            parts = _random_parts(rng, 12, 5)
+            C = coarse_grain(graph, parts)
+            assert type(C) is type(graph)
+            assert np.array_equal(C.to_dense(), coarse_grain_brute(
+                graph.to_dense(), parts, mirror))
+            assert C.total_weight() == pytest.approx(graph.total_weight(),
+                                                     rel=1e-12)
+            coarser = _random_parts(rng, 5, 2)
+            assert np.array_equal(
+                coarse_grain(C, coarser).to_dense(),
+                coarse_grain_brute(C.to_dense(), coarser, mirror))
 
 
 def test_coarse_grain_identity_and_errors():

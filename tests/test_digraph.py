@@ -53,6 +53,27 @@ def test_degrees_and_total_weight():
     assert len(G) == 3
 
 
+def test_undirected_graph_rejects_any_asymmetry():
+    ulp = np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]])
+    # a 3-cycle: row pointers and values equal its transpose's, columns not
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    for W in (ulp, cycle, sparse.csr_array(cycle)):
+        with pytest.raises(ValueError,
+                           match="undirected graph requires a symmetric"):
+            UndirectedGraph(W)
+
+
+def test_undirected_graph_accepts_symmetry_after_canonicalization():
+    # row 0 lists 2 before 1 and holds 1 twice: 0.5 + 1.5 == W[1, 0]
+    W = sparse.csr_array((np.array([3.0, 0.5, 1.5, 2.0, 3.0]),
+                          np.array([2, 1, 1, 0, 0]),
+                          np.array([0, 3, 4, 5])), shape=(3, 3))
+    G = UndirectedGraph(W)
+    assert np.array_equal(G.to_dense(), [[0.0, 2.0, 3.0],
+                                         [2.0, 0.0, 0.0],
+                                         [3.0, 0.0, 0.0]])
+
+
 def test_symmetric_companions_are_bitwise_symmetric():
     for seed in range(25):
         rng = np.random.default_rng(seed)

@@ -6,10 +6,12 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides ten synthesized graphs, the corpus ingests five edge lists
+Besides eleven synthesized graphs, the corpus ingests five edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph and four degenerate ones (fragmented, out-star,
-self-loops, heavy-tailed weights).  Run it once per checkout; then
+self-loops, heavy-tailed weights).  Two configurations (`*_deep`) ask
+for three levels, so that a coarse graph is coarse-grained again.  Run
+it once per checkout; then
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -28,6 +30,8 @@ import numpy as np
 import twintree
 
 PLANTED = ["--kind", "planted"]
+# three levels: a coarse graph is coarse-grained again
+DEEP = ["--levels", "2,4,8"]
 SYNTH = {
     "toy25": ["--kind", "toy25"],
     "planted_volume_label": PLANTED + ["--scheme", "volume", "--signal",
@@ -45,6 +49,7 @@ SYNTH = {
     "planted_raw_n_init": PLANTED + ["--edge-length", "raw", "--n-init", "2"],
     "sparse_volume": ["--kind", "sparse", "--param", "n=40", "--scheme",
                       "volume"],
+    "planted_mll_deep": PLANTED + ["--algo", "mll", *DEEP],
 }
 
 
@@ -94,6 +99,7 @@ def main(out: Path) -> None:
             (out / path).write_text("".join(f"{v} {b}\n"
                                             for v, b in enumerate(labels)))
             runs[name] += ["--labels", path, "--labeled"]
+    runs["ingest_heavy_tailed_deep"] = runs["ingest_heavy_tailed"] + DEEP
     for name, args in runs.items():
         cmd = [sys.executable, "-m", "twintree.cli", "pipeline", "--out",
                name, "--trials", "3", "--baseline-trials", "10", *args]
