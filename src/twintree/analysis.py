@@ -35,9 +35,8 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .basis import TreeBasis
+from .basis import TreeBasis, linprog
 from .filtration import Filtration
 
 

@@ -54,9 +54,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .filtration import Filtration, llo_enumerate
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call, so that
+    only the commands that solve an LP pay for importing the solver."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 # -- piecewise-constant functions -------------------------------------------

@@ -423,12 +423,14 @@ def cmd_metrics(args) -> int:
 
     Prepares the cluster stage's twin-tree construction once (weak
     components, symmetrizations, and for nhc the finest-level
-    distances), then builds the trees ``--trials`` times with child
-    seeds (sampling --train-pct percent of each label class as training
-    data when positive), scores every level of the twin trees' common
-    refinement, and writes mean/std rows per (level, metric).  A
-    random-coloring modularity baseline is appended per level when
-    --baseline-trials is positive.
+    distances), then clusters ``--trials`` times with child seeds
+    (sampling --train-pct percent of each label class as training data
+    when positive), scores every level of the twin trees' common
+    refinement, and writes mean/std rows per (level, metric).  A trial
+    builds no tree: the builder's level-id matrices number the nodes as
+    the cluster stage's trees do, and the graph's degree totals are
+    computed once for every score.  A random-coloring modularity
+    baseline is appended per level when --baseline-trials is positive.
     """
     ws = Path(args.out)
     cfg = _load_config(ws)
@@ -456,8 +458,8 @@ def cmd_metrics(args) -> int:
             labeled = _sample_training_labels(index, args.train_pct, tseed)
         elif cl.get("labeled") and G.labels:
             labeled = index
-        tree_es, tree_os = builder.build(tseed, labeled)
-        for rec in metrics_mod.align_and_score(G, tree_es, tree_os,
+        es_ids, os_ids = builder.level_ids(tseed, labeled)
+        for rec in metrics_mod.align_and_score(G, es_ids, os_ids,
                                                labels=G.labels or None):
             lv = rec["level"]
             slot = by_level.setdefault(lv, {})

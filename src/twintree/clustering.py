@@ -210,33 +210,52 @@ def tree_from_partitions(vertices: Sequence[int],
 def _tree(idx: np.ndarray, levels: Sequence[np.ndarray]) -> ClusterTree:
     """ClusterTree on the ascending vertex ids idx; levels[l][i] is
     idx[i]'s cluster at level l + 1 (labels 0, 1, ...; each level nested
-    in the last).
+    in the last).  Its nodes are numbered by ``_level_ids``."""
+    return _tree_of_ids(idx, _level_ids(levels, idx.size))
 
-    Below the root (node 0, holding every vertex), each level's nodes
+
+def _level_ids(levels: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """(len(levels) + 1, n) node ids: row d - 1 holds the node covering
+    each of n positions at depth d, the last row its single-vertex leaf.
+
+    Below the root (node 0, holding every position), each level's nodes
     are its distinct (parent node, label) pairs in lexicographic order,
-    numbered on from the level above; a last level of single-vertex
-    leaves, ordered by vertex id, ends every branch.  So a parent's
-    children come in label order, and a label that meets two parents
-    breaks the nesting.
+    numbered on from the level above; the leaves, in position order,
+    come last.  So a parent's children come in label order, and a label
+    that meets two parents breaks the nesting.
     """
-    nodes = {0: ClusterNode(id=0, level=0, parent=None,
-                            members=frozenset(idx.tolist()))}
-    above = np.zeros(idx.size, dtype=np.intp)  # node one level up
-    for depth, lab in enumerate([*levels, np.arange(idx.size)], start=1):
+    ids = np.empty((len(levels) + 1, n), dtype=np.intp)
+    above = np.zeros(n, dtype=np.intp)  # node one level up
+    first = 1
+    for depth, lab in enumerate([*levels, np.arange(n)], start=1):
         width = int(lab.max()) + 1 if lab.size else 1
         pairs, node_of = np.unique(above * width + lab, return_inverse=True)
-        parents, labs = np.divmod(pairs, width)
+        labs = pairs % width
         if np.unique(labs).size < labs.size:
             raise ValueError(f"level {depth} does not nest in level {depth-1}")
-        first = len(nodes)
-        flat = idx[np.argsort(node_of, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(node_of)).tolist()
-        for nid, parent, lo, hi in zip(range(first, first + len(ends)),
-                                       parents.tolist(), [0, *ends], ends):
+        above = ids[depth - 1] = node_of + first
+        first += pairs.size
+    return ids
+
+
+def _tree_of_ids(idx: np.ndarray, ids: np.ndarray) -> ClusterTree:
+    """The ClusterTree of a ``_level_ids`` matrix over the vertices idx:
+    the root 0 holds them all, and each id first met in row d - 1 is a
+    node at level d whose parent is its vertices' id one row up."""
+    nodes = {0: ClusterNode(id=0, level=0, parent=None,
+                            members=frozenset(idx.tolist()))}
+    above = np.zeros(idx.size, dtype=np.intp)
+    for depth, row in enumerate(ids, start=1):
+        by_node = np.argsort(row, kind="stable")
+        nids, starts = np.unique(row[by_node], return_index=True)
+        ends = [*starts[1:].tolist(), idx.size]
+        flat = idx[by_node].tolist()
+        for nid, lo, hi in zip(nids.tolist(), starts.tolist(), ends):
+            parent = int(above[by_node[lo]])
             nodes[nid] = ClusterNode(nid, depth, parent, [],
                                      frozenset(flat[lo:hi]))
             nodes[parent].children.append(nid)
-        above = node_of + first
+        above = row
     return ClusterTree(nodes)
 
 
@@ -427,16 +446,18 @@ def coarse_grain(G: WeightedDigraph,
     is mirrored.  Passing the singleton partition returns a graph equal
     to G.
     """
-    parts = [np.unique(np.fromiter(p, dtype=np.intp)) for p in partition]
-    ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-    by_id = np.argsort(ids, kind="stable")
-    ids = ids[by_id]
-    if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("partition parts overlap")
-    if not np.array_equal(ids, np.arange(G.n)):
-        raise ValueError("partition must cover every vertex")
+    parts = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
+             else np.fromiter(p, dtype=np.intp) for p in partition]
     k = len(parts)
-    labels = np.repeat(np.arange(k), [p.size for p in parts])[by_id]
+    ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    part_of = np.repeat(np.arange(k), [p.size for p in parts])
+    inside = (ids >= 0) & (ids < G.n)
+    labels = np.full(G.n, -1, dtype=np.intp)
+    labels[ids[inside]] = part_of[inside]
+    if np.any(labels[ids[inside]] != part_of[inside]):
+        raise ValueError("partition parts overlap")
+    if not np.all(inside) or np.any(labels < 0):
+        raise ValueError("partition must cover every vertex")
     W = G.weights
     tail = np.repeat(np.arange(G.n), np.diff(W.indptr))
     coarse = np.bincount(labels[tail] * k + labels[W.indices], W.data,
@@ -643,7 +664,8 @@ class TwinTreeBuilder:
     sizes K to it.  For nhc the finest level's shortest-path distances
     are also kept, computed on first use.  build(seed, labeled) then
     runs only the seeded clustering, so repeated trials share that work
-    and build the same trees as separate twt calls.
+    and build the same trees as separate twt calls; level_ids(seed,
+    labeled) runs the same clustering and numbering but builds no tree.
     """
 
     def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
@@ -667,24 +689,39 @@ class TwinTreeBuilder:
              for idx in self.comps]
             for side in ("es", "os")]
 
-    def build(self, seed: int = 0, labeled: Optional[dict] = None
-              ) -> tuple[ClusterTree, ClusterTree]:
-        """The twin trees for one seed (and optional labeled vertices)."""
+    def _levels(self, seed: int, labeled: Optional[dict]
+                ) -> list[list[list[np.ndarray]]]:
+        """Per side ("es", "os") and component: its level label vectors
+        for one seed, coarsest first (none for a tiny component)."""
         seed_seq = np.random.SeedSequence(seed)
         comp_seeds = [s.generate_state(1)[0]
                       for s in seed_seq.spawn(2 * len(self.comps))]
-        trees = []
-        for side_index, comps in enumerate(self.sides):
-            subtrees = []
-            for ci, (idx, comp) in enumerate(zip(self.comps, comps)):
-                levels = []
-                if comp is not None:
-                    sub_seed = int(comp_seeds[2 * ci + side_index])
-                    levels = _cluster_component(comp, self.algo, sub_seed,
-                                                labeled, self.n_init)
-                subtrees.append(_tree(idx, levels))
-            trees.append(_graft_components(self.G, subtrees))
-        return trees[0], trees[1]
+        return [[[] if comp is None else _cluster_component(
+                     comp, self.algo, int(comp_seeds[2 * ci + side_index]),
+                     labeled, self.n_init)
+                 for ci, comp in enumerate(comps)]
+                for side_index, comps in enumerate(self.sides)]
+
+    def build(self, seed: int = 0, labeled: Optional[dict] = None
+              ) -> tuple[ClusterTree, ClusterTree]:
+        """The twin trees for one seed (and optional labeled vertices)."""
+        es, os_ = (_graft_components(self.G, [
+                       _tree(idx, levels)
+                       for idx, levels in zip(self.comps, side)])
+                   for side in self._levels(seed, labeled))
+        return es, os_
+
+    def level_ids(self, seed: int = 0, labeled: Optional[dict] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The twin trees of build(seed, labeled) as (depth, n) level-id
+        matrices, without building them: row l - 1 holds the node id
+        covering each vertex at level l, as the tree numbers its nodes
+        (``metrics._ancestor_ids``)."""
+        es, os_ = (_graft_ids(self.G.n, self.comps, [
+                       _level_ids(levels, idx.size)
+                       for idx, levels in zip(self.comps, side)])
+                   for side in self._levels(seed, labeled))
+        return es, os_
 
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
@@ -733,3 +770,23 @@ def _graft_components(G: WeightedDigraph,
     tree = ClusterTree(nodes, 0)
     tree.validate()
     return tree
+
+
+def _graft_ids(n: int, comps: list[np.ndarray],
+               blocks: list[np.ndarray]) -> np.ndarray:
+    """The level ids of _graft_components' tree, from each component's
+    ``_level_ids`` block: a single block is the whole matrix; otherwise
+    each block moves one level down, below its component's root, with
+    its ids shifted past those before it, and a shallow component's
+    leaves stand in for it at the deeper levels."""
+    if len(blocks) == 1:
+        return blocks[0]
+    depth = 1 + max((len(block) for block in blocks), default=0)
+    ids = np.empty((depth, n), dtype=np.intp)
+    offset = 1
+    for idx, block in zip(comps, blocks):
+        ids[0, idx] = offset
+        rows = np.minimum(np.arange(depth - 1), len(block) - 1)
+        ids[1:, idx] = block[rows] + offset
+        offset += int(block[-1].max()) + 1
+    return ids

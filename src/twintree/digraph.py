@@ -79,6 +79,21 @@ class WeightedDigraph:
                 if isinstance(path, str):
                     path = tuple(path.split("/"))
                 self.labels[v] = tuple(str(p) for p in path)
+        self._totals = None
+
+    @classmethod
+    def _canonical(cls, weights: sparse.csr_array, names: list[str],
+                   labels: dict) -> "WeightedDigraph":
+        """A graph on a matrix that is already canonical CSR (and, for
+        an UndirectedGraph, symmetric), with checked names and labels,
+        taken as they are."""
+        G = cls.__new__(cls)
+        G.n = weights.shape[0]
+        G.weights = weights
+        G.names = names
+        G.labels = labels
+        G._totals = None
+        return G
 
     # -- basic accessors -------------------------------------------------
 
@@ -102,6 +117,16 @@ class WeightedDigraph:
     def in_degrees(self) -> np.ndarray:
         """Weighted in-degree of every vertex."""
         return np.asarray(self.weights.sum(axis=0)).ravel()
+
+    def degree_totals(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(total weight, out-degrees, in-degrees), computed on first use
+        and kept, the degree arrays read-only."""
+        if self._totals is None:
+            k_out, k_in = self.out_degrees(), self.in_degrees()
+            k_out.setflags(write=False)
+            k_in.setflags(write=False)
+            self._totals = (self.total_weight(), k_out, k_in)
+        return self._totals
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (u, v, weight) in row-major order."""
@@ -261,13 +286,17 @@ def reciprocal_lengths(G: WeightedDigraph) -> WeightedDigraph:
     """Reinterpret similarity weights as dissimilarity edge lengths (1/w).
 
     Heavily coupled vertices become close; used by the clusterers, where
-    the symmetrized matrices carry similarity-type weights.
+    the symmetrized matrices carry similarity-type weights.  The result
+    has G's type, names and labels; reciprocals keep a canonical
+    (symmetric) matrix canonical (symmetric), so only their finiteness
+    is checked: 1/w overflows for w below about 5.6e-309.
     """
     recip = G.weights.copy()
-    recip.data = 1.0 / recip.data
-    if type(G) is UndirectedGraph:
-        return UndirectedGraph(recip, G.names, G.labels)
-    return WeightedDigraph(recip, G.names, G.labels)
+    with np.errstate(over="ignore"):
+        recip.data = 1.0 / recip.data
+    if not np.all(np.isfinite(recip.data)):
+        raise ValueError("edge weights must be finite")
+    return type(G)._canonical(recip, list(G.names), dict(G.labels))
 
 
 # -- ingestion -----------------------------------------------------------

@@ -9,8 +9,12 @@ Scores are computed on label vectors (a cluster index per vertex).
 One kernel scores any number of them at once: each cluster's internal
 weight is summed over its edges in CSR order and its out- and
 in-weights over its vertices in vertex order, each sum running from
-0.0, and the clusters are added up in label order.  The seeded-trial
-protocol scores the twin trees' common refinement level by level, and
+0.0, and the clusters are added up in label order; the graph's total
+weight and degrees are computed once per graph
+(``WeightedDigraph.degree_totals``).  The seeded-trial protocol scores
+the twin trees' common refinement level by level, from trees or from
+the level-id matrices that ``TwinTreeBuilder.level_ids`` gives without
+building them, so a trial never builds a tree; and
 ``random_coloring_baseline`` scores its colorings in blocks.  On
 integer weights every sum is exact; on other weights a score can
 differ in the last bits from one summed in another order.
@@ -86,11 +90,11 @@ def modularity(G: WeightedDigraph, partition: Sequence) -> float:
 def _degree_totals(G: WeightedDigraph
                    ) -> tuple[float, np.ndarray, np.ndarray]:
     """(m, out-degrees, in-degrees): the graph-side terms of every
-    modularity score of G, computed once per graph."""
-    m = G.total_weight()
-    if m <= 0:
+    modularity score of G, which G computes once and keeps."""
+    totals = G.degree_totals()
+    if totals[0] <= 0:
         raise ValueError("modularity needs at least one edge")
-    return m, G.out_degrees(), G.in_degrees()
+    return totals
 
 
 def _modularity_scores(G: WeightedDigraph, labels: np.ndarray,
@@ -129,8 +133,8 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
     the partition, in color order); the std is the population standard
     deviation.  Each coloring is one ``rng.integers`` draw; the
     colorings are scored in blocks of at most BLOCK_ENTRIES
-    (coloring, stored edge) pairs, against degree totals computed once
-    per call.  Each coloring's sums stay in its own bins, so the block
+    (coloring, stored edge) pairs, against the degree totals that G
+    keeps.  Each coloring's sums stay in its own bins, so the block
     size does not change a score.
     """
     rng = np.random.default_rng(seed)
@@ -241,18 +245,39 @@ def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
     return [frozenset(part.tolist()) for part in _parts(labels)]
 
 
-def align_and_score(G: WeightedDigraph, tree_es: ClusterTree,
-                    tree_os: ClusterTree,
+def _level_matrix(side, n: int) -> np.ndarray:
+    """A twin tree as its (depth, n) level ids: a ClusterTree's from
+    ``_ancestor_ids`` (row l - 1 for level l), a matrix as it is."""
+    if not isinstance(side, ClusterTree):
+        return side
+    levels = range(1, side.depth() + 1)
+    ids = _ancestor_ids(side, n, levels)
+    return np.array([ids[level] for level in levels])
+
+
+def _ids_at(ids: np.ndarray, level: int) -> np.ndarray:
+    """Row of a level: the root's (0) above level 1, the leaves' past
+    the deepest level."""
+    if level < 1:
+        return np.zeros(ids.shape[1], dtype=np.intp)
+    return ids[min(level, len(ids)) - 1]
+
+
+def align_and_score(G: WeightedDigraph, tree_es, tree_os,
                     labels: Optional[dict[int, tuple]] = None,
                     levels: Optional[Sequence[int]] = None) -> list[dict]:
     """Score the twin trees level by level on their common refinement.
 
+    Each tree is a ClusterTree or its (depth, n) level-id matrix, as
+    ``TwinTreeBuilder.level_ids`` returns it; both score alike.
     Returns one record per level with the cluster count and modularity,
     plus the F score against ground-truth labels when given (labels use
     their first path component as the class).  Every level's refinement
     is a label vector; ``modularity`` scores its parts.
     """
-    depth = min(tree_es.depth(), tree_os.depth())
+    es_ids = _level_matrix(tree_es, G.n)
+    os_ids = _level_matrix(tree_os, G.n)
+    depth = min(len(es_ids), len(os_ids))
     levels = list(range(1, depth + 1) if levels is None else levels)
     truth = None
     if labels:
@@ -262,11 +287,10 @@ def align_and_score(G: WeightedDigraph, tree_es: ClusterTree,
         if np.any(truth < 0):
             raise ValueError(f"vertex {np.argmax(truth < 0)} has no label")
         classes, truth = np.unique(truth, return_inverse=True)
-    es_ids = _ancestor_ids(tree_es, G.n, levels)
-    os_ids = _ancestor_ids(tree_os, G.n, levels)
     records = []
     for level in levels:
-        lab, n_clusters = _product_labels(es_ids[level], os_ids[level])
+        lab, n_clusters = _product_labels(_ids_at(es_ids, level),
+                                          _ids_at(os_ids, level))
         rec = {
             "level": int(level),
             "n_clusters": n_clusters,

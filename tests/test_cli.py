@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import twintree
 from twintree import cli
 from twintree.analysis import GridAnalysis
 from twintree.cli import build_parser, main
@@ -537,6 +541,45 @@ def test_metrics_on_a_graph_without_edges_exits_before_any_tree(
     assert sorted(p.name for p in (tmp_path / "pipeline").iterdir()) == [
         "config.json", "digraph.json"]
     capsys.readouterr()
+
+
+def test_metrics_trials_build_no_tree(tmp_path, monkeypatch, capsys):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    ws = tmp_path / "ws"
+    assert main(["synth", "--out", str(ws), "--kind", "planted",
+                 "--param", "sizes=[10,10,10]"]) == 0
+    assert main(["cluster", "--out", str(ws), "--levels", "2,4"]) == 0
+    monkeypatch.setattr(ClusterTree, "__init__", no_tree)
+    assert main(["metrics", "--out", str(ws), "--trials", "3",
+                 "--baseline-trials", "5", "--train-pct", "20"]) == 0
+    assert {r["metric"] for r in read_csv(ws / "metrics.csv")} == {
+        "modularity", "f_measure", "modularity_random"}
+    capsys.readouterr()
+
+
+SOLVER_PROBE = """
+import sys
+from twintree.cli import main
+ws = sys.argv[1]
+assert "scipy.optimize" not in sys.modules
+for argv in (["synth", "--kind", "toy25"], ["cluster"], ["trees"], ["grid"],
+             ["analyze"], ["metrics", "--trials", "2"]):
+    assert main([argv[0], "--out", ws, *argv[1:]]) == 0
+assert "scipy.optimize" not in sys.modules
+assert main(["approx", "--out", ws]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_commands_that_solve_an_lp_import_the_solver(tmp_path):
+    src = str(Path(twintree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", SOLVER_PROBE, str(tmp_path / "ws")],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert read_csv(tmp_path / "ws" / "approx.csv")
 
 
 @pytest.mark.parametrize("argv, source", [

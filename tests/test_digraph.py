@@ -203,7 +203,32 @@ def test_reciprocal_lengths_inverts_weights_and_keeps_type():
     assert np.allclose(R.to_dense()[G.to_dense() > 0],
                        1.0 / G.to_dense()[G.to_dense() > 0])
     S = symmetrize(G, "es")
-    assert isinstance(reciprocal_lengths(S), UndirectedGraph)
+    S.degree_totals()
+    RS = reciprocal_lengths(S)
+    assert isinstance(RS, UndirectedGraph)
+    assert RS.names == S.names and RS.labels == S.labels
+    # the reciprocal graph's totals are its own, not S's
+    m, k_out, k_in = RS.degree_totals()
+    assert m == RS.total_weight()
+    assert np.array_equal(k_out, RS.out_degrees())
+    assert np.array_equal(k_in, RS.in_degrees())
+
+
+def test_reciprocal_of_a_subnormal_weight_is_not_finite():
+    G = WeightedDigraph(np.array([[0.0, 1e-320], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        reciprocal_lengths(G)
+
+
+def test_degree_totals_are_kept_read_only():
+    rng = np.random.default_rng(14)
+    G = random_digraph(rng, 9, density=0.4)
+    m, k_out, k_in = totals = G.degree_totals()
+    assert G.degree_totals() is totals
+    assert m == G.total_weight()
+    assert np.array_equal(k_out, G.out_degrees())
+    assert np.array_equal(k_in, G.in_degrees())
+    assert not k_out.flags.writeable and not k_in.flags.writeable
 
 
 def test_edge_list_parsing_names_comments_and_duplicates():

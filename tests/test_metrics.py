@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from twintree import metrics
-from twintree.clustering import twt
+from twintree.clustering import TwinTreeBuilder, twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.metrics import (align_and_score, check_partition,
                               confusion_matrix, f_measure, modularity,
@@ -290,3 +290,33 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
                     product_partition_by_ancestors(tree, tree, rec["level"],
                                                    G.n))
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_level_ids_are_the_built_trees_ancestor_ids(algo):
+    graphs = {"planted": synth_digraph("planted", seed=4, sizes=(12, 12, 12)),
+              **degenerate_digraphs()}
+    kinds = set()
+    for G in graphs.values():
+        labels = {v: (f"c{v % 3}",) for v in range(G.n)}
+        for K in ((2, 6), (2, 4, 8)):
+            builder = TwinTreeBuilder(G, K, algo=algo)
+            for labeled in (None, {v: v % 3 for v in range(G.n)}):
+                trees = builder.build(7, labeled)
+                matrices = builder.level_ids(7, labeled)
+                for tree, ids in zip(trees, matrices):
+                    want = metrics._ancestor_ids(
+                        tree, G.n, range(1, tree.depth() + 1))
+                    assert ids.shape == (tree.depth(), G.n)
+                    for level, row in want.items():
+                        assert np.array_equal(ids[level - 1], row)
+                    kinds.add(("depth", tree.depth()))
+                    if len(builder.comps) > 1:
+                        kinds.add("grafted")
+                # past the shallower tree's depth too, where leaves stand in
+                levels = range(0, max(t.depth() for t in trees) + 2)
+                assert align_and_score(G, *matrices, labels, levels) == \
+                    align_and_score(G, *trees, labels, levels)
+    assert "grafted" in kinds
+    if algo != "mbo":  # mbo's finest level is one cluster per class
+        assert ("depth", 4) in kinds
