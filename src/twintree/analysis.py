@@ -179,6 +179,50 @@ DROP_TOL = 1e-9
 # Rows per block wherever the engine streams over its |Omega| rows.
 CHUNK = 1024
 
+# Rows per block of the rank scan's first step.
+SCAN_BLOCK = 256
+
+
+def _choose_rows(rows: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Indices of the rows that Gram-Schmidt in row order keeps.
+
+    Takes the rows SCAN_BLOCK at a time and projects the block twice
+    onto the complement of the basis kept so far, two GEMMs per pass.
+    A row whose residual is <= DROP_TOL * max(1, own norm) is dropped:
+    projecting out the rows kept later in its block could only shrink
+    that residual.  For the same reason a row dropped after the first
+    pass skips the second.  The remaining candidates are decided in
+    order against the rows this block has kept, by the same rule.
+    Stops at as many kept rows as columns.  Rows are scaled by
+    sqrt(masses), so the weighted products are plain dot products.
+    """
+    nrows, ncols = rows.shape
+    w = np.sqrt(masses)
+    E = np.empty((ncols, ncols))
+    kept: list[int] = []
+    for s in range(0, nrows, SCAN_BLOCK):
+        start = len(kept)
+        if start == ncols:
+            break
+        R = rows[s:s + SCAN_BLOCK] * w
+        tol = DROP_TOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", R, R)))
+        place, basis = np.arange(s, s + len(R)), E[:start]
+        for _ in range(2):
+            R -= (R @ basis.T) @ basis
+            live = np.sqrt(np.einsum("ij,ij->i", R, R)) > tol
+            R, tol, place = R[live], tol[live], place[live]
+        for r, t, i in zip(R, tol.tolist(), place.tolist()):
+            new = E[start:len(kept)]
+            for _ in range(2):
+                r = r - (new @ r) @ new
+            norm = math.sqrt(r @ r)
+            if norm > t:
+                E[len(kept)] = r / norm
+                kept.append(i)
+                if len(kept) == ncols:
+                    break
+    return np.array(kept, dtype=np.intp)
+
 
 def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
                         ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -194,17 +238,21 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
     orthonormal under the nu-weighted product force nu > 0 everywhere,
     so they span R^N, and every later residual is roundoff far below
     DROP_TOL.
+
+    The work is split in two.  ``_choose_rows`` decides the kept rows
+    block by block with GEMMs; then the per-row loop runs on the kept
+    rows alone.  The per-row loop never reads the basis for a dropped
+    row, so its E is bit for bit the E of one loop over every row.  A
+    kept row that the per-row loop finds dependent raises
+    AssertionError, naming the row.
     """
     rows = np.asarray(rows, dtype=float)
     ncols = rows.shape[1]
+    chosen = _choose_rows(rows, masses)
     E = np.empty((ncols, ncols))
-    kept: list[int] = []
-    dropped: list[int] = []
-    for i, row in enumerate(rows):
-        if len(kept) == ncols:
-            dropped.extend(range(i, len(rows)))
-            break
-        basis = E[:len(kept)]
+    for n, i in enumerate(chosen.tolist()):
+        basis = E[:n]
+        row = rows[i]
         r = row.copy()
         own = math.sqrt(float((row * row * masses).sum()))
         for _ in range(2):
@@ -212,11 +260,13 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
             r = r - coef @ basis
         norm = math.sqrt(float((r * r * masses).sum()))
         if norm <= DROP_TOL * max(1.0, own):
-            dropped.append(i)
-            continue
-        E[len(kept)] = r / norm
-        kept.append(i)
-    return E[:len(kept)], kept, dropped
+            raise AssertionError(
+                f"row {i} was kept by the blocked scan but is dependent "
+                "in the per-row pass")
+        E[n] = r / norm
+    is_dropped = np.ones(len(rows), dtype=bool)
+    is_dropped[chosen] = False
+    return E[:len(chosen)], chosen.tolist(), np.flatnonzero(is_dropped).tolist()
 
 
 # -- partitions of unity --------------------------------------------------------
@@ -381,9 +431,10 @@ class GridAnalysis:
 
     mode="exact" (default) re-orthonormalizes the restricted products
     and exposes a genuinely orthonormal discrete system (surviving
-    indices in ``active``); mode="idealized" keeps the raw restricted
-    products of the orthonormalized univariate functions and reports
-    their orthogonality defect.
+    indices in ``active``, and as a mask over Omega in ``is_active``);
+    mode="idealized" keeps the raw restricted products of the
+    orthonormalized univariate functions and reports their
+    orthogonality defect.
 
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
@@ -451,9 +502,10 @@ class GridAnalysis:
                     "points; their span must be all of R^N")
         else:
             self._rows, kept, dropped = raw, list(range(len(k1))), []
-        omega = self.freqs.omega
-        self.active = [omega[i] for i in kept]
-        self.dropped = [omega[i] for i in dropped]
+        self.is_active = np.zeros(len(k1), dtype=bool)
+        self.is_active[kept] = True
+        self.active = list(zip(k1[kept].tolist(), k2[kept].tolist()))
+        self.dropped = list(zip(k1[dropped].tolist(), k2[dropped].tolist()))
         self._index = {k: i for i, k in enumerate(self.active)}
         self.omega_shell = shell_array(k1, k2, self.base)
         self._shell = self.omega_shell[kept]

@@ -70,12 +70,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """Rows of ints and strings, written as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _write_rows(path, header, ([_fmt(x) for x in row] for row in rows))
 
 
 def _load(ws: Path, name: str, load):
@@ -329,12 +333,10 @@ def cmd_analyze(args) -> int:
     G = _load_graph(args)
     f = vertex_signal(G, args.signal)
     engine = _build_analysis(args, G, args.mode, args.partition_base)
-    active = set(engine.active)
-    rows = []
-    for k, shell in zip(engine.freqs.omega, engine.omega_shell.tolist()):
-        status = "active" if k in active else "dropped"
-        rows.append([k[0], k[1], shell, status])
-    _write_csv(ws / "omega.csv", ["k1", "k2", "shell", "status"], rows)
+    status = np.where(engine.is_active, "active", "dropped")
+    _write_rows(ws / "omega.csv", ["k1", "k2", "shell", "status"],
+                zip(engine.freqs.k1.tolist(), engine.freqs.k2.tolist(),
+                    engine.omega_shell.tolist(), status.tolist()))
     coeffs = engine.analyze(f)
     _write_csv(ws / "coefficients.csv", ["k1", "k2", "coefficient"],
                [[k[0], k[1], float(c)] for k, c in coeffs.items()])

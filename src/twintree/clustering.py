@@ -443,8 +443,9 @@ def coarse_grain(G: WeightedDigraph,
     The weight between coarse vertices i and j is the sum of all
     original weights from members of part i to members of part j,
     added from 0.0 in CSR order; an undirected graph's upper triangle
-    is mirrored.  Passing the singleton partition returns a graph equal
-    to G.
+    is mirrored.  The result has G's type and default names, and is
+    built as canonical CSR directly.  Passing the singleton partition
+    returns a graph equal to G.
     """
     parts = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
              else np.fromiter(p, dtype=np.intp) for p in partition]
@@ -463,8 +464,16 @@ def coarse_grain(G: WeightedDigraph,
     coarse = np.bincount(labels[tail] * k + labels[W.indices], W.data,
                          minlength=k * k).reshape(k, k)
     if isinstance(G, UndirectedGraph):
-        return UndirectedGraph(np.triu(coarse) + np.triu(coarse, 1).T)
-    return WeightedDigraph(coarse)
+        coarse = np.triu(coarse) + np.triu(coarse, 1).T
+    # sums of positive weights are positive, and the mirror is exactly
+    # symmetric; only overflow to inf is left to check
+    if not np.all(np.isfinite(coarse)):
+        raise ValueError("edge weights must be finite")
+    nz = np.flatnonzero(coarse)
+    weights = sparse.csr_array(
+        (coarse.ravel()[nz], nz % k, np.searchsorted(nz, np.arange(k + 1) * k)),
+        shape=(k, k))
+    return type(G)._canonical(weights, [str(i) for i in range(k)], {})
 
 
 def _normalized_adjacency(G: UndirectedGraph

@@ -200,8 +200,14 @@ def gram_case(case, request):
     if case == "rank_deficient":
         rows = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 8))
         return rows, rng.uniform(0.1, 1.0, 8)
-    ncols = int(rng.integers(3, 13))
-    nrows = ncols * int(rng.integers(5, 12))
+    if case == "blocks":
+        return independent_rows_in_blocks(rng), rng.uniform(0.01, 1.0, 30)
+    if case == "wide":
+        # more columns than a scan block: full rank comes after block 0
+        ncols, nrows = analysis.SCAN_BLOCK + 44, 2 * analysis.SCAN_BLOCK + 100
+    else:
+        ncols = int(rng.integers(3, 13))
+        nrows = ncols * int(rng.integers(5, 12))
     rows = rng.standard_normal((nrows, ncols))
     # dependent rows, both before and after full rank is reached
     for i in rng.choice(np.arange(2, nrows), size=nrows // 3, replace=False):
@@ -210,8 +216,44 @@ def gram_case(case, request):
     return rows, rng.uniform(0.01, 1.0, ncols)
 
 
+# independent rows of the "blocks" case, by scan block: none in block 1
+BLOCK_FRESH = (12, 0, 9, 9, 0)
+
+
+def independent_rows_in_blocks(rng) -> np.ndarray:
+    """Rows over five scan blocks, 30 columns, whose independent rows
+    are BLOCK_FRESH[b] random rows at random places of block b (row 0
+    among them); every other row is r_a - 0.5 r_b of two earlier rows.
+
+    Block 1 draws both sources from block 0, so once block 0 is
+    projected out, none of its rows is a candidate.  Blocks 2 and 3
+    draw one source from their own block, where one exists, and one
+    from any earlier row; block 4 lies past full rank.
+    """
+    size = analysis.SCAN_BLOCK
+    fresh = {0}
+    for b, count in enumerate(BLOCK_FRESH):
+        places = np.arange(max(b * size, 1), (b + 1) * size)
+        fresh.update(rng.choice(places, size=count - (b == 0),
+                                replace=False).tolist())
+    rows = np.zeros((len(BLOCK_FRESH) * size, 30))
+    for i in range(len(rows)):
+        if i in fresh:
+            rows[i] = rng.standard_normal(30)
+            continue
+        b = i // size
+        if b == 1:
+            a, c = rng.choice(size, size=2, replace=False)
+        else:
+            a = rng.integers(b * size, i) if i > b * size else rng.integers(i)
+            c = rng.integers(i)
+        rows[i] = rows[a] - 0.5 * rows[c]
+    return rows
+
+
 @pytest.mark.parametrize("case", [f"tall_{i}" for i in range(6)]
-                         + ["rank_deficient", "empty", "toy_raw"])
+                         + ["rank_deficient", "empty", "toy_raw", "wide",
+                            "blocks"])
 def test_full_rank_exit_matches_full_scan_oracle(case, request):
     rows, masses = gram_case(case, request)
     E, kept, dropped = gram_orthonormalize(rows, masses)
@@ -220,9 +262,26 @@ def test_full_rank_exit_matches_full_scan_oracle(case, request):
     assert dropped == dropped_ref
     assert np.array_equal(E, E_ref)
     assert sorted(kept + dropped) == list(range(len(rows)))
-    if case.startswith("tall") or case == "toy_raw":
+    if case.startswith("tall") or case in ("toy_raw", "wide", "blocks"):
         # full rank is reached with rows still to scan, so the exit fires
         assert len(kept) == rows.shape[1] and kept[-1] < len(rows) - 1
+    if case in ("wide", "blocks"):
+        blocks = np.bincount(np.array(kept) // analysis.SCAN_BLOCK)
+        assert len(blocks) > 1
+    if case == "blocks":
+        assert tuple(blocks) == BLOCK_FRESH[:len(blocks)]
+
+
+def test_per_row_pass_rejects_a_dependent_row_the_scan_kept(monkeypatch):
+    masses = np.full(4, 0.25)
+    rows = np.array([[1.0, 1.0, 1.0, 1.0],
+                     [1.0, 1.0, -1.0, -1.0],
+                     [2.0, 2.0, 0.0, 0.0],   # sum of the first two
+                     [0.0, 1.0, 0.0, 0.0]])
+    monkeypatch.setattr(analysis, "_choose_rows",
+                        lambda rows, masses: np.array([0, 1, 2, 3]))
+    with pytest.raises(AssertionError, match="row 2 "):
+        gram_orthonormalize(rows, masses)
 
 
 # -- the analysis engine -----------------------------------------------------------

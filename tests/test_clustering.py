@@ -336,6 +336,15 @@ def test_coarse_grain_identity_and_errors():
     assert isinstance(CS, UndirectedGraph)
 
 
+def test_coarse_weights_that_overflow_are_not_finite():
+    W = np.zeros((3, 3))
+    W[0, 1] = W[0, 2] = 1e308
+    parts = [frozenset({0}), frozenset({1, 2})]
+    for G in (WeightedDigraph(W), UndirectedGraph(W + W.T)):
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            coarse_grain(G, parts)
+
+
 # -- spectral embedding -------------------------------------------------------
 
 

@@ -6,12 +6,15 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides eleven synthesized graphs, the corpus ingests five edge lists
+Besides twelve synthesized graphs, the corpus ingests five edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph and four degenerate ones (fragmented, out-star,
 self-loops, heavy-tailed weights).  Two configurations (`*_deep`) ask
-for three levels, so that a coarse graph is coarse-grained again.  Run
-it once per checkout; then
+for three levels, so that a coarse graph is coarse-grained again.  One
+(`planted_volume_blocks`, planted 60/60, exact mode) is large enough
+that the rank scan runs over several blocks: |Omega| = 7 058 and full
+rank is reached at Omega row 3 035, both past the 256 rows of
+`analysis.SCAN_BLOCK`.  Run it once per checkout; then
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -50,6 +53,9 @@ SYNTH = {
     "sparse_volume": ["--kind", "sparse", "--param", "n=40", "--scheme",
                       "volume"],
     "planted_mll_deep": PLANTED + ["--algo", "mll", *DEEP],
+    # |Omega| and the full-rank row both exceed analysis.SCAN_BLOCK
+    "planted_volume_blocks": PLANTED + ["--param", "sizes=[60,60]",
+                                        "--scheme", "volume"],
 }
 
 
