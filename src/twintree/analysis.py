@@ -17,13 +17,14 @@ statement then holds to machine precision.  "idealized" keeps the raw
 restricted products and reports their orthogonality defect instead.
 
 Frequencies are pairs k = (k1, k2).  The dyadic shell of an index is
-shell(k) = max over axes of ceil(log2(ki + 1)); the default partition
-of unity is the crisp indicator split along shells (gap 0), and the
-default differentiation multiplier is 2**(r * shell(k)).  Filtered
-sums, mixed-difference variation (the four-term Hardy-Krause style
-functional), best uniform approximation from shell spans, a discrete
-K-functional, and the four-sequence smoothness profile complete the
-toolbox.
+shell(k) = max over axes of ceil(log2(ki + 1)).  The graded
+operators split Omega crisply along shells: the head of degree n keeps
+the indices of shell <= n and block j those of shell exactly j, each
+applied as a mask of the shell array.  The default differentiation
+multiplier is 2**(r * shell(k)).  Filtered sums, mixed-difference
+variation (the four-term Hardy-Krause style functional), best uniform
+approximation from shell spans, a discrete K-functional, and the
+four-sequence smoothness profile complete the toolbox.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class GridSet:
 
     def masses(self) -> np.ndarray:
         return np.array([float(p.mass) for p in self.points])
-
-    def total_mass(self) -> Fraction:
-        return sum((p.mass for p in self.points), Fraction(0))
 
 
 def build_grid(filt_es: Filtration, filt_os: Filtration,
@@ -121,10 +119,6 @@ def shell_index(k: tuple[int, int], base: int = 2) -> int:
     return int(shell_array([int(k[0])], [int(k[1])], base)[0])
 
 
-def graded_lex_key(k: tuple[int, int]) -> tuple[int, int]:
-    return (k[0] + k[1], k[0])
-
-
 class FrequencySet:
     """Nonvanishing tensor indices on a grid as graded-lex arrays k1, k2."""
 
@@ -142,9 +136,6 @@ class FrequencySet:
 
     def __contains__(self, k) -> bool:
         return bool(np.any((self.k1 == k[0]) & (self.k2 == k[1])))
-
-    def max_shell(self, base: int = 2) -> int:
-        return int(shell_array(self.k1, self.k2, base).max())
 
 
 def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
@@ -269,74 +260,13 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
     return E[:len(chosen)], chosen.tolist(), np.flatnonzero(is_dropped).tolist()
 
 
-# -- partitions of unity --------------------------------------------------------
-
-
-@dataclass
-class PartitionOfUnity:
-    """Finitely many nonnegative shell weights summing to 1 on the
-    index set, with supports that overlap only within the gap m_star
-    and reach no higher than shell j + m_star."""
-    shells: list[dict[tuple[int, int], float]]
-    m_star: int = 0
-    base: int = 2
-
-    def n_shells(self) -> int:
-        return len(self.shells)
-
-    def g(self, j: int) -> dict[tuple[int, int], float]:
-        return self.shells[j] if 0 <= j < len(self.shells) else {}
-
-    def head(self, n: int) -> dict[tuple[int, int], float]:
-        """H_n = g_0 + ... + g_n."""
-        out: dict[tuple[int, int], float] = {}
-        for j in range(min(n, len(self.shells) - 1) + 1):
-            for k, v in self.shells[j].items():
-                out[k] = out.get(k, 0.0) + v
-        return out
-
-    def validate(self, freqs: FrequencySet) -> None:
-        if self.shells and self.shells[0].get((0, 0), 0.0) != 1.0:
-            raise ValueError("the first shell must fix the constant index")
-        supports = [frozenset(k for k, v in g.items() if v > 0.0)
-                    for g in self.shells]
-        for j, supp in enumerate(supports):
-            for k in supp:
-                if not 0.0 <= self.shells[j][k] <= 1.0:
-                    raise ValueError(f"shell {j} leaves [0, 1] at {k}")
-                if shell_index(k, self.base) > j + self.m_star:
-                    raise ValueError(
-                        f"shell {j} reaches index {k} above its band")
-            for j2 in range(j + self.m_star + 1, len(supports)):
-                if supp & supports[j2]:
-                    raise ValueError(
-                        f"shells {j} and {j2} overlap beyond gap "
-                        f"{self.m_star}")
-        total = self.head(len(self.shells) - 1)
-        for k in freqs.omega:
-            if abs(total.get(k, 0.0) - 1.0) > 1e-12:
-                raise ValueError(f"shells do not sum to 1 at {k}")
-
-
-def default_partition(freqs: FrequencySet, base: int = 2
-                      ) -> PartitionOfUnity:
-    """Crisp split: shell j holds exactly the indices with shell j
-    (valid by construction, so ``validate`` is not run)."""
-    shell = shell_array(freqs.k1, freqs.k2, base)
-    parts: list[dict] = [{} for _ in range(int(shell.max()) + 1)]
-    for k, j in zip(freqs.omega, shell.tolist()):
-        parts[j][k] = 1.0
-    return PartitionOfUnity(parts, m_star=0, base=base)
-
-
 def box_filter(n: int, base: int = 2) -> dict[tuple[int, int], float]:
     """Indicator of the full lower-left shell box {shell(k) <= n}.
 
-    This is the canonical materialization of the head H_n as a filter
-    sequence on the whole quadrant: its variation is exactly 4 for
-    every n >= 0, and filtering with it equals filtering with the
-    index-set-restricted head (the extra indices carry no
-    coefficients).  n < 0 gives the empty filter.
+    This is the head of degree n (the indices of shell <= n) as a
+    filter sequence on the whole quadrant: its variation is exactly 4
+    for every n >= 0, and filtering with it equals ``sigma`` (the extra
+    indices carry no coefficients).  n < 0 gives the empty filter.
     """
     if n < 0:
         return {}
@@ -355,12 +285,6 @@ class MultiplierSequence:
 
     def __getitem__(self, k) -> float:
         return float(self.base) ** (self.order * shell_index(k, self.base))
-
-    def restricted(self, g: dict) -> dict:
-        return {k: self[k] for k, v in g.items() if v > 0.0}
-
-    def inverse_restricted(self, g: dict) -> dict:
-        return {k: 1.0 / self[k] for k, v in g.items() if v > 0.0}
 
 
 class MultiplierError(ValueError):
@@ -516,12 +440,6 @@ class GridAnalysis:
     def __len__(self) -> int:
         return len(self.grid)
 
-    @property
-    def partition(self) -> PartitionOfUnity:
-        """The crisp default partition of Omega, built afresh per access;
-        sigma and tau apply it as masks of the shell array."""
-        return default_partition(self.freqs, self.base)
-
     def row(self, k) -> np.ndarray:
         return self._rows[self._index[tuple(k)]]
 
@@ -601,7 +519,8 @@ class GridAnalysis:
     # -- graded approximation ------------------------------------------------
 
     def sigma(self, fvals: np.ndarray, n: int) -> np.ndarray:
-        """Filtered sum with the head H_n of the partition of unity."""
+        """Filtered sum with the head of degree n: the coefficients of
+        shell <= n."""
         return self._synth(np.where(self._shell <= n, self._coef(fvals), 0.0))
 
     def tau(self, fvals: np.ndarray, j: int) -> np.ndarray:
@@ -609,7 +528,7 @@ class GridAnalysis:
         return self._synth(np.where(self._shell == j, self._coef(fvals), 0.0))
 
     def degree_span(self, n: int) -> list[tuple[int, int]]:
-        """Active indices reached by the head H_n."""
+        """Active indices of shell <= n, the head of degree n."""
         return [k for k, j in zip(self.active, self._shell.tolist()) if j <= n]
 
     def _finite(self, fvals: np.ndarray) -> np.ndarray:

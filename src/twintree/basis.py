@@ -41,15 +41,13 @@ Conventions used throughout this module:
   (b-a)^2 / ((b'-a')(a'-a)(b'-a)).  The system is orthogonal, constant
   on leaf cells, and spans exactly the leaf-measurable functions.
 
-Expansions, filtered sums with their variation bound, and best uniform
-approximation from leading spans (a small linear program) live at the
-bottom of the module.
+Expansions and best uniform approximation from leading spans (a small
+linear program) live at the bottom of the module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -85,26 +83,6 @@ class PiecewiseConstant:
             for lo, hi in zip(self.breakpoints, self.breakpoints[1:]):
                 if not lo < hi:
                     raise ValueError("breakpoints must strictly increase")
-
-    # construction helpers
-
-    @classmethod
-    def constant(cls, value) -> "PiecewiseConstant":
-        return cls([0, 1], [value], validate=False)
-
-    @classmethod
-    def indicator(cls, a, b) -> "PiecewiseConstant":
-        """Indicator of [a, b) as a function on [0, 1)."""
-        bps, vals = [0], []
-        if a > 0:
-            bps.append(a)
-            vals.append(0)
-        vals.append(1)
-        if b < 1:
-            bps.append(b)
-            vals.append(0)
-        bps.append(1)
-        return cls(bps, vals)
 
     def __repr__(self) -> str:
         return f"PiecewiseConstant({len(self.values)} pieces)"
@@ -156,22 +134,6 @@ class PiecewiseConstant:
     def sup_norm(self):
         return max(abs(v) for v in self.values)
 
-    def to_float(self) -> "PiecewiseConstant":
-        return PiecewiseConstant([float(x) for x in self.breakpoints],
-                                 [float(v) for v in self.values],
-                                 validate=False)
-
-    def simplify(self) -> "PiecewiseConstant":
-        """Merge adjacent pieces with exactly equal values."""
-        bps, vals = [self.breakpoints[0]], []
-        for v, hi in zip(self.values, self.breakpoints[1:]):
-            if vals and v == vals[-1]:
-                bps[-1] = hi
-            else:
-                vals.append(v)
-                bps.append(hi)
-        return PiecewiseConstant(bps, vals)
-
     def values_on(self, grid: Sequence) -> list:
         """Values per cell of a coarser-or-equal grid.
 
@@ -222,9 +184,6 @@ class LocalBasis:
     def nodes(self) -> list:
         """Quadrature nodes: left endpoint of every child."""
         return [self.a + P for P in self.prefix[:-1]]
-
-    def child_interval(self, k: int) -> tuple:
-        return (self.a + self.prefix[k], self.a + self.prefix[k + 1])
 
     def norm_sq(self, k: int):
         if k == 0:
@@ -429,19 +388,6 @@ class TreeBasis:
             vals.append(acc)
         return PiecewiseConstant(grid, vals, validate=False)
 
-    def partial_sum(self, f: PiecewiseConstant, n: int) -> PiecewiseConstant:
-        """Projection onto the span of indices 0..n (inclusive)."""
-        coeffs = self.analyze(f)[:n + 1]
-        return self.synthesize(coeffs)
-
-    def filtered_sum(self, h: Sequence, f: PiecewiseConstant
-                     ) -> PiecewiseConstant:
-        """sum_k h[k] f_hat(k) psi_k over the finite support of h."""
-        coeffs = self.analyze(f)
-        filt = [h[k] * coeffs[k] if k < len(h) else 0 * coeffs[k]
-                for k in range(self.size)]
-        return self.synthesize(filt)
-
     def best_uniform_approx(self, f: PiecewiseConstant, n: int
                             ) -> tuple[float, PiecewiseConstant]:
         """Distance from f to the span of indices 0..n in the sup norm.
@@ -472,17 +418,3 @@ class TreeBasis:
         witness = self.synthesize(list(res.x[:ncols]))
         return float(res.fun), witness
 
-
-def variation_1d(h: Sequence) -> float:
-    """Sup plus total jump of a finitely supported filter sequence.
-
-    The sequence is read as h[0..len-1] followed by zeros, so the final
-    drop to zero counts as a jump.  The indicator of an initial segment
-    scores exactly 2.
-    """
-    hs = [float(x) for x in h] + [0.0]
-    if not hs:
-        return 0.0
-    sup = max(abs(x) for x in hs)
-    jumps = sum(abs(b - a) for a, b in zip(hs, hs[1:]))
-    return sup + jumps

@@ -1,18 +1,21 @@
 """Hierarchical clustering of graphs into trees of nested vertex sets.
 
-Three clusterers share one center/medoid iteration: the purely
-graph-metric one (distances are shortest paths in the symmetrized
-graph), the spectral-embedding one (distances are Euclidean between
-diffusion coordinates), and a semi-supervised threshold-dynamics scheme
-for the finest level.  Coarser levels always come from re-clustering the
+Three clusterers share one center/medoid iteration over a coarsening
+loop (``_medoid_hierarchy``): nhc measures shortest paths in the
+symmetrized graph, mll Euclidean distances between diffusion
+coordinates, and mbo partitions the finest level by semi-supervised
+threshold dynamics.  Coarser levels always come from re-clustering the
 coarse-grained cluster graph, so every level is a partition nested in
 the one below.
 
 A ClusterTree records the hierarchy: the root at level 0 holds every
 vertex, each internal node's children partition its members, and leaves
-are single vertices.  The twin-tree builder runs the whole construction
-twice per digraph — once for each symmetrized companion — component by
-component.
+are single vertices.  The twin-tree builder runs the construction twice
+per digraph — once for each symmetrized companion — component by
+component, and numbers the nodes of each side in one level-id matrix
+(``TwinTreeBuilder.level_ids``).  That matrix is the only way a twin
+tree is assembled: ``build`` turns it into a ClusterTree, and the
+seeded metrics trials read it directly.
 """
 
 from __future__ import annotations
@@ -239,9 +242,11 @@ def _level_ids(levels: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 def _tree_of_ids(idx: np.ndarray, ids: np.ndarray) -> ClusterTree:
-    """The ClusterTree of a ``_level_ids`` matrix over the vertices idx:
-    the root 0 holds them all, and each id first met in row d - 1 is a
-    node at level d whose parent is its vertices' id one row up."""
+    """The ClusterTree of a ``_level_ids`` or ``_graft_ids`` matrix over
+    the vertices idx: the root 0 holds them all, and each id first met
+    in row d - 1 is a node at level d whose parent is its vertices' id
+    one row up.  An id met again in a deeper row (a shallow component's
+    leaf standing in for it there) is skipped."""
     nodes = {0: ClusterNode(id=0, level=0, parent=None,
                             members=frozenset(idx.tolist()))}
     above = np.zeros(idx.size, dtype=np.intp)
@@ -251,6 +256,8 @@ def _tree_of_ids(idx: np.ndarray, ids: np.ndarray) -> ClusterTree:
         ends = [*starts[1:].tolist(), idx.size]
         flat = idx[by_node].tolist()
         for nid, lo, hi in zip(nids.tolist(), starts.tolist(), ends):
+            if nid in nodes:
+                continue
             parent = int(above[by_node[lo]])
             nodes[nid] = ClusterNode(nid, depth, parent, [],
                                      frozenset(flat[lo:hi]))
@@ -364,6 +371,10 @@ def _medoid_hierarchy(G, K: Sequence[int], seed: int,
                       ) -> list[np.ndarray]:
     """Finest-to-coarsest medoid clustering with coarse-graining.
 
+    The finest level splits G into K[-1] clusters by the best of n_init
+    medoid starts (at most 100 rounds each); each coarser level re-runs
+    it on the coarse-grained cluster graph, whose edge weight between
+    two clusters is the total original weight between their members.
     dist_of maps the current (coarse) graph to its distance matrix.
     Labeled vertices seed the finest level only, where vertices are
     original.  A given ``finest`` label vector is taken as the finest
@@ -414,26 +425,6 @@ def _label_seed_vertices(labeled: Optional[dict]) -> Optional[list[int]]:
         if cls not in reps or v < reps[cls]:
             reps[cls] = int(v)
     return [reps[cls] for cls in sorted(reps)]
-
-
-def nhc_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
-                labeled: Optional[dict] = None,
-                edge_length: str = "reciprocal", n_init: int = 1
-                ) -> ClusterTree:
-    """Hierarchical medoid clustering under graph distance.
-
-    The finest level partitions the vertices into K[-1] clusters by the
-    center/medoid iteration on all-pairs shortest-path distances; each
-    coarser level re-runs it on the coarse-grained cluster graph, whose
-    edge weight between two clusters is the total original weight
-    between their members.  With edge_length="reciprocal" (default) an
-    edge of weight w contributes length 1/w to a path, so heavily
-    coupled vertices are near each other; "raw" uses weights as lengths
-    verbatim.  Each medoid start runs at most 100 rounds.
-    """
-    return _tree(np.arange(G.n), _medoid_hierarchy(
-        G, K, seed, labeled, lambda cur: _path_distance(cur, edge_length),
-        n_init))
 
 
 def coarse_grain(G: WeightedDigraph,
@@ -515,21 +506,6 @@ def spectral_embedding(G: UndirectedGraph, n_eig: int,
         if U[i, j] < 0:
             U[:, j] = -U[:, j]
     return dhalf[:, None] * U * lam[None, :]
-
-
-def mll_cluster(G: UndirectedGraph, K: Sequence[int], seed: int = 0,
-                labeled: Optional[dict] = None, n_init: int = 1
-                ) -> ClusterTree:
-    """Hierarchical medoid clustering in diffusion-embedding space.
-
-    Per level the current (coarse) graph is embedded with up to 30
-    eigenvectors and clustered by the same center/medoid iteration as
-    the graph-metric clusterer (at most 100 rounds per start), but under
-    Euclidean distance between embedded points; levels above the finest
-    re-embed the coarse-grained graph.
-    """
-    return _tree(np.arange(G.n), _medoid_hierarchy(
-        G, K, seed, labeled, _embedding_distance(seed), n_init))
 
 
 def _embedding_distance(seed: int):
@@ -671,10 +647,11 @@ class TwinTreeBuilder:
     then "os") and each component with at least _TINY_COMPONENT
     vertices, symmetrizes the component's subgraph and clips the level
     sizes K to it.  For nhc the finest level's shortest-path distances
-    are also kept, computed on first use.  build(seed, labeled) then
-    runs only the seeded clustering, so repeated trials share that work
-    and build the same trees as separate twt calls; level_ids(seed,
-    labeled) runs the same clustering and numbering but builds no tree.
+    are also kept, computed on first use.  level_ids(seed, labeled) then
+    runs only the seeded clustering and numbers each side's nodes in a
+    level-id matrix, so repeated trials share that work; build(seed,
+    labeled) assembles the trees from those matrices, the same trees as
+    separate twt calls.
     """
 
     def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
@@ -713,19 +690,22 @@ class TwinTreeBuilder:
 
     def build(self, seed: int = 0, labeled: Optional[dict] = None
               ) -> tuple[ClusterTree, ClusterTree]:
-        """The twin trees for one seed (and optional labeled vertices)."""
-        es, os_ = (_graft_components(self.G, [
-                       _tree(idx, levels)
-                       for idx, levels in zip(self.comps, side)])
-                   for side in self._levels(seed, labeled))
+        """The twin trees for one seed (and optional labeled vertices),
+        each assembled from its level_ids(seed, labeled) matrix; a tree
+        grafted from several components is validated."""
+        es, os_ = (_tree_of_ids(np.arange(self.G.n), ids)
+                   for ids in self.level_ids(seed, labeled))
+        if len(self.comps) > 1:
+            es.validate()
+            os_.validate()
         return es, os_
 
     def level_ids(self, seed: int = 0, labeled: Optional[dict] = None
                   ) -> tuple[np.ndarray, np.ndarray]:
         """The twin trees of build(seed, labeled) as (depth, n) level-id
         matrices, without building them: row l - 1 holds the node id
-        covering each vertex at level l, as the tree numbers its nodes
-        (``metrics._ancestor_ids``)."""
+        covering each vertex at level l, the id build gives that node
+        (``metrics._ancestor_ids`` reads the same ids off a tree)."""
         es, os_ = (_graft_ids(self.G.n, self.comps, [
                        _level_ids(levels, idx.size)
                        for idx, levels in zip(self.comps, side)])
@@ -752,42 +732,15 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
     return builder.build(seed, labeled)
 
 
-def _graft_components(G: WeightedDigraph,
-                      subtrees: list[ClusterTree]) -> ClusterTree:
-    """One tree whose root's children are the components' trees.
-
-    A single component's tree is the whole tree.  Otherwise component
-    trees follow one another, each with its node ids shifted past those
-    before it; this needs each numbered 0, 1, ... from its root, as
-    _tree numbers them.
-    """
-    if len(subtrees) == 1:
-        return subtrees[0]
-    root = ClusterNode(id=0, level=0, parent=None,
-                       members=frozenset(range(G.n)))
-    nodes = {0: root}
-    offset = 1
-    for sub in subtrees:
-        root.children.append(offset)
-        for n in sub.nodes.values():
-            nodes[n.id + offset] = ClusterNode(
-                id=n.id + offset, level=n.level + 1,
-                parent=0 if n.parent is None else n.parent + offset,
-                children=[c + offset for c in n.children],
-                members=n.members, synthetic=n.synthetic)
-        offset += len(sub.nodes)
-    tree = ClusterTree(nodes, 0)
-    tree.validate()
-    return tree
-
-
 def _graft_ids(n: int, comps: list[np.ndarray],
                blocks: list[np.ndarray]) -> np.ndarray:
-    """The level ids of _graft_components' tree, from each component's
-    ``_level_ids`` block: a single block is the whole matrix; otherwise
-    each block moves one level down, below its component's root, with
-    its ids shifted past those before it, and a shallow component's
-    leaves stand in for it at the deeper levels."""
+    """The level ids of the twin tree over weak components, from each
+    component's ``_level_ids`` block.  A single block is the whole
+    matrix.  Otherwise row 0 holds one node per component, the root's
+    children in component order, and each block moves one level down,
+    below its component's node, with its ids shifted past those of the
+    components before it; a shallow component's leaves stand in for it
+    at the deeper levels."""
     if len(blocks) == 1:
         return blocks[0]
     depth = 1 + max((len(block) for block in blocks), default=0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -137,9 +137,6 @@ class WeightedDigraph:
 
     def to_dense(self) -> np.ndarray:
         return self.weights.toarray()
-
-    def name_map(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     # -- derived graphs --------------------------------------------------
 

@@ -47,12 +47,6 @@ class Filtration(ClusterTree):
     def leaf_interval(self, vertex: int) -> tuple[Fraction, Fraction]:
         return self.nodes[self.leaf_of_vertex(vertex)].interval
 
-    def child_index(self, nid: int) -> int:
-        node = self.nodes[nid]
-        if node.parent is None:
-            raise ValueError("root has no child index")
-        return self.nodes[node.parent].children.index(nid)
-
     def validate(self) -> None:
         """Raise unless the masses are positive and tile [0, 1) exactly."""
         root = self.nodes[self.root]

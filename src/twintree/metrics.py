@@ -194,11 +194,6 @@ def confusion_matrix(pred: Sequence, truth: Sequence, n: int) -> np.ndarray:
     return M
 
 
-def tree_partition(tree: ClusterTree, level: int, n: int) -> Partition:
-    """Partition of the vertex set induced by a tree level."""
-    return check_partition(tree.partition_at_level(level), n)
-
-
 def _ancestor_ids(tree: ClusterTree, n: int, levels: Sequence[int]
                   ) -> dict[int, np.ndarray]:
     """level -> the node id covering each vertex 0..n-1 at that level.

@@ -172,6 +172,34 @@ def tree_by_subset_scan(vertices, partitions) -> ClusterTree:
     return tree
 
 
+def graft_by_offset(n: int, components) -> ClusterTree:
+    """The twin tree over weak components, from (vertices, level
+    partitions) per component: each component's tree by
+    ``tree_by_subset_scan``; a single one is the whole tree, otherwise
+    the trees become the root's children in component order, each with
+    its node ids shifted past those of the trees before it and its
+    levels one deeper.  How the package grafted component trees before
+    it assembled twin trees from level-id matrices."""
+    subtrees = [tree_by_subset_scan(v, parts) for v, parts in components]
+    if len(subtrees) == 1:
+        return subtrees[0]
+    root = ClusterNode(id=0, level=0, parent=None,
+                       members=frozenset(range(n)))
+    nodes, offset = {0: root}, 1
+    for sub in subtrees:
+        root.children.append(offset)
+        for node in sub.nodes.values():
+            nodes[node.id + offset] = ClusterNode(
+                id=node.id + offset, level=node.level + 1,
+                parent=0 if node.parent is None else node.parent + offset,
+                children=[c + offset for c in node.children],
+                members=node.members)
+        offset += len(sub.nodes)
+    tree = ClusterTree(nodes)
+    tree.validate()
+    return tree
+
+
 def product_partition_by_ancestors(tree_es, tree_os, level: int, n: int):
     """Common refinement of two trees' level partitions as frozensets,
     grouped by the pair of ``ancestor_at_level`` ids of every vertex and
@@ -464,6 +492,11 @@ def shell_loop(k, base: int = 2) -> int:
             j += 1
         out = max(out, j)
     return out
+
+
+def graded_lex_key(k) -> tuple[int, int]:
+    """Sort key of graded lexicographic order: total degree, then k1."""
+    return (k[0] + k[1], k[0])
 
 
 def dict_filtered_synthesis(row, npts: int, coeffs: dict, h: dict,

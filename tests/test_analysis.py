@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.analysis import (FrequencySet, GridAnalysis, PartitionOfUnity,
-                               axis_value_matrix, box_filter, build_grid,
-                               MultiplierSequence, compute_omega,
-                               default_multiplier, default_partition,
-                               gram_orthonormalize, graded_lex_key,
-                               shell_array, shell_index, variation_2d)
+from twintree.analysis import (FrequencySet, GridAnalysis, axis_value_matrix,
+                               box_filter, build_grid, MultiplierSequence,
+                               compute_omega, default_multiplier,
+                               gram_orthonormalize, shell_array, shell_index,
+                               variation_2d)
 from twintree import analysis
 from twintree.basis import TreeBasis
 from twintree.cli import vertex_signal
@@ -20,8 +19,8 @@ from twintree.filtration import build_filtration
 from frozen_constants import FILTERED_RATIO, HEADROOM
 from oracles import (cell_midrange_errors, dict_filtered_synthesis,
                      exact_cells, exact_greedy_rank, exact_rank,
-                     full_scan_gram, lp_degree_errors, minimax_distance,
-                     shell_loop, variation_2d_brute)
+                     full_scan_gram, graded_lex_key, lp_degree_errors,
+                     minimax_distance, shell_loop, variation_2d_brute)
 from util import random_filtration
 
 
@@ -51,7 +50,7 @@ def test_grid_pairs_leaf_intervals_per_vertex():
     f2 = random_filtration(rng, 10, [2, 5], weights="integer")
     grid = build_grid(f1, f2)
     assert len(grid) == 10
-    assert grid.total_mass() == 1
+    assert sum(p.mass for p in grid.points) == 1
     assert grid.normalized
     for p in grid.points:
         x0, x1 = f1.leaf_interval(p.vertex)
@@ -69,7 +68,7 @@ def test_uniform_twin_weights_give_equal_masses():
     f2 = random_filtration(rng, 8, [4], weights="uniform")
     raw = build_grid(f1, f2, normalize=False)
     assert all(p.mass == Fraction(1, 64) for p in raw.points)
-    assert raw.total_mass() == Fraction(8, 64)
+    assert sum(p.mass for p in raw.points) == Fraction(8, 64)
     grid = build_grid(f1, f2)
     assert all(p.mass == Fraction(1, 8) for p in grid.points)
 
@@ -117,7 +116,7 @@ def test_frequency_sets_sort_graded_lex():
     assert fs.omega == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
     assert (1, 1) in fs
     assert (5, 5) not in fs
-    assert fs.max_shell() == 2
+    assert shell_array(fs.k1, fs.k2).max() == 2
     assert len(fs) == 5
 
 
@@ -486,42 +485,6 @@ def test_rectangle_truncation(toy):
                        atol=1e-10)
 
 
-# -- partitions of unity -----------------------------------------------------------
-
-
-def test_default_partition_is_crisp_and_valid(toy):
-    part = toy.partition
-    part.validate(toy.freqs)
-    assert part.m_star == 0
-    assert part.g(0) == {(0, 0): 1.0}
-    for j in range(part.n_shells()):
-        for k, v in part.g(j).items():
-            assert v == 1.0
-            assert shell_index(k, part.base) == j
-    head = part.head(part.n_shells() - 1)
-    assert set(head) == set(toy.freqs.omega)
-    assert part.g(99) == {}
-
-
-def test_partition_validation_catches_bad_shapes():
-    fs = FrequencySet([(0, 0), (0, 1), (1, 1)])
-    with pytest.raises(ValueError, match="constant index"):
-        PartitionOfUnity([{(0, 0): 0.5}]).validate(fs)
-    with pytest.raises(ValueError, match="above its band"):
-        PartitionOfUnity([{(0, 0): 1.0, (1, 1): 1.0},
-                          {(0, 1): 1.0}]).validate(fs)
-    with pytest.raises(ValueError, match="overlap"):
-        PartitionOfUnity([{(0, 0): 1.0},
-                          {(0, 1): 0.5, (1, 1): 1.0},
-                          {(0, 1): 0.5}], m_star=0).validate(fs)
-    with pytest.raises(ValueError, match="sum to 1"):
-        PartitionOfUnity([{(0, 0): 1.0},
-                          {(0, 1): 0.5, (1, 1): 1.0}]).validate(fs)
-    with pytest.raises(ValueError, match="leaves"):
-        PartitionOfUnity([{(0, 0): 1.0},
-                          {(0, 1): 1.5, (1, 1): 1.0}]).validate(fs)
-
-
 def test_box_filters_have_variation_four():
     for n in range(5):
         h = box_filter(n)
@@ -537,9 +500,7 @@ def test_box_head_and_restricted_head_filter_identically(toy):
     f = random_grid_function(rng, toy)
     for n in range(toy.max_shell() + 1):
         via_box = toy.filtered_sum(box_filter(n), f)
-        via_head = toy.filtered_sum(toy.partition.head(n), f)
-        assert np.allclose(via_box, via_head, atol=1e-12)
-        assert np.allclose(via_head, toy.sigma(f, n), atol=1e-12)
+        assert np.allclose(via_box, toy.sigma(f, n), atol=1e-12)
 
 
 # -- variation ---------------------------------------------------------------------
@@ -721,19 +682,13 @@ def test_default_multiplier_covers_the_dilation(toy):
         assert mu[k] == 2.0 ** shell_index(k)
     half = default_multiplier(toy.freqs, order=0.5)
     assert half[(0, 1)] == pytest.approx(math.sqrt(2.0))
-    g = toy.partition.g(2)
-    restr = mu.restricted(g)
-    assert set(restr) == {k for k, v in g.items() if v > 0}
-    inv = mu.inverse_restricted(g)
-    for k in restr:
-        assert inv[k] == pytest.approx(1.0 / restr[k])
 
 
 def test_default_multiplier_must_be_positive_on_the_dilation():
     fs = FrequencySet([(0, 0), (1, 2)])
     # shell 2 is the top of the index set, shell 3 that of its dilation
     order = -1100.0 / 3
-    assert 2.0 ** (order * fs.max_shell()) > 0.0
+    assert 2.0 ** (order * int(shell_array(fs.k1, fs.k2).max())) > 0.0
     with pytest.raises(ValueError, match="must be positive"):
         default_multiplier(fs, order=order)
     assert default_multiplier(fs, order=-1.0)[(3, 4)] == 0.125
@@ -742,12 +697,13 @@ def test_default_multiplier_must_be_positive_on_the_dilation():
 def test_shell_restricted_multiplier_variation_scales(toy):
     mu = default_multiplier(toy.freqs, order=1.0)
     for j in range(toy.max_shell() + 1):
-        g = toy.partition.g(j)
+        g = [k for k, s in zip(toy.freqs.omega, toy.omega_shell.tolist())
+             if s == j]
         if not g:
             continue
-        v_shell = variation_2d(g)
-        v_mu = variation_2d(mu.restricted(g))
-        v_inv = variation_2d(mu.inverse_restricted(g))
+        v_shell = variation_2d({k: 1.0 for k in g})
+        v_mu = variation_2d({k: mu[k] for k in g})
+        v_inv = variation_2d({k: 1.0 / mu[k] for k in g})
         assert v_mu == pytest.approx(2.0 ** j * v_shell, rel=1e-12)
         assert v_inv == pytest.approx(2.0 ** -j * v_shell, rel=1e-12)
 
@@ -866,7 +822,6 @@ def test_graded_operators_match_the_dict_oracle_bit_for_bit(case):
     block = {j: {k: 1.0 for k in omega if shell[k] == j}
              for j in range(-1, top + 2)}
     everywhere = {k: 1.0 for k in an.active}
-    part = an.partition
     rng = np.random.default_rng(list(case.encode()))
     for f in (rng.standard_normal(len(an)), np.arange(len(an)) % 3 - 1.0):
         coeffs = an.analyze(f)
@@ -881,8 +836,6 @@ def test_graded_operators_match_the_dict_oracle_bit_for_bit(case):
                                   oracle(head[n]))
             assert an.degree_span(n) == [k for k in an.active
                                          if shell[k] <= n]
-            assert np.array_equal(an.filtered_sum(part.head(n), f),
-                                  oracle(head[n]))
             if n >= 0:
                 box = box_filter(n, base)
                 assert np.array_equal(an.filtered_sum(box, f), oracle(box))
@@ -924,12 +877,10 @@ def test_shell_array_matches_the_integer_loop(base):
 
 def test_graded_methods_use_no_per_key_lookups(toy, monkeypatch):
     calls = []
-    for cls, name in ((PartitionOfUnity, "head"), (PartitionOfUnity, "g"),
-                      (MultiplierSequence, "__getitem__")):
-        def counted(self, *args, _orig=getattr(cls, name), _name=name):
-            calls.append(_name)
-            return _orig(self, *args)
-        monkeypatch.setattr(cls, name, counted)
+    def counted(self, k, _orig=MultiplierSequence.__getitem__):
+        calls.append("__getitem__")
+        return _orig(self, k)
+    monkeypatch.setattr(MultiplierSequence, "__getitem__", counted)
     mu = MultiplierSequence(1.0)
     f = np.random.default_rng(83).standard_normal(len(toy))
     for n in range(-1, toy.max_shell() + 2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twintree.basis import (PiecewiseConstant, TreeBasis, local_basis,
-                            variation_1d, verify_local_identities)
+                            verify_local_identities)
 from twintree.clustering import tree_from_partitions, twt
 from twintree.digraph import synth_digraph
 from twintree.filtration import build_filtration
@@ -35,7 +35,7 @@ def test_step_function_validation():
 
 
 def test_step_function_is_right_continuous():
-    f = PiecewiseConstant.indicator(F(1, 4), F(1, 2))
+    f = PiecewiseConstant([0, F(1, 4), F(1, 2), 1], [0, 1, 0])
     assert f(F(1, 4)) == 1
     assert f(F(1, 2)) == 0
     assert f(0) == 0
@@ -46,7 +46,7 @@ def test_step_function_is_right_continuous():
 
 
 def test_integral_and_inner_are_exact():
-    f = PiecewiseConstant.indicator(F(1, 3), F(2, 3))
+    f = PiecewiseConstant([0, F(1, 3), F(2, 3), 1], [0, 1, 0])
     g = PiecewiseConstant([0, F(1, 2), 1], [F(3), F(-1)])
     assert f.integral() == F(1, 3)
     # overlap [1/3, 1/2) at value 3, [1/2, 2/3) at value -1
@@ -63,13 +63,6 @@ def test_arithmetic_merges_breakpoints():
     assert (f - g).values == [1, 0, -2]
     assert f.product(g).values == [0, 0, 0]
     assert f.scale(F(5, 2)).values == [F(5, 2), 0]
-
-
-def test_simplify_merges_equal_neighbours():
-    f = PiecewiseConstant([0, F(1, 4), F(1, 2), 1], [2, 2, 2])
-    s = f.simplify()
-    assert s.breakpoints == [0, 1]
-    assert s.values == [2]
 
 
 def test_values_on_coarser_grid_and_rejection():
@@ -121,7 +114,7 @@ def test_local_norms_and_supports():
     assert basis.norm_sq(2) == F(1, 6) * F(5, 6) * 1
     phi1 = basis.phi(1)
     assert phi1.integral() == 0
-    a, b = basis.child_interval(1)
+    a, b = basis.nodes()[1:3]           # child 1 is [a, b)
     assert phi1(a) == -F(1, 2)          # -P_1 on its own child
     assert phi1(0) == F(1, 3)           # +p_1 left of the split
     assert phi1(b) == 0                 # vanishes to the right
@@ -239,16 +232,21 @@ def test_analysis_is_linear():
     assert lhs == [a * x + b * y for x, y in zip(fa, ga)]
 
 
+def partial_sum(basis, f, n):
+    """Projection of f onto the span of indices 0..n (inclusive)."""
+    return basis.synthesize(basis.analyze(f)[:n + 1])
+
+
 def test_partial_sums_are_projections():
     rng = np.random.default_rng(10)
     basis = tree_basis(4)
     f = random_leaf_function(rng, basis.filtration)
     grid = basis.leaf_breakpoints()
     for n in (0, 3, basis.size - 1):
-        s = basis.partial_sum(f, n)
-        again = basis.partial_sum(s, n)
+        s = partial_sum(basis, f, n)
+        again = partial_sum(basis, s, n)
         assert again.values_on(grid) == s.values_on(grid)
-    full = basis.partial_sum(f, basis.size - 1)
+    full = partial_sum(basis, f, basis.size - 1)
     assert full.values_on(grid) == f.values_on(grid)
 
 
@@ -265,7 +263,7 @@ def test_partial_sum_matches_least_squares_oracle():
                          for k in range(n + 1)])
         ref = weighted_lstsq_fit(rows, masses, fvals)
         got = np.array([float(v)
-                        for v in basis.partial_sum(f, n).values_on(grid)])
+                        for v in partial_sum(basis, f, n).values_on(grid)])
         assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -276,7 +274,7 @@ def test_partial_sum_norm_bound():
         f = random_leaf_function(rng, basis.filtration)
         sup = f.sup_norm()
         for n in range(basis.size):
-            assert basis.partial_sum(f, n).sup_norm() <= 6 * sup
+            assert partial_sum(basis, f, n).sup_norm() <= 6 * sup
 
 
 def test_degree_error_sandwich():
@@ -286,7 +284,7 @@ def test_degree_error_sandwich():
         f = random_leaf_function(rng, basis.filtration)
         for n in range(basis.size):
             err, _ = basis.best_uniform_approx(f, n)
-            diff = float((f - basis.partial_sum(f, n)).sup_norm())
+            diff = float((f - partial_sum(basis, f, n)).sup_norm())
             assert err <= diff + 1e-10
             assert diff <= 7 * err + 1e-10
 
@@ -309,17 +307,6 @@ def test_best_uniform_approx_matches_smoothed_oracle():
                                                                 abs=1e-9)
 
 
-def test_filtered_sum_boxcar_equals_partial_sum():
-    rng = np.random.default_rng(14)
-    basis = tree_basis(8)
-    f = random_leaf_function(rng, basis.filtration)
-    grid = basis.leaf_breakpoints()
-    for n in (0, 4, basis.size - 1):
-        h = [F(1)] * (n + 1)
-        assert (basis.filtered_sum(h, f).values_on(grid)
-                == basis.partial_sum(f, n).values_on(grid))
-
-
 def test_filtered_sum_respects_variation_bound():
     for seed in range(10):
         rng = np.random.default_rng(900 + seed)
@@ -331,17 +318,13 @@ def test_filtered_sum_respects_variation_bound():
         ramp = [1 - k / n for k in range(n)]
         rand = list(rng.uniform(-1, 1, size=n))
         for h in (ramp, rand):
-            out = basis.filtered_sum(h, f).to_float().sup_norm()
-            assert out <= 3 * variation_1d(h) * sup + 1e-9
-
-
-def test_variation_of_filter_sequences():
-    assert variation_1d([1, 1, 1]) == 2.0          # flat head: sup + drop
-    assert variation_1d([1]) == 2.0
-    assert variation_1d([]) == 0.0
-    assert variation_1d([2, 1]) == 2 + (1 + 1)
-    ramp = [1, F(1, 2)]
-    assert variation_1d(ramp) == 1 + (0.5 + 0.5)
+            out = basis.synthesize([hk * c for hk, c
+                                    in zip(h, basis.analyze(f))]).sup_norm()
+            # sup plus total jump of h, read with a final drop to zero
+            hs = [*h, 0.0]
+            var = max(map(abs, hs)) + sum(abs(b - a)
+                                          for a, b in zip(hs, hs[1:]))
+            assert out <= 3 * var * sup + 1e-9
 
 
 def test_index_bounds_are_checked():
@@ -350,6 +333,6 @@ def test_index_bounds_are_checked():
         basis.psi(basis.size)
     with pytest.raises(ValueError, match="more coefficients"):
         basis.synthesize([F(1)] * (basis.size + 1))
-    f = PiecewiseConstant.constant(F(1))
+    f = PiecewiseConstant([0, 1], [F(1)])
     with pytest.raises(ValueError, match="outside"):
         basis.best_uniform_approx(f, basis.size)

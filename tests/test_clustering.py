@@ -7,13 +7,13 @@ from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
                                  _label_seed_vertices, _medoid_hierarchy,
                                  _path_distance, check_level_spec,
                                  coarse_grain, medoid_partition, mbo_cluster,
-                                 mll_cluster, nhc_cluster, spectral_embedding,
-                                 tree_from_partitions, twt)
+                                 spectral_embedding, tree_from_partitions,
+                                 twt)
 from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
                               synth_digraph, weak_component_indices)
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
-                     label_propagation, medoid_iterate_ix,
+                     graft_by_offset, label_propagation, medoid_iterate_ix,
                      random_walk_embedding, set_hierarchy,
                      tree_by_subset_scan)
 from util import degenerate_digraphs, random_digraph, random_nested_partitions
@@ -101,19 +101,32 @@ def test_label_vector_trees_match_the_subset_scan():
 
 @pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
 def test_twt_trees_match_the_subset_scan(monkeypatch, algo):
-    built, real = [], clustering._tree
+    calls, real = [], clustering._cluster_component
 
-    def recording(idx, levels):
-        built.append((idx, levels, real(idx, levels)))
-        return built[-1][2]
-    monkeypatch.setattr(clustering, "_tree", recording)
-    for G in degenerate_digraphs().values():
+    def recording(comp, *args):
+        calls.append((comp.idx, real(comp, *args)))
+        return calls[-1][1]
+    monkeypatch.setattr(clustering, "_cluster_component", recording)
+    graphs = {**degenerate_digraphs(),
+              # three weak components, the 6-vertex one a level shallower
+              "components": synth_digraph("planted", seed=0,
+                                          sizes=[20, 20, 6], p_out=0.0)}
+    unequal = False
+    for G in graphs.values():
         labeled = {v: v % 3 for v in range(G.n)} if algo == "mbo" else None
-        twt(G, K=(2, 6), algo=algo, seed=7, labeled=labeled)
-    assert any(levels for _, levels, _ in built)
-    for idx, levels, got in built:
-        want = tree_by_subset_scan(idx.tolist(), as_partitions(idx, levels))
-        assert got.root == want.root and got.nodes == want.nodes
+        calls.clear()
+        trees = twt(G, K=(2, 6), algo=algo, seed=7, labeled=labeled)
+        comps = weak_component_indices(G)
+        half = len(calls) // 2  # every "es" component, then every "os" one
+        for tree, side in zip(trees, (calls[:half], calls[half:])):
+            levels = {tuple(idx.tolist()): lv for idx, lv in side}
+            parts = [levels.get(tuple(idx.tolist()), []) for idx in comps]
+            want = graft_by_offset(G.n, [
+                (idx.tolist(), as_partitions(idx, lv))
+                for idx, lv in zip(comps, parts)])
+            assert tree.root == want.root and tree.nodes == want.nodes
+            unequal |= len({len(lv) for lv in parts}) > 1
+    assert unequal  # a shallow component's leaves stood in deeper down
 
 
 def test_validate_catches_structural_damage():
@@ -390,11 +403,17 @@ def expected_blocks():
     return sorted([frozenset(range(15)), frozenset(range(15, 30))], key=min)
 
 
+def reciprocal_distance(cur):
+    """nhc's dist_of under the default reciprocal edge lengths."""
+    return _path_distance(cur, "reciprocal")
+
+
 def test_graph_metric_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = nhc_cluster(S, (2,), seed=seed, n_init=3)
+        tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+            S, (2,), seed, None, reciprocal_distance, n_init=3))
         tree.validate()
         if sorted(tree.partition_at_level(1), key=min) == expected_blocks():
             hits += 1
@@ -405,7 +424,9 @@ def test_embedding_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = mll_cluster(S, (2,), seed=seed, n_init=3)
+        tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+            S, (2,), seed, None, clustering._embedding_distance(seed),
+            n_init=3))
         tree.validate()
         if sorted(tree.partition_at_level(1), key=min) == expected_blocks():
             hits += 1
@@ -415,9 +436,9 @@ def test_embedding_clusterer_recovers_planted_blocks():
 def test_hierarchies_nest_and_are_deterministic():
     rng = np.random.default_rng(31)
     G = symmetrize(random_digraph(rng, 24, density=0.35), "es")
-    for builder in (nhc_cluster, mll_cluster):
-        t1 = builder(G, (2, 4, 8), seed=5)
-        t2 = builder(G, (2, 4, 8), seed=5)
+    for dist_of in (reciprocal_distance, clustering._embedding_distance(5)):
+        t1, t2 = (clustering._tree(np.arange(G.n), _medoid_hierarchy(
+            G, (2, 4, 8), 5, None, dist_of)) for _ in range(2))
         assert t1.to_json_dict() == t2.to_json_dict()
         t1.validate()
         assert t1.depth() == 4
@@ -431,7 +452,8 @@ def test_hierarchies_nest_and_are_deterministic():
 def test_labeled_seeding_controls_cluster_identity():
     _, S = planted_companion(3)
     labeled = {0: ("a",), 15: ("b",)}
-    tree = nhc_cluster(S, (2,), seed=1, labeled=labeled, n_init=1)
+    tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+        S, (2,), 1, labeled, reciprocal_distance, n_init=1))
     parts = tree.partition_at_level(1)
     assert sorted(parts, key=min) == expected_blocks()
 

@@ -239,7 +239,7 @@ def test_edge_list_parsing_names_comments_and_duplicates():
     """
     G = load_edge_list(io.StringIO(text))
     assert G.names == ["alpha", "beta", "gamma"]
-    m = G.name_map()
+    m = {name: i for i, name in enumerate(G.names)}
     W = G.to_dense()
     assert W[m["alpha"], m["beta"]] == 2.0
     assert W[m["beta"], m["gamma"]] == 2.0

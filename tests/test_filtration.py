@@ -148,14 +148,6 @@ def test_vertex_leaf_lookup():
         assert (node.a, node.b) == (a, b)
 
 
-def test_child_index_and_errors():
-    filt = build_filtration(small_tree())
-    root = filt.nodes[filt.root]
-    assert [filt.child_index(c) for c in root.children] == [0, 1]
-    with pytest.raises(ValueError):
-        filt.child_index(filt.root)
-
-
 def test_enumeration_counts_and_order():
     for seed in range(15):
         rng = np.random.default_rng(100 + seed)

@@ -8,7 +8,7 @@ from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.metrics import (align_and_score, check_partition,
                               confusion_matrix, f_measure, modularity,
                               partition_from_labels, product_partition,
-                              random_coloring_baseline, tree_partition)
+                              random_coloring_baseline)
 
 from oracles import (confusion_brute, f_measure_brute, modularity_brute,
                      modularity_sequential, modularity_sliced,
@@ -212,7 +212,7 @@ def twin_trees():
 def test_tree_partition_wraps_level_partitions(twin_trees):
     G, es, _ = twin_trees
     for level in range(1, es.depth() + 1):
-        parts = tree_partition(es, level, G.n)
+        parts = check_partition(es.partition_at_level(level), G.n)
         assert frozenset().union(*parts) == frozenset(range(G.n))
 
 
@@ -221,11 +221,11 @@ def test_product_partition_refines_both_trees(twin_trees):
     for level in range(1, min(es.depth(), os_.depth()) + 1):
         prod = product_partition(es, os_, level, G.n)
         for source in (es, os_):
-            coarse = tree_partition(source, level, G.n)
+            coarse = source.partition_at_level(level)
             for cell in prod:
                 assert any(cell <= big for big in coarse)
-        assert len(prod) >= max(len(tree_partition(es, level, G.n)),
-                                len(tree_partition(os_, level, G.n)))
+        assert len(prod) >= max(len(es.partition_at_level(level)),
+                                len(os_.partition_at_level(level)))
 
 
 def test_alignment_records_all_levels(twin_trees):
@@ -286,7 +286,7 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
             else:
                 assert rec["modularity"] == pytest.approx(want, abs=1e-12)
             for tree in (es, os_):
-                assert tree_partition(tree, rec["level"], G.n) == (
+                assert tree.partition_at_level(rec["level"]) == (
                     product_partition_by_ancestors(tree, tree, rec["level"],
                                                    G.n))
     assert kinds == {True, False}

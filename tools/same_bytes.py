@@ -6,7 +6,7 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides twelve synthesized graphs, the corpus ingests five edge lists
+Besides thirteen synthesized graphs, the corpus ingests five edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph and four degenerate ones (fragmented, out-star,
 self-loops, heavy-tailed weights).  Two configurations (`*_deep`) ask
@@ -14,7 +14,11 @@ for three levels, so that a coarse graph is coarse-grained again.  One
 (`planted_volume_blocks`, planted 60/60, exact mode) is large enough
 that the rank scan runs over several blocks: |Omega| = 7 058 and full
 rank is reached at Omega row 3 035, both past the 256 rows of
-`analysis.SCAN_BLOCK`.  Run it once per checkout; then
+`analysis.SCAN_BLOCK`.  One (`planted_components`, planted 20/20/6
+with no edges between blocks) has three weak components of unequal
+depth: the 6-vertex one clips the levels 2,4,8 to (2, 4), so its
+leaves stand in for it at the deepest level.  Run it once per
+checkout; then
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -56,6 +60,9 @@ SYNTH = {
     # |Omega| and the full-rank row both exceed analysis.SCAN_BLOCK
     "planted_volume_blocks": PLANTED + ["--param", "sizes=[60,60]",
                                         "--scheme", "volume"],
+    # three weak components; the smallest is one level shallower
+    "planted_components": PLANTED + ["--param", "sizes=[20,20,6]",
+                                     "--param", "p_out=0.0", *DEEP],
 }
 
 
