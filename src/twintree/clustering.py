@@ -207,13 +207,6 @@ def tree_from_partitions(vertices: Sequence[int],
         for j, part in enumerate(parts):
             lab[[pos[v] for v in part]] = j
         levels.append(lab)
-    return _tree(idx, levels)
-
-
-def _tree(idx: np.ndarray, levels: Sequence[np.ndarray]) -> ClusterTree:
-    """ClusterTree on the ascending vertex ids idx; levels[l][i] is
-    idx[i]'s cluster at level l + 1 (labels 0, 1, ...; each level nested
-    in the last).  Its nodes are numbered by ``_level_ids``."""
     return _tree_of_ids(idx, _level_ids(levels, idx.size))
 
 
@@ -397,7 +390,7 @@ def _medoid_hierarchy(G, K: Sequence[int], seed: int,
                                       seeds, n_init)
         _, assign = np.unique(assign, return_inverse=True)
         if li > 1:  # the coarsest level's graph is never clustered
-            current = coarse_grain(current, _parts(assign))
+            current = coarse_grain(current, assign)
         labels = assign[labels]
         levels.append(labels)
     return levels[::-1]
@@ -427,29 +420,22 @@ def _label_seed_vertices(labeled: Optional[dict]) -> Optional[list[int]]:
     return [reps[cls] for cls in sorted(reps)]
 
 
-def coarse_grain(G: WeightedDigraph,
-                 partition: Sequence[frozenset[int]]) -> WeightedDigraph:
-    """Sum-collapse a graph onto a partition of its vertices.
+def coarse_grain(G: WeightedDigraph, labels: np.ndarray) -> WeightedDigraph:
+    """Sum-collapse a graph onto the clusters of a label vector.
 
-    The weight between coarse vertices i and j is the sum of all
-    original weights from members of part i to members of part j,
-    added from 0.0 in CSR order; an undirected graph's upper triangle
-    is mirrored.  The result has G's type and default names, and is
-    built as canonical CSR directly.  Passing the singleton partition
-    returns a graph equal to G.
+    Vertex v joins coarse vertex labels[v] >= 0; there are max(labels)
+    + 1 of them.  The weight between coarse vertices i and j is the sum
+    of all original weights from members of i to members of j, added
+    from 0.0 in CSR order; an undirected graph's upper triangle is
+    mirrored.  The result has G's type and default names, and is built
+    as canonical CSR directly.  Labels arange(G.n) give a graph equal to G.
     """
-    parts = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
-             else np.fromiter(p, dtype=np.intp) for p in partition]
-    k = len(parts)
-    ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-    part_of = np.repeat(np.arange(k), [p.size for p in parts])
-    inside = (ids >= 0) & (ids < G.n)
-    labels = np.full(G.n, -1, dtype=np.intp)
-    labels[ids[inside]] = part_of[inside]
-    if np.any(labels[ids[inside]] != part_of[inside]):
-        raise ValueError("partition parts overlap")
-    if not np.all(inside) or np.any(labels < 0):
-        raise ValueError("partition must cover every vertex")
+    labels = np.asarray(labels)
+    if (labels.shape != (G.n,) or labels.dtype.kind not in "iu"
+            or labels.min(initial=0) < 0):
+        raise ValueError(f"coarse_grain needs {G.n} nonnegative integer "
+                         f"labels, not {labels.dtype} of shape {labels.shape}")
+    k = int(labels.max(initial=-1)) + 1
     W = G.weights
     tail = np.repeat(np.arange(G.n), np.diff(W.indptr))
     coarse = np.bincount(labels[tail] * k + labels[W.indices], W.data,
@@ -705,7 +691,7 @@ class TwinTreeBuilder:
         """The twin trees of build(seed, labeled) as (depth, n) level-id
         matrices, without building them: row l - 1 holds the node id
         covering each vertex at level l, the id build gives that node
-        (``metrics._ancestor_ids`` reads the same ids off a tree)."""
+        (``ClusterTree.ancestor_at_level`` of that vertex and level)."""
         es, os_ = (_graft_ids(self.G.n, self.comps, [
                        _level_ids(levels, idx.size)
                        for idx, levels in zip(self.comps, side)])

@@ -5,19 +5,19 @@ covering 0..n-1.  Modularity follows the directed convention (out-
 degrees against in-degrees, total edge weight as the normalizer), so
 it applies unchanged to both digraphs and their symmetrizations.
 
-Scores are computed on label vectors (a cluster index per vertex).
-One kernel scores any number of them at once: each cluster's internal
+Scores are computed on label vectors (a cluster index per vertex), to
+which a public function converts its partitions once, on entry.  One
+kernel scores any number of them at once: each cluster's internal
 weight is summed over its edges in CSR order and its out- and
 in-weights over its vertices in vertex order, each sum running from
 0.0, and the clusters are added up in label order; the graph's total
 weight and degrees are computed once per graph
 (``WeightedDigraph.degree_totals``).  The seeded-trial protocol scores
-the twin trees' common refinement level by level, from trees or from
-the level-id matrices that ``TwinTreeBuilder.level_ids`` gives without
-building them, so a trial never builds a tree; and
-``random_coloring_baseline`` scores its colorings in blocks.  On
-integer weights every sum is exact; on other weights a score can
-differ in the last bits from one summed in another order.
+the twin trees' common refinement level by level, from the level-id
+matrices that ``TwinTreeBuilder.level_ids`` gives without building
+trees; and ``random_coloring_baseline`` scores its colorings in
+blocks.  On integer weights every sum is exact; on other weights a
+score can differ in the last bits from one summed in another order.
 """
 
 from __future__ import annotations
@@ -37,25 +37,19 @@ Partition = list[frozenset]
 BLOCK_ENTRIES = 1 << 16
 
 
-def check_partition(partition: Sequence, n: int) -> Partition:
-    """Validate a disjoint cover of range(n); returns frozensets."""
-    labels, _ = _partition_labels(partition, n)
-    return [frozenset(part.tolist()) for part in _parts(labels)]
-
-
 def partition_from_labels(labels: Sequence[int]) -> Partition:
     """Group vertex indices by label value, in sorted label order."""
-    groups: dict[int, set[int]] = {}
-    for v, lab in enumerate(labels):
-        groups.setdefault(int(lab), set()).add(v)
-    return [frozenset(groups[k]) for k in sorted(groups)]
+    _, compact = np.unique(np.asarray(labels), return_inverse=True)
+    return [frozenset(part.tolist()) for part in _parts(compact)]
 
 
 def _partition_labels(partition: Sequence, n: int) -> tuple[np.ndarray, int]:
     """(label vector, part count) of a disjoint cover of range(n): part j's
     vertices get label j.  A vertex repeated inside one part counts once;
     an empty part, a vertex in two parts, or a vertex outside range(n) or
-    missing from every part is an error."""
+    missing from every part is an error, and so is n < 1."""
+    if n < 1:
+        raise ValueError(f"a partition needs at least one vertex, not n={n}")
     ids = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
            else np.fromiter(p, dtype=np.intp) for p in partition]
     sizes = [p.size for p in ids]
@@ -137,6 +131,9 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
     keeps.  Each coloring's sums stay in its own bins, so the block
     size does not change a score.
     """
+    if n_colors < 1 or trials < 1:
+        raise ValueError(f"random colorings need n_colors >= 1 and "
+                         f"trials >= 1, not {n_colors} and {trials}")
     rng = np.random.default_rng(seed)
     totals = _degree_totals(G)
     block = max(1, BLOCK_ENTRIES // G.weights.nnz)
@@ -161,12 +158,17 @@ def f_measure(pred: Sequence, truth: Sequence, n: int) -> float:
     return _label_f_measure(pred_labels, n_pred, truth_labels, n_truth)
 
 
+def _contingency(pred, n_pred: int, truth, n_truth: int) -> np.ndarray:
+    """Vertex counts of each (predicted, true) label pair, by one bincount."""
+    return np.bincount(pred * n_truth + truth,
+                       minlength=n_pred * n_truth).reshape(n_pred, n_truth)
+
+
 def _label_f_measure(pred: np.ndarray, n_pred: int, truth: np.ndarray,
                      n_truth: int) -> float:
-    """f_measure of two label vectors, from one contingency table; the
+    """f_measure of two label vectors, from their contingency table; the
     weighted best matches are added in predicted-label order."""
-    overlap = np.bincount(pred * n_truth + truth,
-                          minlength=n_pred * n_truth).reshape(n_pred, n_truth)
+    overlap = _contingency(pred, n_pred, truth, n_truth)
     size = overlap.sum(axis=1)
     best = (2.0 * overlap / (size[:, None] + overlap.sum(axis=0))).max(axis=1)
     return float(np.cumsum(size * best)[-1] / pred.size)
@@ -178,44 +180,16 @@ def confusion_matrix(pred: Sequence, truth: Sequence, n: int) -> np.ndarray:
     Every predicted cluster is assigned to the true class it overlaps
     most (ties to the lowest class index).  Entry [j, k] is the
     fraction of class k's vertices landing in clusters assigned to
-    class j, so every column sums to 1.  Classes must all be nonempty
-    (check_partition enforces that); the matrix is square in the
-    number of true classes.
+    class j, so every column sums to 1; clusters add up in partition
+    order.  Classes are nonempty parts of a cover of range(n), and the
+    matrix is square in their number.
     """
-    pred = check_partition(pred, n)
-    truth = check_partition(truth, n)
-    ncls = len(truth)
-    M = np.zeros((ncls, ncls))
-    for C in pred:
-        overlaps = [len(C & L) for L in truth]
-        j = int(np.argmax(overlaps))
-        for k, L in enumerate(truth):
-            M[j, k] += len(C & L) / len(L)
+    pred_labels, n_pred = _partition_labels(pred, n)
+    truth_labels, n_truth = _partition_labels(truth, n)
+    overlap = _contingency(pred_labels, n_pred, truth_labels, n_truth)
+    M = np.zeros((n_truth, n_truth))
+    np.add.at(M, overlap.argmax(axis=1), overlap / overlap.sum(axis=0))
     return M
-
-
-def _ancestor_ids(tree: ClusterTree, n: int, levels: Sequence[int]
-                  ) -> dict[int, np.ndarray]:
-    """level -> the node id covering each vertex 0..n-1 at that level.
-
-    ``tree.ancestor_at_level`` for every vertex at once: each vertex
-    starts at its leaf and steps up a parent array while its node lies
-    below the level, the levels taken deepest first.
-    """
-    ids = np.fromiter(tree.nodes, dtype=np.intp, count=len(tree.nodes))
-    parent = np.arange(int(ids.max()) + 1)
-    depth = np.zeros_like(parent)
-    parent[ids] = [nd.id if nd.parent is None else nd.parent
-                   for nd in tree.nodes.values()]
-    depth[ids] = [nd.level for nd in tree.nodes.values()]
-    node = np.fromiter((tree.leaf_of_vertex(v) for v in range(n)),
-                       dtype=np.intp, count=n)
-    out = {}
-    for level in sorted(set(levels), reverse=True):
-        while np.any(deep := (depth[node] > level) & (parent[node] != node)):
-            node = np.where(deep, parent[node], node)
-        out[level] = node
-    return out
 
 
 def _product_labels(es_ids: np.ndarray, os_ids: np.ndarray
@@ -231,23 +205,19 @@ def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
                       level: int, n: int) -> Partition:
     """Common refinement of the two trees' level partitions.
 
-    Vertices are grouped by the pair (ancestor in the first tree,
-    ancestor in the second), in sorted pair order; empty intersections
-    vanish.
+    Both trees must hold the vertices range(n).  Vertices are grouped by
+    the pair (``ancestor_at_level`` in the first tree, in the second), in
+    sorted pair order; empty intersections vanish.
     """
-    labels, _ = _product_labels(_ancestor_ids(tree_es, n, [level])[level],
-                                _ancestor_ids(tree_os, n, [level])[level])
+    ids = []
+    for tree in (tree_es, tree_os):
+        if tree.vertices() != frozenset(range(n)):
+            raise ValueError(f"product_partition needs trees over range({n}),"
+                             f" not over {len(tree.vertices())} vertices")
+        ids.append(np.fromiter((tree.ancestor_at_level(v, level)
+                                for v in range(n)), dtype=np.intp, count=n))
+    labels, _ = _product_labels(*ids)
     return [frozenset(part.tolist()) for part in _parts(labels)]
-
-
-def _level_matrix(side, n: int) -> np.ndarray:
-    """A twin tree as its (depth, n) level ids: a ClusterTree's from
-    ``_ancestor_ids`` (row l - 1 for level l), a matrix as it is."""
-    if not isinstance(side, ClusterTree):
-        return side
-    levels = range(1, side.depth() + 1)
-    ids = _ancestor_ids(side, n, levels)
-    return np.array([ids[level] for level in levels])
 
 
 def _ids_at(ids: np.ndarray, level: int) -> np.ndarray:
@@ -258,20 +228,23 @@ def _ids_at(ids: np.ndarray, level: int) -> np.ndarray:
     return ids[min(level, len(ids)) - 1]
 
 
-def align_and_score(G: WeightedDigraph, tree_es, tree_os,
+def align_and_score(G: WeightedDigraph, es_ids: np.ndarray,
+                    os_ids: np.ndarray,
                     labels: Optional[dict[int, tuple]] = None,
                     levels: Optional[Sequence[int]] = None) -> list[dict]:
     """Score the twin trees level by level on their common refinement.
 
-    Each tree is a ClusterTree or its (depth, n) level-id matrix, as
-    ``TwinTreeBuilder.level_ids`` returns it; both score alike.
-    Returns one record per level with the cluster count and modularity,
-    plus the F score against ground-truth labels when given (labels use
-    their first path component as the class).  Every level's refinement
-    is a label vector; ``modularity`` scores its parts.
+    Each tree is its (depth, G.n) level-id matrix, as returned by
+    ``TwinTreeBuilder.level_ids``.  Returns one record per level with
+    the cluster count and modularity, plus the F score against
+    ground-truth labels when given (labels use their first path
+    component as the class).  Every level's refinement is a label
+    vector; ``modularity`` scores its parts.
     """
-    es_ids = _level_matrix(tree_es, G.n)
-    os_ids = _level_matrix(tree_os, G.n)
+    for side, ids in (("es", es_ids), ("os", os_ids)):
+        if np.ndim(ids) != 2 or len(ids) < 1 or np.shape(ids)[1] != G.n:
+            raise ValueError(f"{side} level ids have shape {np.shape(ids)},"
+                             f" not (depth >= 1, {G.n})")
     depth = min(len(es_ids), len(os_ids))
     levels = list(range(1, depth + 1) if levels is None else levels)
     truth = None

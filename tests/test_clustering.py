@@ -77,6 +77,12 @@ def as_partitions(idx, levels):
             for lab in levels]
 
 
+def tree_of_levels(idx, levels):
+    """The ClusterTree whose level l + 1 clusters idx by levels[l]."""
+    return clustering._tree_of_ids(idx,
+                                   clustering._level_ids(levels, idx.size))
+
+
 def test_label_vector_trees_match_the_subset_scan():
     kinds = set()
     for seed in range(200):
@@ -91,7 +97,7 @@ def test_label_vector_trees_match_the_subset_scan():
         if levels and levels[-1].max() == n - 1:
             kinds.add("single vertices")
         want = tree_by_subset_scan(idx.tolist(), as_partitions(idx, levels))
-        for got in (clustering._tree(idx, levels),
+        for got in (tree_of_levels(idx, levels),
                     tree_from_partitions(idx.tolist(),
                                          as_partitions(idx, levels))):
             # node by node: id, level, parent, children in order, members
@@ -300,10 +306,12 @@ def test_seed_vertices_become_first_centers():
 
 
 def _random_parts(rng, n, k):
-    """k nonempty parts of range(n), numbered in a random order."""
+    """A label vector of k nonempty clusters of range(n), numbered in a
+    random order, and its clusters as sets in label order."""
     labels = rng.permutation(np.arange(n) % k)
-    return [frozenset(np.flatnonzero(labels == j).tolist())
-            for j in rng.permutation(k)]
+    labels = np.argsort(rng.permutation(k))[labels]
+    return labels, [frozenset(np.flatnonzero(labels == j).tolist())
+                    for j in range(k)]
 
 
 def test_coarse_grain_matches_brute_force():
@@ -318,44 +326,47 @@ def test_coarse_grain_matches_brute_force():
         G = WeightedDigraph(W)
         for graph in (G, symmetrize(G, "es"), symmetrize(G, "os")):
             mirror = isinstance(graph, UndirectedGraph)
-            parts = _random_parts(rng, 12, 5)
-            C = coarse_grain(graph, parts)
+            labels, parts = _random_parts(rng, 12, 5)
+            C = coarse_grain(graph, labels)
             assert type(C) is type(graph)
             assert np.array_equal(C.to_dense(), coarse_grain_brute(
                 graph.to_dense(), parts, mirror))
             assert C.total_weight() == pytest.approx(graph.total_weight(),
                                                      rel=1e-12)
-            coarser = _random_parts(rng, 5, 2)
+            labels, coarser = _random_parts(rng, 5, 2)
             assert np.array_equal(
-                coarse_grain(C, coarser).to_dense(),
+                coarse_grain(C, labels).to_dense(),
                 coarse_grain_brute(C.to_dense(), coarser, mirror))
 
 
 def test_coarse_grain_identity_and_errors():
     rng = np.random.default_rng(4)
     G = random_digraph(rng, 6, density=0.4)
-    same = coarse_grain(G, [frozenset({v}) for v in range(6)])
+    same = coarse_grain(G, np.arange(6))
     assert np.allclose(same.to_dense(), G.to_dense())
-    with pytest.raises(ValueError, match="overlap"):
-        coarse_grain(G, [frozenset({0, 1}), frozenset({1, 2, 3, 4, 5})])
-    for parts in ([frozenset({0, 1})],
-                  [frozenset({0, 1, 2}), frozenset({3, 4, 6})],
-                  [frozenset({-1, 0, 1}), frozenset({2, 3, 4})],
-                  []):
-        with pytest.raises(ValueError, match="cover"):
-            coarse_grain(G, parts)
+    # a label that no vertex holds is an isolated coarse vertex
+    gap = coarse_grain(G, [0, 0, 2, 2, 2, 2])
+    assert np.array_equal(gap.to_dense(), coarse_grain_brute(
+        G.to_dense(), [{0, 1}, set(), {2, 3, 4, 5}]))
+    for labels in ([0, 0, 1, 1, 1],  # too short
+                   [0, 0, 1, 1, 1, 1, 1],  # too long
+                   [[0, 0, 0], [1, 1, 1]],  # not a vector
+                   [], [-1, 0, 0, 1, 1, 1],
+                   [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                   [False, False, False, True, True, True]):
+        with pytest.raises(ValueError, match="6 nonnegative integer labels"):
+            coarse_grain(G, labels)
     S = symmetrize(G, "es")
-    CS = coarse_grain(S, [frozenset({0, 1, 2}), frozenset({3, 4, 5})])
+    CS = coarse_grain(S, [0, 0, 0, 1, 1, 1])
     assert isinstance(CS, UndirectedGraph)
 
 
 def test_coarse_weights_that_overflow_are_not_finite():
     W = np.zeros((3, 3))
     W[0, 1] = W[0, 2] = 1e308
-    parts = [frozenset({0}), frozenset({1, 2})]
     for G in (WeightedDigraph(W), UndirectedGraph(W + W.T)):
         with pytest.raises(ValueError, match="edge weights must be finite"):
-            coarse_grain(G, parts)
+            coarse_grain(G, [0, 1, 1])
 
 
 # -- spectral embedding -------------------------------------------------------
@@ -412,7 +423,7 @@ def test_graph_metric_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+        tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
             S, (2,), seed, None, reciprocal_distance, n_init=3))
         tree.validate()
         if sorted(tree.partition_at_level(1), key=min) == expected_blocks():
@@ -424,7 +435,7 @@ def test_embedding_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+        tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
             S, (2,), seed, None, clustering._embedding_distance(seed),
             n_init=3))
         tree.validate()
@@ -437,7 +448,7 @@ def test_hierarchies_nest_and_are_deterministic():
     rng = np.random.default_rng(31)
     G = symmetrize(random_digraph(rng, 24, density=0.35), "es")
     for dist_of in (reciprocal_distance, clustering._embedding_distance(5)):
-        t1, t2 = (clustering._tree(np.arange(G.n), _medoid_hierarchy(
+        t1, t2 = (tree_of_levels(np.arange(G.n), _medoid_hierarchy(
             G, (2, 4, 8), 5, None, dist_of)) for _ in range(2))
         assert t1.to_json_dict() == t2.to_json_dict()
         t1.validate()
@@ -452,7 +463,7 @@ def test_hierarchies_nest_and_are_deterministic():
 def test_labeled_seeding_controls_cluster_identity():
     _, S = planted_companion(3)
     labeled = {0: ("a",), 15: ("b",)}
-    tree = clustering._tree(np.arange(S.n), _medoid_hierarchy(
+    tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
         S, (2,), 1, labeled, reciprocal_distance, n_init=1))
     parts = tree.partition_at_level(1)
     assert sorted(parts, key=min) == expected_blocks()
@@ -660,9 +671,9 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
     G, K, seed, labeled, dist_of, n_init, finest = HIERARCHY_CASES[case]
     calls = []
 
-    def counted(graph, partition):
-        calls.append(len(partition))
-        return coarse_grain(graph, partition)
+    def counted(graph, labels):
+        calls.append(int(labels.max()) + 1)
+        return coarse_grain(graph, labels)
 
     monkeypatch.setattr("twintree.clustering.coarse_grain", counted)
     levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init,

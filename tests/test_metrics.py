@@ -5,10 +5,9 @@ from scipy import sparse
 from twintree import metrics
 from twintree.clustering import TwinTreeBuilder, twt
 from twintree.digraph import WeightedDigraph, synth_digraph
-from twintree.metrics import (align_and_score, check_partition,
-                              confusion_matrix, f_measure, modularity,
-                              partition_from_labels, product_partition,
-                              random_coloring_baseline)
+from twintree.metrics import (align_and_score, confusion_matrix, f_measure,
+                              modularity, partition_from_labels,
+                              product_partition, random_coloring_baseline)
 
 from oracles import (confusion_brute, f_measure_brute, modularity_brute,
                      modularity_sequential, modularity_sliced,
@@ -24,16 +23,29 @@ def random_labels(rng, n, k):
 
 
 def test_partition_validation():
-    parts = check_partition([[2, 0], [1]], 3)
-    assert parts == [frozenset({0, 2}), frozenset({1})]
-    with pytest.raises(ValueError, match="empty"):
-        check_partition([[0, 1], []], 2)
-    with pytest.raises(ValueError, match="overlap"):
-        check_partition([[0, 1], [1, 2]], 3)
-    with pytest.raises(ValueError, match="cover"):
-        check_partition([[0], [2]], 3)
-    with pytest.raises(ValueError, match="cover"):
-        check_partition([[0], [1], [2], [3]], 3)
+    # parts list their vertices in any order
+    assert f_measure([[2, 0], [1]], [{0, 2}, {1}], 3) == 1.0
+    assert np.array_equal(confusion_matrix([[2, 0], [1]], [{0, 2}, {1}], 3),
+                          np.eye(2))
+    for score in (f_measure, confusion_matrix):
+        for parts, n, match in (([[0, 1], []], 2, "empty"),
+                                ([[0, 1], [1, 2]], 3, "overlap"),
+                                ([[0], [2]], 3, "cover"),
+                                ([[0], [1], [2], [3]], 3, "cover")):
+            whole = [list(range(n))]
+            for pred, truth in ((parts, whole), (whole, parts)):
+                with pytest.raises(ValueError, match=match):
+                    score(pred, truth, n)
+
+
+def test_degenerate_metric_arguments_are_rejected():
+    for score in (f_measure, confusion_matrix):
+        with pytest.raises(ValueError, match="at least one vertex, not n=0"):
+            score([], [], 0)
+    G = random_digraph(np.random.default_rng(3), 6, density=0.5)
+    for n_colors, trials in ((0, 5), (-1, 5), (2, 0), (2, -3)):
+        with pytest.raises(ValueError, match="n_colors >= 1 and trials >= 1"):
+            random_coloring_baseline(G, n_colors, trials, seed=0)
 
 
 def test_labels_group_in_sorted_label_order():
@@ -209,11 +221,19 @@ def twin_trees():
     return G, es, os_
 
 
-def test_tree_partition_wraps_level_partitions(twin_trees):
+@pytest.fixture(scope="module")
+def twin_ids():
+    """The level-id matrices of the twin_trees fixture's trees."""
+    G = synth_digraph("toy25", seed=1)
+    return G, *TwinTreeBuilder(G, (2, 6)).level_ids(9)
+
+
+def test_level_partitions_are_disjoint_covers(twin_trees):
     G, es, _ = twin_trees
     for level in range(1, es.depth() + 1):
-        parts = check_partition(es.partition_at_level(level), G.n)
-        assert frozenset().union(*parts) == frozenset(range(G.n))
+        parts = es.partition_at_level(level)
+        assert all(parts)
+        assert sorted(v for part in parts for v in part) == list(range(G.n))
 
 
 def test_product_partition_refines_both_trees(twin_trees):
@@ -228,10 +248,18 @@ def test_product_partition_refines_both_trees(twin_trees):
                                 len(os_.partition_at_level(level)))
 
 
-def test_alignment_records_all_levels(twin_trees):
+def test_product_partition_needs_trees_over_range_n(twin_trees):
     G, es, os_ = twin_trees
+    for n in (G.n - 1, G.n + 1):
+        with pytest.raises(ValueError, match=rf"range\({n}\), not over "
+                                             rf"{G.n} vertices"):
+            product_partition(es, os_, 1, n)
+
+
+def test_alignment_records_all_levels(twin_ids):
+    G, es, os_ = twin_ids
     records = align_and_score(G, es, os_)
-    depth = min(es.depth(), os_.depth())
+    depth = min(len(es), len(os_))
     assert [r["level"] for r in records] == list(range(1, depth + 1))
     for r in records:
         assert r["n_clusters"] >= 1
@@ -241,8 +269,8 @@ def test_alignment_records_all_levels(twin_trees):
     assert counts == sorted(counts)
 
 
-def test_alignment_scores_against_labels(twin_trees):
-    G, es, os_ = twin_trees
+def test_alignment_scores_against_labels(twin_ids):
+    G, es, os_ = twin_ids
     labels = {v: (("left" if v < 13 else "right"), v) for v in range(G.n)}
     records = align_and_score(G, es, os_, labels=labels, levels=[1, 2])
     assert [r["level"] for r in records] == [1, 2]
@@ -250,32 +278,45 @@ def test_alignment_scores_against_labels(twin_trees):
         assert 0.0 < r["f_measure"] <= 1.0
 
 
-def test_alignment_requires_complete_labels(twin_trees):
-    G, es, os_ = twin_trees
+def test_alignment_requires_complete_labels(twin_ids):
+    G, es, os_ = twin_ids
     labels = {v: ("a",) for v in range(G.n - 1)}
     with pytest.raises(ValueError, match="no label"):
         align_and_score(G, es, os_, labels=labels)
 
 
+def test_alignment_requires_level_id_matrices(twin_trees, twin_ids):
+    G, es, os_ = twin_ids
+    tree = twin_trees[1]
+    for bad in (es[:, :-1], np.hstack([es, es]), es[0], es[:0], tree):
+        for args in ((bad, os_), (es, bad)):
+            side = "es" if args[0] is bad else "os"
+            with pytest.raises(ValueError, match=rf"{side} level ids have "
+                               rf"shape .*, not \(depth >= 1, {G.n}\)"):
+                align_and_score(G, *args)
+
+
 @pytest.fixture(scope="module")
 def degenerate_scores():
-    """(digraph, twin trees, class labels) of the degenerate corpus."""
+    """(digraph, twin trees, their level-id matrices, class labels) of
+    the degenerate corpus."""
     out = []
     for G in degenerate_digraphs().values():
         labels = {v: (f"c{v % 3}", v) for v in range(G.n)}
-        out.append((G, *twt(G, K=(2, 6), seed=7), labels))
+        builder = TwinTreeBuilder(G, (2, 6))
+        out.append((G, builder.build(7), builder.level_ids(7), labels))
     return out
 
 
 def test_scoring_matches_the_frozenset_route(degenerate_scores):
     kinds = set()  # integer weights, and lognormal ones
-    for G, es, os_, labels in degenerate_scores:
+    for G, (es, os_), ids, labels in degenerate_scores:
         integral = bool(np.all(G.weights.data == np.round(G.weights.data)))
         kinds.add(integral)
         truth = partition_from_labels([v % 3 for v in range(G.n)])
         # past the shallower tree's depth too, where leaves stand in
         levels = range(0, max(es.depth(), os_.depth()) + 2)
-        for rec in align_and_score(G, es, os_, labels, levels):
+        for rec in align_and_score(G, *ids, labels, levels):
             parts = product_partition_by_ancestors(es, os_, rec["level"], G.n)
             assert product_partition(es, os_, rec["level"], G.n) == parts
             assert rec["n_clusters"] == len(parts)
@@ -298,25 +339,19 @@ def test_level_ids_are_the_built_trees_ancestor_ids(algo):
               **degenerate_digraphs()}
     kinds = set()
     for G in graphs.values():
-        labels = {v: (f"c{v % 3}",) for v in range(G.n)}
         for K in ((2, 6), (2, 4, 8)):
             builder = TwinTreeBuilder(G, K, algo=algo)
             for labeled in (None, {v: v % 3 for v in range(G.n)}):
                 trees = builder.build(7, labeled)
                 matrices = builder.level_ids(7, labeled)
                 for tree, ids in zip(trees, matrices):
-                    want = metrics._ancestor_ids(
-                        tree, G.n, range(1, tree.depth() + 1))
                     assert ids.shape == (tree.depth(), G.n)
-                    for level, row in want.items():
-                        assert np.array_equal(ids[level - 1], row)
+                    for level, row in enumerate(ids.tolist(), start=1):
+                        assert row == [tree.ancestor_at_level(v, level)
+                                       for v in range(G.n)]
                     kinds.add(("depth", tree.depth()))
                     if len(builder.comps) > 1:
                         kinds.add("grafted")
-                # past the shallower tree's depth too, where leaves stand in
-                levels = range(0, max(t.depth() for t in trees) + 2)
-                assert align_and_score(G, *matrices, labels, levels) == \
-                    align_and_score(G, *trees, labels, levels)
     assert "grafted" in kinds
     if algo != "mbo":  # mbo's finest level is one cluster per class
         assert ("depth", 4) in kinds

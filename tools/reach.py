@@ -1,14 +1,17 @@
-"""List the twintree functions that only the unit tests reach.
+"""List the twintree functions that no CLI command, or only the unit
+tests, reach.
 
 Usage:  python3 tools/reach.py
 
-Runs pytest twice, each time in a fresh interpreter under a
+Runs pytest three times, each time in a fresh interpreter under a
 ``sys.setprofile`` hook that records every Python function called:
-once over tests/test_acceptance.py plus tests/test_cli.py (every CLI
-command and all acceptance criteria), and once over all of tests/.
-Then prints the functions defined in src/twintree that only the second
-run reaches, and those that neither reaches, each with its line count
-(from its ``def`` line).  Nested functions count; lambdas do not.
+over tests/test_cli.py (every CLI command), over tests/test_acceptance.py
+plus tests/test_cli.py (adding all acceptance criteria), and over all
+of tests/.  Then prints, each with its line count (from its ``def``
+line), the functions defined in src/twintree that the acceptance
+criteria reach but no CLI test does, those that only the unit tests
+reach, and those that no test reaches.  Nested functions count;
+lambdas do not.
 
 Failed tests are listed but change nothing else: the hook slows every
 call, so a test with a time budget (criterion 1's 5 s) can fail after
@@ -29,7 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twintree"
-RUNS = {"acceptance and CLI tests": ["tests/test_acceptance.py",
+RUNS = {"CLI tests": ["tests/test_cli.py"],
+        "acceptance and CLI tests": ["tests/test_acceptance.py",
                                      "tests/test_cli.py"],
         "all tests": ["tests"]}
 
@@ -125,8 +129,11 @@ def main() -> None:
               f"{len(reached[-1])} functions reached")
         for nodeid in data["failed"]:
             print(f"  failed: {nodeid}")
-    report("reached only by the unit tests", reached[1] - reached[0], funcs)
-    report("reached by no test", funcs.keys() - reached[1], funcs)
+    cli, acceptance, every = reached
+    report("reached by the acceptance criteria but by no CLI test",
+           acceptance - cli, funcs)
+    report("reached only by the unit tests", every - acceptance, funcs)
+    report("reached by no test", funcs.keys() - every, funcs)
 
 
 if __name__ == "__main__":
