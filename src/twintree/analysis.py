@@ -138,24 +138,38 @@ class FrequencySet:
         return bool(np.any((self.k1 == k[0]) & (self.k2 == k[1])))
 
 
-def axis_value_matrix(basis: TreeBasis, grid: GridSet) -> list[list]:
-    """Exact psi values at the grid points, along the basis's own axis.
+def _axis_tables(basis: TreeBasis, grid: GridSet
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and float values of every psi_n at the grid points.
 
-    Row n, column i: the n-th function of ``basis`` on the leaf cell of
-    ``basis.filtration`` that holds grid point i.
+    Row n, column i: psi_n of ``basis`` on the leaf cell of
+    ``basis.filtration`` that holds grid point i, as an int8 sign
+    (+1, -1 or 0) and as a float scaled by sqrt(aleph(n)).  Both come
+    from the records of ``basis.value_table()``: the signs from their
+    integer cell ranges alone, and the floats from converting each
+    row's two exact values once, float(up) and float(-down), so that
+    every entry is the float of its exact value and zeros are +0.0.
     """
+    records = basis.value_table()
+    signs = np.zeros((basis.size, basis.size), dtype=np.int8)
+    values = np.zeros((basis.size, basis.size))
+    for s, v, (lo, mid, hi, up, down, _) in zip(signs, values, records):
+        s[lo:mid], s[mid:hi] = 1, -1
+        v[lo:mid], v[mid:hi] = float(up), float(-down)
+    values *= np.sqrt([float(r[5]) for r in records])[:, None]
     filt = basis.filtration
     cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
-    table = basis.value_table()
     cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
-    return [[table[n][c] for c in cols] for n in range(basis.size)]
+    return signs[:, cols], values[:, cols]
 
 
 def compute_omega(v1, v2) -> FrequencySet:
     """Indices whose tensor product survives restriction to the grid.
 
-    Takes the two axis value matrices, exact or float; a product is kept
-    iff some grid point carries a nonzero value of both factors.
+    Takes one table per axis whose nonzero entries are the supports of
+    its functions on the grid points (the engine passes its sign tables;
+    value tables, exact or float, serve too); a product is kept iff
+    some grid point carries a nonzero value of both factors.
     """
     b1, b2 = ((np.asarray(v) != 0).astype(float) for v in (v1, v2))
     return FrequencySet(np.argwhere(b1 @ b2.T > 0))
@@ -360,6 +374,12 @@ class GridAnalysis:
     orthonormalized univariate functions and reports their
     orthogonality defect.
 
+    Each axis's functions are held on the grid points as two tables,
+    both made from the exact records of ``TreeBasis.value_table`` (see
+    ``_axis_tables``): int8 signs, which decide Omega and the cell
+    classes below exactly, and floats scaled by sqrt(aleph), whose
+    products are the raw rows.  No N x N table of Fractions is built.
+
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
     symbols are masks or per-shell scales of one coefficient array.
@@ -376,10 +396,11 @@ class GridAnalysis:
 
     Exact mode answers E_n without an LP on a *cell shell*.  An axis
     class at level n is a sign pattern of the prefix {psi_k : k <
-    base**n} on the grid points (each psi_k, k > 0, takes one positive
-    value, one negative value and 0, so its signs decide its values); a
-    cell is the set of grid points that share their classes on both
-    axes.  Shell n is a cell shell when, in integers,
+    base**n} on the grid points, read from the sign table (each psi_k,
+    k > 0, takes one positive value, one negative value and 0, so its
+    signs decide its values); a cell is the set of grid points that
+    share their classes on both axes.  Shell n is a cell shell when,
+    in integers,
       - the kept rows of shell <= n are the first d kept rows.
         Gram-Schmidt keeps the span of every prefix, so those rows span
         the same space as d raw products with k1, k2 < base**n, and each
@@ -408,12 +429,10 @@ class GridAnalysis:
         if abs(self.nu.sum() - 1.0) > 1e-9 and grid.normalized:
             raise AssertionError("normalized grid mass must be 1")
 
-        # float value tables, row n scaled by sqrt(aleph(n))
-        self._v1, self._v2 = (
-            np.array(axis_value_matrix(b, grid), dtype=float)
-            * np.sqrt([float(b.aleph(n)) for n in range(b.size)])[:, None]
-            for b in (basis_es, basis_os))
-        self.freqs = compute_omega(self._v1, self._v2)
+        # exact sign tables, and float tables scaled by sqrt(aleph(n))
+        (self._s1, self._v1), (self._s2, self._v2) = (
+            _axis_tables(b, grid) for b in (basis_es, basis_os))
+        self.freqs = compute_omega(self._s1, self._s2)
         k1, k2 = self.freqs.k1, self.freqs.k2
         self._raw = raw = self._v1[k1]
         for s in range(0, len(k1), CHUNK):  # no second |Omega| x N temporary
@@ -557,9 +576,9 @@ class GridAnalysis:
             cells = None
             if self.mode == "exact" and span[:d].all():
                 top = self.base ** n
-                axes = [np.unique(np.sign(v[:top]), axis=1,
+                axes = [np.unique(s[:top], axis=1,
                                   return_inverse=True)[1].reshape(-1)
-                        for v in (self._v1, self._v2)]
+                        for s in (self._s1, self._s2)]
                 occupied, labels = np.unique(np.stack(axes), axis=1,
                                              return_inverse=True)
                 if occupied.shape[1] == d:

@@ -47,7 +47,7 @@ linear program) live at the bottom of the module.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -289,6 +289,27 @@ def verify_local_identities(basis: LocalBasis) -> dict:
 # -- the global system --------------------------------------------------------
 
 
+def _leaf_spans(filt: Filtration) -> dict[int, tuple[int, int]]:
+    """Node id -> (first, end): the node covers leaf cells first..end-1.
+
+    One depth-first walk in child order, counting the leaves passed.
+    """
+    first: dict[int, int] = {}
+    spans: dict[int, tuple[int, int]] = {}
+    pos, stack = 0, [(filt.root, True)]
+    while stack:
+        nid, entering = stack.pop()
+        if not entering:
+            spans[nid] = (first[nid], pos)
+            continue
+        first[nid] = pos
+        children = filt.nodes[nid].children
+        stack.append((nid, False))
+        stack.extend((c, True) for c in reversed(children))
+        pos += not children
+    return spans
+
+
 class TreeBasis:
     """The orthogonal system of a filtration, one function per leaf."""
 
@@ -297,7 +318,7 @@ class TreeBasis:
         self.enum = llo_enumerate(filt)
         self._cache: dict[int, PiecewiseConstant] = {}
         self._leaf_bps: Optional[list] = None
-        self._values: Optional[list[list]] = None
+        self._values: Optional[list[tuple]] = None
 
     @property
     def size(self) -> int:
@@ -325,11 +346,8 @@ class TreeBasis:
         return fn
 
     def aleph(self, n: int) -> Fraction:
-        """Inverse squared norm of psi_n, in closed form."""
-        if n == 0:
-            return Fraction(1)
-        (a, b), (a2, b2) = self.intervals_of(n)
-        return (b - a) ** 2 / ((b2 - a2) * (a2 - a) * (b2 - a))
+        """Inverse squared norm of psi_n, read from its value record."""
+        return self.value_table()[n][5]
 
     # -- evaluation on the leaf grid ------------------------------------
 
@@ -341,26 +359,28 @@ class TreeBasis:
             self._leaf_bps = bps
         return self._leaf_bps
 
-    def value_table(self) -> list[list]:
-        """values[n][cell]: psi_n on each leaf cell (exact).
+    def value_table(self) -> list[tuple]:
+        """One exact record (lo, mid, hi, up, down, aleph) per index n.
 
-        Filled in closed form: row 0 is 1, and row n >= 1, with parent
-        [a, b) and own interval [a', b'), is (b'-a')/(b-a) on the leaf
-        cells of [a, a'), -(a'-a)/(b-a) on those of [a', b') and 0
-        elsewhere; the cell ranges come from bisecting the leaf
-        breakpoints, which every node endpoint is one of.
+        psi_n is ``up`` on the leaf cells lo..mid-1, ``-down`` on
+        mid..hi-1 and 0 elsewhere; ``aleph`` is 1/||psi_n||^2.  Row 0
+        is (0, N, N, 1, 0, 1), the constant 1 on all N cells.  Row
+        n >= 1, with parent [a, b) and own interval [a', b'), has
+        up = (b'-a')/(b-a), down = (a'-a)/(b-a) and aleph =
+        (b-a)^2 / ((b'-a')(a'-a)(b'-a)), all > 0; its cells are the
+        parent's first leaf (lo) and its own first and end leaves (mid,
+        hi), integer leaf positions from one walk of the filtration.
         """
         if self._values is None:
-            grid = self.leaf_breakpoints()
-            ncells = len(grid) - 1
-            table = [[Fraction(1)] * ncells]
-            for n in range(1, self.size):
-                (a, b), (a2, b2) = self.intervals_of(n)
-                lo, mid, hi = (bisect_left(grid, x) for x in (a, a2, b2))
-                row = [Fraction(0)] * ncells
-                row[lo:mid] = [(b2 - a2) / (b - a)] * (mid - lo)
-                row[mid:hi] = [-(a2 - a) / (b - a)] * (hi - mid)
-                table.append(row)
+            filt, size = self.filtration, self.size
+            spans = _leaf_spans(filt)
+            table = [(0, size, size, Fraction(1), Fraction(0), Fraction(1))]
+            for nid in self.enum[1:]:
+                node = filt.nodes[nid]
+                parent = filt.nodes[node.parent]
+                w, p, q = parent.weight, node.weight, node.a - parent.a
+                table.append((spans[parent.id][0], *spans[nid], p / w, q / w,
+                              w * w / (p * q * (p + q))))
             self._values = table
         return self._values
 
@@ -377,16 +397,14 @@ class TreeBasis:
         """Finite expansion sum_k coeffs[k] psi_k as a function."""
         if len(coeffs) > self.size:
             raise ValueError("more coefficients than basis functions")
-        grid = self.leaf_breakpoints()
-        table = self.value_table()
-        vals = []
-        for cell in range(len(grid) - 1):
-            acc = 0
-            for k, c in enumerate(coeffs):
-                if c:
-                    acc = acc + c * table[k][cell]
-            vals.append(acc)
-        return PiecewiseConstant(grid, vals, validate=False)
+        vals = [0] * self.size
+        for c, (lo, mid, hi, up, down, _) in zip(coeffs, self.value_table()):
+            if c:
+                for cell in range(lo, mid):
+                    vals[cell] = vals[cell] + c * up
+                for cell in range(mid, hi):
+                    vals[cell] = vals[cell] - c * down
+        return PiecewiseConstant(self.leaf_breakpoints(), vals, validate=False)
 
     def best_uniform_approx(self, f: PiecewiseConstant, n: int
                             ) -> tuple[float, PiecewiseConstant]:
@@ -400,9 +418,9 @@ class TreeBasis:
             raise ValueError(f"index {n} outside 0..{self.size - 1}")
         grid = self.leaf_breakpoints()
         fvals = np.array([float(v) for v in f.values_on(grid)])
-        table = self.value_table()
-        A = np.array([[float(table[k][cell]) for k in range(n + 1)]
-                      for cell in range(len(grid) - 1)])
+        A = np.zeros((self.size, n + 1))
+        for col, (lo, mid, hi, up, down, _) in zip(A.T, self.value_table()):
+            col[lo:mid], col[mid:hi] = float(up), float(-down)
         ncells, ncols = A.shape
         # variables: coefficients c (free) then the bound t
         A_ub = np.block([[A, -np.ones((ncells, 1))],

@@ -15,9 +15,56 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from twintree.analysis import axis_value_matrix
 from twintree.clustering import ClusterNode, ClusterTree, medoid_partition
 from twintree.digraph import UndirectedGraph
+
+
+def expanded_value_table(basis) -> list[list[Fraction]]:
+    """values[n][cell]: psi_n on each leaf cell, as exact Fractions.
+
+    Expands the records of ``TreeBasis.value_table`` cell by cell: up
+    on cells lo..mid-1, -down on mid..hi-1 and Fraction(0) elsewhere.
+    This is the dense N x N table that the package no longer builds.
+    """
+    return [[up if lo <= cell < mid else -down if mid <= cell < hi
+             else Fraction(0) for cell in range(basis.size)]
+            for lo, mid, hi, up, down, _ in basis.value_table()]
+
+
+def axis_value_matrix(basis, grid) -> list[list[Fraction]]:
+    """Exact psi values at the grid points, along the basis's own axis.
+
+    Row n, column i: the n-th function of ``basis`` on the leaf cell of
+    ``basis.filtration`` that holds grid point i.
+    """
+    filt = basis.filtration
+    cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
+    table = expanded_value_table(basis)
+    cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
+    return [[table[n][c] for c in cols] for n in range(basis.size)]
+
+
+def float_axis_table(basis, grid) -> np.ndarray:
+    """The engine's float table of one axis, built as the package built
+    it from the dense exact table: every entry converted by
+    float(Fraction), then row n scaled by sqrt(float(aleph(n)))."""
+    return (np.array(axis_value_matrix(basis, grid), dtype=float)
+            * np.sqrt([float(basis.aleph(n))
+                       for n in range(basis.size)])[:, None])
+
+
+def float_sign_cells(v1: np.ndarray, v2: np.ndarray, top: int) -> np.ndarray:
+    """Cell label per grid point from the signs of two float tables.
+
+    A point's class on an axis is its column of np.sign over the first
+    ``top`` rows; its cell is the pair of classes, labelled in
+    ``np.unique`` order: the route the engine took before it kept exact
+    sign tables.
+    """
+    axes = [np.unique(np.sign(v[:top]), axis=1,
+                      return_inverse=True)[1].reshape(-1) for v in (v1, v2)]
+    return np.unique(np.stack(axes), axis=1,
+                     return_inverse=True)[1].reshape(-1)
 
 
 def minimax_distance(A: np.ndarray, f: np.ndarray) -> float:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.analysis import (FrequencySet, GridAnalysis, axis_value_matrix,
-                               box_filter, build_grid, MultiplierSequence,
+from twintree.analysis import (FrequencySet, GridAnalysis, box_filter,
+                               build_grid, MultiplierSequence,
                                compute_omega, default_multiplier,
                                gram_orthonormalize, shell_array, shell_index,
                                variation_2d)
@@ -17,11 +17,13 @@ from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import (cell_midrange_errors, dict_filtered_synthesis,
-                     exact_cells, exact_greedy_rank, exact_rank,
+from oracles import (axis_value_matrix, cell_midrange_errors,
+                     dict_filtered_synthesis, exact_cells, exact_greedy_rank,
+                     exact_rank, float_axis_table, float_sign_cells,
                      full_scan_gram, graded_lex_key, lp_degree_errors,
                      minimax_distance, shell_loop, variation_2d_brute)
-from util import random_filtration
+from util import (degenerate_digraphs, random_filtration,
+                  value_table_filtration)
 
 
 def make_analysis(graph_seed=1, tree_seed=9, K=(2, 6), **kw):
@@ -389,6 +391,50 @@ def test_degenerate_graphs_give_complete_exact_systems(case, scheme):
     f = G.out_degrees() + np.arange(G.n)
     err = an.sup_norm(f - an.synthesize(an.analyze(f)))
     assert err <= 1e-10 * max(1.0, an.sup_norm(f))
+
+
+def bit_equality_engine(case):
+    """An exact engine per case: toy25, planted under uniform or volume
+    masses, a degenerate digraph under either scheme, or the "chain" or
+    "one_leaf" filtration paired with itself."""
+    if case in ("chain", "one_leaf"):
+        filt = value_table_filtration(case)
+        fes, fos = filt, filt
+    elif case in ("toy25", "planted_uniform", "planted_volume"):
+        fes, fos = kept_set_case(case)
+    else:
+        name, scheme = case.rsplit("_", 1)
+        G = degenerate_digraphs()[name]
+        es, os_ = twt(G, K=(2, 6), seed=7)
+        fes = build_filtration(es, scheme, G)
+        fos = build_filtration(os_, scheme, G)
+    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+
+
+@pytest.mark.parametrize("case", ["toy25", "planted_uniform", "planted_volume",
+                                  "chain", "one_leaf"]
+                         + [f"{name}_{scheme}" for name in ("fragmented",
+                                                            "out_star",
+                                                            "self_loops",
+                                                            "heavy_tailed")
+                            for scheme in ("uniform", "volume")])
+def test_axis_tables_equal_the_dense_fraction_tables_bit_for_bit(case):
+    an = bit_equality_engine(case)
+    want = [float_axis_table(b, an.grid) for b in (an.basis_es, an.basis_os)]
+    for got, signs, ref in zip((an._v1, an._v2), (an._s1, an._s2), want):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.array_equal(signs, np.sign(ref))
+    assert an.freqs.omega == compute_omega(*want).omega
+    for n in range(an.max_shell() + 1):
+        labels = float_sign_cells(*want, an.base ** n)
+        span = an._shell <= n
+        d = int(span.sum())
+        cells = an._cells(n)
+        if span[:d].all() and labels.max() + 1 == d:
+            assert np.array_equal(cells, labels), n
+        else:
+            assert cells is None, n
 
 
 def test_idealized_mode_reports_its_defect():

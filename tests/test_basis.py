@@ -5,12 +5,11 @@ import pytest
 
 from twintree.basis import (PiecewiseConstant, TreeBasis, local_basis,
                             verify_local_identities)
-from twintree.clustering import tree_from_partitions, twt
-from twintree.digraph import synth_digraph
-from twintree.filtration import build_filtration
 
-from oracles import minimax_distance, weighted_lstsq_fit
-from util import random_filtration, random_leaf_function
+from oracles import (expanded_value_table, minimax_distance,
+                     weighted_lstsq_fit)
+from util import (random_filtration, random_leaf_function,
+                  value_table_filtration)
 
 F = Fraction
 
@@ -173,28 +172,12 @@ def test_closed_form_norm_matches_intervals():
             assert fn(b2) == 0
 
 
-def value_table_filtration(case):
-    if case in ("uniform", "volume"):
-        G = synth_digraph("planted", seed=4, sizes=(15, 25))
-        es, _ = twt(G, K=(2, 8), seed=3)
-        return build_filtration(es, case, G)
-    if case == "chain":
-        # repeated levels give single-child chains above leaves and inner nodes
-        a, b = frozenset({0, 1, 2}), frozenset({3, 4})
-        return build_filtration(tree_from_partitions(
-            range(5), [[a, b], [a, b],
-                       [frozenset({0}), frozenset({1, 2}), b],
-                       [frozenset({0}), frozenset({1}), frozenset({2}),
-                        frozenset({3}), frozenset({4})]]))
-    return build_filtration(tree_from_partitions(range(1), [[frozenset({0})]]))
-
-
 @pytest.mark.parametrize("case", ["uniform", "volume", "chain", "one_leaf"])
 def test_value_table_matches_pointwise_evaluation(case):
     filt = value_table_filtration(case)
     basis = TreeBasis(filt)
     mids = [(leaf.a + leaf.b) / 2 for leaf in filt.leaves()]
-    table = basis.value_table()
+    table = expanded_value_table(basis)
     assert table == [[basis.psi(n)(x) for x in mids]
                      for n in range(basis.size)]
     assert all(isinstance(v, Fraction) for row in table for v in row)
@@ -256,7 +239,7 @@ def test_partial_sum_matches_least_squares_oracle():
     f = random_leaf_function(rng, basis.filtration)
     grid = basis.leaf_breakpoints()
     masses = np.array([float(hi - lo) for lo, hi in zip(grid, grid[1:])])
-    table = basis.value_table()
+    table = expanded_value_table(basis)
     fvals = np.array([float(v) for v in f.values_on(grid)])
     for n in (0, 2, 5, 9):
         rows = np.array([[float(v) for v in table[k]]
@@ -295,7 +278,7 @@ def test_best_uniform_approx_matches_smoothed_oracle():
     f = random_leaf_function(rng, basis.filtration)
     grid = basis.leaf_breakpoints()
     fvals = np.array([float(v) for v in f.values_on(grid)])
-    table = basis.value_table()
+    table = expanded_value_table(basis)
     for n in (0, 2, 4, 7):
         A = np.array([[float(table[k][cell]) for k in range(n + 1)]
                       for cell in range(len(grid) - 1)])

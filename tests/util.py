@@ -8,7 +8,7 @@ import numpy as np
 from scipy import sparse
 
 from twintree.clustering import (ClusterNode, ClusterTree,
-                                 tree_from_partitions)
+                                 tree_from_partitions, twt)
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import Filtration, build_filtration
 
@@ -116,3 +116,22 @@ def degenerate_digraphs() -> dict[str, WeightedDigraph]:
                                       + np.eye(20)),
         "heavy_tailed": WeightedDigraph(heavy),
     }
+
+
+def value_table_filtration(case: str) -> Filtration:
+    """A filtration per case: a planted graph's under "uniform" or
+    "volume" masses, one with single-child chains to collapse ("chain"),
+    or a single leaf (any other case)."""
+    if case in ("uniform", "volume"):
+        G = synth_digraph("planted", seed=4, sizes=(15, 25))
+        es, _ = twt(G, K=(2, 8), seed=3)
+        return build_filtration(es, case, G)
+    if case == "chain":
+        # repeated levels give single-child chains above leaves and inner nodes
+        a, b = frozenset({0, 1, 2}), frozenset({3, 4})
+        return build_filtration(tree_from_partitions(
+            range(5), [[a, b], [a, b],
+                       [frozenset({0}), frozenset({1, 2}), b],
+                       [frozenset({0}), frozenset({1}), frozenset({2}),
+                        frozenset({3}), frozenset({4})]]))
+    return build_filtration(tree_from_partitions(range(1), [[frozenset({0})]]))

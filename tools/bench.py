@@ -1,0 +1,155 @@
+"""Time the L(N) ladder of exact engine builds for one or more checkouts.
+
+Usage:
+    python3 tools/bench.py OUT.json --src LABEL=SRC [--src LABEL=SRC ...]
+                           [--sizes 25 100 200 400 [800]] [--repeats R]
+
+L(N) is the reference graph of ROADMAP.md: ``synth_digraph("planted",
+seed=3, sizes=[N/2, N/2])``, ``twt(G, K=(2, 8), seed=3)``, uniform
+filtrations, a normalized grid and an exact-mode engine.  Every run of
+every ladder point is its own subprocess, whose PYTHONPATH is the SRC
+directory of one checkout, so that each run imports that checkout's
+twintree and its peak RSS is its own.  The runs alternate between the
+checkouts, point by point and repeat by repeat.  The default sizes stop
+at 400; L(800) runs only when --sizes names it.
+
+Each run records, in seconds: ``twt``; filtration + grid; the engine
+(both bases and ``GridAnalysis``), and inside it the inclusive time of
+``TreeBasis.value_table``, ``compute_omega``, ``_choose_rows`` and
+``gram_orthonormalize`` (which contains ``_choose_rows``).  Those four
+are timed by wrappers this script installs on the imported modules;
+the library has no hook of its own.  A run also records ``ru_maxrss``
+in MB, |Omega|, and the full-rank row: the 0-based Omega row at which
+the rank scan keeps its N-th row.  OUT.json holds, per size, checkout
+and quantity, every run's value with their median, minimum and maximum.
+Children run with OMP_NUM_THREADS=1 unless the caller sets it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+
+def install_timers(totals: dict[str, float]) -> None:
+    """Rebind the four names timed inside the engine to wrappers that add
+    their wall time to ``totals``; the engine looks each one up at call
+    time, on the class or in the module."""
+    from twintree import analysis, basis
+
+    for key, owner, attr in (
+            ("value_table_s", basis.TreeBasis, "value_table"),
+            ("compute_omega_s", analysis, "compute_omega"),
+            ("choose_rows_s", analysis, "_choose_rows"),
+            ("gram_orthonormalize_s", analysis, "gram_orthonormalize")):
+        totals[key] = 0.0
+
+        def timed(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                totals[_key] += time.perf_counter() - start
+
+        setattr(owner, attr, timed)
+
+
+def run_point(n: int) -> dict:
+    """One run of L(n) in this process; returns its measurements."""
+    from twintree.analysis import GridAnalysis, build_grid
+    from twintree.basis import TreeBasis
+    from twintree.clustering import twt
+    from twintree.digraph import synth_digraph
+    from twintree.filtration import build_filtration
+
+    out: dict = {}
+    install_timers(out)
+    G = synth_digraph("planted", seed=3, sizes=[n // 2] * 2)
+    start = time.perf_counter()
+    es, os_ = twt(G, K=(2, 8), seed=3)
+    out["twt_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    fes, fos = build_filtration(es), build_filtration(os_)
+    grid = build_grid(fes, fos)
+    out["filtration_grid_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    engine = GridAnalysis(grid, TreeBasis(fes), TreeBasis(fos))
+    out["engine_s"] = time.perf_counter() - start
+    out["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["omega"] = len(engine.freqs)
+    out["full_rank_row"] = int(np.flatnonzero(engine.is_active)[-1])
+    return out
+
+
+def summary(values: list) -> dict:
+    return {"median": statistics.median(values), "min": min(values),
+            "max": max(values), "runs": values}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--src", action="append", required=True,
+                        metavar="LABEL=SRC",
+                        help="a checkout's src directory, under a label")
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        default=[25, 100, 200, 400])
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    if args.repeats < 3:
+        parser.error("take at least 3 repeats")
+    sources = dict(s.split("=", 1) for s in args.src)
+    env = {**os.environ, "OMP_NUM_THREADS":
+           os.environ.get("OMP_NUM_THREADS", "1")}
+    runs: dict[int, dict[str, list[dict]]] = {
+        n: {label: [] for label in sources} for n in args.sizes}
+    for n in args.sizes:
+        for r in range(args.repeats):
+            order = list(sources.items())
+            for label, src in order if r % 2 == 0 else order[::-1]:
+                res = subprocess.run(
+                    [sys.executable, __file__, "--child", str(n)],
+                    env={**env, "PYTHONPATH": str(Path(src).resolve())},
+                    capture_output=True, text=True)
+                if res.returncode:
+                    sys.exit(f"L({n}) {label} failed:\n{res.stderr}")
+                runs[n][label].append(json.loads(res.stdout))
+                print(f"L({n}) {label} run {r}: "
+                      f"engine {runs[n][label][-1]['engine_s']:.3f} s",
+                      file=sys.stderr)
+    report = {
+        "graph": "L(N): planted digraph, seed 3, sizes N/2 and N/2; "
+                 "twt K=(2, 8), seed 3; uniform filtrations; normalized "
+                 "grid; exact mode",
+        "machine": {"python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__,
+                    "cpus": os.cpu_count(),
+                    "OMP_NUM_THREADS": env["OMP_NUM_THREADS"]},
+        "repeats": args.repeats,
+        "ladder": {str(n): {label: {key: summary([run[key] for run in rs])
+                                    for key in rs[0]}
+                            for label, rs in by_label.items()}
+                   for n, by_label in runs.items()},
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(run_point(int(sys.argv[2]))))
+    else:
+        main()
