@@ -747,5 +747,5 @@ class SmoothnessReport:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), sort_keys=True,
+                                indent=1) + "\n")

@@ -56,10 +56,13 @@ def _load_config(ws: Path) -> dict:
 def _update_config(ws: Path, stage: str, params: dict) -> dict:
     cfg = _load_config(ws)
     cfg[stage] = params
-    with open(ws / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(ws / "config.json", cfg)
     return cfg
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _fmt(x) -> str:
@@ -95,9 +98,11 @@ def _load(ws: Path, name: str, load):
 
 
 class PipelineRun:
-    """What one ``pipeline`` run shares in memory: each artifact parsed
-    once, and one grid, engine and smoothness profile.  Nothing outlives
-    the run; a stage run on its own rebuilds from artifacts."""
+    """What one ``pipeline`` run shares in memory: the graph that ingest
+    or synth saved and the trees that cluster saved (never parsed back
+    from their artifacts), one twin-tree builder for cluster and
+    metrics, and one grid, engine and smoothness profile.  Nothing
+    outlives the run; a stage run on its own rebuilds from artifacts."""
 
     def __init__(self):
         self.held: dict[tuple, object] = {}
@@ -107,10 +112,19 @@ def _shared(args, key: tuple, make):
     """make(), computed once per key in a pipeline run (``args.run``).
     The key names what the result is built from; config.json is never
     held, because every stage rewrites it."""
-    held = getattr(args, "run", PipelineRun()).held
-    if key not in held:
-        held[key] = make()
-    return held[key]
+    run = getattr(args, "run", None)
+    if run is None:
+        return make()
+    if key not in run.held:
+        run.held[key] = make()
+    return run.held[key]
+
+
+def _pass_on(args, key: tuple, value) -> None:
+    """Hold what a stage just saved under key for the later stages of a
+    pipeline run, which then need not parse it back."""
+    if hasattr(args, "run"):
+        args.run.held[key] = value
 
 
 def _load_graph(args) -> WeightedDigraph:
@@ -124,7 +138,9 @@ def _load_graph(args) -> WeightedDigraph:
 
 
 def _load_trees(args, G: WeightedDigraph) -> tuple[ClusterTree, ClusterTree]:
-    """The twin trees, each checked to be a hierarchy over G's vertices."""
+    """The twin trees: in a pipeline run those that cluster made, else
+    parsed from their artifacts, each checked to be a hierarchy over G's
+    vertices."""
     def load(path: Path) -> ClusterTree:
         tree = ClusterTree.load_json(path)
         tree.validate()
@@ -135,6 +151,17 @@ def _load_trees(args, G: WeightedDigraph) -> tuple[ClusterTree, ClusterTree]:
     return _shared(args, ("trees",), lambda: tuple(
         _load(Path(args.out), f"tree_{side}.json", load)
         for side in ("es", "os")))
+
+
+def _builder(args, G: WeightedDigraph, levels, algo: str, edge_length: str,
+             n_init: int) -> TwinTreeBuilder:
+    """The twin-tree preparation of G, made once per pipeline run for
+    these parameters, so cluster and metrics share it."""
+    K = tuple(int(k) for k in levels)
+    return _shared(args, ("builder", K, algo, edge_length, n_init),
+                   lambda: TwinTreeBuilder(G, K, algo=algo,
+                                           edge_length=edge_length,
+                                           n_init=n_init))
 
 
 def _grid(args, G: WeightedDigraph, scheme: str, normalize: bool):
@@ -222,6 +249,7 @@ def cmd_ingest(args) -> int:
     ws = Path(args.out)
     ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
+    _pass_on(args, ("graph",), G)
     _update_config(ws, "ingest",
                    {"edges": str(args.edges),
                     "labels": (str(args.labels) if args.labels else None)})
@@ -256,6 +284,7 @@ def cmd_synth(args) -> int:
     ws = Path(args.out)
     ws.mkdir(parents=True, exist_ok=True)
     G.save_json(ws / "digraph.json")
+    _pass_on(args, ("graph",), G)
     _update_config(ws, "synth",
                    {"kind": args.kind, "seed": args.seed, "params": params})
     print(f"synthesized {args.kind}: {G.n} vertices, "
@@ -272,12 +301,14 @@ def cmd_cluster(args) -> int:
         if not G.labels:
             raise SystemExit("--labeled needs a graph with labels")
         labeled = label_index(G.labels)
+    builder = _builder(args, G, K, args.algo, args.edge_length, args.n_init)
     tree_es, tree_os = twt(G, K, algo=args.algo, seed=args.seed,
                            labeled=labeled,
                            edge_length=args.edge_length,
-                           n_init=args.n_init)
+                           n_init=args.n_init, builder=builder)
     tree_es.save_json(ws / "tree_es.json")
     tree_os.save_json(ws / "tree_os.json")
+    _pass_on(args, ("trees",), (tree_es, tree_os))
     _update_config(ws, "cluster",
                    {"algo": args.algo, "levels": list(K),
                     "seed": args.seed, "labeled": bool(args.labeled),
@@ -299,9 +330,7 @@ def cmd_trees(args) -> int:
             levels.append({"level": lv, "clusters": len(sizes),
                            "sizes": sizes})
         summary[side] = {"depth": tree.depth(), "levels": levels}
-    with open(ws / "trees.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(ws / "trees.json", summary)
     for side in ("es", "os"):
         info = summary[side]
         counts = "/".join(str(lv["clusters"]) for lv in info["levels"])
@@ -353,9 +382,7 @@ def cmd_analyze(args) -> int:
         "orthogonality_defect": defect,
         "reconstruction_residual": resid,
     }
-    with open(ws / "analysis.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(ws / "analysis.json", summary)
     _update_config(ws, "analyze",
                    {"mode": args.mode, "signal": args.signal,
                     "partition_base": args.partition_base})
@@ -423,9 +450,11 @@ def _sample_training_labels(index: dict[int, int], pct: float,
 def cmd_metrics(args) -> int:
     """Seeded-trial scoring protocol.
 
-    Prepares the cluster stage's twin-tree construction once (weak
-    components, symmetrizations, and for nhc the finest-level
-    distances), then clusters ``--trials`` times with child seeds
+    Takes the cluster stage's twin-tree construction, prepared once
+    (weak components, symmetrizations, and for nhc the finest-level
+    distances): in a pipeline run the very builder that cluster built
+    from, on its own a new one with the parameters config.json records.
+    It then clusters ``--trials`` times with child seeds
     (sampling --train-pct percent of each label class as training data
     when positive), scores every level of the twin trees' common
     refinement, and writes mean/std rows per (level, metric).  A trial
@@ -447,9 +476,8 @@ def cmd_metrics(args) -> int:
         _check_labels_cover(G, "metrics")
     _check_has_edges(G)
     index = label_index(G.labels)
-    builder = TwinTreeBuilder(G, cl["levels"], algo=cl["algo"],
-                              edge_length=cl["edge_length"],
-                              n_init=cl["n_init"])
+    builder = _builder(args, G, cl["levels"], cl["algo"], cl["edge_length"],
+                       cl["n_init"])
     child = np.random.SeedSequence([args.seed, 4242]).spawn(args.trials)
     by_level: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, list[float]] = {}

@@ -157,8 +157,8 @@ class ClusterTree:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), sort_keys=True,
+                                indent=1) + "\n")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ClusterTree":
@@ -650,9 +650,10 @@ class TwinTreeBuilder:
         if edge_length not in ("reciprocal", "raw"):
             raise ValueError(f"unknown edge_length {edge_length!r}")
         self.G = G
+        self.K = K = tuple(int(k) for k in K)
         self.algo = algo
+        self.edge_length = edge_length
         self.n_init = n_init
-        K = tuple(int(k) for k in K)
         self.comps = weak_component_indices(G)
         self.sides: list[list[Optional[_Component]]] = [
             [_Component(idx, symmetrize(G.subgraph(idx), side),
@@ -701,7 +702,8 @@ class TwinTreeBuilder:
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
         seed: int = 0, labeled: Optional[dict] = None,
-        edge_length: str = "reciprocal", n_init: int = 1
+        edge_length: str = "reciprocal", n_init: int = 1, *,
+        builder: Optional[TwinTreeBuilder] = None
         ) -> tuple[ClusterTree, ClusterTree]:
     """Build the twin cluster trees of a digraph.
 
@@ -711,10 +713,19 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
     first tree, the "os" companion for the second — with the requested
     level sizes clipped to what the component can support.  Components
     of fewer than four vertices attach their vertices directly.  One
-    TwinTreeBuilder preparation and one build; a caller building many
-    seeds of one graph keeps the builder instead.
+    TwinTreeBuilder preparation and one build.  A given ``builder``,
+    which must have been prepared from this very G with these K, algo,
+    edge_length and n_init (else ValueError), is built from instead of a
+    new one, so that its preparation serves later seeds as well; the
+    trees are the same.
     """
-    builder = TwinTreeBuilder(G, K, algo, edge_length, n_init)
+    if builder is None:
+        builder = TwinTreeBuilder(G, K, algo, edge_length, n_init)
+    elif (builder.G is not G
+          or (builder.K, builder.algo, builder.edge_length, builder.n_init)
+          != (tuple(int(k) for k in K), algo, edge_length, n_init)):
+        raise ValueError("the builder was prepared from another graph or "
+                         "with other parameters")
     return builder.build(seed, labeled)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -128,13 +128,6 @@ class WeightedDigraph:
             self._totals = (self.total_weight(), k_out, k_in)
         return self._totals
 
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (u, v, weight) in row-major order."""
-        coo = self.weights.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            yield int(coo.row[i]), int(coo.col[i]), float(coo.data[i])
-
     def to_dense(self) -> np.ndarray:
         return self.weights.toarray()
 
@@ -152,7 +145,12 @@ class WeightedDigraph:
     # -- persistence -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        edges = [[u, v, w] for u, v, w in self.edges()]
+        """Edges [u, v, weight] in row-major order, read off the
+        canonical CSR (sorted, no duplicates)."""
+        W = self.weights
+        tails = np.repeat(np.arange(self.n), np.diff(W.indptr)).tolist()
+        edges = [[u, v, w] for u, v, w in zip(tails, W.indices.tolist(),
+                                              W.data.tolist())]
         return {
             "directed": type(self) is not UndirectedGraph,
             "vertices": [{"id": i, "name": self.names[i]}
@@ -165,8 +163,8 @@ class WeightedDigraph:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), sort_keys=True,
+                                indent=1) + "\n")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WeightedDigraph":

@@ -106,6 +106,16 @@ def floyd_warshall(lengths: np.ndarray) -> np.ndarray:
     return D
 
 
+def lexsorted_edges(G) -> list[list]:
+    """[u, v, weight] of every stored edge of G, from the COO triplets
+    sorted by (row, column) with ``np.lexsort``: the listing that
+    ``WeightedDigraph.to_json_dict`` once produced edge by edge."""
+    coo = G.weights.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return [[int(coo.row[i]), int(coo.col[i]), float(coo.data[i])]
+            for i in order]
+
+
 def components_union_find(n: int, edges) -> list[frozenset[int]]:
     """Undirected connected components via union-find."""
     parent = list(range(n))

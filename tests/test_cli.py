@@ -12,13 +12,13 @@ import pytest
 from scipy import sparse
 
 import twintree
-from twintree import cli
+from twintree import cli, clustering
 from twintree.analysis import GridAnalysis
 from twintree.cli import build_parser, main
-from twintree.clustering import ClusterTree
-from twintree.digraph import WeightedDigraph
+from twintree.clustering import ClusterTree, TwinTreeBuilder
+from twintree.digraph import WeightedDigraph, synth_digraph
 
-from util import caterpillar
+from util import caterpillar, degenerate_digraphs
 
 
 ARTIFACTS = ["digraph.json", "tree_es.json", "tree_os.json", "trees.json",
@@ -85,15 +85,76 @@ def test_pipeline_builds_one_engine_and_one_profile(tmp_path, monkeypatch,
                                                     capsys):
     calls = [count_calls(monkeypatch, owner, name) for owner, name in (
         (GridAnalysis, "__init__"), (GridAnalysis, "smoothness_profile"),
+        (TwinTreeBuilder, "__init__"), (clustering, "symmetrize"),
         (WeightedDigraph, "load_json"), (ClusterTree, "load_json"),
         (cli, "build_filtration"), (cli, "build_grid"))]
-    per_run = [1, 1, 1, 2, 2, 1]
+    # cluster and metrics share one builder and so its two
+    # symmetrizations (cli itself calls no symmetrize), and the graph and
+    # the trees pass from stage to stage without being parsed back
+    per_run = [1, 1, 1, 2, 0, 0, 2, 1]
     run_pipeline(tmp_path / "first")
     assert [len(c) for c in calls] == per_run
-    # nothing is kept across runs: the next run loads and builds its own
+    # nothing is kept across runs: the next run builds its own
     run_pipeline(tmp_path / "second")
     assert [len(c) for c in calls] == [2 * n for n in per_run]
     assert snapshot(tmp_path / "second") == snapshot(tmp_path / "first")
+    capsys.readouterr()
+
+
+def write_edge_list(path: Path, G: WeightedDigraph) -> None:
+    """G's edges as 'u v weight' lines, vertex ids as names."""
+    path.write_text("".join(f"{u} {v} {w!r}\n"
+                            for u, v, w in G.to_json_dict()["edges"]))
+
+
+def handed_on_cases(tmp_path: Path) -> dict[str, list[str]]:
+    """Pipeline arguments per case: the degenerate digraphs as edge lists,
+    and a labeled planted graph, synthesized and ingested with labels."""
+    cases = {}
+    for name, G in degenerate_digraphs().items():
+        write_edge_list(tmp_path / f"{name}.edges", G)
+        cases[name] = ["--edges", str(tmp_path / f"{name}.edges")]
+    cases["planted_labeled"] = ["--kind", "planted", "--param",
+                                "sizes=[12,12]", "--labeled",
+                                "--signal", "label"]
+    G = synth_digraph("planted", seed=4, sizes=(9, 11))
+    write_edge_list(tmp_path / "planted.edges", G)
+    (tmp_path / "planted.labels").write_text("".join(
+        f"{v}\tblock{path[0]}/part{v % 2}\n" for v, path in G.labels.items()))
+    cases["planted_ingested"] = ["--edges", str(tmp_path / "planted.edges"),
+                                 "--labels", str(tmp_path / "planted.labels"),
+                                 "--algo", "mbo", "--labeled"]
+    return cases
+
+
+def test_pipeline_hands_on_what_its_artifacts_hold(tmp_path, monkeypatch,
+                                                   capsys):
+    runs = []
+
+    class RecordedRun(cli.PipelineRun):
+        def __init__(self):
+            super().__init__()
+            runs.append(self)
+    monkeypatch.setattr(cli, "PipelineRun", RecordedRun)
+    for name, argv in handed_on_cases(tmp_path).items():
+        ws = tmp_path / name
+        assert main(["pipeline", "--out", str(ws), "--trials", "2",
+                     "--baseline-trials", "5", *argv]) == 0
+        held = runs[-1].held
+        G, loaded = held[("graph",)], WeightedDigraph.load_json(
+            ws / "digraph.json")
+        assert type(G) is type(loaded), name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(G.weights, part),
+                                  getattr(loaded.weights, part)), name
+        assert G.weights.shape == loaded.weights.shape, name
+        assert G.names == loaded.names, name
+        assert G.labels == loaded.labels, name  # key order may differ
+        assert G.labels or not name.startswith("planted"), name
+        for tree, side in zip(held[("trees",)], ("es", "os")):
+            want = ClusterTree.load_json(ws / f"tree_{side}.json")
+            assert tree.root == want.root and tree.nodes == want.nodes, name
+    assert len(runs) == 6
     capsys.readouterr()
 
 

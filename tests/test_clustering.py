@@ -613,6 +613,32 @@ def test_prepared_builds_match_fresh_twt_calls(tmp_path, algo, params,
         assert all(d is None for d in cached)
 
 
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_twt_from_a_given_builder_matches_a_fresh_twt(algo):
+    graphs = [synth_digraph("planted", seed=1, sizes=(12, 12)),
+              # three weak components, the 6-vertex one a level shallower
+              synth_digraph("planted", seed=0, sizes=[20, 20, 6], p_out=0.0)]
+    K = (2,) if algo == "mbo" else (2, 5)
+    for G in graphs:
+        labeled = {v: v % 3 for v in range(G.n)} if algo == "mbo" else None
+        builder = TwinTreeBuilder(G, K, algo=algo)
+        for seed in (0, 7):
+            given = twt(G, K, algo=algo, seed=seed, labeled=labeled,
+                        builder=builder)
+            fresh = twt(G, K, algo=algo, seed=seed, labeled=labeled)
+            assert ([t.to_json_dict() for t in given]
+                    == [t.to_json_dict() for t in fresh])
+        # another graph, even one equal to G, or other parameters
+        same_content = WeightedDigraph(G.weights, G.names, G.labels)
+        for H, kw in ((graphs[0] if G is graphs[1] else graphs[1], {}),
+                      (same_content, {}), (G, {"K": (2, 4)}),
+                      (G, {"algo": "mll" if algo == "nhc" else "nhc"}),
+                      (G, {"edge_length": "raw"}), (G, {"n_init": 2})):
+            with pytest.raises(ValueError, match="builder"):
+                twt(H, **{"K": K, "algo": algo, **kw}, labeled=labeled,
+                    builder=builder)
+
+
 def _embedding_distance(cur):
     coords = spectral_embedding(cur, 30, 0)
     diff = coords[:, None, :] - coords[None, :, :]

@@ -13,8 +13,8 @@ from twintree.digraph import (GraphFormatError, UndirectedGraph,
                               reciprocal_lengths, symmetrize,
                               synth_digraph, weak_component_indices)
 
-from oracles import components_union_find, floyd_warshall
-from util import random_digraph
+from oracles import components_union_find, floyd_warshall, lexsorted_edges
+from util import degenerate_digraphs, random_digraph
 
 
 def test_rejects_bad_weight_matrices():
@@ -39,7 +39,7 @@ def test_stored_matrix_drops_explicit_zeros():
     W.data = np.array([2.0])
     G = WeightedDigraph(W)
     assert G.edge_count() == 1
-    assert list(G.edges()) == [(0, 1, 2.0)]
+    assert G.to_json_dict()["edges"] == [[0, 1, 2.0]]
 
 
 def test_degrees_and_total_weight():
@@ -304,6 +304,27 @@ def test_json_roundtrip_preserves_everything(tmp_path):
     S.save_json(path)
     T = WeightedDigraph.load_json(path)
     assert type(T) is UndirectedGraph
+
+
+def test_json_edges_equal_the_lexsorted_coo_listing():
+    rng = np.random.default_rng(4)
+    # duplicate (u, v) entries, given out of order, are summed first
+    dup = sparse.coo_array(([1.5, 2.0, 0.25, 3.0],
+                            ([2, 0, 2, 1], [1, 2, 1, 0])), shape=(3, 3))
+    graphs = {**degenerate_digraphs(),
+              "random": random_digraph(rng, 30, density=0.3),
+              "duplicates": WeightedDigraph(dup),
+              "no_edges": WeightedDigraph(np.zeros((4, 4))),
+              "planted_es": symmetrize(synth_digraph("planted", seed=2,
+                                                     sizes=(8, 8)), "es")}
+    graphs["reciprocal"] = reciprocal_lengths(graphs["planted_es"])
+    for name, G in graphs.items():
+        listed = G.to_json_dict()["edges"]
+        # equal as JSON too: ints stay ints, weights Python floats
+        assert json.dumps(listed) == json.dumps(lexsorted_edges(G)), name
+        assert len(listed) == G.edge_count(), name
+    assert graphs["duplicates"].to_json_dict()["edges"] == [
+        [0, 2, 2.0], [1, 0, 3.0], [2, 1, 1.75]]
 
 
 def test_synthetic_families_are_deterministic():

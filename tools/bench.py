@@ -13,10 +13,11 @@ twintree and its peak RSS is its own.  The runs alternate between the
 checkouts, point by point and repeat by repeat.  The default sizes stop
 at 400; L(800) runs only when --sizes names it.
 
-Each run records, in seconds: ``twt``; filtration + grid; the engine
+Each run records, in seconds: ``twt``, and inside it the inclusive time
+of ``symmetrize`` and ``graph_distance``; filtration + grid; the engine
 (both bases and ``GridAnalysis``), and inside it the inclusive time of
 ``TreeBasis.value_table``, ``compute_omega``, ``_choose_rows`` and
-``gram_orthonormalize`` (which contains ``_choose_rows``).  Those four
+``gram_orthonormalize`` (which contains ``_choose_rows``).  Those six
 are timed by wrappers this script installs on the imported modules;
 the library has no hook of its own.  A run also records ``ru_maxrss``
 in MB, |Omega|, and the full-rank row: the 0-based Omega row at which
@@ -43,12 +44,16 @@ import scipy
 
 
 def install_timers(totals: dict[str, float]) -> None:
-    """Rebind the four names timed inside the engine to wrappers that add
-    their wall time to ``totals``; the engine looks each one up at call
-    time, on the class or in the module."""
-    from twintree import analysis, basis
+    """Rebind the six names timed inside ``twt`` and the engine to
+    wrappers that add their wall time to ``totals``; the library looks
+    each one up at call time, on the class or in the module (``twt``
+    through ``twintree.clustering``'s own copies of the two graph
+    functions)."""
+    from twintree import analysis, basis, clustering
 
     for key, owner, attr in (
+            ("symmetrize_s", clustering, "symmetrize"),
+            ("graph_distance_s", clustering, "graph_distance"),
             ("value_table_s", basis.TreeBasis, "value_table"),
             ("compute_omega_s", analysis, "compute_omega"),
             ("choose_rows_s", analysis, "_choose_rows"),
