@@ -490,11 +490,11 @@ class GridAnalysis:
     # -- expansions ---------------------------------------------------------
 
     def _coef(self, fvals: np.ndarray) -> np.ndarray:
-        """Coefficients against the working system, one per kept row."""
-        fvals = np.asarray(fvals, dtype=float)
-        if fvals.shape != (len(self.grid),):
-            raise ValueError("need one value per grid point")
-        return self._rows @ (fvals * self.nu)
+        """Coefficients against the working system, one per kept row.
+        Every method that takes a signal reads it through here or
+        ``_finite``, so a non-finite value is a ValueError naming its
+        grid point."""
+        return self._rows @ (self._finite(fvals) * self.nu)
 
     def _synth(self, w: np.ndarray) -> np.ndarray:
         """sum_i w[i] (kept row i) over the nonzero w[i], in kept-row order."""

@@ -97,34 +97,29 @@ def _load(ws: Path, name: str, load):
         raise SystemExit(f"malformed artifact {path}: {exc}") from None
 
 
-class PipelineRun:
-    """What one ``pipeline`` run shares in memory: the graph that ingest
-    or synth saved and the trees that cluster saved (never parsed back
-    from their artifacts), one twin-tree builder for cluster and
-    metrics, and one grid, engine and smoothness profile.  Nothing
-    outlives the run; a stage run on its own rebuilds from artifacts."""
-
-    def __init__(self):
-        self.held: dict[tuple, object] = {}
-
-
 def _shared(args, key: tuple, make):
-    """make(), computed once per key in a pipeline run (``args.run``).
-    The key names what the result is built from; config.json is never
-    held, because every stage rewrites it."""
-    run = getattr(args, "run", None)
-    if run is None:
+    """make(), computed once per key in a pipeline run.
+
+    A pipeline run holds in memory, in ``args.held``, the graph that
+    ingest or synth saved and the trees that cluster saved (never parsed
+    back from their artifacts), one twin-tree builder for cluster and
+    metrics, and one grid, engine and smoothness profile.  The key names
+    what the result is built from; config.json is never held, because
+    every stage rewrites it.  Nothing outlives the run; a stage run on
+    its own rebuilds from artifacts."""
+    held = getattr(args, "held", None)
+    if held is None:
         return make()
-    if key not in run.held:
-        run.held[key] = make()
-    return run.held[key]
+    if key not in held:
+        held[key] = make()
+    return held[key]
 
 
 def _pass_on(args, key: tuple, value) -> None:
     """Hold what a stage just saved under key for the later stages of a
     pipeline run, which then need not parse it back."""
-    if hasattr(args, "run"):
-        args.run.held[key] = value
+    if hasattr(args, "held"):
+        args.held[key] = value
 
 
 def _load_graph(args) -> WeightedDigraph:
@@ -546,7 +541,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    args.run = PipelineRun()
+    args.held = {}
     (cmd_ingest if args.edges else cmd_synth)(args)
     # a bad --signal or an edgeless graph exits here, before any stage
     # past the graph's runs

@@ -184,32 +184,6 @@ class ClusterTree:
             return cls.from_json_dict(json.load(fh))
 
 
-def tree_from_partitions(vertices: Sequence[int],
-                         partitions: Sequence[Sequence[frozenset[int]]],
-                         ) -> ClusterTree:
-    """Assemble a ClusterTree from nested level partitions.
-
-    ``partitions[l-1]`` is the partition at level l (l = 1..L), coarsest
-    first; each must refine the previous.  Leaves (single vertices) are
-    appended below the finest partition, ordered by vertex id.  A
-    parent's children follow the order of their parts in the level.
-    """
-    idx = np.array(sorted(vertices), dtype=np.intp)
-    pos = {v: i for i, v in enumerate(idx.tolist())}
-    levels = []
-    for depth, groups in enumerate(partitions, start=1):
-        parts = [frozenset(g) for g in groups]
-        if set().union(*parts) != pos.keys():
-            raise ValueError(f"level {depth} does not cover the vertex set")
-        if not all(parts) or sum(map(len, parts)) != len(pos):
-            raise ValueError(f"level {depth} has empty or overlapping parts")
-        lab = np.empty(idx.size, dtype=np.intp)
-        for j, part in enumerate(parts):
-            lab[[pos[v] for v in part]] = j
-        levels.append(lab)
-    return _tree_of_ids(idx, _level_ids(levels, idx.size))
-
-
 def _level_ids(levels: Sequence[np.ndarray], n: int) -> np.ndarray:
     """(len(levels) + 1, n) node ids: row d - 1 holds the node covering
     each of n positions at depth d, the last row its single-vertex leaf.

@@ -2,9 +2,9 @@
 
 A digraph lives on dense vertex ids 0..n-1 with strictly positive edge
 weights in a CSR matrix; vertex names map external identifiers to ids.
-Besides ingestion and persistence, this module provides the three
-symmetrizations used downstream (the averaged underlying graph, and the
-two coupling graphs built from the self-loop-extended matrix), weak
+Besides ingestion and persistence, this module provides the two
+symmetrizations used downstream (the coupling graphs built from the
+self-loop-extended matrix, one per side of the twin trees), weak
 component extraction, all-pairs weighted shortest-path distances, and a
 few synthetic digraph generators.
 """
@@ -225,22 +225,18 @@ def _mirror_upper(mat: sparse.csr_array) -> sparse.csr_array:
 
 
 def symmetrize(G: WeightedDigraph, kind: str) -> UndirectedGraph:
-    """Build one of the three symmetric companions of a digraph.
+    """Build one of the two symmetric companions of a digraph.
 
     kind
-        "underlying" : averaged graph (W + W^T) / 2.
-        "es"         : couples vertices that point at common targets;
-                       the self-loop-extended matrix times its transpose.
-        "os"         : couples vertices pointed at by common sources;
-                       transpose of the extended matrix times itself.
+        "es" : couples vertices that point at common targets; the
+               self-loop-extended matrix times its transpose.
+        "os" : couples vertices pointed at by common sources; the
+               transpose of the extended matrix times itself.
     """
-    if kind == "underlying":
-        sym = (G.weights + G.weights.T) * 0.5
-    elif kind in ("es", "os"):
-        we = extend(G).weights
-        sym = we @ we.T if kind == "es" else we.T @ we
-    else:
+    if kind not in ("es", "os"):
         raise ValueError(f"unknown symmetrization kind {kind!r}")
+    we = extend(G).weights
+    sym = we @ we.T if kind == "es" else we.T @ we
     return UndirectedGraph(_mirror_upper(sparse.csr_array(sym)),
                            G.names, G.labels)
 

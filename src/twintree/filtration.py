@@ -124,27 +124,22 @@ def assign_weights(tree: ClusterTree, scheme: str = "uniform",
             raise ValueError("volume scheme needs the graph")
         degs = graph.out_degrees()
         raw: dict[int, Fraction] = {}
-        zeros = []
+        zeros = set()
         for leaf in leaves:
             (v,) = leaf.members
             d = Fraction(float(degs[v]))
             if d <= 0:
-                zeros.append(leaf.id)
+                zeros.add(leaf.id)
             raw[leaf.id] = d
         if zeros:
             warnings.warn(f"{len(zeros)} zero-degree leaves fall back to "
                           "the uniform share", stacklevel=2)
+        # the positive leaves share what the uniform shares leave over
         positive_total = sum(raw[i] for i in raw if i not in zeros)
-        if positive_total == 0:
-            leaf_mass = {leaf.id: Fraction(1, n) for leaf in leaves}
-        else:
-            spare = Fraction(1) - Fraction(len(zeros), n)
-            leaf_mass = {}
-            for leaf in leaves:
-                if leaf.id in zeros:
-                    leaf_mass[leaf.id] = Fraction(1, n)
-                else:
-                    leaf_mass[leaf.id] = raw[leaf.id] / positive_total * spare
+        spare = Fraction(1) - Fraction(len(zeros), n)
+        leaf_mass = {leaf.id: Fraction(1, n) if leaf.id in zeros
+                     else raw[leaf.id] / positive_total * spare
+                     for leaf in leaves}
     else:
         raise ValueError(f"unknown weight scheme {scheme!r}")
 

@@ -220,33 +220,24 @@ def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
     return [frozenset(part.tolist()) for part in _parts(labels)]
 
 
-def _ids_at(ids: np.ndarray, level: int) -> np.ndarray:
-    """Row of a level: the root's (0) above level 1, the leaves' past
-    the deepest level."""
-    if level < 1:
-        return np.zeros(ids.shape[1], dtype=np.intp)
-    return ids[min(level, len(ids)) - 1]
-
-
 def align_and_score(G: WeightedDigraph, es_ids: np.ndarray,
                     os_ids: np.ndarray,
-                    labels: Optional[dict[int, tuple]] = None,
-                    levels: Optional[Sequence[int]] = None) -> list[dict]:
+                    labels: Optional[dict[int, tuple]] = None
+                    ) -> list[dict]:
     """Score the twin trees level by level on their common refinement.
 
     Each tree is its (depth, G.n) level-id matrix, as returned by
-    ``TwinTreeBuilder.level_ids``.  Returns one record per level with
-    the cluster count and modularity, plus the F score against
-    ground-truth labels when given (labels use their first path
-    component as the class).  Every level's refinement is a label
-    vector; ``modularity`` scores its parts.
+    ``TwinTreeBuilder.level_ids``.  Returns one record per level
+    1 .. the shallower tree's depth, with the cluster count and
+    modularity, plus the F score against ground-truth labels when given
+    (labels use their first path component as the class).  Every
+    level's refinement is a label vector, the pair of the two trees'
+    ids in that level's rows; ``modularity`` scores its parts.
     """
     for side, ids in (("es", es_ids), ("os", os_ids)):
         if np.ndim(ids) != 2 or len(ids) < 1 or np.shape(ids)[1] != G.n:
             raise ValueError(f"{side} level ids have shape {np.shape(ids)},"
                              f" not (depth >= 1, {G.n})")
-    depth = min(len(es_ids), len(os_ids))
-    levels = list(range(1, depth + 1) if levels is None else levels)
     truth = None
     if labels:
         index = label_index(labels)
@@ -256,11 +247,10 @@ def align_and_score(G: WeightedDigraph, es_ids: np.ndarray,
             raise ValueError(f"vertex {np.argmax(truth < 0)} has no label")
         classes, truth = np.unique(truth, return_inverse=True)
     records = []
-    for level in levels:
-        lab, n_clusters = _product_labels(_ids_at(es_ids, level),
-                                          _ids_at(os_ids, level))
+    for level, (es_row, os_row) in enumerate(zip(es_ids, os_ids), start=1):
+        lab, n_clusters = _product_labels(es_row, os_row)
         rec = {
-            "level": int(level),
+            "level": level,
             "n_clusters": n_clusters,
             "modularity": modularity(G, _parts(lab)),
         }

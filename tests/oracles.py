@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
@@ -31,16 +32,21 @@ def expanded_value_table(basis) -> list[list[Fraction]]:
             for lo, mid, hi, up, down, _ in basis.value_table()]
 
 
+def grid_cells(basis, grid) -> list[int]:
+    """The leaf cell of ``basis.filtration`` that holds each grid point."""
+    filt = basis.filtration
+    cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
+    return [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
+
+
 def axis_value_matrix(basis, grid) -> list[list[Fraction]]:
     """Exact psi values at the grid points, along the basis's own axis.
 
     Row n, column i: the n-th function of ``basis`` on the leaf cell of
     ``basis.filtration`` that holds grid point i.
     """
-    filt = basis.filtration
-    cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
     table = expanded_value_table(basis)
-    cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
+    cols = grid_cells(basis, grid)
     return [[table[n][c] for c in cols] for n in range(basis.size)]
 
 
@@ -206,7 +212,8 @@ def tree_by_subset_scan(vertices, partitions) -> ClusterTree:
     scanning, for every parent in id order, every part of the next level
     in its given order for subsets of the parent; single-vertex leaves in
     vertex order come last.  The scan the package ran before it assembled
-    trees from label vectors."""
+    trees from label vectors; the tests build their trees from vertex
+    sets with it (``util.random_tree``)."""
     vertices = sorted(vertices)
     levels = [[frozenset(p) for p in level] for level in partitions]
     levels.append([frozenset([v]) for v in vertices])
@@ -459,6 +466,93 @@ def exact_greedy_rank(v1, v2) -> list[tuple[int, int]]:
         pivots[lead] = [a / r[lead] for a in r]
         kept.append((k1, k2))
     return kept
+
+
+# Primes below 2**25, largest first.  A product of two residues is below
+# 2**50, so an int64 sum of up to 2**13 of them cannot overflow.
+PRIMES = (33_554_393, 33_554_383, 33_554_371, 33_554_347, 33_554_341)
+
+
+def residue(x: Fraction, p: int) -> int:
+    """x mod p; a ZeroDivisionError if p divides its denominator."""
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def residue_axis_table(basis, grid, p: int) -> np.ndarray:
+    """``axis_value_matrix`` mod p, as int64.  Each record of
+    ``basis.value_table()`` gives its row two residues, of up and of
+    -down, so a row costs two inverses whatever its support."""
+    table = np.zeros((basis.size, basis.size), dtype=np.int64)
+    for row, (lo, mid, hi, up, down, _) in zip(table, basis.value_table()):
+        row[lo:mid], row[mid:hi] = residue(up, p), residue(-down, p)
+    return table[:, grid_cells(basis, grid)]
+
+
+def prime_field_greedy_rank(t1: np.ndarray, t2: np.ndarray, p: int,
+                            block: int = 256) -> list[tuple[int, int]]:
+    """Index pairs kept by greedy elimination of tensor products mod p.
+
+    Takes one residue table per axis (``residue_axis_table``).  Scans
+    every pair (k1, k2) in graded-lex order, as ``exact_greedy_rank``
+    does, ``block`` rows t1[k1] * t2[k2] % p at a time, and keeps a row
+    iff it is independent mod p of the rows kept before it; stops once
+    as many rows are kept as there are columns.  The kept rows are held
+    in reduced row-echelon form (each has a 1 in its pivot column, where
+    every other kept row has 0), so one product with the sparse matrix
+    of a block's pivot-column entries reduces the block, and its
+    surviving rows are then decided in order.  A kept row costs one
+    rank-1 update, on the kept rows nonzero in its pivot column.
+
+    Kept rows of full rank mod p are independent over Q, whatever p.  A
+    row dropped mod p is dependent over Q unless p divides a minor, so
+    a disagreement with the rational rank calls for a second prime.
+    """
+    n = t1.shape[1]
+    if n * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"int64 sums of {n} products mod {p} can overflow")
+    k1, k2 = np.divmod(np.arange(len(t1) * len(t2)), len(t2))
+    order = np.lexsort((k1, k1 + k2))
+    basis = np.zeros((n, n), dtype=np.int64)  # kept rows, reduced
+    pivots: list[int] = []
+    kept: list[tuple[int, int]] = []
+    for start in range(0, order.size, block):
+        first = len(kept)  # the rows kept before this block
+        if first == n:
+            break
+        at = order[start:start + block]
+        R = t1[k1[at]] * t2[k2[at]] % p
+        if first:
+            R = (R - sparse.csr_array(R[:, pivots]) @ basis[:first]) % p
+        for i in np.flatnonzero(R.any(axis=1)):
+            m = len(kept)
+            if m == n:
+                break
+            r = (R[i] - R[i, pivots[first:]] @ basis[first:m]) % p
+            nonzero = np.flatnonzero(r)
+            if not nonzero.size:
+                continue
+            q = int(nonzero[0])
+            r = r * pow(int(r[q]), -1, p) % p
+            col = basis[:m, q].copy()
+            hit = np.flatnonzero(col)
+            basis[hit] = (basis[hit] - col[hit, None] * r) % p
+            basis[m] = r
+            pivots.append(q)
+            kept.append((int(k1[at[i]]), int(k2[at[i]])))
+    return kept
+
+
+def prime_field_kept_sets(basis1, basis2, grid, primes=PRIMES):
+    """``prime_field_greedy_rank`` of two bases on a grid, mod each prime
+    in turn that divides no denominator of their value tables."""
+    for p in primes:
+        try:
+            tables = [residue_axis_table(b, grid, p) for b in (basis1, basis2)]
+        except ZeroDivisionError:
+            continue
+        yield prime_field_greedy_rank(*tables, p)
 
 
 def medoid_iterate_ix(dist: np.ndarray, k: int, centers: np.ndarray,

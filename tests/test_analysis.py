@@ -17,11 +17,12 @@ from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import build_filtration
 
 from frozen_constants import FILTERED_RATIO, HEADROOM
-from oracles import (axis_value_matrix, cell_midrange_errors,
+from oracles import (PRIMES, axis_value_matrix, cell_midrange_errors,
                      dict_filtered_synthesis, exact_cells, exact_greedy_rank,
                      exact_rank, float_axis_table, float_sign_cells,
                      full_scan_gram, graded_lex_key, lp_degree_errors,
-                     minimax_distance, shell_loop, variation_2d_brute)
+                     minimax_distance, prime_field_kept_sets,
+                     residue_axis_table, shell_loop, variation_2d_brute)
 from util import (degenerate_digraphs, random_filtration,
                   value_table_filtration)
 
@@ -288,8 +289,21 @@ def test_per_row_pass_rejects_a_dependent_row_the_scan_kept(monkeypatch):
 # -- the analysis engine -----------------------------------------------------------
 
 
+DEGENERATE_CASES = [f"{name}_{scheme}" for name in ("fragmented", "out_star",
+                                                    "self_loops",
+                                                    "heavy_tailed")
+                    for scheme in ("uniform", "volume")]
+
+
 def kept_set_case(case):
-    """(first filtration, second filtration) for the exact-rank oracle."""
+    """(first filtration, second filtration) for the exact-rank oracle:
+    random integer masses, toy25, planted 12/12 (with lognormal weights
+    too), or a degenerate digraph under "uniform" or "volume" masses."""
+    if case in DEGENERATE_CASES:
+        name, scheme = case.rsplit("_", 1)
+        G = degenerate_digraphs()[name]
+        es, os_ = twt(G, K=(2, 6), seed=7)
+        return build_filtration(es, scheme, G), build_filtration(os_, scheme, G)
     if case.startswith("random"):
         n, sizes1, sizes2 = {"random12": (12, [3], [2, 5]),
                              "random16": (16, [2, 6], [4]),
@@ -313,10 +327,18 @@ def kept_set_case(case):
     return build_filtration(es, scheme, G), build_filtration(os_, scheme, G)
 
 
+def matches_a_prime_field(an) -> bool:
+    """The engine's kept set is the greedy rank mod the first prime that
+    divides no denominator or, failing that, mod the next such prime."""
+    sets = prime_field_kept_sets(an.basis_es, an.basis_os, an.grid)
+    return next(sets) == an.active or next(sets) == an.active
+
+
 @pytest.mark.parametrize("case", ["random12", "random16", "random20",
                                   "random25", "toy25", "planted_uniform",
                                   "planted_volume",
-                                  "planted_volume_lognormal"])
+                                  "planted_volume_lognormal"]
+                         + DEGENERATE_CASES)
 def test_kept_set_matches_exact_greedy_rank(case):
     f1, f2 = kept_set_case(case)
     grid = build_grid(f1, f2)
@@ -326,6 +348,37 @@ def test_kept_set_matches_exact_greedy_rank(case):
                               axis_value_matrix(b2, grid))
     assert an.active == exact
     assert len(an.active) == len(grid)
+    assert matches_a_prime_field(an)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "volume"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_kept_set_matches_prime_field_greedy_rank(n, scheme):
+    # the planted n/2 + n/2 reference graph of tools/bench.py, L(n)
+    G = synth_digraph("planted", seed=3, sizes=[n // 2] * 2)
+    es, os_ = twt(G, K=(2, 8), seed=3)
+    fes, fos = (build_filtration(t, scheme, G) for t in (es, os_))
+    an = GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+    assert len(an.active) == n
+    assert matches_a_prime_field(an)
+
+
+def test_prime_field_oracle_takes_the_next_prime_past_a_denominator():
+    f1, f2 = kept_set_case("random12")
+    grid = build_grid(f1, f2)
+    b1, b2 = TreeBasis(f1), TreeBasis(f2)
+    dividing = [p for p in (2, 3, 5, 7)
+                if any(x.denominator % p == 0
+                       for rec in b1.value_table() for x in rec[3:5])]
+    assert dividing
+    for p in dividing:
+        with pytest.raises(ZeroDivisionError, match=f"{p} divides"):
+            residue_axis_table(b1, grid, p)
+    exact = exact_greedy_rank(axis_value_matrix(b1, grid),
+                              axis_value_matrix(b2, grid))
+    got = prime_field_kept_sets(b1, b2, grid, primes=(*dividing, PRIMES[0]))
+    assert next(got) == exact
+    assert next(got, None) is None
 
 
 @pytest.mark.parametrize("case", ["toy25", "planted_uniform",
@@ -400,24 +453,13 @@ def bit_equality_engine(case):
     if case in ("chain", "one_leaf"):
         filt = value_table_filtration(case)
         fes, fos = filt, filt
-    elif case in ("toy25", "planted_uniform", "planted_volume"):
-        fes, fos = kept_set_case(case)
     else:
-        name, scheme = case.rsplit("_", 1)
-        G = degenerate_digraphs()[name]
-        es, os_ = twt(G, K=(2, 6), seed=7)
-        fes = build_filtration(es, scheme, G)
-        fos = build_filtration(os_, scheme, G)
+        fes, fos = kept_set_case(case)
     return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
 
 
 @pytest.mark.parametrize("case", ["toy25", "planted_uniform", "planted_volume",
-                                  "chain", "one_leaf"]
-                         + [f"{name}_{scheme}" for name in ("fragmented",
-                                                            "out_star",
-                                                            "self_loops",
-                                                            "heavy_tailed")
-                            for scheme in ("uniform", "volume")])
+                                  "chain", "one_leaf"] + DEGENERATE_CASES)
 def test_axis_tables_equal_the_dense_fraction_tables_bit_for_bit(case):
     an = bit_equality_engine(case)
     want = [float_axis_table(b, an.grid) for b in (an.basis_es, an.basis_os)]
@@ -466,11 +508,17 @@ def test_non_finite_signals_are_rejected_naming_the_point(mode, bad):
     f[[7, 11]] = bad, math.nan
     vertex = an.grid.points[7].vertex
     where = rf"at grid point 7 \(vertex {vertex}\) is not finite"
+    mu = default_multiplier(an.freqs, order=1.0)
+    calls = [lambda: an.analyze(f), lambda: an.derivative(f, mu),
+             lambda: an.filtered_sum({(0, 0): 1.0}, f),
+             lambda: an.smoothness_profile(f)]
     for n in range(-1, an.max_shell() + 1):
+        calls += [lambda n=n: an.best_uniform_approx(f, n),
+                  lambda n=n: an.sigma(f, n), lambda n=n: an.tau(f, n),
+                  lambda n=n: an.k_functional(f, 2.0 ** -n, mu)]
+    for call in calls:
         with pytest.raises(ValueError, match=where):
-            an.best_uniform_approx(f, n)
-    with pytest.raises(ValueError, match=where):
-        an.smoothness_profile(f)
+            call()
 
 
 def test_constant_function_has_single_coefficient(toy):

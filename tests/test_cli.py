@@ -129,18 +129,17 @@ def handed_on_cases(tmp_path: Path) -> dict[str, list[str]]:
 
 def test_pipeline_hands_on_what_its_artifacts_hold(tmp_path, monkeypatch,
                                                    capsys):
-    runs = []
+    runs, report = [], cli.cmd_report
 
-    class RecordedRun(cli.PipelineRun):
-        def __init__(self):
-            super().__init__()
-            runs.append(self)
-    monkeypatch.setattr(cli, "PipelineRun", RecordedRun)
+    def recording_report(args):  # the last stage sees all a run held
+        runs.append(args.held)
+        return report(args)
+    monkeypatch.setattr(cli, "cmd_report", recording_report)
     for name, argv in handed_on_cases(tmp_path).items():
         ws = tmp_path / name
         assert main(["pipeline", "--out", str(ws), "--trials", "2",
                      "--baseline-trials", "5", *argv]) == 0
-        held = runs[-1].held
+        held = runs[-1]
         G, loaded = held[("graph",)], WeightedDigraph.load_json(
             ws / "digraph.json")
         assert type(G) is type(loaded), name

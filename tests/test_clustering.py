@@ -7,10 +7,10 @@ from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
                                  _label_seed_vertices, _medoid_hierarchy,
                                  _path_distance, check_level_spec,
                                  coarse_grain, medoid_partition, mbo_cluster,
-                                 spectral_embedding, tree_from_partitions,
-                                 twt)
+                                 spectral_embedding, twt)
 from twintree.digraph import (UndirectedGraph, WeightedDigraph, symmetrize,
                               synth_digraph, weak_component_indices)
+from twintree.metrics import _partition_labels
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
                      graft_by_offset, label_propagation, medoid_iterate_ix,
@@ -19,16 +19,21 @@ from oracles import (coarse_grain_brute, exhaustive_two_medoid,
 from util import degenerate_digraphs, random_digraph, random_nested_partitions
 
 
+def tree_of_levels(idx, levels):
+    """The ClusterTree whose level l + 1 clusters idx by levels[l]."""
+    return clustering._tree_of_ids(idx,
+                                   clustering._level_ids(levels, idx.size))
+
+
 def chain_tree():
     """0 -> {0,1,2}; children {0,1} and {2}; then singleton leaves."""
-    return tree_from_partitions(range(3), [[frozenset({0, 1}),
-                                            frozenset({2})]])
+    return tree_of_levels(np.arange(3), [np.array([0, 0, 1])])
 
 
 # -- tree structure ----------------------------------------------------------
 
 
-def test_tree_from_partitions_builds_nested_levels():
+def test_level_ids_build_nested_levels():
     tree = chain_tree()
     tree.validate()
     assert tree.depth() == 2
@@ -37,21 +42,19 @@ def test_tree_from_partitions_builds_nested_levels():
     assert tree.partition_at_level(1) == [frozenset({0, 1}), frozenset({2})]
 
 
-def test_tree_from_partitions_rejects_bad_levels():
-    with pytest.raises(ValueError, match="does not cover"):
-        tree_from_partitions(range(3), [[frozenset({0, 1})]])
-    with pytest.raises(ValueError, match="does not nest"):
-        tree_from_partitions(
-            range(4),
-            [[frozenset({0, 1}), frozenset({2, 3})],
-             [frozenset({0}), frozenset({1, 2}), frozenset({3})]])
+def test_level_ids_reject_levels_that_do_not_nest():
+    # {1, 2} at level 2 meets both {0, 1} and {2, 3} of level 1
+    with pytest.raises(ValueError, match="level 2 does not nest in level 1"):
+        clustering._level_ids([np.array([0, 0, 1, 1]),
+                               np.array([0, 1, 1, 2])], 4)
 
 
 def test_random_nested_partitions_always_build():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        tree = tree_from_partitions(
-            range(30), random_nested_partitions(rng, 30, [3, 7, 15]))
+        tree = tree_of_levels(np.arange(30), [
+            _partition_labels(parts, 30)[0]
+            for parts in random_nested_partitions(rng, 30, [3, 7, 15])])
         tree.validate()
         assert tree.depth() == 4
         assert len(tree.level_nodes(2)) == 7
@@ -77,12 +80,6 @@ def as_partitions(idx, levels):
             for lab in levels]
 
 
-def tree_of_levels(idx, levels):
-    """The ClusterTree whose level l + 1 clusters idx by levels[l]."""
-    return clustering._tree_of_ids(idx,
-                                   clustering._level_ids(levels, idx.size))
-
-
 def test_label_vector_trees_match_the_subset_scan():
     kinds = set()
     for seed in range(200):
@@ -97,11 +94,9 @@ def test_label_vector_trees_match_the_subset_scan():
         if levels and levels[-1].max() == n - 1:
             kinds.add("single vertices")
         want = tree_by_subset_scan(idx.tolist(), as_partitions(idx, levels))
-        for got in (tree_of_levels(idx, levels),
-                    tree_from_partitions(idx.tolist(),
-                                         as_partitions(idx, levels))):
-            # node by node: id, level, parent, children in order, members
-            assert got.root == want.root and got.nodes == want.nodes
+        got = tree_of_levels(idx, levels)
+        # node by node: id, level, parent, children in order, members
+        assert got.root == want.root and got.nodes == want.nodes
     assert kinds == {"no levels", "repeated level", "single vertices"}
 
 
@@ -372,18 +367,27 @@ def test_coarse_weights_that_overflow_are_not_finite():
 # -- spectral embedding -------------------------------------------------------
 
 
-def test_embedding_matches_random_walk_oracle():
-    rng = np.random.default_rng(9)
-    G = symmetrize(random_digraph(rng, 15, density=0.5), "es")
-    coords = spectral_embedding(G, n_eig=6)
-    lam, ref = random_walk_embedding(G.to_dense(), 6, t=1.0)
-    assert coords.shape == (15, 6)
-    for j in range(6):
-        a, b = coords[:, j], ref[:, j]
-        corr = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert corr == pytest.approx(1.0, abs=1e-8)
-    # leading eigenvalue of the walk matrix is 1
-    assert lam[0] == pytest.approx(1.0, abs=1e-10)
+def test_embedding_matches_random_walk_oracle(monkeypatch):
+    sparse_calls, eigsh = [], sparse.linalg.eigsh
+
+    def recording_eigsh(*args, **kwargs):
+        sparse_calls.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(sparse.linalg, "eigsh", recording_eigsh)
+    # 15 vertices take the dense eigensolver, 420 the sparse one
+    for n, density in ((15, 0.5), (420, 0.05)):
+        rng = np.random.default_rng(9)
+        G = symmetrize(random_digraph(rng, n, density=density), "es")
+        coords = spectral_embedding(G, n_eig=6)
+        lam, ref = random_walk_embedding(G.to_dense(), 6, t=1.0)
+        assert coords.shape == (n, 6)
+        for j in range(6):
+            a, b = coords[:, j], ref[:, j]
+            corr = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert corr == pytest.approx(1.0, abs=1e-8)
+        # leading eigenvalue of the walk matrix is 1
+        assert lam[0] == pytest.approx(1.0, abs=1e-10)
+    assert sparse_calls == [(420, 420)]
 
 
 def test_embedding_requires_positive_degrees():

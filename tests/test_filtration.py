@@ -3,25 +3,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.clustering import tree_from_partitions, twt
+from twintree.clustering import twt
 from twintree.digraph import WeightedDigraph
 from twintree.filtration import (assign_weights, build_filtration,
                                  collapse_chains, llo_enumerate)
 
-from oracles import collapse_chains_fixpoint, llo_by_depth_scan
+from oracles import (collapse_chains_fixpoint, llo_by_depth_scan,
+                     tree_by_subset_scan)
 from util import (caterpillar, degenerate_digraphs, random_filtration,
                   random_nested_partitions, random_tree)
 
 
 def small_tree():
-    return tree_from_partitions(
+    return tree_by_subset_scan(
         range(4), [[frozenset({0, 1}), frozenset({2, 3})]])
 
 
 def test_collapse_removes_padding_chains():
     # repeated levels give single-child chains, above leaves and inner nodes
     a, b = frozenset({0, 1}), frozenset({2, 3})
-    tree = tree_from_partitions(
+    tree = tree_by_subset_scan(
         range(4), [[a, b], [a, b], [frozenset({0}), frozenset({1}), b]])
     assert tree.depth() == 4
     flat = collapse_chains(tree)
@@ -118,7 +119,7 @@ def test_filtrations_deeper_than_the_recursion_limit():
 
 def test_filtration_weights_are_exact():
     # thirds and sevenths stay exact end to end
-    tree = collapse_chains(tree_from_partitions(
+    tree = collapse_chains(tree_by_subset_scan(
         range(3), [[frozenset({0}), frozenset({1}), frozenset({2})]]))
     w = {nid: Fraction(1) for nid in (tree.root,)}
     leaves = tree.leaves()
@@ -188,7 +189,7 @@ def chained_tree(seed):
     for part in random_nested_partitions(rng, n, sizes):
         levels += [part] * int(rng.integers(1, 4))
     levels += [[frozenset({v}) for v in range(n)]] * int(rng.integers(0, 4))
-    return tree_from_partitions(range(n), levels)
+    return tree_by_subset_scan(range(n), levels)
 
 
 def degenerate_twin_trees():

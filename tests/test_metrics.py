@@ -272,8 +272,9 @@ def test_alignment_records_all_levels(twin_ids):
 def test_alignment_scores_against_labels(twin_ids):
     G, es, os_ = twin_ids
     labels = {v: (("left" if v < 13 else "right"), v) for v in range(G.n)}
-    records = align_and_score(G, es, os_, labels=labels, levels=[1, 2])
-    assert [r["level"] for r in records] == [1, 2]
+    records = align_and_score(G, es, os_, labels=labels)
+    assert [r["level"] for r in records] == list(
+        range(1, min(len(es), len(os_)) + 1))
     for r in records:
         assert 0.0 < r["f_measure"] <= 1.0
 
@@ -314,11 +315,19 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
         integral = bool(np.all(G.weights.data == np.round(G.weights.data)))
         kinds.add(integral)
         truth = partition_from_labels([v % 3 for v in range(G.n)])
-        # past the shallower tree's depth too, where leaves stand in
-        levels = range(0, max(es.depth(), os_.depth()) + 2)
-        for rec in align_and_score(G, *ids, labels, levels):
+        # the root's level, and past the shallower tree's depth too,
+        # where leaves stand in
+        for level in range(0, max(es.depth(), os_.depth()) + 2):
+            parts = product_partition_by_ancestors(es, os_, level, G.n)
+            assert product_partition(es, os_, level, G.n) == parts
+            for tree in (es, os_):
+                assert tree.partition_at_level(level) == (
+                    product_partition_by_ancestors(tree, tree, level, G.n))
+        records = align_and_score(G, *ids, labels)
+        assert [rec["level"] for rec in records] == list(
+            range(1, min(es.depth(), os_.depth()) + 1))
+        for rec in records:
             parts = product_partition_by_ancestors(es, os_, rec["level"], G.n)
-            assert product_partition(es, os_, rec["level"], G.n) == parts
             assert rec["n_clusters"] == len(parts)
             assert rec["f_measure"] == f_measure_brute(parts, truth, G.n)
             want = modularity_sliced(G, parts)
@@ -326,10 +335,6 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
                 assert rec["modularity"] == want
             else:
                 assert rec["modularity"] == pytest.approx(want, abs=1e-12)
-            for tree in (es, os_):
-                assert tree.partition_at_level(rec["level"]) == (
-                    product_partition_by_ancestors(tree, tree, rec["level"],
-                                                   G.n))
     assert kinds == {True, False}
 
 

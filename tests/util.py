@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from twintree.clustering import (ClusterNode, ClusterTree,
-                                 tree_from_partitions, twt)
+from twintree.clustering import ClusterNode, ClusterTree, twt
 from twintree.digraph import WeightedDigraph, synth_digraph
 from twintree.filtration import Filtration, build_filtration
+
+from oracles import tree_by_subset_scan
 
 
 def random_nested_partitions(rng: np.random.Generator, n: int,
@@ -43,7 +44,7 @@ def random_nested_partitions(rng: np.random.Generator, n: int,
 
 def random_tree(rng: np.random.Generator, n: int,
                 sizes: list[int]) -> ClusterTree:
-    return tree_from_partitions(
+    return tree_by_subset_scan(
         range(n), random_nested_partitions(rng, n, sizes))
 
 
@@ -129,9 +130,9 @@ def value_table_filtration(case: str) -> Filtration:
     if case == "chain":
         # repeated levels give single-child chains above leaves and inner nodes
         a, b = frozenset({0, 1, 2}), frozenset({3, 4})
-        return build_filtration(tree_from_partitions(
+        return build_filtration(tree_by_subset_scan(
             range(5), [[a, b], [a, b],
                        [frozenset({0}), frozenset({1, 2}), b],
                        [frozenset({0}), frozenset({1}), frozenset({2}),
                         frozenset({3}), frozenset({4})]]))
-    return build_filtration(tree_from_partitions(range(1), [[frozenset({0})]]))
+    return build_filtration(tree_by_subset_scan(range(1), [[frozenset({0})]]))

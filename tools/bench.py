@@ -1,4 +1,4 @@
-"""Time the L(N) ladder of exact engine builds for one or more checkouts.
+"""Time the L(N) ladder of exact engines for one or more checkouts.
 
 Usage:
     python3 tools/bench.py OUT.json --src LABEL=SRC [--src LABEL=SRC ...]
@@ -17,12 +17,19 @@ Each run records, in seconds: ``twt``, and inside it the inclusive time
 of ``symmetrize`` and ``graph_distance``; filtration + grid; the engine
 (both bases and ``GridAnalysis``), and inside it the inclusive time of
 ``TreeBasis.value_table``, ``compute_omega``, ``_choose_rows`` and
-``gram_orthonormalize`` (which contains ``_choose_rows``).  Those six
-are timed by wrappers this script installs on the imported modules;
-the library has no hook of its own.  A run also records ``ru_maxrss``
-in MB, |Omega|, and the full-rank row: the 0-based Omega row at which
-the rank scan keeps its N-th row.  OUT.json holds, per size, checkout
-and quantity, every run's value with their median, minimum and maximum.
+``gram_orthonormalize`` (which contains ``_choose_rows``); one
+``smoothness_profile`` of the out-degree signal, and inside it the
+minimax LPs (``lp_s``, ``lp_calls``; ``scipy.optimize`` is imported
+before the clock starts, so ``lp_s`` is solver time); and one metrics
+trial, ``TwinTreeBuilder.level_ids`` at seed 3 then ``align_and_score``
+against the planted labels (the builder's preparation is not timed,
+as ``twintree metrics`` prepares it once for all its trials).  The
+inner times, and the call counts next to them (``*_calls``), come from
+wrappers this script installs on the imported modules; the library has
+no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
+|Omega|, and the full-rank row: the 0-based Omega row at which the
+rank scan keeps its N-th row.  OUT.json holds, per size, checkout and
+quantity, every run's value with their median, minimum and maximum.
 Children run with OMP_NUM_THREADS=1 unless the caller sets it.
 """
 
@@ -43,43 +50,52 @@ import numpy as np
 import scipy
 
 
-def install_timers(totals: dict[str, float]) -> None:
-    """Rebind the six names timed inside ``twt`` and the engine to
-    wrappers that add their wall time to ``totals``; the library looks
-    each one up at call time, on the class or in the module (``twt``
-    through ``twintree.clustering``'s own copies of the two graph
-    functions)."""
+def install_timers() -> dict:
+    """Rebind the seven names timed inside ``twt``, the engine and the
+    profile to wrappers that add their wall time to ``NAME_s`` and their
+    calls to ``NAME_calls`` of the returned dict; the library looks each
+    one up at call time, on the class or in the module (``twt`` through
+    ``twintree.clustering``'s own copies of the two graph functions, the
+    engine through ``twintree.analysis``'s copy of ``linprog``)."""
     from twintree import analysis, basis, clustering
 
-    for key, owner, attr in (
-            ("symmetrize_s", clustering, "symmetrize"),
-            ("graph_distance_s", clustering, "graph_distance"),
-            ("value_table_s", basis.TreeBasis, "value_table"),
-            ("compute_omega_s", analysis, "compute_omega"),
-            ("choose_rows_s", analysis, "_choose_rows"),
-            ("gram_orthonormalize_s", analysis, "gram_orthonormalize")):
-        totals[key] = 0.0
+    totals: dict = {}
+    for name, owner, attr in (
+            ("symmetrize", clustering, "symmetrize"),
+            ("graph_distance", clustering, "graph_distance"),
+            ("value_table", basis.TreeBasis, "value_table"),
+            ("compute_omega", analysis, "compute_omega"),
+            ("choose_rows", analysis, "_choose_rows"),
+            ("gram_orthonormalize", analysis, "gram_orthonormalize"),
+            ("lp", analysis, "linprog")):
+        totals[f"{name}_s"], totals[f"{name}_calls"] = 0.0, 0
 
-        def timed(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
+        def timed(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
             start = time.perf_counter()
             try:
                 return _fn(*args, **kwargs)
             finally:
-                totals[_key] += time.perf_counter() - start
+                totals[f"{_name}_s"] += time.perf_counter() - start
+                totals[f"{_name}_calls"] += 1
 
         setattr(owner, attr, timed)
+    return totals
 
 
 def run_point(n: int) -> dict:
     """One run of L(n) in this process; returns its measurements."""
+    import scipy.optimize  # noqa: F401  (keeps its import out of lp_s)
+
     from twintree.analysis import GridAnalysis, build_grid
     from twintree.basis import TreeBasis
-    from twintree.clustering import twt
+    from twintree.cli import vertex_signal
+    from twintree.clustering import TwinTreeBuilder, twt
     from twintree.digraph import synth_digraph
     from twintree.filtration import build_filtration
+    from twintree.metrics import align_and_score
 
     out: dict = {}
-    install_timers(out)
+    totals = install_timers()
     G = synth_digraph("planted", seed=3, sizes=[n // 2] * 2)
     start = time.perf_counter()
     es, os_ = twt(G, K=(2, 8), seed=3)
@@ -91,6 +107,15 @@ def run_point(n: int) -> dict:
     start = time.perf_counter()
     engine = GridAnalysis(grid, TreeBasis(fes), TreeBasis(fos))
     out["engine_s"] = time.perf_counter() - start
+    out.update(totals)  # each timer so far ran inside twt or the engine
+    start = time.perf_counter()
+    engine.smoothness_profile(vertex_signal(G, "outdeg"))
+    out["profile_s"] = time.perf_counter() - start
+    out["lp_s"], out["lp_calls"] = totals["lp_s"], totals["lp_calls"]
+    builder = TwinTreeBuilder(G, (2, 8))
+    start = time.perf_counter()
+    align_and_score(G, *builder.level_ids(3), labels=G.labels)
+    out["metrics_trial_s"] = time.perf_counter() - start
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024
     out["omega"] = len(engine.freqs)
