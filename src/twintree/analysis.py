@@ -188,11 +188,32 @@ CHUNK = 1024
 SCAN_BLOCK = 256
 
 
-def _choose_rows(rows: np.ndarray, masses: np.ndarray) -> np.ndarray:
+class TensorRows:
+    """The restricted tensor products of Omega, made per request.
+
+    ``rows[idx]``, for an int, a slice or an index array, is
+    ``v1[k1[idx]] * v2[k2[idx]]``: the same elementwise products, bit
+    for bit, as the rows of one |Omega| x N matrix of them, without
+    ever storing that matrix.  A float matrix serves the same indexing,
+    so ``gram_orthonormalize`` takes either.
+    """
+
+    def __init__(self, v1: np.ndarray, v2: np.ndarray, k1: np.ndarray,
+                 k2: np.ndarray):
+        self._v1, self._v2, self._k1, self._k2 = v1, v2, k1, k2
+        self.shape = (len(k1), v1.shape[1])
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self._v1[self._k1[idx]] * self._v2[self._k2[idx]]
+
+
+def _choose_rows(rows, masses: np.ndarray) -> np.ndarray:
     """Indices of the rows that Gram-Schmidt in row order keeps.
 
-    Takes the rows SCAN_BLOCK at a time and projects the block twice
-    onto the complement of the basis kept so far, two GEMMs per pass.
+    Takes the rows SCAN_BLOCK at a time, reading each block only when
+    the scan reaches it (no block past the full-rank row), and projects
+    the block twice onto the complement of the basis kept so far, two
+    GEMMs per pass.
     A row whose residual is <= DROP_TOL * max(1, own norm) is dropped:
     projecting out the rows kept later in its block could only shrink
     that residual.  For the same reason a row dropped after the first
@@ -229,11 +250,13 @@ def _choose_rows(rows: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
+def gram_orthonormalize(rows, masses: np.ndarray
                         ) -> tuple[np.ndarray, list[int], list[int]]:
     """Modified Gram-Schmidt under a weighted inner product.
 
-    Rows are processed in order; a row whose residual norm falls below
+    ``rows`` is a float matrix or a ``TensorRows``; it is only read by
+    index, so a ``TensorRows`` is never formed whole.  Rows are
+    processed in order; a row whose residual norm falls below
     DROP_TOL * max(1, own norm) is dropped as dependent.  Two projection
     passes keep the result orthonormal to machine precision.  Returns
     (orthonormal rows, kept row indices, dropped row indices).
@@ -246,19 +269,16 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
 
     The work is split in two.  ``_choose_rows`` decides the kept rows
     block by block with GEMMs; then the per-row loop runs on the kept
-    rows alone.  The per-row loop never reads the basis for a dropped
-    row, so its E is bit for bit the E of one loop over every row.  A
-    kept row that the per-row loop finds dependent raises
-    AssertionError, naming the row.
+    rows alone, read in one N x N block.  The per-row loop never reads
+    the basis for a dropped row, so its E is bit for bit the E of one
+    loop over every row.  A kept row that the per-row loop finds
+    dependent raises AssertionError, naming the row.
     """
-    rows = np.asarray(rows, dtype=float)
     ncols = rows.shape[1]
     chosen = _choose_rows(rows, masses)
     E = np.empty((ncols, ncols))
-    for n, i in enumerate(chosen.tolist()):
-        basis = E[:n]
-        row = rows[i]
-        r = row.copy()
+    for n, (i, row) in enumerate(zip(chosen.tolist(), rows[chosen])):
+        basis, r = E[:n], row
         own = math.sqrt(float((row * row * masses).sum()))
         for _ in range(2):
             coef = basis @ (r * masses)
@@ -269,7 +289,7 @@ def gram_orthonormalize(rows: np.ndarray, masses: np.ndarray
                 f"row {i} was kept by the blocked scan but is dependent "
                 "in the per-row pass")
         E[n] = r / norm
-    is_dropped = np.ones(len(rows), dtype=bool)
+    is_dropped = np.ones(rows.shape[0], dtype=bool)
     is_dropped[chosen] = False
     return E[:len(chosen)], chosen.tolist(), np.flatnonzero(is_dropped).tolist()
 
@@ -380,6 +400,12 @@ class GridAnalysis:
     classes below exactly, and floats scaled by sqrt(aleph), whose
     products are the raw rows.  No N x N table of Fractions is built.
 
+    Exact mode never stores the raw rows: ``TensorRows`` forms each
+    scan block of them, and the N kept rows, from the two float tables
+    when they are read, so the build needs O(N^2) memory plus O(|Omega|)
+    index arrays.  Idealized mode keeps all |Omega| raw rows as its
+    working system and so needs O(|Omega| * N).
+
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
     symbols are masks or per-shell scales of one coefficient array.
@@ -434,9 +460,7 @@ class GridAnalysis:
             _axis_tables(b, grid) for b in (basis_es, basis_os))
         self.freqs = compute_omega(self._s1, self._s2)
         k1, k2 = self.freqs.k1, self.freqs.k2
-        self._raw = raw = self._v1[k1]
-        for s in range(0, len(k1), CHUNK):  # no second |Omega| x N temporary
-            raw[s:s + CHUNK] *= self._v2[k2[s:s + CHUNK]]
+        raw = TensorRows(self._v1, self._v2, k1, k2)
         if mode == "exact":
             self._rows, kept, dropped = gram_orthonormalize(raw, self.nu)
             if len(kept) < len(grid):
@@ -444,7 +468,10 @@ class GridAnalysis:
                     f"exact mode kept {len(kept)} rows for {len(grid)} grid "
                     "points; their span must be all of R^N")
         else:
-            self._rows, kept, dropped = raw, list(range(len(k1))), []
+            kept, dropped = list(range(len(k1))), []
+            self._rows = np.empty(raw.shape)
+            for s in range(0, len(k1), CHUNK):  # no |Omega| x N temporary
+                self._rows[s:s + CHUNK] = raw[s:s + CHUNK]
         self.is_active = np.zeros(len(k1), dtype=bool)
         self.is_active[kept] = True
         self.active = list(zip(k1[kept].tolist(), k2[kept].tolist()))
@@ -497,11 +524,10 @@ class GridAnalysis:
         return self._rows @ (self._finite(fvals) * self.nu)
 
     def _synth(self, w: np.ndarray) -> np.ndarray:
-        """sum_i w[i] (kept row i) over the nonzero w[i], in kept-row order."""
-        out = np.zeros(len(self.grid))
-        for i in np.flatnonzero(w):
-            out += w[i] * self._rows[i]
-        return out
+        """sum_i w[i] (kept row i), added one row after another in kept-row
+        order onto +0.0; a zero w[i] adds only zeros, so the sum is bit
+        for bit that over the nonzero w[i]."""
+        return np.add.reduce(w[:, None] * self._rows, axis=0, initial=0.0)
 
     def _symbol(self, mu: MultiplierSequence) -> np.ndarray:
         """mu on the kept rows, one power of mu.base per shell."""

@@ -434,6 +434,15 @@ def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
     return E, kept, dropped
 
 
+def loop_synthesis(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w[i] rows[i] over the nonzero w[i], added one row at a time
+    in row order."""
+    out = np.zeros(rows.shape[1])
+    for i in np.flatnonzero(w):
+        out += w[i] * rows[i]
+    return out
+
+
 def exact_greedy_rank(v1, v2) -> list[tuple[int, int]]:
     """Index pairs kept by greedy exact elimination of tensor products.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,8 @@ from frozen_constants import FILTERED_RATIO, HEADROOM
 from oracles import (PRIMES, axis_value_matrix, cell_midrange_errors,
                      dict_filtered_synthesis, exact_cells, exact_greedy_rank,
                      exact_rank, float_axis_table, float_sign_cells,
-                     full_scan_gram, graded_lex_key, lp_degree_errors,
-                     minimax_distance, prime_field_kept_sets,
+                     full_scan_gram, graded_lex_key, loop_synthesis,
+                     lp_degree_errors, minimax_distance, prime_field_kept_sets,
                      residue_axis_table, shell_loop, variation_2d_brute)
 from util import (degenerate_digraphs, random_filtration,
                   value_table_filtration)
@@ -195,7 +196,7 @@ def gram_case(case, request):
     """(rows, masses) for one input of the full-rank exit property test."""
     if case == "toy_raw":
         toy = request.getfixturevalue("toy")
-        return toy._raw, toy.nu
+        return toy._v1[toy.freqs.k1] * toy._v2[toy.freqs.k2], toy.nu
     rng = np.random.default_rng(list(case.encode()))
     if case == "empty":
         return np.zeros((0, 5)), rng.uniform(0.1, 1.0, 5)
@@ -334,11 +335,12 @@ def matches_a_prime_field(an) -> bool:
     return next(sets) == an.active or next(sets) == an.active
 
 
-@pytest.mark.parametrize("case", ["random12", "random16", "random20",
-                                  "random25", "toy25", "planted_uniform",
-                                  "planted_volume",
-                                  "planted_volume_lognormal"]
-                         + DEGENERATE_CASES)
+KEPT_SET_CASES = ["random12", "random16", "random20", "random25", "toy25",
+                  "planted_uniform", "planted_volume",
+                  "planted_volume_lognormal"] + DEGENERATE_CASES
+
+
+@pytest.mark.parametrize("case", KEPT_SET_CASES)
 def test_kept_set_matches_exact_greedy_rank(case):
     f1, f2 = kept_set_case(case)
     grid = build_grid(f1, f2)
@@ -349,6 +351,51 @@ def test_kept_set_matches_exact_greedy_rank(case):
     assert an.active == exact
     assert len(an.active) == len(grid)
     assert matches_a_prime_field(an)
+
+
+@pytest.mark.parametrize("case", KEPT_SET_CASES)
+def test_exact_build_equals_gram_of_the_dense_raw_matrix(case):
+    f1, f2 = kept_set_case(case)
+    an = GridAnalysis(build_grid(f1, f2), TreeBasis(f1), TreeBasis(f2))
+    k1, k2 = an.freqs.k1, an.freqs.k2
+    E, kept, dropped = gram_orthonormalize(an._v1[k1] * an._v2[k2], an.nu)
+    assert an._rows.shape == E.shape
+    assert an._rows.tobytes() == E.tobytes()
+    assert an.active == list(zip(k1[kept].tolist(), k2[kept].tolist()))
+    assert an.dropped == list(zip(k1[dropped].tolist(), k2[dropped].tolist()))
+
+
+@pytest.mark.parametrize("case", KEPT_SET_CASES)
+def test_synth_adds_rows_bit_for_bit_as_the_row_loop(case):
+    f1, f2 = kept_set_case(case)
+    an = GridAnalysis(build_grid(f1, f2), TreeBasis(f1), TreeBasis(f2))
+    rng = np.random.default_rng(list(case.encode()))
+    n = len(an.active)
+    for trial in range(60):
+        w = rng.standard_normal(n)
+        if trial % 2:
+            # magnitudes from 1e-300 to 1e300
+            w *= 10.0 ** rng.integers(-300, 301, n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[rng.random(n) < 0.1] = -0.0
+        assert an._synth(w).tobytes() == loop_synthesis(an._rows, w).tobytes()
+
+
+def test_exact_build_stores_no_omega_by_n_matrix():
+    # L(200) of tools/bench.py: its |Omega| x N raw rows take 31.8 MB
+    G = synth_digraph("planted", seed=3, sizes=[100, 100])
+    es, os_ = twt(G, K=(2, 8), seed=3)
+    fes, fos = build_filtration(es), build_filtration(os_)
+    grid, b1, b2 = build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos)
+    tracemalloc.start()
+    try:
+        an = GridAnalysis(grid, b1, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raw_bytes = len(an.freqs) * len(grid) * 8
+    assert raw_bytes > 30e6
+    assert peak < raw_bytes / 4
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "volume"])
@@ -552,7 +599,7 @@ def test_coefficients_match_dense_gram_oracle(toy):
     rng = np.random.default_rng(17)
     f = random_grid_function(rng, toy)
     proj = toy.synthesize(toy.analyze(f))
-    raw = toy._raw
+    raw = toy._v1[toy.freqs.k1] * toy._v2[toy.freqs.k2]
     W = toy.nu
     G = (raw * W) @ raw.T
     rhs = raw @ (W * f)
