@@ -184,7 +184,7 @@ DROP_TOL = 1e-9
 # Rows per block wherever the engine streams over its |Omega| rows.
 CHUNK = 1024
 
-# Rows per block of the rank scan's first step.
+# Rows per block of the rank scan's GEMM prefilter.
 SCAN_BLOCK = 256
 
 
@@ -194,8 +194,9 @@ class TensorRows:
     ``rows[idx]``, for an int, a slice or an index array, is
     ``v1[k1[idx]] * v2[k2[idx]]``: the same elementwise products, bit
     for bit, as the rows of one |Omega| x N matrix of them, without
-    ever storing that matrix.  A float matrix serves the same indexing,
-    so ``gram_orthonormalize`` takes either.
+    ever storing that matrix.  ``gram_orthonormalize`` reads its scan
+    blocks by slice and each row it decides alone by int; a float
+    matrix serves the same indexing, so it takes either.
     """
 
     def __init__(self, v1: np.ndarray, v2: np.ndarray, k1: np.ndarray,
@@ -205,49 +206,6 @@ class TensorRows:
 
     def __getitem__(self, idx) -> np.ndarray:
         return self._v1[self._k1[idx]] * self._v2[self._k2[idx]]
-
-
-def _choose_rows(rows, masses: np.ndarray) -> np.ndarray:
-    """Indices of the rows that Gram-Schmidt in row order keeps.
-
-    Takes the rows SCAN_BLOCK at a time, reading each block only when
-    the scan reaches it (no block past the full-rank row), and projects
-    the block twice onto the complement of the basis kept so far, two
-    GEMMs per pass.
-    A row whose residual is <= DROP_TOL * max(1, own norm) is dropped:
-    projecting out the rows kept later in its block could only shrink
-    that residual.  For the same reason a row dropped after the first
-    pass skips the second.  The remaining candidates are decided in
-    order against the rows this block has kept, by the same rule.
-    Stops at as many kept rows as columns.  Rows are scaled by
-    sqrt(masses), so the weighted products are plain dot products.
-    """
-    nrows, ncols = rows.shape
-    w = np.sqrt(masses)
-    E = np.empty((ncols, ncols))
-    kept: list[int] = []
-    for s in range(0, nrows, SCAN_BLOCK):
-        start = len(kept)
-        if start == ncols:
-            break
-        R = rows[s:s + SCAN_BLOCK] * w
-        tol = DROP_TOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", R, R)))
-        place, basis = np.arange(s, s + len(R)), E[:start]
-        for _ in range(2):
-            R -= (R @ basis.T) @ basis
-            live = np.sqrt(np.einsum("ij,ij->i", R, R)) > tol
-            R, tol, place = R[live], tol[live], place[live]
-        for r, t, i in zip(R, tol.tolist(), place.tolist()):
-            new = E[start:len(kept)]
-            for _ in range(2):
-                r = r - (new @ r) @ new
-            norm = math.sqrt(r @ r)
-            if norm > t:
-                E[len(kept)] = r / norm
-                kept.append(i)
-                if len(kept) == ncols:
-                    break
-    return np.array(kept, dtype=np.intp)
 
 
 def gram_orthonormalize(rows, masses: np.ndarray
@@ -267,31 +225,56 @@ def gram_orthonormalize(rows, masses: np.ndarray
     so they span R^N, and every later residual is roundoff far below
     DROP_TOL.
 
-    The work is split in two.  ``_choose_rows`` decides the kept rows
-    block by block with GEMMs; then the per-row loop runs on the kept
-    rows alone, read in one N x N block.  The per-row loop never reads
-    the basis for a dropped row, so its E is bit for bit the E of one
-    loop over every row.  A kept row that the per-row loop finds
-    dependent raises AssertionError, naming the row.
+    One loop takes the rows SCAN_BLOCK at a time, reading each block
+    only when the scan reaches it.  Two filters, in sqrt(masses)-scaled
+    coordinates where the weighted products are plain dot products,
+    skip most dependent rows cheaply: the block is projected twice onto
+    the complement of the rows kept so far (a scaled copy of E), two
+    GEMMs per pass, and each remaining candidate once more onto the rows
+    its block has kept.  Projecting out more rows can only shrink a
+    residual, so, up to roundoff, the filters drop only rows the rule
+    above drops.  A candidate that passes both is read again, alone,
+    and decided by the rule itself with its two passes against E, so E
+    is bit for bit the E of one per-row loop over every row.
     """
-    ncols = rows.shape[1]
-    chosen = _choose_rows(rows, masses)
-    E = np.empty((ncols, ncols))
-    for n, (i, row) in enumerate(zip(chosen.tolist(), rows[chosen])):
-        basis, r = E[:n], row
-        own = math.sqrt(float((row * row * masses).sum()))
+    nrows, ncols = rows.shape
+    w = np.sqrt(masses)
+    E, scaled = np.empty((ncols, ncols)), np.empty((ncols, ncols))
+    kept: list[int] = []
+    for s in range(0, nrows, SCAN_BLOCK):
+        start = len(kept)
+        if start == ncols:
+            break
+        R = rows[s:s + SCAN_BLOCK] * w
+        tol = DROP_TOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", R, R)))
+        place, basis = np.arange(s, s + len(R)), scaled[:start]
         for _ in range(2):
-            coef = basis @ (r * masses)
-            r = r - coef @ basis
-        norm = math.sqrt(float((r * r * masses).sum()))
-        if norm <= DROP_TOL * max(1.0, own):
-            raise AssertionError(
-                f"row {i} was kept by the blocked scan but is dependent "
-                "in the per-row pass")
-        E[n] = r / norm
-    is_dropped = np.ones(rows.shape[0], dtype=bool)
-    is_dropped[chosen] = False
-    return E[:len(chosen)], chosen.tolist(), np.flatnonzero(is_dropped).tolist()
+            R -= (R @ basis.T) @ basis
+            live = np.sqrt(np.einsum("ij,ij->i", R, R)) > tol
+            R, tol, place = R[live], tol[live], place[live]
+        for r, t, i in zip(R, tol.tolist(), place.tolist()):
+            new = scaled[start:len(kept)]
+            for _ in range(2):
+                r = r - (new @ r) @ new
+            if math.sqrt(r @ r) <= t:
+                continue
+            n, row = len(kept), rows[i]
+            basis, r = E[:n], row
+            own = math.sqrt(float((row * row * masses).sum()))
+            for _ in range(2):
+                coef = basis @ (r * masses)
+                r = r - coef @ basis
+            norm = math.sqrt(float((r * r * masses).sum()))
+            if norm <= DROP_TOL * max(1.0, own):
+                continue
+            E[n] = r / norm
+            scaled[n] = E[n] * w
+            kept.append(i)
+            if len(kept) == ncols:
+                break
+    is_dropped = np.ones(nrows, dtype=bool)
+    is_dropped[kept] = False
+    return E[:len(kept)], kept, np.flatnonzero(is_dropped).tolist()
 
 
 def box_filter(n: int, base: int = 2) -> dict[tuple[int, int], float]:
@@ -401,10 +384,10 @@ class GridAnalysis:
     products are the raw rows.  No N x N table of Fractions is built.
 
     Exact mode never stores the raw rows: ``TensorRows`` forms each
-    scan block of them, and the N kept rows, from the two float tables
-    when they are read, so the build needs O(N^2) memory plus O(|Omega|)
-    index arrays.  Idealized mode keeps all |Omega| raw rows as its
-    working system and so needs O(|Omega| * N).
+    scan block of them, and each row the scan decides on its own, from
+    the two float tables when they are read, so the build needs O(N^2)
+    memory plus O(|Omega|) index arrays.  Idealized mode keeps all
+    |Omega| raw rows as its working system and so needs O(|Omega| * N).
 
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
@@ -526,8 +509,20 @@ class GridAnalysis:
     def _synth(self, w: np.ndarray) -> np.ndarray:
         """sum_i w[i] (kept row i), added one row after another in kept-row
         order onto +0.0; a zero w[i] adds only zeros, so the sum is bit
-        for bit that over the nonzero w[i]."""
-        return np.add.reduce(w[:, None] * self._rows, axis=0, initial=0.0)
+        for bit that over the nonzero w[i].  The rows are reduced CHUNK
+        at a time, each block under the running sum as its first row, so
+        idealized mode's |Omega| rows never need an |Omega| x N temporary;
+        a running sum from +0.0 is never -0.0, so the blocks change no
+        bit."""
+        out = np.zeros(self._rows.shape[1])
+        terms = np.empty((min(len(w), CHUNK) + 1, len(out)))
+        for s in range(0, len(w), CHUNK):
+            rows = self._rows[s:s + CHUNK]
+            block = terms[:len(rows) + 1]
+            block[0] = out
+            np.multiply(w[s:s + CHUNK, None], rows, out=block[1:])
+            out = np.add.reduce(block, axis=0)
+        return out
 
     def _symbol(self, mu: MultiplierSequence) -> np.ndarray:
         """mu on the kept rows, one power of mu.base per shell."""
@@ -541,11 +536,13 @@ class GridAnalysis:
         return dict(zip(self.active, self._coef(fvals).tolist()))
 
     def synthesize(self, coeffs: dict[tuple[int, int], float]) -> np.ndarray:
-        out = np.zeros(len(self.grid))
-        for k, c in coeffs.items():
-            if c:
-                out += c * self._rows[self._index[tuple(k)]]
-        return out
+        """sum_k c(k) (working function at k), added in kept-row order
+        (see ``_synth``), so for a dict in that order, such as
+        ``analyze``'s, the same bits as adding key by key.  A key that is
+        not an active index is a KeyError."""
+        w = np.zeros(len(self.active))
+        w[[self._index[tuple(k)] for k in coeffs]] = list(coeffs.values())
+        return self._synth(w)
 
     def filtered_sum(self, h: dict[tuple[int, int], float],
                      fvals: np.ndarray) -> np.ndarray:

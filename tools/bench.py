@@ -19,9 +19,8 @@ L(1600) run of an exact engine takes about 3 minutes and 0.55 GB on a
 Each run records, in seconds: ``twt``, and inside it the inclusive time
 of ``symmetrize`` and ``graph_distance``; filtration + grid; the engine
 (both bases and ``GridAnalysis``), and inside it the inclusive time of
-``TreeBasis.value_table``, ``compute_omega``, ``_choose_rows`` and
-``gram_orthonormalize`` (which contains ``_choose_rows``); one
-``smoothness_profile`` of the out-degree signal, and inside it the
+``TreeBasis.value_table``, ``compute_omega`` and ``gram_orthonormalize``;
+one ``smoothness_profile`` of the out-degree signal, and inside it the
 minimax LPs (``lp_s``, ``lp_calls``; ``scipy.optimize`` is imported
 before the clock starts, so ``lp_s`` is solver time); and two metrics
 trials, each ``TwinTreeBuilder.level_ids`` at seed 3 then
@@ -58,7 +57,7 @@ import scipy
 
 
 def install_timers() -> dict:
-    """Rebind the seven names timed inside ``twt``, the engine and the
+    """Rebind the six names timed inside ``twt``, the engine and the
     profile to wrappers that add their wall time to ``NAME_s`` and their
     calls to ``NAME_calls`` of the returned dict; the library looks each
     one up at call time, on the class or in the module (``twt`` through
@@ -72,7 +71,6 @@ def install_timers() -> dict:
             ("graph_distance", clustering, "graph_distance"),
             ("value_table", basis.TreeBasis, "value_table"),
             ("compute_omega", analysis, "compute_omega"),
-            ("choose_rows", analysis, "_choose_rows"),
             ("gram_orthonormalize", analysis, "gram_orthonormalize"),
             ("lp", analysis, "linprog")):
         totals[f"{name}_s"], totals[f"{name}_calls"] = 0.0, 0
