@@ -449,13 +449,14 @@ def cmd_metrics(args) -> int:
     (weak components, symmetrizations, and for nhc the finest-level
     distances): in a pipeline run the very builder that cluster built
     from, on its own a new one with the parameters config.json records.
-    It then clusters ``--trials`` times with child seeds
-    (sampling --train-pct percent of each label class as training data
-    when positive), scores every level of the twin trees' common
-    refinement, and writes mean/std rows per (level, metric).  A trial
-    builds no tree: the builder's level-id matrices number the nodes as
-    the cluster stage's trees do, and the graph's degree totals are
-    computed once for every score.  A random-coloring modularity
+    It then clusters ``--trials`` times with child seeds (sampling
+    --train-pct percent of each label class as training data when
+    positive), all trials as one batch (``level_ids_batch``), scores
+    every level of each trial's twin trees' common refinement, and
+    writes mean/std rows per (level, metric).  A trial builds no tree:
+    the builder's level-id matrices number the nodes as the cluster
+    stage's trees do, and the graph's degree totals are computed once
+    for every score.  A random-coloring modularity
     baseline is appended per level when --baseline-trials is positive.
     """
     ws = Path(args.out)
@@ -474,16 +475,16 @@ def cmd_metrics(args) -> int:
     builder = _builder(args, G, cl["levels"], cl["algo"], cl["edge_length"],
                        cl["n_init"])
     child = np.random.SeedSequence([args.seed, 4242]).spawn(args.trials)
+    seeds = [int(c.generate_state(1)[0]) for c in child]
+    labeled = [None] * args.trials
+    if args.train_pct > 0:
+        labeled = [_sample_training_labels(index, args.train_pct, tseed)
+                   for tseed in seeds]
+    elif cl.get("labeled") and G.labels:
+        labeled = [index] * args.trials
     by_level: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, list[float]] = {}
-    for t in range(args.trials):
-        tseed = int(child[t].generate_state(1)[0])
-        labeled = None
-        if args.train_pct > 0:
-            labeled = _sample_training_labels(index, args.train_pct, tseed)
-        elif cl.get("labeled") and G.labels:
-            labeled = index
-        es_ids, os_ids = builder.level_ids(tseed, labeled)
+    for es_ids, os_ids in builder.level_ids_batch(seeds, labeled):
         for rec in metrics_mod.align_and_score(G, es_ids, os_ids,
                                                labels=G.labels or None):
             lv = rec["level"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -248,50 +249,131 @@ def check_level_spec(K: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 # -- the shared center/medoid iteration ------------------------------------
+#
+# The iteration runs a batch of starts in lockstep: each start reads one
+# matrix of a (D, n, n) distance stack, and every array it builds holds
+# O(starts * n) entries, or at most one n x n matrix's worth.
 
 
-def _medoid_iterate(dist: np.ndarray, k: int, centers: np.ndarray,
-                    max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Assign-to-nearest-center / recenter-at-medoid until stable.
+def _counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """(S, k) sizes of the clusters 0..k-1 of each row of labels."""
+    S = len(labels)
+    flat = (labels + k * np.arange(S)[:, None]).ravel()
+    return np.bincount(flat, minlength=S * k).reshape(S, k)
+
+
+def _nearest(rows: np.ndarray, base: np.ndarray,
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each start's nearest center per point (ties to the lowest center
+    index) and the distance to it, by a running minimum over the
+    centers; start s reads rows[base[s] + c], the distances from c."""
+    own = rows[base + centers[:, 0]]
+    near = np.zeros(own.shape, dtype=np.intp)
+    for j in range(1, centers.shape[1]):
+        d = rows[base + centers[:, j]]
+        closer = d < own
+        np.minimum(own, d, out=own)
+        np.putmask(near, closer, j)
+    return near, own
+
+
+def _reseed(dist: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+            own: np.ndarray, k: int) -> np.ndarray:
+    """Re-seed one start's empty clusters in place, the lowest first, each
+    with the vertex farthest from its assigned center, re-assigning after
+    each (at most 2k times); returns the assignment."""
+    n = dist.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    reseeds = 0
+    while counts.min() == 0 and reseeds < 2 * k:
+        empty = int(np.flatnonzero(counts == 0)[0])
+        centers[empty] = int(np.argmax(own))
+        to_centers = dist[centers]
+        assign = np.argmin(to_centers, axis=0)
+        own = to_centers[assign, np.arange(n)]
+        counts = np.bincount(assign, minlength=k)
+        reseeds += 1
+    return assign
+
+
+def _medoids(flat: np.ndarray, which: np.ndarray, assign: np.ndarray,
+             centers: np.ndarray, k: int) -> np.ndarray:
+    """Each start's cluster medoids: the member of least distance sum to
+    its cluster, ties to the lowest vertex id; an empty cluster keeps its
+    center.  Start s reads matrix which[s] of the flattened stack flat.
+
+    The clusters of equal size m, over all starts, are one (c, m, m)
+    gather summed along its last axis (cut into pieces of at most n * n
+    entries): the same contiguous row reduction as one cluster's (m, m)
+    gather, so every sum is the same, bit for bit.
+    """
+    S, n = assign.shape
+    sizes = _counts(assign, k).ravel()  # cluster q = s * k + j
+    # cluster q's members, ascending, are by_vertex[first[q]:][:sizes[q]],
+    # and at[p] is where the row of by_vertex[p] starts in flat
+    by_vertex = np.argsort(assign, axis=1, kind="stable")
+    at = ((which * n)[:, None] + by_vertex).ravel() * n
+    by_vertex = by_vertex.ravel()
+    first = np.cumsum(sizes) - sizes
+    new = centers.ravel().copy()
+    by_size = np.argsort(sizes, kind="stable")
+    ranked = sizes[by_size]
+    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), S * k]
+    for lo, hi in zip(cuts, cuts[1:]):
+        m = int(ranked[lo])
+        if not m:  # empty clusters
+            continue
+        step = max(1, n * n // (m * m))
+        for start in range(lo, hi, step):
+            q = by_size[start:min(hi, start + step)]
+            pos = first[q][:, None] + np.arange(m)
+            members = by_vertex[pos]
+            within = flat.take(at[pos][:, :, None] + members[:, None, :])
+            new[q] = members[np.arange(q.size),
+                             np.argmin(within.sum(axis=2), axis=1)]
+    return new.reshape(S, k)
+
+
+def _medoid_iterate(dist: np.ndarray, which: np.ndarray, k: int,
+                    centers: np.ndarray, max_iter: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Assign-to-nearest-center / recenter-at-medoid until stable, for S
+    starts at once: start s clusters dist[which[s]] from the k centers
+    centers[s].
 
     Ties in the assignment go to the lowest center index; medoid ties go
     to the lowest vertex id.  An empty cluster (possible only when two
-    points coincide) is re-seeded with the vertex farthest from its
-    assigned center.
+    points coincide) is re-seeded, start by start, with the vertex
+    farthest from its assigned center.  A start stops when its medoids
+    are its centers, or when a round that re-seeds nothing repeats the
+    previous round's assignment (its medoids are then the centers it just
+    used); the others go on in lockstep, at most max_iter rounds.
+    Returns the (S, n) assignments and (S, k) centers.
     """
-    n = dist.shape[0]
+    n = dist.shape[1]
+    rows, flat = dist.reshape(-1, n), dist.reshape(-1)
     centers = centers.copy()
-    assign = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
-        to_centers = dist[centers]                    # (k, n)
-        assign = np.argmin(to_centers, axis=0)
-        counts = np.bincount(assign, minlength=k)
-        reseeds = 0
-        while counts.min() == 0 and reseeds < 2 * k:
-            empty = int(np.flatnonzero(counts == 0)[0])
-            own = to_centers[assign, np.arange(n)]
-            centers[empty] = int(np.argmax(own))
-            to_centers = dist[centers]
-            assign = np.argmin(to_centers, axis=0)
-            counts = np.bincount(assign, minlength=k)
-            reseeds += 1
-        new_centers = centers.copy()
-        for j, member in enumerate(_parts(assign)):
-            if member.size == 0:
-                continue
-            # the gather is C-contiguous, as np.ix_'s is, so each row
-            # sums in the same order; dist[member][:, member] is not
-            within = dist[member[:, None], member].sum(axis=1)
-            new_centers[j] = member[int(np.argmin(within))]
-        if np.array_equal(new_centers, centers):
+    assign = np.zeros((len(centers), n), dtype=np.intp)
+    live = np.arange(len(centers))
+    for rnd in range(max_iter):
+        near, own = _nearest(rows, which[live] * n, centers[live])
+        fresh = _counts(near, k).min(axis=1) > 0
+        for r in np.flatnonzero(~fresh).tolist():
+            s = live[r]
+            near[r] = _reseed(dist[which[s]], centers[s], near[r], own[r], k)
+        settled = (fresh & (near == assign[live]).all(axis=1) if rnd
+                   else np.zeros(live.size, dtype=bool))
+        assign[live] = near
+        live, near = live[~settled], near[~settled]
+        if not live.size:
             break
-        centers = new_centers
+        medoids = _medoids(flat, which[live], near, centers[live], k)
+        moved = (medoids != centers[live]).any(axis=1)
+        centers[live] = medoids
+        live = live[moved]
+        if not live.size:
+            break
     return assign, centers
-
-
-def _medoid_objective(dist: np.ndarray, assign: np.ndarray,
-                      centers: np.ndarray) -> float:
-    return float(dist[centers[assign], np.arange(dist.shape[0])].sum())
 
 
 def _initial_centers(n: int, k: int, rng: np.random.Generator,
@@ -307,22 +389,36 @@ def _initial_centers(n: int, k: int, rng: np.random.Generator,
     return rng.choice(n, size=k, replace=False)
 
 
-def medoid_partition(dist: np.ndarray, k: int, rng: np.random.Generator,
-                     seed_vertices: Optional[Sequence[int]] = None,
+def medoid_partition(dist: np.ndarray, k: int,
+                     rngs: Sequence[np.random.Generator],
+                     seed_vertices: Optional[Sequence] = None,
                      n_init: int = 1, max_iter: int = 100) -> np.ndarray:
-    """Best-of-n_init medoid clustering of a finite metric; returns labels."""
+    """Best-of-n_init medoid clustering of finite metrics, one trial per
+    generator in rngs, all trials' starts iterated at once.
+
+    dist is a (T, n, n) stack, trial t clustering dist[t], or a (1, n, n)
+    one that every trial clusters.  Trial t draws its n_init starts from
+    rngs[t], in order; its first start is seeded by seed_vertices[t] when
+    that is given.  Of a trial's starts, the first of least objective
+    (the sum of each point's distance to its center) wins.  Returns the
+    (T, n) labels.
+    """
     if not np.all(np.isfinite(dist)):
         raise ValueError("distance matrix has infinite entries "
                          "(graph must be connected)")
-    best: Optional[tuple[float, np.ndarray]] = None
-    for trial in range(max(1, n_init)):
-        seeds = seed_vertices if trial == 0 else None
-        centers = _initial_centers(dist.shape[0], k, rng, seeds)
-        assign, centers = _medoid_iterate(dist, k, centers, max_iter)
-        obj = _medoid_objective(dist, assign, centers)
-        if best is None or obj < best[0]:
-            best = (obj, assign)
-    return best[1]
+    T, n, tries = len(rngs), dist.shape[1], max(1, n_init)
+    seeds = seed_vertices or [None] * T
+    starts = np.array([_initial_centers(n, k, rng,
+                                        seeds[t] if i == 0 else None)
+                       for t, rng in enumerate(rngs) for i in range(tries)])
+    which = np.repeat(np.arange(T) if len(dist) > 1 else np.zeros(T, int),
+                      tries)
+    assign, centers = _medoid_iterate(dist, which, k, starts, max_iter)
+    at = (which[:, None] * n + centers[np.arange(len(centers))[:, None],
+                                      assign]) * n
+    objective = dist.reshape(-1).take(at + np.arange(n)).sum(axis=1)
+    best = np.argmin(objective.reshape(T, tries), axis=1)
+    return assign.reshape(T, tries, n)[np.arange(T), best]
 
 
 def _parts(labels: np.ndarray) -> list[np.ndarray]:
@@ -332,42 +428,107 @@ def _parts(labels: np.ndarray) -> list[np.ndarray]:
     return [by_label[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _medoid_hierarchy(G, K: Sequence[int], seed: int,
-                      labeled: Optional[dict], dist_of, n_init: int = 1,
-                      finest: Optional[np.ndarray] = None
-                      ) -> list[np.ndarray]:
-    """Finest-to-coarsest medoid clustering with coarse-graining.
+def _medoid_hierarchy(G, K: Sequence[int], seeds: Sequence[int],
+                      labeled: Sequence[Optional[dict]], dist_of,
+                      n_init: int = 1, finest: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+    """Finest-to-coarsest medoid clustering with coarse-graining, for a
+    batch of trials run in lockstep.
 
-    The finest level splits G into K[-1] clusters by the best of n_init
-    medoid starts (at most 100 rounds each); each coarser level re-runs
-    it on the coarse-grained cluster graph, whose edge weight between
-    two clusters is the total original weight between their members.
-    dist_of maps the current (coarse) graph to its distance matrix.
-    Labeled vertices seed the finest level only, where vertices are
-    original.  A given ``finest`` label vector is taken as the finest
-    level instead of clustering it.  Returns one label vector over G's
-    vertices per level, coarsest first; a level's nonempty clusters are
-    numbered 0, 1, ... in the order of their cluster indices.
+    Trial t draws from default_rng(seeds[t]).  The finest level splits G
+    into K[-1] clusters by the best of n_init medoid starts (at most 100
+    rounds each); each coarser level re-runs it on the coarse-grained
+    cluster graph, whose edge weight between two clusters is the total
+    original weight between their members.  dist_of maps a graph to its
+    distance matrix: it is called once on G for every trial, and on the
+    block-diagonal union of several trials' coarse graphs, whose diagonal
+    blocks must be the graphs' own distances (as shortest paths are).
+    The labeled vertices labeled[t] seed trial t's finest level only,
+    where vertices are original.  A given (T, G.n) ``finest`` label
+    matrix is taken as the finest level instead of clustering it.
+    Returns a (T, len(K), G.n) array: per trial, one label vector per
+    level, coarsest first; a level's nonempty clusters are numbered 0,
+    1, ... in the order of their cluster indices.
     """
     K = check_level_spec(K, G.n)
-    rng = np.random.default_rng(seed)
-    seed_vertices = _label_seed_vertices(labeled)
-    current = G
-    labels = np.arange(G.n)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    starts = [_label_seed_vertices(lab) for lab in labeled]
+    levels = _descend(G, 0, K, rngs, starts, dist_of, n_init, finest,
+                      np.arange(G.n), G.n)
+    return np.stack(levels[::-1], axis=1) if levels else np.zeros(
+        (len(seeds), 0, G.n), dtype=np.intp)
+
+
+def _descend(graph, blocks: int, K: tuple[int, ...], rngs: list,
+             starts: Optional[list], dist_of, n_init: int,
+             finest: Optional[np.ndarray], labels: np.ndarray,
+             n: int) -> list[np.ndarray]:
+    """The levels K[-1], K[-2], ... of ``_medoid_hierarchy`` for the
+    trials of rngs, finest first, each a (T, n) label matrix over the
+    original vertices.  graph is G itself (blocks 0), or the union of
+    one coarse graph per trial (blocks T); labels maps each trial's
+    original vertices to graph's vertices of its own block.  Trials
+    whose coarse graphs differ in size continue in separate batches."""
+    T = len(rngs)
     levels = []
     for li in range(len(K), 0, -1):
-        if li == len(K) and finest is not None:
+        if finest is not None and li == len(K):
             assign = finest
         else:
-            seeds = seed_vertices if li == len(K) else None
-            assign = medoid_partition(dist_of(current), K[li - 1], rng,
-                                      seeds, n_init)
-        _, assign = np.unique(assign, return_inverse=True)
-        if li > 1:  # the coarsest level's graph is never clustered
-            current = coarse_grain(current, assign)
-        labels = assign[labels]
+            assign = medoid_partition(
+                _block_distances(graph, blocks, n, dist_of), K[li - 1],
+                rngs, starts if li == len(K) else None, n_init)
+        present = _counts(assign, int(assign.max()) + 1) > 0
+        trial = np.arange(T)[:, None]
+        assign = (np.cumsum(present, axis=1) - 1)[trial, assign]
+        labels = assign[trial, labels]
         levels.append(labels)
-    return levels[::-1]
+        if li == 1:  # the coarsest level's graph is never clustered
+            break
+        sizes = present.sum(axis=1)
+        groups = [np.flatnonzero(sizes == size)
+                  for size in np.unique(sizes).tolist()]
+        if len(groups) == 1:
+            graph, blocks = coarse_grain(graph, assign), T
+            continue
+        rest = [np.empty((T, n), dtype=np.intp) for _ in range(li - 1)]
+        for group in groups:
+            part = graph if not blocks else _blocks(
+                graph, graph.n // blocks, group)
+            deeper = _descend(coarse_grain(part, assign[group]), group.size,
+                              K[:li - 1], [rngs[t] for t in group], None,
+                              dist_of, n_init, None, labels[group], n)
+            for level, rows in zip(rest, deeper):
+                level[group] = rows
+        return levels + rest
+    return levels
+
+
+def _blocks(graph, m: int, rows: np.ndarray):
+    """The union of the blocks rows (each m vertices, no edge between
+    them) of a block-diagonal graph, in that order, as its own graph."""
+    idx = (rows[:, None] * m + np.arange(m)).ravel()
+    W = graph.weights[idx][:, idx]
+    W.sort_indices()
+    return type(graph)._canonical(W, [str(i) for i in range(idx.size)], {})
+
+
+def _block_distances(graph, blocks: int, n: int, dist_of) -> np.ndarray:
+    """dist_of of graph, as a (1, n, n) stack when blocks is 0 (graph is
+    G), else of each of its blocks as a (blocks, m, m) stack: dist_of
+    runs on unions of up to n // m blocks, so that no call returns more
+    than n x n distances."""
+    if not blocks:
+        return dist_of(graph)[None]
+    m = graph.n // blocks
+    per = max(1, n // m)
+    out = np.empty((blocks, m, m))
+    for lo in range(0, blocks, per):
+        rows = np.arange(lo, min(blocks, lo + per))
+        part = graph if rows.size == blocks else _blocks(graph, m, rows)
+        d = dist_of(part).reshape(rows.size, m, rows.size, m)
+        out[rows] = d[np.arange(rows.size), :, np.arange(rows.size), :]
+    return out
 
 
 # -- clusterers -------------------------------------------------------------
@@ -395,36 +556,73 @@ def _label_seed_vertices(labeled: Optional[dict]) -> Optional[list[int]]:
 
 
 def coarse_grain(G: WeightedDigraph, labels: np.ndarray) -> WeightedDigraph:
-    """Sum-collapse a graph onto the clusters of a label vector.
+    """Sum-collapse a graph onto the clusters of a label vector, or of
+    several at once.
 
-    Vertex v joins coarse vertex labels[v] >= 0; there are max(labels)
+    Vertex v joins coarse vertex labels[v] >= 0; there are k = max(labels)
     + 1 of them.  The weight between coarse vertices i and j is the sum
     of all original weights from members of i to members of j, added
     from 0.0 in CSR order; an undirected graph's upper triangle is
     mirrored.  The result has G's type and default names, and is built
     as canonical CSR directly.  Labels arange(G.n) give a graph equal to G.
+
+    A (T, m) label matrix collapses T graphs by weighted bincounts over
+    several rows at once: G itself once per row (m == G.n), or, when G
+    is the block-diagonal union of T graphs of m vertices each (as this
+    function returns), block t by row t.  The result is the
+    block-diagonal union of the T coarse graphs, k vertices each, row
+    t's numbered from t * k; each row's bins gather only its own
+    entries, in CSR order, so every sum is the one a single call adds.
     """
     labels = np.asarray(labels)
-    if (labels.shape != (G.n,) or labels.dtype.kind not in "iu"
-            or labels.min(initial=0) < 0):
-        raise ValueError(f"coarse_grain needs {G.n} nonnegative integer "
-                         f"labels, not {labels.dtype} of shape {labels.shape}")
-    k = int(labels.max(initial=-1)) + 1
+    rows = labels[None] if labels.ndim == 1 else labels
+    T, m = rows.shape if rows.ndim == 2 else (0, -1)
+    blocked = T > 0 and m != G.n and T * m == G.n
     W = G.weights
     tail = np.repeat(np.arange(G.n), np.diff(W.indptr))
-    coarse = np.bincount(labels[tail] * k + labels[W.indices], W.data,
-                         minlength=k * k).reshape(k, k)
+    if (not (m == G.n or blocked)
+            or labels.dtype.kind not in "iu" or labels.min(initial=0) < 0
+            or (blocked and np.any(tail // m != W.indices // m))):
+        raise ValueError(f"coarse_grain needs {G.n} nonnegative integer "
+                         f"labels, or a row of them per block of a block-"
+                         f"diagonal graph, not {labels.dtype} of shape "
+                         f"{labels.shape}")
+    k = int(labels.max(initial=-1)) + 1
+    # a shared G is collapsed a few rows at a time, at most G.n**2
+    # (row, entry) pairs, the size of G's dense matrix
+    step = T if blocked else max(1, G.n * G.n // max(W.nnz, 1))
+    coarse = np.concatenate(
+        [_collapse(W, tail, rows[lo:lo + step], k, blocked)
+         for lo in range(0, T, step)]) if T else np.zeros((0, k, k))
     if isinstance(G, UndirectedGraph):
-        coarse = np.triu(coarse) + np.triu(coarse, 1).T
+        coarse = np.triu(coarse) + np.triu(coarse, 1).transpose(0, 2, 1)
     # sums of positive weights are positive, and the mirror is exactly
     # symmetric; only overflow to inf is left to check
     if not np.all(np.isfinite(coarse)):
         raise ValueError("edge weights must be finite")
     nz = np.flatnonzero(coarse)
     weights = sparse.csr_array(
-        (coarse.ravel()[nz], nz % k, np.searchsorted(nz, np.arange(k + 1) * k)),
-        shape=(k, k))
-    return type(G)._canonical(weights, [str(i) for i in range(k)], {})
+        (coarse.ravel()[nz], nz // (k * k) * k + nz % k,
+         np.searchsorted(nz, np.arange(T * k + 1) * k)), shape=(T * k,) * 2)
+    return type(G)._canonical(weights, [str(i) for i in range(T * k)], {})
+
+
+def _collapse(W: sparse.csr_array, tail: np.ndarray, rows: np.ndarray,
+              k: int, blocked: bool) -> np.ndarray:
+    """The (T, k, k) dense coarse weights of coarse_grain's label rows,
+    by one weighted bincount: the bin of (row t, i, j) gathers its
+    entries in CSR order, each row's apart from the others'."""
+    T, m = rows.shape
+    if blocked:  # one column: block t's vertices carry their row's bins
+        lab = rows.reshape(-1, 1)
+        first = lab * k + (np.arange(T * m) // m * k * k)[:, None]
+    else:  # a column per row
+        lab = np.ascontiguousarray(rows.T)
+        first = lab * k + np.arange(T) * k * k
+    bins = first.take(tail, axis=0)
+    bins += lab.take(W.indices, axis=0)
+    return np.bincount(bins.ravel(), np.repeat(W.data, lab.shape[1]),
+                       minlength=T * k * k).reshape(T, k, k)
 
 
 def _normalized_adjacency(G: UndirectedGraph
@@ -544,7 +742,8 @@ class _Component:
     Holds the component's vertex ids, its symmetrized subgraph S and the
     level sizes clipped to what it can support.  For nhc, dist_of(S) is
     computed once, on first use, and kept read-only; any other (coarse)
-    graph gets fresh distances.
+    graph gets fresh distances.  The position of each vertex id in the
+    component is looked up the first time labeled vertices are given.
     """
 
     def __init__(self, idx: np.ndarray, S: UndirectedGraph,
@@ -555,6 +754,19 @@ class _Component:
         self.edge_length = edge_length
         self.finest_dist: Optional[np.ndarray] = None
 
+    @cached_property
+    def pos(self) -> dict[int, int]:
+        return {v: j for j, v in enumerate(self.idx.tolist())}
+
+    def local(self, labeled: Optional[dict]) -> Optional[dict]:
+        """The labeled vertices inside the component, keyed by position
+        (None if there are none)."""
+        if not labeled:
+            return None
+        pos = self.pos
+        return {pos[int(v)]: c for v, c in labeled.items()
+                if int(v) in pos} or None
+
     def dist_of(self, cur: UndirectedGraph) -> np.ndarray:
         if cur is not self.S:
             return _path_distance(cur, self.edge_length)
@@ -564,35 +776,49 @@ class _Component:
         return self.finest_dist
 
 
-def _cluster_component(comp: _Component, algo: str, seed: int,
-                       labeled: Optional[dict],
+def _cluster_component(comp: _Component, algo: str, seeds: Sequence[int],
+                       labeled: Sequence[Optional[dict]],
                        n_init: int) -> list[np.ndarray]:
-    """Level label vectors of one component, coarsest first.
+    """Level label vectors of one component for a batch of trials: per
+    trial (seed, labeled vertices), a (levels, component size) array,
+    coarsest first.
 
     The labeled vertices inside the component seed (nhc, mll) or anchor
-    (mbo) its clustering.  mbo's finest level has one cluster per label
-    class present; a component with no labeled vertex, or with fewer
-    than two classes or no fewer vertices than classes, gets no levels.
+    (mbo) its clustering.  nhc clusters all trials as one batch on the
+    component's one finest distance matrix; mll (whose distances depend
+    on the seed) and mbo (whose levels depend on the labels) cluster
+    trial by trial.  mbo's finest level has one cluster per label class
+    present; a component with no labeled vertex, or with fewer than two
+    classes or no fewer vertices than classes, gets no levels.
     """
-    pos = {int(v): j for j, v in enumerate(comp.idx)}
-    local = {pos[int(v)]: c for v, c in (labeled or {}).items()
-             if int(v) in pos} or None
-    if algo != "mbo":
-        dist_of = comp.dist_of if algo == "nhc" else _embedding_distance(seed)
-        return _medoid_hierarchy(comp.S, comp.K, seed, local, dist_of, n_init)
+    local = [comp.local(lab) for lab in labeled]
+    if algo == "nhc":
+        return list(_medoid_hierarchy(comp.S, comp.K, seeds, local,
+                                      comp.dist_of, n_init))
+    if algo == "mll":
+        return [_medoid_hierarchy(comp.S, comp.K, [seed], [loc],
+                                  _embedding_distance(seed), n_init)[0]
+                for seed, loc in zip(seeds, local)]
+    return [_mbo_levels(comp, seed, loc) for seed, loc in zip(seeds, local)]
+
+
+def _mbo_levels(comp: _Component, seed: int,
+                local: Optional[dict]) -> np.ndarray:
+    """One trial's mbo levels of a component, as for _cluster_component."""
+    none = np.zeros((0, len(comp.idx)), dtype=np.intp)
     if not local:
-        return []
+        return none
     classes = sorted(set(local.values()))
     K = tuple(k for k in comp.K if k < len(classes)) + (len(classes),)
     if not 2 <= K[-1] < len(comp.idx):
-        return []
+        return none
     class_idx = {c: i for i, c in enumerate(classes)}
     assign = mbo_cluster(comp.S, {v: class_idx[c] for v, c in local.items()},
                          K[-1])
     # coarser levels: reciprocal lengths, one start, a fresh generator
     return _medoid_hierarchy(
-        comp.S, K, seed, None, lambda cur: _path_distance(cur, "reciprocal"),
-        finest=assign)
+        comp.S, K, [seed], [None],
+        lambda cur: _path_distance(cur, "reciprocal"), finest=assign[None])[0]
 
 
 # Components with fewer vertices are not clustered: their vertices hang
@@ -636,15 +862,18 @@ class TwinTreeBuilder:
              for idx in self.comps]
             for side in ("es", "os")]
 
-    def _levels(self, seed: int, labeled: Optional[dict]
-                ) -> list[list[list[np.ndarray]]]:
+    def _levels(self, seeds: Sequence[int],
+                labeled: Sequence[Optional[dict]]
+                ) -> list[list[Optional[list[np.ndarray]]]]:
         """Per side ("es", "os") and component: its level label vectors
-        for one seed, coarsest first (none for a tiny component)."""
-        seed_seq = np.random.SeedSequence(seed)
-        comp_seeds = [s.generate_state(1)[0]
-                      for s in seed_seq.spawn(2 * len(self.comps))]
-        return [[[] if comp is None else _cluster_component(
-                     comp, self.algo, int(comp_seeds[2 * ci + side_index]),
+        per trial, coarsest first (None for a tiny component).  Each
+        trial's seed spawns one generator seed per side and component."""
+        comp_seeds = np.array([
+            [s.generate_state(1)[0] for s in
+             np.random.SeedSequence(seed).spawn(2 * len(self.comps))]
+            for seed in seeds]).reshape(len(seeds), -1, 2).tolist()
+        return [[None if comp is None else _cluster_component(
+                     comp, self.algo, [cs[ci][side_index] for cs in comp_seeds],
                      labeled, self.n_init)
                  for ci, comp in enumerate(comps)]
                 for side_index, comps in enumerate(self.sides)]
@@ -666,12 +895,25 @@ class TwinTreeBuilder:
         """The twin trees of build(seed, labeled) as (depth, n) level-id
         matrices, without building them: row l - 1 holds the node id
         covering each vertex at level l, the id build gives that node
-        (``ClusterTree.ancestor_at_level`` of that vertex and level)."""
-        es, os_ = (_graft_ids(self.G.n, self.comps, [
-                       _level_ids(levels, idx.size)
-                       for idx, levels in zip(self.comps, side)])
-                   for side in self._levels(seed, labeled))
-        return es, os_
+        (``ClusterTree.ancestor_at_level`` of that vertex and level).
+        A batch of one trial of level_ids_batch."""
+        return self.level_ids_batch([seed], [labeled])[0]
+
+    def level_ids_batch(self, seeds: Sequence[int],
+                        labeled: Optional[Sequence[Optional[dict]]] = None
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """level_ids(seeds[t], labeled[t]) for every trial t, the trials
+        clustered as one batch (see _cluster_component); each trial's
+        matrices are those it gets on its own."""
+        labeled = [None] * len(seeds) if labeled is None else labeled
+        sides = self._levels(seeds, labeled)
+        empty = np.zeros((0, 0), dtype=np.intp)
+        return [tuple(_graft_ids(self.G.n, self.comps, [
+                          _level_ids(empty if levels is None else levels[t],
+                                     idx.size)
+                          for idx, levels in zip(self.comps, side)])
+                      for side in sides)
+                for t in range(len(seeds))]
 
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",

@@ -16,7 +16,11 @@ from scipy import sparse
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from twintree.clustering import ClusterNode, ClusterTree, medoid_partition
+from twintree.clustering import (ClusterNode, ClusterTree, _embedding_distance,
+                                 _graft_ids, _initial_centers,
+                                 _label_seed_vertices, _level_ids,
+                                 _path_distance, check_level_spec,
+                                 coarse_grain, mbo_cluster)
 from twintree.digraph import UndirectedGraph
 
 
@@ -610,6 +614,102 @@ def _labels_to_groups(assign: np.ndarray, units: list[frozenset[int]],
     return groups
 
 
+def seeded_medoid_partition(dist: np.ndarray, k: int,
+                            rng: np.random.Generator, seed_vertices=None,
+                            n_init: int = 1, max_iter: int = 100
+                            ) -> np.ndarray:
+    """Best-of-n_init medoid clustering of one metric, one start after
+    another, each run by ``medoid_iterate_ix``: the per-seed form of the
+    package's batched ``medoid_partition``.  The first start of least
+    objective wins."""
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("distance matrix has infinite entries")
+    best = None
+    for trial in range(max(1, n_init)):
+        seeds = seed_vertices if trial == 0 else None
+        centers = _initial_centers(dist.shape[0], k, rng, seeds)
+        assign, centers = medoid_iterate_ix(dist, k, centers, max_iter)
+        obj = float(dist[centers[assign], np.arange(dist.shape[0])].sum())
+        if best is None or obj < best[0]:
+            best = (obj, assign)
+    return best[1]
+
+
+def seeded_hierarchy(G, K, seed: int, labeled, dist_of, n_init: int = 1,
+                     finest=None) -> list[np.ndarray]:
+    """The medoid hierarchy of one seed, level after level on graph
+    objects: ``default_rng(seed)`` draws every start, the finest level
+    clusters dist_of(G) (or takes the label vector ``finest``), and
+    each coarser level clusters dist_of of the previous level's
+    ``coarse_grain``.  Returns the label vectors coarsest first, each
+    level's clusters renumbered 0, 1, ... by np.unique."""
+    K = check_level_spec(K, G.n)
+    rng = np.random.default_rng(seed)
+    seed_vertices = _label_seed_vertices(labeled)
+    current, labels, levels = G, np.arange(G.n), []
+    for li in range(len(K), 0, -1):
+        if li == len(K) and finest is not None:
+            assign = finest
+        else:
+            assign = seeded_medoid_partition(
+                dist_of(current), K[li - 1], rng,
+                seed_vertices if li == len(K) else None, n_init)
+        _, assign = np.unique(assign, return_inverse=True)
+        if li > 1:
+            current = coarse_grain(current, assign)
+        labels = assign[labels]
+        levels.append(labels)
+    return levels[::-1]
+
+
+def _seeded_component(comp, algo: str, edge_length: str, seed: int,
+                      labeled, n_init: int) -> list[np.ndarray]:
+    """One seed's levels of one prepared component (nhc distances fresh
+    per graph, mll per seed, mbo from its diffusion classes)."""
+    pos = {int(v): j for j, v in enumerate(comp.idx)}
+    local = {pos[int(v)]: c for v, c in (labeled or {}).items()
+             if int(v) in pos} or None
+    if algo == "nhc":
+        return seeded_hierarchy(comp.S, comp.K, seed, local,
+                                lambda cur: _path_distance(cur, edge_length),
+                                n_init)
+    if algo == "mll":
+        return seeded_hierarchy(comp.S, comp.K, seed, local,
+                                _embedding_distance(seed), n_init)
+    if not local:
+        return []
+    classes = sorted(set(local.values()))
+    K = tuple(k for k in comp.K if k < len(classes)) + (len(classes),)
+    if not 2 <= K[-1] < len(comp.idx):
+        return []
+    class_idx = {c: i for i, c in enumerate(classes)}
+    assign = mbo_cluster(comp.S, {v: class_idx[c] for v, c in local.items()},
+                         K[-1])
+    return seeded_hierarchy(comp.S, K, seed, None,
+                            lambda cur: _path_distance(cur, "reciprocal"),
+                            finest=assign)
+
+
+def seeded_level_ids(builder, seed: int, labeled=None):
+    """The twin trees' level-id matrices of one seed, from a
+    TwinTreeBuilder's preparation (components, companions, clipped
+    level sizes) but with its clustering redone seed by seed: each
+    side and component clusters with its own spawned seed through
+    ``seeded_hierarchy``."""
+    comp_seeds = [s.generate_state(1)[0] for s in
+                  np.random.SeedSequence(seed).spawn(2 * len(builder.comps))]
+    out = []
+    for side_index, comps in enumerate(builder.sides):
+        blocks = []
+        for ci, (idx, comp) in enumerate(zip(builder.comps, comps)):
+            levels = [] if comp is None else _seeded_component(
+                comp, builder.algo, builder.edge_length,
+                int(comp_seeds[2 * ci + side_index]), labeled, builder.n_init)
+            blocks.append(_level_ids(levels, idx.size))
+        out.append(_graft_ids(builder.G.n, builder.comps, blocks))
+    return tuple(out)
+
+
 def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
                   finest=None) -> list[list[frozenset[int]]]:
     """Finest-to-coarsest medoid clustering on sets of original vertices.
@@ -630,7 +730,8 @@ def set_hierarchy(G, K, rng, dist_of, seed_vertices, n_init, max_iter,
         else:
             dist = dist_of(current)
             seeds = seed_vertices if li == len(K) else None
-            assign = medoid_partition(dist, k, rng, seeds, n_init, max_iter)
+            assign = seeded_medoid_partition(dist, k, rng, seeds, n_init,
+                                             max_iter)
             coarse_units = [frozenset([u]) for u in range(current.n)]
             coarse_groups = _labels_to_groups(assign, coarse_units, k)
             groups = _labels_to_groups(assign, units, k)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import block_diag
 
 from twintree import clustering
 from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
@@ -14,8 +15,8 @@ from twintree.metrics import _partition_labels
 
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
                      graft_by_offset, label_propagation, medoid_iterate_ix,
-                     random_walk_embedding, set_hierarchy,
-                     tree_by_subset_scan)
+                     random_walk_embedding, seeded_hierarchy,
+                     seeded_level_ids, set_hierarchy, tree_by_subset_scan)
 from util import degenerate_digraphs, random_digraph, random_nested_partitions
 
 
@@ -105,8 +106,9 @@ def test_twt_trees_match_the_subset_scan(monkeypatch, algo):
     calls, real = [], clustering._cluster_component
 
     def recording(comp, *args):
-        calls.append((comp.idx, real(comp, *args)))
-        return calls[-1][1]
+        batch = real(comp, *args)
+        calls.append((comp.idx, batch[0]))  # build is a batch of one
+        return batch
     monkeypatch.setattr(clustering, "_cluster_component", recording)
     graphs = {**degenerate_digraphs(),
               # three weak components, the 6-vertex one a level shallower
@@ -213,50 +215,87 @@ def assignment_objective(dist, assign):
     return float(total)
 
 
-def _medoid_starts():
-    """(dist, k, centers) on reciprocal es/os distances of planted
-    graphs: 240 seeded starts, k = 1 among them."""
-    starts = []
+def _medoid_batches():
+    """(dist stack, which, k, centers) batches on reciprocal es/os
+    distances of planted graphs: 240 seeded starts, k = 1 among them,
+    each batch mixing both sides' matrices."""
+    batches = []
     for seed in range(10):
         G = synth_digraph("planted", seed=seed, sizes=(12, 10, 8),
                           p_in=0.4, p_out=0.05)
         G = G.subgraph(weak_component_indices(G)[0])
-        for side in ("es", "os"):
-            dist = _path_distance(symmetrize(G, side), "reciprocal")
-            rng = np.random.default_rng(seed)
-            for k in range(1, 7):
-                for _ in range(2):
-                    starts.append((dist, k,
-                                   rng.choice(G.n, size=k, replace=False)))
-    return starts
+        dist = np.stack([_path_distance(symmetrize(G, side), "reciprocal")
+                         for side in ("es", "os")])
+        rng = np.random.default_rng(seed)
+        for k in range(1, 7):
+            batches.append((dist, np.array([0, 0, 1, 1]), k, np.array(
+                [rng.choice(G.n, size=k, replace=False) for _ in range(4)])))
+    return batches
 
 
 def test_medoid_steps_match_the_ix_loop():
-    starts = _medoid_starts()
+    batches = _medoid_batches()
     # coincident points: cluster 1 starts empty and is re-seeded at the
     # far point; on the second line every re-seed coincides too
-    for pos, centers in (([0.0, 0.0, 1.0, 2.0, 5.0], [0, 1, 2]),
-                         ([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], [0, 1, 3])):
+    # (the first beside a start in lockstep that re-seeds nothing)
+    for pos, centers in (([0.0, 0.0, 1.0, 2.0, 5.0], [[0, 1, 2], [2, 3, 4]]),
+                         ([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], [[0, 1, 3]])):
         pos = np.asarray(pos)
-        starts.append((np.abs(pos[:, None] - pos[None, :]), len(centers),
-                       np.asarray(centers)))
-    assert len(starts) >= 200
+        batches.append((np.abs(pos[:, None] - pos[None, :])[None],
+                        np.zeros(len(centers), dtype=int), 3,
+                        np.array(centers)))
+    assert sum(len(which) for _, which, _, _ in batches) >= 200
     empty = 0
-    for dist, k, centers in starts:
-        assign, got = clustering._medoid_iterate(dist, k, centers, 100)
-        want_assign, want = medoid_iterate_ix(dist, k, centers, 100)
-        assert np.array_equal(assign, want_assign)
-        assert np.array_equal(got, want)
-        empty += np.bincount(assign, minlength=k).min() == 0
+    for dist, which, k, centers in batches:
+        assign, got = clustering._medoid_iterate(dist, which, k, centers, 100)
+        for s in range(len(which)):
+            want_assign, want = medoid_iterate_ix(dist[which[s]], k,
+                                                  centers[s], 100)
+            assert np.array_equal(assign[s], want_assign)
+            assert np.array_equal(got[s], want)
+            empty += np.bincount(assign[s], minlength=k).min() == 0
     assert empty == 1  # the second coincident line keeps an empty cluster
+
+
+def test_grouped_medoid_sums_equal_the_per_cluster_gather():
+    """Bit for bit, for every cluster size 1-513: pairwise summation
+    blocks turn over at 8 and 128 entries, hence 9, 129 and 257."""
+    rng = np.random.default_rng(8)
+    n = 1100
+    dist = rng.lognormal(0.0, 3.0, (n, n))
+    flat = dist.reshape(-1)
+    for m in range(1, 514):
+        members = np.sort(np.array([rng.choice(n, size=m, replace=False)
+                                    for _ in range(3)]), axis=1)
+        at = members[:, :, None] * n + members[:, None, :]
+        grouped = flat.take(at).sum(axis=2)
+        for row, member in zip(grouped, members):
+            one = dist[member[:, None], member].sum(axis=1)
+            assert np.array_equal(row, one), m
+    # the medoid step itself, on starts of mixed sizes
+    sizes = [[513, 512, 75], [257, 256, 255, 129, 128, 75],
+             [*range(1, 42), 239], [9, 8, 7, 1076]]
+    assign = np.array([rng.permutation(np.repeat(np.arange(len(sz)), sz))
+                       for sz in sizes for _ in range(2)], dtype=np.intp)
+    k = max(len(sz) for sz in sizes)
+    centers = np.zeros((len(assign), k), dtype=np.intp)
+    got = clustering._medoids(flat, np.zeros(len(assign), dtype=int),
+                              assign, centers, k)
+    for s, labels in enumerate(assign):
+        for j in range(k):
+            member = np.flatnonzero(labels == j)
+            want = (member[int(np.argmin(dist[member[:, None], member]
+                                         .sum(axis=1)))]
+                    if member.size else 0)
+            assert got[s, j] == want
 
 
 def test_medoid_partition_finds_planted_blobs():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         dist, truth = blob_distances(rng, [6, 9])
-        assign = medoid_partition(dist, 2, np.random.default_rng(seed),
-                                  n_init=5)
+        assign = medoid_partition(dist[None], 2,
+                                  [np.random.default_rng(seed)], n_init=5)[0]
         # same blocks up to label swap
         split = [frozenset(np.flatnonzero(assign == j)) for j in (0, 1)]
         expect = [frozenset(np.flatnonzero(truth == b)) for b in (0, 1)]
@@ -267,8 +306,8 @@ def test_medoid_objective_matches_exhaustive_two_centers():
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         dist, _ = blob_distances(rng, [5, 7], spread=2.0, gap=4.0)
-        assign = medoid_partition(dist, 2, np.random.default_rng(seed),
-                                  n_init=40)
+        assign = medoid_partition(dist[None], 2,
+                                  [np.random.default_rng(seed)], n_init=40)[0]
         assert assignment_objective(dist, assign) == pytest.approx(
             exhaustive_two_medoid(dist), abs=1e-12)
 
@@ -276,24 +315,24 @@ def test_medoid_objective_matches_exhaustive_two_centers():
 def test_medoid_partition_is_deterministic_and_rejects_inf():
     rng = np.random.default_rng(3)
     dist, _ = blob_distances(rng, [4, 4, 4])
-    a = medoid_partition(dist, 3, np.random.default_rng(17), n_init=3)
-    b = medoid_partition(dist, 3, np.random.default_rng(17), n_init=3)
+    a = medoid_partition(dist[None], 3, [np.random.default_rng(17)], n_init=3)
+    b = medoid_partition(dist[None], 3, [np.random.default_rng(17)], n_init=3)
     assert np.array_equal(a, b)
     bad = dist.copy()
     bad[0, 1] = np.inf
     with pytest.raises(ValueError, match="infinite"):
-        medoid_partition(bad, 2, np.random.default_rng(0))
+        medoid_partition(bad[None], 2, [np.random.default_rng(0)])
 
 
 def test_seed_vertices_become_first_centers():
     rng = np.random.default_rng(5)
     dist, truth = blob_distances(rng, [6, 6])
     # one seed in each blob; a single assignment step labels by seed order
-    assign = medoid_partition(dist, 2, np.random.default_rng(0),
-                              seed_vertices=[0, 6], max_iter=1)
+    assign = medoid_partition(dist[None], 2, [np.random.default_rng(0)],
+                              seed_vertices=[[0, 6]], max_iter=1)[0]
     assert np.array_equal(assign, truth)
-    flipped = medoid_partition(dist, 2, np.random.default_rng(0),
-                               seed_vertices=[6, 0], max_iter=1)
+    flipped = medoid_partition(dist[None], 2, [np.random.default_rng(0)],
+                               seed_vertices=[[6, 0]], max_iter=1)[0]
     assert np.array_equal(flipped, 1 - truth)
 
 
@@ -354,6 +393,31 @@ def test_coarse_grain_identity_and_errors():
     S = symmetrize(G, "es")
     CS = coarse_grain(S, [0, 0, 0, 1, 1, 1])
     assert isinstance(CS, UndirectedGraph)
+
+
+def test_coarse_grain_collapses_a_batch_as_one_call_per_row():
+    """A label matrix gives the block-diagonal union of the single calls'
+    graphs, bit for bit: on one shared graph, and again on that union,
+    block by block."""
+    rng = np.random.default_rng(7)
+    W = random_digraph(rng, 12, density=0.4).to_dense()
+    W[W > 0] = rng.lognormal(0.0, 6.0, int((W > 0).sum()))
+    G = WeightedDigraph(W)
+    for graph in (G, symmetrize(G, "os")):
+        rows = np.array([_random_parts(rng, 12, 5)[0] for _ in range(4)])
+        singles = [coarse_grain(graph, row) for row in rows]
+        union = coarse_grain(graph, rows)
+        assert type(union) is type(graph)
+        assert np.array_equal(union.to_dense(), block_diag(
+            *[C.to_dense() for C in singles]))
+        coarser = np.array([_random_parts(rng, 5, 2)[0] for _ in range(4)])
+        assert np.array_equal(coarse_grain(union, coarser).to_dense(),
+                              block_diag(*[coarse_grain(C, row).to_dense()
+                                           for C, row in zip(singles,
+                                                             coarser)]))
+    # two rows of six labels read G as two blocks, but edges join them
+    with pytest.raises(ValueError, match="per block of a block-diagonal"):
+        coarse_grain(G, rows[:2, :6])
 
 
 def test_coarse_weights_that_overflow_are_not_finite():
@@ -418,6 +482,14 @@ def expected_blocks():
     return sorted([frozenset(range(15)), frozenset(range(15, 30))], key=min)
 
 
+def hierarchy(G, K, seed, labeled, dist_of, n_init=1, finest=None):
+    """_medoid_hierarchy for a batch of one seed: its level label vectors,
+    coarsest first."""
+    return list(_medoid_hierarchy(
+        G, K, [seed], [labeled], dist_of, n_init,
+        None if finest is None else finest[None])[0])
+
+
 def reciprocal_distance(cur):
     """nhc's dist_of under the default reciprocal edge lengths."""
     return _path_distance(cur, "reciprocal")
@@ -427,7 +499,7 @@ def test_graph_metric_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
+        tree = tree_of_levels(np.arange(S.n), hierarchy(
             S, (2,), seed, None, reciprocal_distance, n_init=3))
         tree.validate()
         if sorted(tree.partition_at_level(1), key=min) == expected_blocks():
@@ -439,7 +511,7 @@ def test_embedding_clusterer_recovers_planted_blocks():
     hits = 0
     for seed in range(10):
         _, S = planted_companion(seed)
-        tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
+        tree = tree_of_levels(np.arange(S.n), hierarchy(
             S, (2,), seed, None, clustering._embedding_distance(seed),
             n_init=3))
         tree.validate()
@@ -452,7 +524,7 @@ def test_hierarchies_nest_and_are_deterministic():
     rng = np.random.default_rng(31)
     G = symmetrize(random_digraph(rng, 24, density=0.35), "es")
     for dist_of in (reciprocal_distance, clustering._embedding_distance(5)):
-        t1, t2 = (tree_of_levels(np.arange(G.n), _medoid_hierarchy(
+        t1, t2 = (tree_of_levels(np.arange(G.n), hierarchy(
             G, (2, 4, 8), 5, None, dist_of)) for _ in range(2))
         assert t1.to_json_dict() == t2.to_json_dict()
         t1.validate()
@@ -467,7 +539,7 @@ def test_hierarchies_nest_and_are_deterministic():
 def test_labeled_seeding_controls_cluster_identity():
     _, S = planted_companion(3)
     labeled = {0: ("a",), 15: ("b",)}
-    tree = tree_of_levels(np.arange(S.n), _medoid_hierarchy(
+    tree = tree_of_levels(np.arange(S.n), hierarchy(
         S, (2,), 1, labeled, reciprocal_distance, n_init=1))
     parts = tree.partition_at_level(1)
     assert sorted(parts, key=min) == expected_blocks()
@@ -706,8 +778,7 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
         return coarse_grain(graph, labels)
 
     monkeypatch.setattr("twintree.clustering.coarse_grain", counted)
-    levels = _medoid_hierarchy(G, K, seed, labeled, dist_of, n_init,
-                               finest=finest)
+    levels = hierarchy(G, K, seed, labeled, dist_of, n_init, finest)
     # every level but the coarsest is coarse-grained onto, finest first
     assert calls == [max(lab) + 1 for lab in levels[:0:-1]]
     got = [[frozenset(v for v in range(G.n) if lab[v] == j)
@@ -722,3 +793,64 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
     if case == "coincident":  # two places hold at most two clusters
         assert [len(level) for level in got] == [2, 2]
 
+
+
+def _oracle_graphs():
+    return {"components": synth_digraph("planted", seed=0, sizes=[20, 20, 6],
+                                        p_out=0.0),
+            "planted": synth_digraph("planted", seed=4, sizes=(12, 12, 12)),
+            **degenerate_digraphs()}
+
+
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_batched_level_ids_match_the_per_seed_oracle(algo):
+    """Every trial of a batch gets the level ids that its seed gets when
+    clustered on its own, level after level on graph objects: three
+    levels, several starts, labeled seeds fixed or drawn per trial,
+    several weak components and the degenerate corpus."""
+    seeds = [3, 11, 12, 40, 41, 99]
+    kinds = set()
+    for name, G in _oracle_graphs().items():
+        rng = np.random.default_rng(len(name))
+        fixed = [{v: v % 3 for v in range(G.n)}] * len(seeds)
+        drawn = [{int(v): int(v) % 3
+                  for v in rng.choice(G.n, size=G.n // 2, replace=False)}
+                 for _ in seeds]
+        for K, n_init in (((2, 4, 8), 3), ((3, 5), 1)):
+            builder = TwinTreeBuilder(G, K, algo=algo, n_init=n_init)
+            for labeled in ([None] * len(seeds), fixed, drawn):
+                if algo == "mbo" and labeled[0] is None:
+                    continue
+                got = builder.level_ids_batch(seeds, labeled)
+                for seed, lab, ids in zip(seeds, labeled, got):
+                    want = seeded_level_ids(builder, seed, lab)
+                    assert [a.tolist() for a in ids] == [
+                        b.tolist() for b in want], (name, K, seed)
+                    kinds.add(("depth", len(ids[0])))
+                if len(builder.comps) > 1:
+                    kinds.add("components")
+    assert "components" in kinds
+    if algo != "mbo":
+        assert ("depth", 4) in kinds
+
+
+def test_trials_whose_clusters_coincide_continue_in_groups():
+    """Distances floored to even steps make points coincide, so trials
+    keep different numbers of clusters, at the finest level and again at
+    a coarse one; each group still matches its seeds' own hierarchies."""
+    G = synth_digraph("planted", seed=4, sizes=(10, 12, 14), p_in=0.3,
+                      p_out=0.05)
+    S = symmetrize(G, "os")
+
+    def coincident(cur):  # elementwise, so blockwise like the distances
+        return np.floor(_path_distance(cur, "raw") / 2)
+
+    K, seeds = (3, 5, 9), list(range(12))
+    got = _medoid_hierarchy(S, K, seeds, [None] * len(seeds), coincident)
+    sizes = got.max(axis=2) + 1
+    assert len(set(sizes[:, 2].tolist())) > 1
+    assert len(set(sizes[:, 1].tolist())) > 1
+    for levels, seed in zip(got, seeds):
+        want = seeded_hierarchy(S, K, seed, None, coincident)
+        assert [lab.tolist() for lab in levels] == [
+            lab.tolist() for lab in want]

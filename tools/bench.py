@@ -29,7 +29,10 @@ preparation is not timed, as ``twintree metrics`` prepares it once for
 all its trials; but nhc computes its finest-level distances on the
 first ``level_ids`` call, so the first trial (``metrics_first_trial_s``)
 pays for them once and the second (``metrics_steady_trial_s``) is what
-every later trial costs.  The
+every later trial costs.  ``metrics_batch_trial_s`` is the time per
+trial of a batch of 30 seeds, clustered as ``twintree metrics``
+clusters its trials (``TwinTreeBuilder.level_ids_batch``, or seed by
+seed in a checkout without it) and each scored.  The
 inner times, and the call counts next to them (``*_calls``), come from
 wrappers this script installs on the imported modules; the library has
 no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
@@ -54,6 +57,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+
+# seeds in the batch of metrics trials
+BATCH = 30
 
 
 def install_timers() -> dict:
@@ -122,6 +128,14 @@ def run_point(n: int) -> dict:
         start = time.perf_counter()
         align_and_score(G, *builder.level_ids(3), labels=G.labels)
         out[f"metrics_{trial}_trial_s"] = time.perf_counter() - start
+    # a checkout without the batched entry clusters seed by seed, as its
+    # own ``twintree metrics`` does
+    batch = getattr(builder, "level_ids_batch",
+                    lambda seeds: [builder.level_ids(s) for s in seeds])
+    start = time.perf_counter()
+    for ids in batch(list(range(BATCH))):
+        align_and_score(G, *ids, labels=G.labels)
+    out["metrics_batch_trial_s"] = (time.perf_counter() - start) / BATCH
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024
     out["omega"] = len(engine.freqs)
