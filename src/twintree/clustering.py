@@ -265,15 +265,16 @@ def _counts(labels: np.ndarray, k: int) -> np.ndarray:
 def _nearest(rows: np.ndarray, base: np.ndarray,
              centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each start's nearest center per point (ties to the lowest center
-    index) and the distance to it, by a running minimum over the
-    centers; start s reads rows[base[s] + c], the distances from c."""
-    own = rows[base + centers[:, 0]]
-    near = np.zeros(own.shape, dtype=np.intp)
-    for j in range(1, centers.shape[1]):
-        d = rows[base + centers[:, j]]
-        closer = d < own
-        np.minimum(own, d, out=own)
-        np.putmask(near, closer, j)
+    index) and the distance to it; start s reads rows[base[s] + c], the
+    distances from c.  Starts are gathered n // k at a time, so that no
+    (starts, k, n) gather holds more than n * n entries."""
+    (S, k), n = centers.shape, rows.shape[1]
+    near, own = np.empty((S, n), dtype=np.intp), np.empty((S, n))
+    step = max(1, n // k)
+    for lo in range(0, S, step):
+        to_centers = rows[base[lo:lo + step, None] + centers[lo:lo + step]]
+        near[lo:lo + step] = to_centers.argmin(axis=1)
+        own[lo:lo + step] = to_centers.min(axis=1)
     return near, own
 
 
@@ -309,28 +310,36 @@ def _medoids(flat: np.ndarray, which: np.ndarray, assign: np.ndarray,
     """
     S, n = assign.shape
     sizes = _counts(assign, k).ravel()  # cluster q = s * k + j
-    # cluster q's members, ascending, are by_vertex[first[q]:][:sizes[q]],
-    # and at[p] is where the row of by_vertex[p] starts in flat
-    by_vertex = np.argsort(assign, axis=1, kind="stable")
-    at = ((which * n)[:, None] + by_vertex).ravel() * n
-    by_vertex = by_vertex.ravel()
-    first = np.cumsum(sizes) - sizes
-    new = centers.ravel().copy()
     by_size = np.argsort(sizes, kind="stable")
     ranked = sizes[by_size]
-    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), S * k]
-    for lo, hi in zip(cuts, cuts[1:]):
-        m = int(ranked[lo])
-        if not m:  # empty clusters
+    # every start's vertices by cluster, ascending within each, and
+    # where each one's distance row starts in flat; then reordered so
+    # that the clusters come by size, cluster by_size[i] from start[i]
+    by_vertex = np.argsort(assign, axis=1, kind="stable")
+    row_at = ((which * n)[:, None] + by_vertex).ravel() * n
+    start = np.cumsum(ranked) - ranked
+    order = np.repeat((np.cumsum(sizes) - sizes)[by_size] - start, ranked)
+    order += np.arange(S * n)
+    members, row_at = by_vertex.ravel()[order], row_at[order]
+    cuts = [*(np.flatnonzero(np.diff(ranked)) + 1).tolist(), S * k]
+    first = int(np.searchsorted(ranked, 1))  # the first nonempty cluster
+    best = []
+    ranked, start = ranked.tolist(), start.tolist()
+    for lo, hi in zip([first, *cuts], cuts):
+        if lo >= hi:
             continue
+        m = ranked[lo]
         step = max(1, n * n // (m * m))
-        for start in range(lo, hi, step):
-            q = by_size[start:min(hi, start + step)]
-            pos = first[q][:, None] + np.arange(m)
-            members = by_vertex[pos]
-            within = flat.take(at[pos][:, :, None] + members[:, None, :])
-            new[q] = members[np.arange(q.size),
-                             np.argmin(within.sum(axis=2), axis=1)]
+        for a in range(lo, hi, step):
+            span = slice(start[a], start[a] + (min(hi, a + step) - a) * m)
+            block = members[span].reshape(-1, m)
+            within = flat.take(row_at[span].reshape(-1, m)[:, :, None]
+                               + block[:, None, :])
+            best.append(within.sum(axis=2).argmin(axis=1))
+    new = centers.ravel().copy()
+    if best:
+        new[by_size[first:]] = members[np.array(start[first:])
+                                       + np.concatenate(best)]
     return new.reshape(S, k)
 
 
@@ -468,7 +477,8 @@ def _descend(graph, blocks: int, K: tuple[int, ...], rngs: list,
     original vertices.  graph is G itself (blocks 0), or the union of
     one coarse graph per trial (blocks T); labels maps each trial's
     original vertices to graph's vertices of its own block.  Trials
-    whose coarse graphs differ in size continue in separate batches."""
+    whose coarse graphs differ in size, and trials beyond the first
+    n * n // k**2 of a coarse size k, continue in separate batches."""
     T = len(rngs)
     levels = []
     for li in range(len(K), 0, -1):
@@ -485,9 +495,14 @@ def _descend(graph, blocks: int, K: tuple[int, ...], rngs: list,
         levels.append(labels)
         if li == 1:  # the coarsest level's graph is never clustered
             break
+        # the trials go on in batches of one coarse size k, at most
+        # n * n // k**2 trials each, so that no batch's (trials, k, k)
+        # distances or weights hold more than n * n entries
         sizes = present.sum(axis=1)
-        groups = [np.flatnonzero(sizes == size)
-                  for size in np.unique(sizes).tolist()]
+        per = max(1, n * n // int(sizes.max()) ** 2)
+        groups = [same[lo:lo + per] for size in np.unique(sizes).tolist()
+                  for same in [np.flatnonzero(sizes == size)]
+                  for lo in range(0, same.size, per)]
         if len(groups) == 1:
             graph, blocks = coarse_grain(graph, assign), T
             continue

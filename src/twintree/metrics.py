@@ -50,15 +50,12 @@ def _partition_labels(partition: Sequence, n: int) -> tuple[np.ndarray, int]:
     missing from every part is an error, and so is n < 1."""
     if n < 1:
         raise ValueError(f"a partition needs at least one vertex, not n={n}")
-    parts = list(partition)
-    if parts and all(isinstance(p, np.ndarray) for p in parts):
-        sizes = [p.size for p in parts]  # one cast, of all parts
-        ids = np.concatenate(parts, dtype=np.intp, casting="unsafe")
-    else:
-        ids = [p.astype(np.intp, copy=False) if isinstance(p, np.ndarray)
-               else np.fromiter(p, dtype=np.intp) for p in parts]
-        sizes = [p.size for p in ids]
-        ids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
+    ids = [p if isinstance(p, np.ndarray) else np.fromiter(p, dtype=np.intp)
+           for p in partition]
+    sizes = [p.size for p in ids]
+    # one cast, of all parts at once
+    ids = (np.concatenate(ids, dtype=np.intp, casting="unsafe") if ids
+           else np.zeros(0, dtype=np.intp))
     if 0 in sizes:
         raise ValueError("empty cluster in partition")
     if ids.size and (ids.min() < 0 or ids.max() >= n):

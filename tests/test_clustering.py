@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -854,3 +856,26 @@ def test_trials_whose_clusters_coincide_continue_in_groups():
         want = seeded_hierarchy(S, K, seed, None, coincident)
         assert [lab.tolist() for lab in levels] == [
             lab.tolist() for lab in want]
+
+
+def test_coarse_batches_hold_no_more_than_a_few_n_by_n_matrices():
+    """With K[-1] = n / 2, one (trials, k, k) stack of 60 trials would
+    hold 15 n x n matrices; trials go on in batches of n**2 // k**2, so
+    that besides the level ids and its O(trials * n) arrays the whole
+    batch holds a few n x n matrices."""
+    G = synth_digraph("planted", seed=2, sizes=(40, 40, 40))
+    seeds = list(range(60))
+    for K in ((2, 60), (3, 30, 60)):
+        builder = TwinTreeBuilder(G, K)
+        builder.level_ids(0)  # the finest distances, kept from here on
+        tracemalloc.start()
+        try:
+            got = builder.level_ids_batch(seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for ids in got for a in ids)
+        assert peak - kept < 10 * G.n ** 2 * 8  # without batches: 48
+        for seed in seeds[::15]:
+            assert [a.tolist() for a in got[seed]] == [
+                b.tolist() for b in seeded_level_ids(builder, seed)]
