@@ -452,11 +452,12 @@ def cmd_metrics(args) -> int:
     It then clusters ``--trials`` times with child seeds (sampling
     --train-pct percent of each label class as training data when
     positive), all trials as one batch (``level_ids_batch``), scores
-    every level of each trial's twin trees' common refinement, and
-    writes mean/std rows per (level, metric).  A trial builds no tree:
-    the builder's level-id matrices number the nodes as the cluster
-    stage's trees do, and the graph's degree totals are computed once
-    for every score.  A random-coloring modularity
+    every level of each trial's twin trees' common refinement in one
+    ``align_and_score`` call for the batch, and writes mean/std rows per
+    (level, metric), each over the trials in trial order.  A trial
+    builds no tree: the builder's level-id matrices number the nodes as
+    the cluster stage's trees do, and the graph's degree totals are
+    computed once for every score.  A random-coloring modularity
     baseline is appended per level when --baseline-trials is positive.
     """
     ws = Path(args.out)
@@ -484,9 +485,10 @@ def cmd_metrics(args) -> int:
         labeled = [index] * args.trials
     by_level: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, list[float]] = {}
-    for es_ids, os_ids in builder.level_ids_batch(seeds, labeled):
-        for rec in metrics_mod.align_and_score(G, es_ids, os_ids,
-                                               labels=G.labels or None):
+    for trial in metrics_mod.align_and_score(
+            G, builder.level_ids_batch(seeds, labeled),
+            labels=G.labels or None):
+        for rec in trial:
             lv = rec["level"]
             slot = by_level.setdefault(lv, {})
             counts.setdefault(lv, []).append(float(rec["n_clusters"]))

@@ -13,9 +13,10 @@ vertex, each internal node's children partition its members, and leaves
 are single vertices.  The twin-tree builder runs the construction twice
 per digraph — once for each symmetrized companion — component by
 component, and numbers the nodes of each side in one level-id matrix
-(``TwinTreeBuilder.level_ids``).  That matrix is the only way a twin
-tree is assembled: ``build`` turns it into a ClusterTree, and the
-seeded metrics trials read it directly.
+(``TwinTreeBuilder.level_ids``, or ``level_ids_batch`` for many seeded
+trials at once).  That matrix is the only way a twin tree is
+assembled: ``build`` turns it into a ClusterTree, and the seeded
+metrics trials read it directly.
 """
 
 from __future__ import annotations
@@ -185,35 +186,64 @@ class ClusterTree:
             return cls.from_json_dict(json.load(fh))
 
 
-def _level_ids(levels: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """(len(levels) + 1, n) node ids: row d - 1 holds the node covering
+def _row_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, cut) of a (T, n) matrix of integer keys in [0, span):
+    ranks[t, v] is the rank of keys[t, v] among the distinct keys of row
+    t, which number cut[t + 1] - cut[t].  One np.unique over t * span +
+    key serves every row, the row being its leading sort key."""
+    T, n = keys.shape
+    rows = np.arange(T + 1) * span
+    distinct, rank = np.unique((keys + rows[:T, None]).ravel(),
+                               return_inverse=True)
+    cut = distinct.searchsorted(rows)
+    return rank.reshape(T, n) - cut[:T, None], cut
+
+
+def _level_ids(levels: np.ndarray, n: int) -> np.ndarray:
+    """(T, L + 1, n) node ids of a (T, L, n) stack of level label vectors,
+    one tree per trial t: row d - 1 of trial t holds the node covering
     each of n positions at depth d, the last row its single-vertex leaf.
 
     Below the root (node 0, holding every position), each level's nodes
     are its distinct (parent node, label) pairs in lexicographic order,
-    numbered on from the level above; the leaves, in position order,
-    come last.  So a parent's children come in label order, and a label
-    that meets two parents breaks the nesting.
+    numbered on from the level above; the leaves, by parent and then
+    position, come last.  So a parent's children come in label order,
+    and a label that meets two parents in one trial breaks the nesting.
+    Each trial is numbered as if it were alone, by one _row_ranks call
+    per level for all trials.
     """
-    ids = np.empty((len(levels) + 1, n), dtype=np.intp)
-    above = np.zeros(n, dtype=np.intp)  # node one level up
-    first = 1
-    for depth, lab in enumerate([*levels, np.arange(n)], start=1):
-        width = int(lab.max()) + 1 if lab.size else 1
-        pairs, node_of = np.unique(above * width + lab, return_inverse=True)
-        labs = pairs % width
-        if np.unique(labs).size < labs.size:
+    T, L = levels.shape[:2]
+    ids = np.empty((T, L + 1, n), dtype=np.intp)
+    above = np.zeros((T, n), dtype=np.intp)  # node one level up
+    first = np.ones(T, dtype=np.intp)  # each trial's next node id
+    trial = np.arange(T)[:, None]
+    for depth in range(1, L + 1):
+        lab = levels[:, depth - 1]
+        width = int(lab.max()) + 1
+        # a level has at most n nodes per trial, so the ids above are
+        # below 1 + (depth - 1) * n
+        rank, cut = _row_ranks(above * width + lab,
+                               (1 + (depth - 1) * n) * width)
+        # each trial's labels meet as many (parent, label) pairs
+        if np.count_nonzero(np.bincount((trial * width + lab).ravel())
+                            ) < cut[-1]:
             raise ValueError(f"level {depth} does not nest in level {depth-1}")
-        above = ids[depth - 1] = node_of + first
-        first += pairs.size
+        above = ids[:, depth - 1] = rank + first[:, None]
+        first += cut[1:] - cut[:-1]
+    # the leaves, each trial's n positions ranked by (parent, position):
+    # a stable sort does it without np.unique
+    rank = np.empty(T * n, dtype=np.intp)
+    rank[np.argsort((above + trial * (1 + L * n)).ravel(),
+                    kind="stable")] = np.arange(T * n)
+    ids[:, L] = rank.reshape(T, n) + (first[:, None] - n * trial)
     return ids
 
 
 def _tree_of_ids(idx: np.ndarray, ids: np.ndarray) -> ClusterTree:
-    """The ClusterTree of a ``_level_ids`` or ``_graft_ids`` matrix over
-    the vertices idx: the root 0 holds them all, and each id first met
-    in row d - 1 is a node at level d whose parent is its vertices' id
-    one row up.  An id met again in a deeper row (a shallow component's
+    """The ClusterTree of one trial's ``_level_ids`` or ``_graft_ids``
+    matrix over the vertices idx: the root 0 holds them all, and each
+    id first met in row d - 1 is a node at level d whose parent is its
+    vertices' id one row up.  An id met again in a deeper row (a shallow component's
     leaf standing in for it there) is skipped."""
     nodes = {0: ClusterNode(id=0, level=0, parent=None,
                             members=frozenset(idx.tolist()))}
@@ -919,16 +949,29 @@ class TwinTreeBuilder:
                         ) -> list[tuple[np.ndarray, np.ndarray]]:
         """level_ids(seeds[t], labeled[t]) for every trial t, the trials
         clustered as one batch (see _cluster_component); each trial's
-        matrices are those it gets on its own."""
+        matrices are those it gets on its own.  Per side, the trials
+        whose components all have the same depths are numbered by one
+        _level_ids call per component and grafted by one _graft_ids call
+        (for nhc and mll that is every trial)."""
         labeled = [None] * len(seeds) if labeled is None else labeled
-        sides = self._levels(seeds, labeled)
-        empty = np.zeros((0, 0), dtype=np.intp)
-        return [tuple(_graft_ids(self.G.n, self.comps, [
-                          _level_ids(empty if levels is None else levels[t],
-                                     idx.size)
-                          for idx, levels in zip(self.comps, side)])
-                      for side in sides)
-                for t in range(len(seeds))]
+        out = [[None, None] for _ in seeds]
+        for s, side in enumerate(self._levels(seeds, labeled)):
+            groups: dict[tuple, list[int]] = {}
+            for t in range(len(seeds)):
+                groups.setdefault(tuple(0 if levels is None else
+                                        len(levels[t]) for levels in side),
+                                  []).append(t)
+            for depths, group in groups.items():
+                blocks = [_level_ids(np.stack([levels[t] for t in group])
+                                     if depth else
+                                     np.zeros((len(group), 0, idx.size),
+                                              dtype=np.intp), idx.size)
+                          for idx, levels, depth in zip(self.comps, side,
+                                                        depths)]
+                for t, ids in zip(group, _graft_ids(self.G.n, self.comps,
+                                                    blocks)):
+                    out[t][s] = ids
+        return [tuple(pair) for pair in out]
 
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
@@ -962,21 +1005,21 @@ def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",
 
 def _graft_ids(n: int, comps: list[np.ndarray],
                blocks: list[np.ndarray]) -> np.ndarray:
-    """The level ids of the twin tree over weak components, from each
-    component's ``_level_ids`` block.  A single block is the whole
-    matrix.  Otherwise row 0 holds one node per component, the root's
-    children in component order, and each block moves one level down,
-    below its component's node, with its ids shifted past those of the
-    components before it; a shallow component's leaves stand in for it
-    at the deeper levels."""
+    """The (T, depth, n) level ids of T trials' twin trees over weak
+    components, from each component's (T, depth_c, size) ``_level_ids``
+    block.  A single block is the whole matrix.  Otherwise row 0 holds
+    one node per component, the root's children in component order, and
+    each block moves one level down, below its component's node, with
+    each trial's ids shifted past those of the components before it; a
+    shallow component's leaves stand in for it at the deeper levels."""
     if len(blocks) == 1:
         return blocks[0]
-    depth = 1 + max((len(block) for block in blocks), default=0)
-    ids = np.empty((depth, n), dtype=np.intp)
-    offset = 1
+    depth = 1 + max(block.shape[1] for block in blocks)
+    ids = np.empty((len(blocks[0]), depth, n), dtype=np.intp)
+    offset = np.ones((len(ids), 1), dtype=np.intp)
     for idx, block in zip(comps, blocks):
-        ids[0, idx] = offset
-        rows = np.minimum(np.arange(depth - 1), len(block) - 1)
-        ids[1:, idx] = block[rows] + offset
-        offset += int(block[-1].max()) + 1
+        ids[:, 0, idx] = offset
+        rows = np.minimum(np.arange(depth - 1), block.shape[1] - 1)
+        ids[:, 1:, idx] = block[:, rows] + offset[:, :, None]
+        offset += block[:, -1].max(axis=1, keepdims=True) + 1
     return ids

@@ -1,9 +1,11 @@
 """Cluster quality scores: modularity, set-matching measures, alignment.
 
-All scores accept a partition as a list of disjoint vertex sets
-covering 0..n-1.  Modularity follows the directed convention (out-
-degrees against in-degrees, total edge weight as the normalizer), so
-it applies unchanged to both digraphs and their symmetrizations.
+The public scores accept a partition as a list of disjoint vertex sets
+(any iterables of vertex ids, numpy arrays included) covering 0..n-1;
+``modularity`` also accepts a (trials, n) integer label matrix, whose
+rows it scores at once.  Modularity follows the directed convention
+(out-degrees against in-degrees, total edge weight as the normalizer),
+so it applies unchanged to both digraphs and their symmetrizations.
 
 Scores are computed on label vectors (a cluster index per vertex), to
 which a public function converts its partitions once, on entry.  One
@@ -13,11 +15,14 @@ in-weights over its vertices in vertex order, each sum running from
 0.0, and the clusters are added up in label order; the graph's total
 weight and degrees are computed once per graph
 (``WeightedDigraph.degree_totals``).  The seeded-trial protocol scores
-the twin trees' common refinement level by level, from the level-id
-matrices that ``TwinTreeBuilder.level_ids`` gives without building
-trees; and ``random_coloring_baseline`` scores its colorings in
-blocks.  On integer weights every sum is exact; on other weights a
-score can differ in the last bits from one summed in another order.
+all trials' twin trees together, level by level on their common
+refinements, from the level-id matrices that
+``TwinTreeBuilder.level_ids_batch`` gives without building trees: one
+label matrix, one modularity call and one contingency table per level
+for every trial that reaches it, a trial's unused bins adding exactly
++0.0.  ``random_coloring_baseline`` scores its colorings in blocks.  On
+integer weights every sum is exact; on other weights a score can differ
+in the last bits from one summed in another order.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterTree, _parts
+from .clustering import ClusterTree, _parts, _row_ranks
 from .digraph import WeightedDigraph, label_index
 
 
 Partition = list[frozenset]
 
 # random_coloring_baseline scores at most this many (coloring, stored
-# edge) pairs at once, which bounds its transient arrays.
+# edge) pairs at once, and a batched score about this many (row, stored
+# edge) or (row, contingency cell) pairs, which bounds their transient
+# arrays.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -70,17 +77,52 @@ def _partition_labels(partition: Sequence, n: int) -> tuple[np.ndarray, int]:
     return labels, len(sizes)
 
 
-def modularity(G: WeightedDigraph, partition: Sequence) -> float:
-    """Directed weighted modularity of a partition.
+def modularity(G: WeightedDigraph, partition: Sequence | np.ndarray
+               ) -> float | np.ndarray:
+    """Directed weighted modularity of a partition, or of each row of a
+    label matrix.
 
     (1/m) * sum over clusters of [ internal weight
         - (out-weight of cluster) * (in-weight of cluster) / m ].
     A graph with no edges has no modularity; a single cluster scores 0.
-    Clusters are added in partition order (see _modularity_scores).
+    Clusters are added in partition order (see _modularity_scores).  A
+    (trials, G.n) integer ndarray is a label matrix: row t is the
+    partition {v : labels[t, v] == j}, its clusters in label order, and
+    the result is an array of one score per row, the rows scored
+    together, in blocks of about BLOCK_ENTRIES (row, stored edge) pairs.
+    A label that a row does not use adds exactly +0.0, so each row
+    scores as its own partition does.
     """
-    labels, n_parts = _partition_labels(partition, G.n)
-    return float(_modularity_scores(G, labels[None, :], n_parts,
-                                    _degree_totals(G))[0])
+    matrix = isinstance(partition, np.ndarray) and partition.ndim == 2
+    if matrix:
+        # a label past n would only add empty bins, n_parts per row
+        if (partition.dtype.kind not in "iu" or partition.shape[0] < 1
+                or partition.shape[1] != G.n
+                or partition.min(initial=0) < 0
+                or partition.max(initial=0) >= G.n):
+            raise ValueError(f"a label matrix needs shape (trials >= 1, "
+                             f"{G.n}) and integer labels in [0, {G.n}), not "
+                             f"{partition.dtype} of shape {partition.shape}")
+        labels = partition.astype(np.intp, copy=False)
+        n_parts = int(labels.max(initial=0)) + 1
+    else:
+        labels, n_parts = _partition_labels(partition, G.n)
+        labels = labels[None]
+    totals = _degree_totals(G)
+    scores = _by_blocks(lambda rows: _modularity_scores(G, rows, n_parts,
+                                                        totals),
+                        labels, G.weights.nnz)
+    return scores if matrix else float(scores[0])
+
+
+def _by_blocks(score, rows: np.ndarray, per_row: int) -> np.ndarray:
+    """score(rows) of a batched score whose rows never share a bin, taken
+    max(1, BLOCK_ENTRIES // per_row) rows at a time, per_row being the
+    entries a row adds to its largest transient array.  The block size
+    does not change a score."""
+    step = max(1, BLOCK_ENTRIES // per_row)
+    return np.concatenate([score(rows[lo:lo + step])
+                           for lo in range(0, len(rows), step)])
 
 
 def _degree_totals(G: WeightedDigraph
@@ -157,23 +199,32 @@ def f_measure(pred: Sequence, truth: Sequence, n: int) -> float:
     """
     pred_labels, n_pred = _partition_labels(pred, n)
     truth_labels, n_truth = _partition_labels(truth, n)
-    return _label_f_measure(pred_labels, n_pred, truth_labels, n_truth)
+    return float(_label_f_measures(pred_labels[None], n_pred, truth_labels,
+                                   n_truth)[0])
 
 
-def _contingency(pred, n_pred: int, truth, n_truth: int) -> np.ndarray:
-    """Vertex counts of each (predicted, true) label pair, by one bincount."""
-    return np.bincount(pred * n_truth + truth,
-                       minlength=n_pred * n_truth).reshape(n_pred, n_truth)
+def _contingency(pred: np.ndarray, n_pred: int, truth: np.ndarray,
+                 n_truth: int) -> np.ndarray:
+    """(T, n_pred, n_truth) vertex counts of each (predicted, true) label
+    pair, per row of the (T, n) label matrix pred, by one bincount."""
+    T = len(pred)
+    bins = (pred + n_pred * np.arange(T)[:, None]) * n_truth + truth
+    return np.bincount(bins.ravel(), minlength=T * n_pred * n_truth
+                       ).reshape(T, n_pred, n_truth)
 
 
-def _label_f_measure(pred: np.ndarray, n_pred: int, truth: np.ndarray,
-                     n_truth: int) -> float:
-    """f_measure of two label vectors, from their contingency table; the
-    weighted best matches are added in predicted-label order."""
+def _label_f_measures(pred: np.ndarray, n_pred: int, truth: np.ndarray,
+                      n_truth: int) -> np.ndarray:
+    """f_measure of each row of the (T, n) label matrix pred against the
+    label vector truth, whose n_truth classes are all nonempty, from one
+    contingency table; each row's weighted best matches are added in
+    predicted-label order.  A label that a row does not use matches
+    nothing and adds exactly +0.0."""
     overlap = _contingency(pred, n_pred, truth, n_truth)
-    size = overlap.sum(axis=1)
-    best = (2.0 * overlap / (size[:, None] + overlap.sum(axis=0))).max(axis=1)
-    return float(np.cumsum(size * best)[-1] / pred.size)
+    size = overlap.sum(axis=2)
+    best = (2.0 * overlap / (size[:, :, None] + overlap.sum(axis=1)[:, None])
+            ).max(axis=2)
+    return np.cumsum(size * best, axis=1)[:, -1] / pred.shape[1]
 
 
 def confusion_matrix(pred: Sequence, truth: Sequence, n: int) -> np.ndarray:
@@ -188,19 +239,23 @@ def confusion_matrix(pred: Sequence, truth: Sequence, n: int) -> np.ndarray:
     """
     pred_labels, n_pred = _partition_labels(pred, n)
     truth_labels, n_truth = _partition_labels(truth, n)
-    overlap = _contingency(pred_labels, n_pred, truth_labels, n_truth)
+    overlap = _contingency(pred_labels[None], n_pred, truth_labels,
+                           n_truth)[0]
     M = np.zeros((n_truth, n_truth))
     np.add.at(M, overlap.argmax(axis=1), overlap / overlap.sum(axis=0))
     return M
 
 
 def _product_labels(es_ids: np.ndarray, os_ids: np.ndarray
-                    ) -> tuple[np.ndarray, int]:
-    """(label vector, cluster count) of the common refinement: vertices
-    grouped by the pair (es node, os node), groups in sorted pair order."""
-    pairs, labels = np.unique(es_ids * (int(os_ids.max()) + 1) + os_ids,
-                              return_inverse=True)
-    return labels, pairs.size
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n) label matrix and (T,) cluster counts of the common
+    refinements of the rows of two (T, n) node-id matrices: row t's
+    vertices grouped by the pair (es node, os node), groups numbered 0,
+    1, ... in sorted pair order, every row by one ``_row_ranks`` call."""
+    width = int(os_ids.max()) + 1
+    labels, cut = _row_ranks(es_ids * width + os_ids,
+                             (int(es_ids.max()) + 1) * width)
+    return labels, cut[1:] - cut[:-1]
 
 
 def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
@@ -218,28 +273,35 @@ def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
                              f" not over {len(tree.vertices())} vertices")
         ids.append(np.fromiter((tree.ancestor_at_level(v, level)
                                 for v in range(n)), dtype=np.intp, count=n))
-    labels, _ = _product_labels(*ids)
-    return [frozenset(part.tolist()) for part in _parts(labels)]
+    labels, _ = _product_labels(*(row[None] for row in ids))
+    return [frozenset(part.tolist()) for part in _parts(labels[0])]
 
 
-def align_and_score(G: WeightedDigraph, es_ids: np.ndarray,
-                    os_ids: np.ndarray,
+def align_and_score(G: WeightedDigraph,
+                    batch: Sequence[tuple[np.ndarray, np.ndarray]],
                     labels: Optional[dict[int, tuple]] = None
-                    ) -> list[dict]:
-    """Score the twin trees level by level on their common refinement.
+                    ) -> list[list[dict]]:
+    """Score each trial's twin trees level by level on their common
+    refinement.
 
-    Each tree is its (depth, G.n) level-id matrix, as returned by
-    ``TwinTreeBuilder.level_ids``.  Returns one record per level
-    1 .. the shallower tree's depth, with the cluster count and
-    modularity, plus the F score against ground-truth labels when given
-    (labels use their first path component as the class).  Every
-    level's refinement is a label vector, the pair of the two trees'
-    ids in that level's rows; ``modularity`` scores its parts.
+    batch holds one (es, os) pair of (depth, G.n) level-id matrices per
+    trial, as ``TwinTreeBuilder.level_ids_batch`` returns them.  Returns
+    per trial one record per level 1 .. the shallower tree's depth, with
+    the cluster count and modularity, plus the F score against
+    ground-truth labels when given (labels use their first path
+    component as the class).  Each level is scored for every trial that
+    reaches it at once: one np.unique over (trial, es id, os id) gives
+    the refinements' label matrix, one ``modularity`` call scores it, and
+    one contingency bincount gives the F scores (both in blocks of about
+    BLOCK_ENTRIES entries).  A trial with fewer clusters than another
+    pads its bins, which add exactly +0.0, so each score is the one its
+    trial gets alone.
     """
-    for side, ids in (("es", es_ids), ("os", os_ids)):
-        if np.ndim(ids) != 2 or len(ids) < 1 or np.shape(ids)[1] != G.n:
-            raise ValueError(f"{side} level ids have shape {np.shape(ids)},"
-                             f" not (depth >= 1, {G.n})")
+    for t, (es, os_) in enumerate(batch):
+        for side, ids in (("es", es), ("os", os_)):
+            if np.ndim(ids) != 2 or len(ids) < 1 or np.shape(ids)[1] != G.n:
+                raise ValueError(f"trial {t}: {side} level ids have shape "
+                                 f"{np.shape(ids)}, not (depth >= 1, {G.n})")
     truth = None
     if labels:
         index = label_index(labels)
@@ -248,16 +310,22 @@ def align_and_score(G: WeightedDigraph, es_ids: np.ndarray,
         if np.any(truth < 0):
             raise ValueError(f"vertex {np.argmax(truth < 0)} has no label")
         classes, truth = np.unique(truth, return_inverse=True)
-    records = []
-    for level, (es_row, os_row) in enumerate(zip(es_ids, os_ids), start=1):
-        lab, n_clusters = _product_labels(es_row, os_row)
-        rec = {
-            "level": level,
-            "n_clusters": n_clusters,
-            "modularity": modularity(G, _parts(lab)),
-        }
-        if truth is not None:
-            rec["f_measure"] = _label_f_measure(lab, n_clusters, truth,
-                                                classes.size)
-        records.append(rec)
+    depth = [min(len(es), len(os_)) for es, os_ in batch]
+    records: list[list[dict]] = [[] for _ in batch]
+    for level in range(1, max(depth, default=0) + 1):
+        reach = [t for t, d in enumerate(depth) if d >= level]
+        es, os_ = (np.stack([batch[t][side][level - 1] for t in reach])
+                   for side in (0, 1))
+        lab, counts = _product_labels(es, os_)
+        scores = modularity(G, lab).tolist()
+        n_pred = int(counts.max())
+        f_scores = None if truth is None else _by_blocks(
+            lambda rows: _label_f_measures(rows, n_pred, truth, classes.size),
+            lab, n_pred * classes.size).tolist()
+        for i, t in enumerate(reach):
+            rec = {"level": level, "n_clusters": int(counts[i]),
+                   "modularity": scores[i]}
+            if f_scores is not None:
+                rec["f_measure"] = f_scores[i]
+            records[t].append(rec)
     return records

@@ -17,8 +17,7 @@ from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
 from twintree.clustering import (ClusterNode, ClusterTree, _embedding_distance,
-                                 _graft_ids, _initial_centers,
-                                 _label_seed_vertices, _level_ids,
+                                 _initial_centers, _label_seed_vertices,
                                  _path_distance, check_level_spec,
                                  coarse_grain, mbo_cluster)
 from twintree.digraph import UndirectedGraph
@@ -690,12 +689,53 @@ def _seeded_component(comp, algo: str, edge_length: str, seed: int,
                             finest=assign)
 
 
+def trial_level_ids(levels, n: int) -> np.ndarray:
+    """(len(levels) + 1, n) node ids of one trial's level label vectors,
+    numbered level by level: below the root (node 0), each level's nodes
+    are its distinct (parent node, label) pairs in lexicographic order,
+    numbered on from the level above, and the leaves come last; a label
+    that meets two parents raises.  The per-trial numbering that
+    ``clustering._level_ids`` runs for a whole batch."""
+    ids = np.empty((len(levels) + 1, n), dtype=np.intp)
+    above = np.zeros(n, dtype=np.intp)  # node one level up
+    first = 1
+    for depth, lab in enumerate([*levels, np.arange(n)], start=1):
+        width = int(lab.max()) + 1 if lab.size else 1
+        pairs, node_of = np.unique(above * width + lab, return_inverse=True)
+        labs = pairs % width
+        if np.unique(labs).size < labs.size:
+            raise ValueError(f"level {depth} does not nest in level {depth-1}")
+        above = ids[depth - 1] = node_of + first
+        first += pairs.size
+    return ids
+
+
+def trial_graft_ids(n: int, comps, blocks) -> np.ndarray:
+    """One trial's level ids over weak components, from each component's
+    ``trial_level_ids`` block, grafted component by component: row 0
+    numbers the components 1, 2, ... past the ids of the components
+    before, and a shallow component's leaves repeat down to the deepest
+    level."""
+    if len(blocks) == 1:
+        return blocks[0]
+    depth = 1 + max((len(block) for block in blocks), default=0)
+    ids = np.empty((depth, n), dtype=np.intp)
+    offset = 1
+    for idx, block in zip(comps, blocks):
+        ids[0, idx] = offset
+        rows = np.minimum(np.arange(depth - 1), len(block) - 1)
+        ids[1:, idx] = block[rows] + offset
+        offset += int(block[-1].max()) + 1
+    return ids
+
+
 def seeded_level_ids(builder, seed: int, labeled=None):
     """The twin trees' level-id matrices of one seed, from a
     TwinTreeBuilder's preparation (components, companions, clipped
     level sizes) but with its clustering redone seed by seed: each
     side and component clusters with its own spawned seed through
-    ``seeded_hierarchy``."""
+    ``seeded_hierarchy``, and its ids come from ``trial_level_ids`` and
+    ``trial_graft_ids``."""
     comp_seeds = [s.generate_state(1)[0] for s in
                   np.random.SeedSequence(seed).spawn(2 * len(builder.comps))]
     out = []
@@ -705,8 +745,8 @@ def seeded_level_ids(builder, seed: int, labeled=None):
             levels = [] if comp is None else _seeded_component(
                 comp, builder.algo, builder.edge_length,
                 int(comp_seeds[2 * ci + side_index]), labeled, builder.n_init)
-            blocks.append(_level_ids(levels, idx.size))
-        out.append(_graft_ids(builder.G.n, builder.comps, blocks))
+            blocks.append(trial_level_ids(levels, idx.size))
+        out.append(trial_graft_ids(builder.G.n, builder.comps, blocks))
     return tuple(out)
 
 

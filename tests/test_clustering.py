@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 
 from twintree import clustering
+from twintree.cli import _sample_training_labels
 from twintree.clustering import (ClusterNode, ClusterTree, TwinTreeBuilder,
                                  _label_seed_vertices, _medoid_hierarchy,
                                  _path_distance, check_level_spec,
@@ -18,14 +19,16 @@ from twintree.metrics import _partition_labels
 from oracles import (coarse_grain_brute, exhaustive_two_medoid,
                      graft_by_offset, label_propagation, medoid_iterate_ix,
                      random_walk_embedding, seeded_hierarchy,
-                     seeded_level_ids, set_hierarchy, tree_by_subset_scan)
+                     seeded_level_ids, set_hierarchy, trial_graft_ids,
+                     trial_level_ids, tree_by_subset_scan)
 from util import degenerate_digraphs, random_digraph, random_nested_partitions
 
 
 def tree_of_levels(idx, levels):
     """The ClusterTree whose level l + 1 clusters idx by levels[l]."""
-    return clustering._tree_of_ids(idx,
-                                   clustering._level_ids(levels, idx.size))
+    return clustering._tree_of_ids(
+        idx, clustering._level_ids(np.reshape(levels, (1, -1, idx.size)),
+                                   idx.size)[0])
 
 
 def chain_tree():
@@ -46,10 +49,19 @@ def test_level_ids_build_nested_levels():
 
 
 def test_level_ids_reject_levels_that_do_not_nest():
-    # {1, 2} at level 2 meets both {0, 1} and {2, 3} of level 1
-    with pytest.raises(ValueError, match="level 2 does not nest in level 1"):
-        clustering._level_ids([np.array([0, 0, 1, 1]),
-                               np.array([0, 1, 1, 2])], 4)
+    # {1, 2} at level 2 meets both {0, 1} and {2, 3} of level 1, in the
+    # second trial of the batch; the first trial nests
+    nests = [[0, 0, 1, 1], [0, 0, 1, 2]]
+    breaks = [[0, 0, 1, 1], [0, 1, 1, 2]]
+    for batch in ([breaks], [nests, breaks]):
+        with pytest.raises(ValueError,
+                           match="level 2 does not nest in level 1"):
+            clustering._level_ids(np.array(batch), 4)
+    # a label may meet different parents in different trials
+    batch = np.array([nests, [[0, 1, 1, 1], [1, 0, 0, 2]]])
+    got = clustering._level_ids(batch, 4)
+    assert [ids.tolist() for ids in got] == [
+        trial_level_ids(levels, 4).tolist() for levels in batch]
 
 
 def test_random_nested_partitions_always_build():
@@ -834,6 +846,41 @@ def test_batched_level_ids_match_the_per_seed_oracle(algo):
     assert "components" in kinds
     if algo != "mbo":
         assert ("depth", 4) in kinds
+
+
+@pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])
+def test_batched_numbering_matches_the_per_trial_oracle(algo):
+    """level_ids_batch numbers and grafts every trial's level labels as
+    trial_level_ids and trial_graft_ids do for that trial alone: on the
+    degenerate corpus, on three weak components of unequal depth, and,
+    for mbo, on per-trial training samples that give the trials of one
+    batch different depths."""
+    seeds = list(range(8))
+    kinds = set()
+    for name, G in _oracle_graphs().items():
+        index = {v: v % 3 for v in range(G.n)}
+        samples = [[None] * len(seeds), [index] * len(seeds),
+                   *([_sample_training_labels(index, pct, seed)
+                      for seed in seeds] for pct in (5, 30))]
+        builder = TwinTreeBuilder(G, (2, 4, 8), algo=algo)
+        for labeled in samples[1:] if algo == "mbo" else samples[:2]:
+            got = builder.level_ids_batch(seeds, labeled)
+            sides = builder._levels(seeds, labeled)
+            for t, ids in enumerate(got):
+                for s, side in enumerate(sides):
+                    want = trial_graft_ids(G.n, builder.comps, [
+                        trial_level_ids([] if levels is None else levels[t],
+                                        idx.size)
+                        for idx, levels in zip(builder.comps, side)])
+                    assert ids[s].tolist() == want.tolist(), (name, t, s)
+                    depths = {0 if levels is None else len(levels[t])
+                              for levels in side}
+                    kinds.add(("unequal components", len(depths) > 1))
+            kinds.add(("unequal trials", any(
+                len({len(ids[s]) for ids in got}) > 1 for s in (0, 1))))
+    assert ("unequal components", True) in kinds
+    if algo == "mbo":
+        assert ("unequal trials", True) in kinds
 
 
 def test_trials_whose_clusters_coincide_continue_in_groups():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -258,7 +260,7 @@ def test_product_partition_needs_trees_over_range_n(twin_trees):
 
 def test_alignment_records_all_levels(twin_ids):
     G, es, os_ = twin_ids
-    records = align_and_score(G, es, os_)
+    (records,) = align_and_score(G, [(es, os_)])
     depth = min(len(es), len(os_))
     assert [r["level"] for r in records] == list(range(1, depth + 1))
     for r in records:
@@ -267,12 +269,13 @@ def test_alignment_records_all_levels(twin_ids):
         assert "f_measure" not in r
     counts = [r["n_clusters"] for r in records]
     assert counts == sorted(counts)
+    assert align_and_score(G, []) == []
 
 
 def test_alignment_scores_against_labels(twin_ids):
     G, es, os_ = twin_ids
     labels = {v: (("left" if v < 13 else "right"), v) for v in range(G.n)}
-    records = align_and_score(G, es, os_, labels=labels)
+    (records,) = align_and_score(G, [(es, os_)], labels=labels)
     assert [r["level"] for r in records] == list(
         range(1, min(len(es), len(os_)) + 1))
     for r in records:
@@ -283,7 +286,7 @@ def test_alignment_requires_complete_labels(twin_ids):
     G, es, os_ = twin_ids
     labels = {v: ("a",) for v in range(G.n - 1)}
     with pytest.raises(ValueError, match="no label"):
-        align_and_score(G, es, os_, labels=labels)
+        align_and_score(G, [(es, os_)], labels=labels)
 
 
 def test_alignment_requires_level_id_matrices(twin_trees, twin_ids):
@@ -292,9 +295,9 @@ def test_alignment_requires_level_id_matrices(twin_trees, twin_ids):
     for bad in (es[:, :-1], np.hstack([es, es]), es[0], es[:0], tree):
         for args in ((bad, os_), (es, bad)):
             side = "es" if args[0] is bad else "os"
-            with pytest.raises(ValueError, match=rf"{side} level ids have "
-                               rf"shape .*, not \(depth >= 1, {G.n}\)"):
-                align_and_score(G, *args)
+            with pytest.raises(ValueError, match=rf"trial 1: {side} level ids "
+                               rf"have shape .*, not \(depth >= 1, {G.n}\)"):
+                align_and_score(G, [(es, os_), args])
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +310,22 @@ def degenerate_scores():
         builder = TwinTreeBuilder(G, (2, 6))
         out.append((G, builder.build(7), builder.level_ids(7), labels))
     return out
+
+
+def per_trial_records(G, trees, truth):
+    """The records of one trial's twin trees by the per-trial route: each
+    level's common refinement as frozensets by ``ancestor_at_level``,
+    scored by ``modularity`` of that partition and ``f_measure_brute``."""
+    es, os_ = trees
+    records = []
+    for level in range(1, min(es.depth(), os_.depth()) + 1):
+        parts = product_partition_by_ancestors(es, os_, level, G.n)
+        rec = {"level": level, "n_clusters": len(parts),
+               "modularity": modularity(G, parts)}
+        if truth is not None:
+            rec["f_measure"] = f_measure_brute(parts, truth, G.n)
+        records.append(rec)
+    return records
 
 
 def test_scoring_matches_the_frozenset_route(degenerate_scores):
@@ -323,19 +342,90 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
             for tree in (es, os_):
                 assert tree.partition_at_level(level) == (
                     product_partition_by_ancestors(tree, tree, level, G.n))
-        records = align_and_score(G, *ids, labels)
-        assert [rec["level"] for rec in records] == list(
-            range(1, min(es.depth(), os_.depth()) + 1))
+        (records,) = align_and_score(G, [ids], labels)
+        assert records == per_trial_records(G, (es, os_), truth)
         for rec in records:
             parts = product_partition_by_ancestors(es, os_, rec["level"], G.n)
-            assert rec["n_clusters"] == len(parts)
-            assert rec["f_measure"] == f_measure_brute(parts, truth, G.n)
             want = modularity_sliced(G, parts)
             if integral:
                 assert rec["modularity"] == want
             else:
                 assert rec["modularity"] == pytest.approx(want, abs=1e-12)
     assert kinds == {True, False}
+
+
+def test_batched_scoring_equals_the_per_trial_route(monkeypatch):
+    """One align_and_score call over a batch mixing level sizes, seeds and
+    clusterers gives every trial the records of the per-trial route, bit
+    for bit: on integer and on lognormal weights, with trials of
+    different cluster counts at one level (padded bins) and of unequal
+    depth (a level is scored over the trials that reach it), whether
+    the trials are scored one at a time or all in one block."""
+    rng = np.random.default_rng(23)
+    lognormal = lognormal_digraph(rng, 40, 0.15)
+    graphs = {"planted": synth_digraph("planted", seed=4, sizes=(12, 12, 12)),
+              "lognormal": lognormal, **degenerate_digraphs()}
+    kinds = set()
+    for name, G in graphs.items():
+        integral = bool(np.all(G.weights.data == np.round(G.weights.data)))
+        classes = [v % 3 for v in range(G.n)]
+        labels = {v: (f"c{c}", v) for v, c in enumerate(classes)}
+        trees, batch = [], []
+        for K, algo, seeds in (((2, 6), "nhc", (1, 2, 3)),
+                               ((2, 4, 8), "nhc", (4, 5)),
+                               ((3,), "mll", (6,)),
+                               ((2, 6), "mbo", (7,))):
+            builder = TwinTreeBuilder(G, K, algo=algo)
+            lab = {v: c for v, c in enumerate(classes)}
+            for seed in seeds:
+                trees.append(builder.build(seed, lab))
+                batch.append(builder.level_ids(seed, lab))
+        for truth in (None, partition_from_labels(classes)):
+            want = [per_trial_records(G, pair, truth) for pair in trees]
+            for entries in (1, 1 << 40):
+                monkeypatch.setattr(metrics, "BLOCK_ENTRIES", entries)
+                got = align_and_score(G, batch, labels if truth else None)
+                assert got == want, (name, entries)
+        depths = {len(recs) for recs in got}
+        kinds.add(("integral", integral))
+        kinds.add(("unequal depth", len(depths) > 1))
+        kinds.add(("padded", any(
+            len({recs[level]["n_clusters"] for recs in got
+                 if len(recs) > level}) > 1 for level in range(max(depths)))))
+    assert kinds >= {("integral", True), ("integral", False),
+                     ("unequal depth", True), ("padded", True)}
+
+
+def test_modularity_scores_each_row_of_a_label_matrix(monkeypatch):
+    rng = np.random.default_rng(24)
+    for n, k in ((30, 4), (9, 5), (60, 12)):
+        for G in (lognormal_digraph(rng, n, 0.2),
+                  random_digraph(rng, n, density=0.3)):
+            rows = rng.integers(0, k, size=(6, n))
+            rows[1] = np.where(rows[1] == 1, 0, rows[1])  # skips label 1
+            rows[2] = 0  # one cluster
+            got = modularity(G, rows)
+            assert got.shape == (6,)
+            monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 1)  # a row a block
+            assert modularity(G, rows).tolist() == got.tolist()
+            monkeypatch.undo()
+            for row, score in zip(rows, got.tolist()):
+                assert score == modularity(G, partition_from_labels(row))
+                assert score == modularity_sequential(G, row)
+            assert got.tolist() == modularity(
+                G, rows.astype(np.uint8)).tolist()
+
+
+def test_modularity_rejects_a_malformed_label_matrix():
+    G = random_digraph(np.random.default_rng(25), 6, density=0.5)
+    good = np.zeros((2, 6), dtype=int)
+    for bad in (good - 1, good + 6, good[:, :5], np.hstack([good, good]),
+                good.astype(float), good[:0]):
+        with pytest.raises(ValueError, match=r"label matrix needs shape "
+                           r"\(trials >= 1, 6\) and integer labels in "
+                           r"\[0, 6\), not .* of shape "
+                           + re.escape(str(bad.shape))):
+            modularity(G, bad)
 
 
 @pytest.mark.parametrize("algo", ["nhc", "mll", "mbo"])

@@ -30,9 +30,12 @@ all its trials; but nhc computes its finest-level distances on the
 first ``level_ids`` call, so the first trial (``metrics_first_trial_s``)
 pays for them once and the second (``metrics_steady_trial_s``) is what
 every later trial costs.  ``metrics_batch_trial_s`` is the time per
-trial of a batch of 30 seeds, clustered as ``twintree metrics``
-clusters its trials (``TwinTreeBuilder.level_ids_batch``, or seed by
-seed in a checkout without it) and each scored.  The
+trial of a batch of 30 seeds, clustered and scored as ``twintree
+metrics`` does it (``TwinTreeBuilder.level_ids_batch``, or seed by
+seed in a checkout without it; then one ``align_and_score`` call for
+the batch, or one per trial in a checkout whose ``align_and_score``
+takes one trial's (es, os) matrices), and ``metrics_score_trial_s`` the
+scoring part of it alone, per trial.  The
 inner times, and the call counts next to them (``*_calls``), come from
 wrappers this script installs on the imported modules; the library has
 no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
@@ -45,6 +48,7 @@ Children run with OMP_NUM_THREADS=1 unless the caller sets it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -93,6 +97,15 @@ def install_timers() -> dict:
     return totals
 
 
+def score(align_and_score, G, batch: list, labels) -> list:
+    """Every trial's records of a batch of (es, os) level-id pairs: one
+    call with the batch signature, or one per trial in a checkout whose
+    ``align_and_score`` takes one trial's two matrices."""
+    if "batch" in inspect.signature(align_and_score).parameters:
+        return align_and_score(G, batch, labels=labels)
+    return [align_and_score(G, *ids, labels=labels) for ids in batch]
+
+
 def run_point(n: int) -> dict:
     """One run of L(n) in this process; returns its measurements."""
     import scipy.optimize  # noqa: F401  (keeps its import out of lp_s)
@@ -126,16 +139,19 @@ def run_point(n: int) -> dict:
     builder = TwinTreeBuilder(G, (2, 8))
     for trial in ("first", "steady"):
         start = time.perf_counter()
-        align_and_score(G, *builder.level_ids(3), labels=G.labels)
+        score(align_and_score, G, [builder.level_ids(3)], G.labels)
         out[f"metrics_{trial}_trial_s"] = time.perf_counter() - start
     # a checkout without the batched entry clusters seed by seed, as its
     # own ``twintree metrics`` does
     batch = getattr(builder, "level_ids_batch",
                     lambda seeds: [builder.level_ids(s) for s in seeds])
     start = time.perf_counter()
-    for ids in batch(list(range(BATCH))):
-        align_and_score(G, *ids, labels=G.labels)
-    out["metrics_batch_trial_s"] = (time.perf_counter() - start) / BATCH
+    ids = batch(list(range(BATCH)))
+    scoring = time.perf_counter()
+    score(align_and_score, G, ids, G.labels)
+    end = time.perf_counter()
+    out["metrics_batch_trial_s"] = (end - start) / BATCH
+    out["metrics_score_trial_s"] = (end - scoring) / BATCH
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024
     out["omega"] = len(engine.freqs)
