@@ -445,20 +445,19 @@ class GridAnalysis:
         k1, k2 = self.freqs.k1, self.freqs.k2
         raw = TensorRows(self._v1, self._v2, k1, k2)
         if mode == "exact":
-            self._rows, kept, dropped = gram_orthonormalize(raw, self.nu)
+            self._rows, kept, _ = gram_orthonormalize(raw, self.nu)
             if len(kept) < len(grid):
                 raise AssertionError(
                     f"exact mode kept {len(kept)} rows for {len(grid)} grid "
                     "points; their span must be all of R^N")
         else:
-            kept, dropped = list(range(len(k1))), []
+            kept = list(range(len(k1)))
             self._rows = np.empty(raw.shape)
             for s in range(0, len(k1), CHUNK):  # no |Omega| x N temporary
                 self._rows[s:s + CHUNK] = raw[s:s + CHUNK]
         self.is_active = np.zeros(len(k1), dtype=bool)
         self.is_active[kept] = True
         self.active = list(zip(k1[kept].tolist(), k2[kept].tolist()))
-        self.dropped = list(zip(k1[dropped].tolist(), k2[dropped].tolist()))
         self._index = {k: i for i, k in enumerate(self.active)}
         self.omega_shell = shell_array(k1, k2, self.base)
         self._shell = self.omega_shell[kept]
@@ -468,6 +467,14 @@ class GridAnalysis:
 
     def __len__(self) -> int:
         return len(self.grid)
+
+    @property
+    def dropped(self) -> list[tuple[int, int]]:
+        """The indices of Omega outside ``active``, in Omega order, made
+        on each access from ``is_active`` rather than kept."""
+        gone = ~self.is_active
+        return list(zip(self.freqs.k1[gone].tolist(),
+                        self.freqs.k2[gone].tolist()))
 
     def row(self, k) -> np.ndarray:
         return self._rows[self._index[tuple(k)]]

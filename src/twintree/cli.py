@@ -372,7 +372,7 @@ def cmd_analyze(args) -> int:
         "grid_points": len(engine.grid),
         "omega_size": len(engine.freqs),
         "active": len(engine.active),
-        "dropped": len(engine.dropped),
+        "dropped": len(engine.freqs) - len(engine.active),
         "max_shell": engine.max_shell(),
         "orthogonality_defect": defect,
         "reconstruction_residual": resid,
@@ -451,14 +451,16 @@ def cmd_metrics(args) -> int:
     from, on its own a new one with the parameters config.json records.
     It then clusters ``--trials`` times with child seeds (sampling
     --train-pct percent of each label class as training data when
-    positive), all trials as one batch (``level_ids_batch``), scores
-    every level of each trial's twin trees' common refinement in one
-    ``align_and_score`` call for the batch, and writes mean/std rows per
-    (level, metric), each over the trials in trial order.  A trial
-    builds no tree: the builder's level-id matrices number the nodes as
-    the cluster stage's trees do, and the graph's degree totals are
-    computed once for every score.  A random-coloring modularity
-    baseline is appended per level when --baseline-trials is positive.
+    positive), all trials as one batch (``level_ids_batch``, two
+    (trials, depth, n) level-id stacks), scores every level of the
+    trials' twin trees' common refinements in one ``align_and_score``
+    call, and writes mean/std rows per (level, metric), each taken
+    straight from that level's array of scores over the trials that
+    reach it, in trial order.  A trial builds no tree: the builder's
+    level-id stacks number the nodes as the cluster stage's trees do,
+    and the graph's degree totals are computed once for every score.  A
+    random-coloring modularity baseline is appended per level when
+    --baseline-trials is positive.
     """
     ws = Path(args.out)
     cfg = _load_config(ws)
@@ -483,28 +485,17 @@ def cmd_metrics(args) -> int:
                    for tseed in seeds]
     elif cl.get("labeled") and G.labels:
         labeled = [index] * args.trials
-    by_level: dict[int, dict[str, list[float]]] = {}
-    counts: dict[int, list[float]] = {}
-    for trial in metrics_mod.align_and_score(
-            G, builder.level_ids_batch(seeds, labeled),
-            labels=G.labels or None):
-        for rec in trial:
-            lv = rec["level"]
-            slot = by_level.setdefault(lv, {})
-            counts.setdefault(lv, []).append(float(rec["n_clusters"]))
-            slot.setdefault("modularity", []).append(rec["modularity"])
-            if "f_measure" in rec:
-                slot.setdefault("f_measure", []).append(rec["f_measure"])
     rows = []
-    for lv in sorted(by_level):
-        k_mean = float(np.mean(counts[lv]))
+    for rec in metrics_mod.align_and_score(
+            G, *builder.level_ids_batch(seeds, labeled),
+            labels=G.labels or None):
+        lv = rec["level"]
+        k_mean = float(rec["n_clusters"].mean())
         for metric in ("modularity", "f_measure"):
-            vals = by_level[lv].get(metric)
-            if not vals:
-                continue
-            arr = np.array(vals)
-            rows.append([lv, k_mean, metric, float(arr.mean()),
-                         float(arr.std()), len(vals)])
+            if metric in rec:
+                vals = rec[metric]
+                rows.append([lv, k_mean, metric, float(vals.mean()),
+                             float(vals.std()), len(vals)])
         if args.baseline_trials > 0:
             base_seed = int(np.random.SeedSequence(
                 [args.seed, 77, lv]).generate_state(1)[0])

@@ -12,11 +12,11 @@ A ClusterTree records the hierarchy: the root at level 0 holds every
 vertex, each internal node's children partition its members, and leaves
 are single vertices.  The twin-tree builder runs the construction twice
 per digraph — once for each symmetrized companion — component by
-component, and numbers the nodes of each side in one level-id matrix
-(``TwinTreeBuilder.level_ids``, or ``level_ids_batch`` for many seeded
-trials at once).  That matrix is the only way a twin tree is
-assembled: ``build`` turns it into a ClusterTree, and the seeded
-metrics trials read it directly.
+component, and numbers the nodes of each side in one (trials, depth, n)
+level-id stack (``TwinTreeBuilder.level_ids_batch``), the trials of a
+batch clustered and numbered together.  That stack is the only way a
+twin tree is assembled: ``build`` turns a batch of one into a
+ClusterTree, and the seeded metrics trials read it directly.
 """
 
 from __future__ import annotations
@@ -823,10 +823,10 @@ class _Component:
 
 def _cluster_component(comp: _Component, algo: str, seeds: Sequence[int],
                        labeled: Sequence[Optional[dict]],
-                       n_init: int) -> list[np.ndarray]:
-    """Level label vectors of one component for a batch of trials: per
-    trial (seed, labeled vertices), a (levels, component size) array,
-    coarsest first.
+                       n_init: int) -> np.ndarray:
+    """Level label vectors of one component for a batch of trials (seed,
+    labeled vertices): a (trials, levels, component size) stack, coarsest
+    first, with -1 rows below a trial's own depth (only mbo's differ).
 
     The labeled vertices inside the component seed (nhc, mll) or anchor
     (mbo) its clustering.  nhc clusters all trials as one batch on the
@@ -838,13 +838,19 @@ def _cluster_component(comp: _Component, algo: str, seeds: Sequence[int],
     """
     local = [comp.local(lab) for lab in labeled]
     if algo == "nhc":
-        return list(_medoid_hierarchy(comp.S, comp.K, seeds, local,
-                                      comp.dist_of, n_init))
+        return _medoid_hierarchy(comp.S, comp.K, seeds, local, comp.dist_of,
+                                 n_init)
     if algo == "mll":
-        return [_medoid_hierarchy(comp.S, comp.K, [seed], [loc],
-                                  _embedding_distance(seed), n_init)[0]
-                for seed, loc in zip(seeds, local)]
-    return [_mbo_levels(comp, seed, loc) for seed, loc in zip(seeds, local)]
+        return np.concatenate([
+            _medoid_hierarchy(comp.S, comp.K, [seed], [loc],
+                              _embedding_distance(seed), n_init)
+            for seed, loc in zip(seeds, local)])
+    trials = [_mbo_levels(comp, seed, loc) for seed, loc in zip(seeds, local)]
+    levels = np.full((len(trials), max(map(len, trials)), len(comp.idx)), -1,
+                     dtype=np.intp)
+    for row, trial in zip(levels, trials):
+        row[:len(trial)] = trial
+    return levels
 
 
 def _mbo_levels(comp: _Component, seed: int,
@@ -878,11 +884,11 @@ class TwinTreeBuilder:
     then "os") and each component with at least _TINY_COMPONENT
     vertices, symmetrizes the component's subgraph and clips the level
     sizes K to it.  For nhc the finest level's shortest-path distances
-    are also kept, computed on first use.  level_ids(seed, labeled) then
-    runs only the seeded clustering and numbers each side's nodes in a
-    level-id matrix, so repeated trials share that work; build(seed,
-    labeled) assembles the trees from those matrices, the same trees as
-    separate twt calls.
+    are also kept, computed on first use.  level_ids_batch(seeds,
+    labeled) then runs only the seeded clustering and numbers each
+    side's nodes in a level-id stack, so repeated trials share that
+    work; build(seed, labeled) assembles the trees from a batch of one,
+    the same trees as separate twt calls.
     """
 
     def __init__(self, G: WeightedDigraph, K: Sequence[int] = (),
@@ -908,70 +914,66 @@ class TwinTreeBuilder:
             for side in ("es", "os")]
 
     def _levels(self, seeds: Sequence[int],
-                labeled: Sequence[Optional[dict]]
-                ) -> list[list[Optional[list[np.ndarray]]]]:
-        """Per side ("es", "os") and component: its level label vectors
-        per trial, coarsest first (None for a tiny component).  Each
+                labeled: Sequence[Optional[dict]]) -> list[list[np.ndarray]]:
+        """Per side ("es", "os") and component: its _cluster_component
+        stack of level labels (no levels for a tiny component).  Each
         trial's seed spawns one generator seed per side and component."""
         comp_seeds = np.array([
             [s.generate_state(1)[0] for s in
              np.random.SeedSequence(seed).spawn(2 * len(self.comps))]
             for seed in seeds]).reshape(len(seeds), -1, 2).tolist()
-        return [[None if comp is None else _cluster_component(
+        return [[np.empty((len(seeds), 0, idx.size), dtype=np.intp)
+                 if comp is None else _cluster_component(
                      comp, self.algo, [cs[ci][side_index] for cs in comp_seeds],
                      labeled, self.n_init)
-                 for ci, comp in enumerate(comps)]
+                 for ci, (idx, comp) in enumerate(zip(self.comps, comps))]
                 for side_index, comps in enumerate(self.sides)]
 
     def build(self, seed: int = 0, labeled: Optional[dict] = None
               ) -> tuple[ClusterTree, ClusterTree]:
         """The twin trees for one seed (and optional labeled vertices),
-        each assembled from its level_ids(seed, labeled) matrix; a tree
-        grafted from several components is validated."""
-        es, os_ = (_tree_of_ids(np.arange(self.G.n), ids)
-                   for ids in self.level_ids(seed, labeled))
+        assembled from trial 0 of level_ids_batch([seed], [labeled]); a
+        tree grafted from several components is validated."""
+        es, os_ = (_tree_of_ids(np.arange(self.G.n), ids[0])
+                   for ids in self.level_ids_batch([seed], [labeled]))
         if len(self.comps) > 1:
             es.validate()
             os_.validate()
         return es, os_
 
-    def level_ids(self, seed: int = 0, labeled: Optional[dict] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """The twin trees of build(seed, labeled) as (depth, n) level-id
-        matrices, without building them: row l - 1 holds the node id
-        covering each vertex at level l, the id build gives that node
-        (``ClusterTree.ancestor_at_level`` of that vertex and level).
-        A batch of one trial of level_ids_batch."""
-        return self.level_ids_batch([seed], [labeled])[0]
-
     def level_ids_batch(self, seeds: Sequence[int],
                         labeled: Optional[Sequence[Optional[dict]]] = None
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """level_ids(seeds[t], labeled[t]) for every trial t, the trials
-        clustered as one batch (see _cluster_component); each trial's
-        matrices are those it gets on its own.  Per side, the trials
-        whose components all have the same depths are numbered by one
-        _level_ids call per component and grafted by one _graft_ids call
-        (for nhc and mll that is every trial)."""
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Every trial t's twin trees (seeds[t], labeled[t]) as one
+        (trials, depth, n) level-id stack per side, without building
+        them: row l - 1 of trial t holds the node id covering each vertex
+        at level l, the id build gives that node
+        (``ClusterTree.ancestor_at_level``), and rows below the trial's
+        own depth are -1.  The trials are clustered as one batch (see
+        _cluster_component), each getting the ids it gets alone.  Per
+        side, the trials whose components all have the same depths (for
+        nhc and mll, every trial) are numbered by one _level_ids call per
+        component and grafted by one _graft_ids call into their block of
+        the stack."""
         labeled = [None] * len(seeds) if labeled is None else labeled
-        out = [[None, None] for _ in seeds]
-        for s, side in enumerate(self._levels(seeds, labeled)):
-            groups: dict[tuple, list[int]] = {}
-            for t in range(len(seeds)):
-                groups.setdefault(tuple(0 if levels is None else
-                                        len(levels[t]) for levels in side),
-                                  []).append(t)
-            for depths, group in groups.items():
-                blocks = [_level_ids(np.stack([levels[t] for t in group])
-                                     if depth else
-                                     np.zeros((len(group), 0, idx.size),
-                                              dtype=np.intp), idx.size)
-                          for idx, levels, depth in zip(self.comps, side,
-                                                        depths)]
-                for t, ids in zip(group, _graft_ids(self.G.n, self.comps,
-                                                    blocks)):
-                    out[t][s] = ids
-        return [tuple(pair) for pair in out]
+        out = []
+        for side in self._levels(seeds, labeled):
+            depths = np.array([(lv[:, :, 0] >= 0).sum(1) for lv in side]).T
+            keys, group_of = np.unique(depths, axis=0, return_inverse=True)
+            groups = [np.flatnonzero(group_of == g) for g in range(len(keys))]
+            blocks = [_graft_ids(self.G.n, self.comps, [
+                _level_ids(levels[group, :depth], idx.size)
+                for idx, levels, depth in zip(self.comps, side, key)])
+                for group, key in zip(groups, keys.tolist())]
+            if len(blocks) == 1:  # every trial alike: the block is the stack
+                out.append(blocks[0])
+                continue
+            ids = np.full((len(seeds), max(b.shape[1] for b in blocks),
+                           self.G.n), -1, dtype=np.intp)
+            for group, block in zip(groups, blocks):
+                ids[group, :block.shape[1]] = block
+            out.append(ids)
+        return out[0], out[1]
 
 
 def twt(G: WeightedDigraph, K: Sequence[int] = (), algo: str = "nhc",

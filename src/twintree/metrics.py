@@ -16,7 +16,7 @@ in-weights over its vertices in vertex order, each sum running from
 weight and degrees are computed once per graph
 (``WeightedDigraph.degree_totals``).  The seeded-trial protocol scores
 all trials' twin trees together, level by level on their common
-refinements, from the level-id matrices that
+refinements, from the two (trials, depth, n) level-id stacks that
 ``TwinTreeBuilder.level_ids_batch`` gives without building trees: one
 label matrix, one modularity call and one contingency table per level
 for every trial that reaches it, a trial's unused bins adding exactly
@@ -277,31 +277,30 @@ def product_partition(tree_es: ClusterTree, tree_os: ClusterTree,
     return [frozenset(part.tolist()) for part in _parts(labels[0])]
 
 
-def align_and_score(G: WeightedDigraph,
-                    batch: Sequence[tuple[np.ndarray, np.ndarray]],
-                    labels: Optional[dict[int, tuple]] = None
-                    ) -> list[list[dict]]:
-    """Score each trial's twin trees level by level on their common
-    refinement.
+def align_and_score(G: WeightedDigraph, es: np.ndarray, os_: np.ndarray,
+                    labels: Optional[dict[int, tuple]] = None) -> list[dict]:
+    """Score a batch of trials' twin trees level by level on their common
+    refinements.
 
-    batch holds one (es, os) pair of (depth, G.n) level-id matrices per
-    trial, as ``TwinTreeBuilder.level_ids_batch`` returns them.  Returns
-    per trial one record per level 1 .. the shallower tree's depth, with
-    the cluster count and modularity, plus the F score against
-    ground-truth labels when given (labels use their first path
-    component as the class).  Each level is scored for every trial that
-    reaches it at once: one np.unique over (trial, es id, os id) gives
-    the refinements' label matrix, one ``modularity`` call scores it, and
-    one contingency bincount gives the F scores (both in blocks of about
-    BLOCK_ENTRIES entries).  A trial with fewer clusters than another
-    pads its bins, which add exactly +0.0, so each score is the one its
-    trial gets alone.
+    es and os_ are the two (trials, depth, G.n) level-id stacks of
+    ``TwinTreeBuilder.level_ids_batch`` (-1 below a trial's own depth).
+    Returns one record per level that some trial reaches in both trees:
+    the level, and arrays over the trials that reach it, in trial order,
+    of their cluster counts (``n_clusters``) and modularities, plus F
+    scores against ground-truth labels when given (labels use their
+    first path component as the class).  Per level, one np.unique over
+    (trial, es id, os id) gives the refinements' label matrix, one
+    ``modularity`` call scores it, and one contingency bincount gives
+    the F scores (both in blocks of about BLOCK_ENTRIES entries).  A
+    trial with fewer clusters than another pads its bins, which add
+    exactly +0.0, so each score is the one its trial gets alone.
     """
-    for t, (es, os_) in enumerate(batch):
-        for side, ids in (("es", es), ("os", os_)):
-            if np.ndim(ids) != 2 or len(ids) < 1 or np.shape(ids)[1] != G.n:
-                raise ValueError(f"trial {t}: {side} level ids have shape "
-                                 f"{np.shape(ids)}, not (depth >= 1, {G.n})")
+    shapes = np.shape(es), np.shape(os_)
+    if (any(len(shape) != 3 or 0 in shape[:2] or shape[2] != G.n
+            for shape in shapes) or shapes[0][0] != shapes[1][0]):
+        raise ValueError(f"es and os level ids have shapes {shapes[0]} and "
+                         f"{shapes[1]}, not (trials >= 1, depth >= 1, "
+                         f"{G.n}) with equal trials")
     truth = None
     if labels:
         index = label_index(labels)
@@ -310,22 +309,21 @@ def align_and_score(G: WeightedDigraph,
         if np.any(truth < 0):
             raise ValueError(f"vertex {np.argmax(truth < 0)} has no label")
         classes, truth = np.unique(truth, return_inverse=True)
-    depth = [min(len(es), len(os_)) for es, os_ in batch]
-    records: list[list[dict]] = [[] for _ in batch]
-    for level in range(1, max(depth, default=0) + 1):
-        reach = [t for t, d in enumerate(depth) if d >= level]
-        es, os_ = (np.stack([batch[t][side][level - 1] for t in reach])
-                   for side in (0, 1))
-        lab, counts = _product_labels(es, os_)
-        scores = modularity(G, lab).tolist()
-        n_pred = int(counts.max())
-        f_scores = None if truth is None else _by_blocks(
-            lambda rows: _label_f_measures(rows, n_pred, truth, classes.size),
-            lab, n_pred * classes.size).tolist()
-        for i, t in enumerate(reach):
-            rec = {"level": level, "n_clusters": int(counts[i]),
-                   "modularity": scores[i]}
-            if f_scores is not None:
-                rec["f_measure"] = f_scores[i]
-            records[t].append(rec)
+    records = []
+    for level in range(1, min(shapes[0][1], shapes[1][1]) + 1):
+        reach = np.flatnonzero((es[:, level - 1, 0] >= 0)
+                               & (os_[:, level - 1, 0] >= 0))
+        if not reach.size:  # nor does any trial reach a deeper level
+            break
+        lab, counts = _product_labels(es[reach, level - 1],
+                                      os_[reach, level - 1])
+        rec = {"level": level, "n_clusters": counts,
+               "modularity": modularity(G, lab)}
+        if truth is not None:
+            n_pred = int(counts.max())
+            rec["f_measure"] = _by_blocks(
+                lambda rows: _label_f_measures(rows, n_pred, truth,
+                                               classes.size),
+                lab, n_pred * classes.size)
+        records.append(rec)
     return records

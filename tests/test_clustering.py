@@ -809,6 +809,13 @@ def test_label_vector_hierarchy_matches_the_set_oracle(case, monkeypatch):
 
 
 
+def assert_trial_ids(ids, want, msg=None):
+    """Trial ids of a level-id stack equal want, one trial's level-id
+    matrix, in its first len(want) rows, and are exactly -1 below."""
+    assert ids[:len(want)].tolist() == want.tolist(), msg
+    assert np.all(ids[len(want):] == -1), msg
+
+
 def _oracle_graphs():
     return {"components": synth_digraph("planted", seed=0, sizes=[20, 20, 6],
                                         p_out=0.0),
@@ -821,7 +828,8 @@ def test_batched_level_ids_match_the_per_seed_oracle(algo):
     """Every trial of a batch gets the level ids that its seed gets when
     clustered on its own, level after level on graph objects: three
     levels, several starts, labeled seeds fixed or drawn per trial,
-    several weak components and the degenerate corpus."""
+    several weak components and the degenerate corpus.  Rows below a
+    trial's own depth are -1."""
     seeds = [3, 11, 12, 40, 41, 99]
     kinds = set()
     for name, G in _oracle_graphs().items():
@@ -836,11 +844,11 @@ def test_batched_level_ids_match_the_per_seed_oracle(algo):
                 if algo == "mbo" and labeled[0] is None:
                     continue
                 got = builder.level_ids_batch(seeds, labeled)
-                for seed, lab, ids in zip(seeds, labeled, got):
+                for t, (seed, lab) in enumerate(zip(seeds, labeled)):
                     want = seeded_level_ids(builder, seed, lab)
-                    assert [a.tolist() for a in ids] == [
-                        b.tolist() for b in want], (name, K, seed)
-                    kinds.add(("depth", len(ids[0])))
+                    for stack, ids in zip(got, want):
+                        assert_trial_ids(stack[t], ids, (name, K, seed))
+                    kinds.add(("depth", len(want[0])))
                 if len(builder.comps) > 1:
                     kinds.add("components")
     assert "components" in kinds
@@ -854,7 +862,8 @@ def test_batched_numbering_matches_the_per_trial_oracle(algo):
     trial_level_ids and trial_graft_ids do for that trial alone: on the
     degenerate corpus, on three weak components of unequal depth, and,
     for mbo, on per-trial training samples that give the trials of one
-    batch different depths."""
+    batch different depths, which leave -1 rows below a shallower
+    trial's depth."""
     seeds = list(range(8))
     kinds = set()
     for name, G in _oracle_graphs().items():
@@ -865,19 +874,19 @@ def test_batched_numbering_matches_the_per_trial_oracle(algo):
         builder = TwinTreeBuilder(G, (2, 4, 8), algo=algo)
         for labeled in samples[1:] if algo == "mbo" else samples[:2]:
             got = builder.level_ids_batch(seeds, labeled)
-            sides = builder._levels(seeds, labeled)
-            for t, ids in enumerate(got):
-                for s, side in enumerate(sides):
+            for stack, side in zip(got, builder._levels(seeds, labeled)):
+                depths = set()
+                for t in range(len(seeds)):
+                    # a trial's own levels: its rows that are not -1
+                    levels = [lv[t][lv[t, :, 0] >= 0] for lv in side]
                     want = trial_graft_ids(G.n, builder.comps, [
-                        trial_level_ids([] if levels is None else levels[t],
-                                        idx.size)
-                        for idx, levels in zip(builder.comps, side)])
-                    assert ids[s].tolist() == want.tolist(), (name, t, s)
-                    depths = {0 if levels is None else len(levels[t])
-                              for levels in side}
-                    kinds.add(("unequal components", len(depths) > 1))
-            kinds.add(("unequal trials", any(
-                len({len(ids[s]) for ids in got}) > 1 for s in (0, 1))))
+                        trial_level_ids(lv, idx.size)
+                        for idx, lv in zip(builder.comps, levels)])
+                    assert_trial_ids(stack[t], want, (name, t))
+                    depths.add(len(want))
+                    kinds.add(("unequal components",
+                               len({len(lv) for lv in levels}) > 1))
+                kinds.add(("unequal trials", len(depths) > 1))
     assert ("unequal components", True) in kinds
     if algo == "mbo":
         assert ("unequal trials", True) in kinds
@@ -914,15 +923,15 @@ def test_coarse_batches_hold_no_more_than_a_few_n_by_n_matrices():
     seeds = list(range(60))
     for K in ((2, 60), (3, 30, 60)):
         builder = TwinTreeBuilder(G, K)
-        builder.level_ids(0)  # the finest distances, kept from here on
+        builder.level_ids_batch([0])  # keeps the finest distances from here on
         tracemalloc.start()
         try:
             got = builder.level_ids_batch(seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for ids in got for a in ids)
+        kept = sum(stack.nbytes for stack in got)
         assert peak - kept < 10 * G.n ** 2 * 8  # without batches: 48
         for seed in seeds[::15]:
-            assert [a.tolist() for a in got[seed]] == [
-                b.tolist() for b in seeded_level_ids(builder, seed)]
+            for stack, ids in zip(got, seeded_level_ids(builder, seed)):
+                assert_trial_ids(stack[seed], ids)

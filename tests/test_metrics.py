@@ -225,9 +225,10 @@ def twin_trees():
 
 @pytest.fixture(scope="module")
 def twin_ids():
-    """The level-id matrices of the twin_trees fixture's trees."""
+    """The level-id stacks, a batch of one, of the twin_trees fixture's
+    trees."""
     G = synth_digraph("toy25", seed=1)
-    return G, *TwinTreeBuilder(G, (2, 6)).level_ids(9)
+    return G, *TwinTreeBuilder(G, (2, 6)).level_ids_batch([9])
 
 
 def test_level_partitions_are_disjoint_covers(twin_trees):
@@ -260,44 +261,47 @@ def test_product_partition_needs_trees_over_range_n(twin_trees):
 
 def test_alignment_records_all_levels(twin_ids):
     G, es, os_ = twin_ids
-    (records,) = align_and_score(G, [(es, os_)])
-    depth = min(len(es), len(os_))
+    records = align_and_score(G, es, os_)
+    depth = min(es.shape[1], os_.shape[1])
     assert [r["level"] for r in records] == list(range(1, depth + 1))
     for r in records:
-        assert r["n_clusters"] >= 1
-        assert -1.0 <= r["modularity"] <= 1.0
+        assert r["n_clusters"].shape == r["modularity"].shape == (1,)
+        assert r["n_clusters"][0] >= 1
+        assert -1.0 <= r["modularity"][0] <= 1.0
         assert "f_measure" not in r
-    counts = [r["n_clusters"] for r in records]
+    counts = [int(r["n_clusters"][0]) for r in records]
     assert counts == sorted(counts)
-    assert align_and_score(G, []) == []
 
 
 def test_alignment_scores_against_labels(twin_ids):
     G, es, os_ = twin_ids
     labels = {v: (("left" if v < 13 else "right"), v) for v in range(G.n)}
-    (records,) = align_and_score(G, [(es, os_)], labels=labels)
+    records = align_and_score(G, es, os_, labels=labels)
     assert [r["level"] for r in records] == list(
-        range(1, min(len(es), len(os_)) + 1))
+        range(1, min(es.shape[1], os_.shape[1]) + 1))
     for r in records:
-        assert 0.0 < r["f_measure"] <= 1.0
+        assert r["f_measure"].shape == (1,)
+        assert 0.0 < r["f_measure"][0] <= 1.0
 
 
 def test_alignment_requires_complete_labels(twin_ids):
     G, es, os_ = twin_ids
     labels = {v: ("a",) for v in range(G.n - 1)}
     with pytest.raises(ValueError, match="no label"):
-        align_and_score(G, [(es, os_)], labels=labels)
+        align_and_score(G, es, os_, labels=labels)
 
 
-def test_alignment_requires_level_id_matrices(twin_trees, twin_ids):
+def test_alignment_requires_level_id_matrices(twin_ids):
+    """A 2-D matrix, unequal trial counts, a wrong width, zero depth and
+    zero trials, on either side, each raise naming the two shapes."""
     G, es, os_ = twin_ids
-    tree = twin_trees[1]
-    for bad in (es[:, :-1], np.hstack([es, es]), es[0], es[:0], tree):
+    for bad in (es[0], np.concatenate([es, es]), es[:, :, :-1],
+                np.concatenate([es, es], axis=2), es[:, :0], es[:0]):
         for args in ((bad, os_), (es, bad)):
-            side = "es" if args[0] is bad else "os"
-            with pytest.raises(ValueError, match=rf"trial 1: {side} level ids "
-                               rf"have shape .*, not \(depth >= 1, {G.n}\)"):
-                align_and_score(G, [(es, os_), args])
+            shapes = re.escape(f"shapes {args[0].shape} and {args[1].shape}")
+            with pytest.raises(ValueError, match=rf"{shapes}, not \(trials >= "
+                               rf"1, depth >= 1, {G.n}\) with equal trials"):
+                align_and_score(G, *args)
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +312,8 @@ def degenerate_scores():
     for G in degenerate_digraphs().values():
         labels = {v: (f"c{v % 3}", v) for v in range(G.n)}
         builder = TwinTreeBuilder(G, (2, 6))
-        out.append((G, builder.build(7), builder.level_ids(7), labels))
+        out.append((G, builder.build(7), builder.level_ids_batch([7]),
+                    labels))
     return out
 
 
@@ -328,6 +333,38 @@ def per_trial_records(G, trees, truth):
     return records
 
 
+def per_level(trials):
+    """Per-trial records regrouped as align_and_score gives them: per
+    level that some trial has, one record of lists over those trials, in
+    trial order."""
+    out = []
+    for level in range(1, max(map(len, trials)) + 1):
+        recs = [r[level - 1] for r in trials if len(r) >= level]
+        out.append({key: [rec[key] for rec in recs] for key in recs[0]})
+        out[-1]["level"] = level
+    return out
+
+
+def as_lists(records):
+    """align_and_score's records with each array as a list."""
+    return [{key: value if key == "level" else value.tolist()
+             for key, value in rec.items()} for rec in records]
+
+
+def pad_trials(batch):
+    """The (es, os) level-id stacks of a batch of trials, each given as
+    a batch of one: (trials, depth, n) per side, -1 below a trial's own
+    depth, as level_ids_batch pads them."""
+    out = []
+    for side in zip(*batch):
+        stack = np.full((len(side), max(ids.shape[1] for ids in side),
+                         side[0].shape[2]), -1, dtype=np.intp)
+        for row, ids in zip(stack, side):
+            row[:ids.shape[1]] = ids[0]
+        out.append(stack)
+    return out
+
+
 def test_scoring_matches_the_frozenset_route(degenerate_scores):
     kinds = set()  # integer weights, and lognormal ones
     for G, (es, os_), ids, labels in degenerate_scores:
@@ -342,25 +379,27 @@ def test_scoring_matches_the_frozenset_route(degenerate_scores):
             for tree in (es, os_):
                 assert tree.partition_at_level(level) == (
                     product_partition_by_ancestors(tree, tree, level, G.n))
-        (records,) = align_and_score(G, [ids], labels)
-        assert records == per_trial_records(G, (es, os_), truth)
+        records = align_and_score(G, *ids, labels)
+        assert as_lists(records) == per_level(
+            [per_trial_records(G, (es, os_), truth)])
         for rec in records:
             parts = product_partition_by_ancestors(es, os_, rec["level"], G.n)
             want = modularity_sliced(G, parts)
             if integral:
-                assert rec["modularity"] == want
+                assert rec["modularity"][0] == want
             else:
-                assert rec["modularity"] == pytest.approx(want, abs=1e-12)
+                assert rec["modularity"][0] == pytest.approx(want, abs=1e-12)
     assert kinds == {True, False}
 
 
 def test_batched_scoring_equals_the_per_trial_route(monkeypatch):
     """One align_and_score call over a batch mixing level sizes, seeds and
-    clusterers gives every trial the records of the per-trial route, bit
-    for bit: on integer and on lognormal weights, with trials of
-    different cluster counts at one level (padded bins) and of unequal
-    depth (a level is scored over the trials that reach it), whether
-    the trials are scored one at a time or all in one block."""
+    clusterers, padded into one pair of stacks, gives each level's arrays
+    the records of the per-trial route, bit for bit: on integer and on
+    lognormal weights, with trials of different cluster counts at one
+    level (padded bins) and of unequal depth (a level is scored over the
+    trials that reach it), whether the trials are scored one at a time
+    or all in one block."""
     rng = np.random.default_rng(23)
     lognormal = lognormal_digraph(rng, 40, 0.15)
     graphs = {"planted": synth_digraph("planted", seed=4, sizes=(12, 12, 12)),
@@ -379,19 +418,20 @@ def test_batched_scoring_equals_the_per_trial_route(monkeypatch):
             lab = {v: c for v, c in enumerate(classes)}
             for seed in seeds:
                 trees.append(builder.build(seed, lab))
-                batch.append(builder.level_ids(seed, lab))
+                batch.append(builder.level_ids_batch([seed], [lab]))
+        es, os_ = pad_trials(batch)
         for truth in (None, partition_from_labels(classes)):
-            want = [per_trial_records(G, pair, truth) for pair in trees]
+            want = per_level([per_trial_records(G, pair, truth)
+                              for pair in trees])
             for entries in (1, 1 << 40):
                 monkeypatch.setattr(metrics, "BLOCK_ENTRIES", entries)
-                got = align_and_score(G, batch, labels if truth else None)
-                assert got == want, (name, entries)
-        depths = {len(recs) for recs in got}
+                got = align_and_score(G, es, os_, labels if truth else None)
+                assert as_lists(got) == want, (name, entries)
         kinds.add(("integral", integral))
-        kinds.add(("unequal depth", len(depths) > 1))
+        kinds.add(("unequal depth", any(
+            len(rec["modularity"]) < len(trees) for rec in got)))
         kinds.add(("padded", any(
-            len({recs[level]["n_clusters"] for recs in got
-                 if len(recs) > level}) > 1 for level in range(max(depths)))))
+            len(set(rec["n_clusters"].tolist())) > 1 for rec in got)))
     assert kinds >= {("integral", True), ("integral", False),
                      ("unequal depth", True), ("padded", True)}
 
@@ -438,10 +478,10 @@ def test_level_ids_are_the_built_trees_ancestor_ids(algo):
             builder = TwinTreeBuilder(G, K, algo=algo)
             for labeled in (None, {v: v % 3 for v in range(G.n)}):
                 trees = builder.build(7, labeled)
-                matrices = builder.level_ids(7, labeled)
-                for tree, ids in zip(trees, matrices):
-                    assert ids.shape == (tree.depth(), G.n)
-                    for level, row in enumerate(ids.tolist(), start=1):
+                stacks = builder.level_ids_batch([7], [labeled])
+                for tree, ids in zip(trees, stacks):
+                    assert ids.shape == (1, tree.depth(), G.n)
+                    for level, row in enumerate(ids[0].tolist(), start=1):
                         assert row == [tree.ancestor_at_level(v, level)
                                        for v in range(G.n)]
                     kinds.add(("depth", tree.depth()))

@@ -23,19 +23,19 @@ of ``symmetrize`` and ``graph_distance``; filtration + grid; the engine
 one ``smoothness_profile`` of the out-degree signal, and inside it the
 minimax LPs (``lp_s``, ``lp_calls``; ``scipy.optimize`` is imported
 before the clock starts, so ``lp_s`` is solver time); and two metrics
-trials, each ``TwinTreeBuilder.level_ids`` at seed 3 then
+trials, each ``TwinTreeBuilder.level_ids_batch`` of seed 3 alone then
 ``align_and_score`` against the planted labels.  The builder's
 preparation is not timed, as ``twintree metrics`` prepares it once for
 all its trials; but nhc computes its finest-level distances on the
-first ``level_ids`` call, so the first trial (``metrics_first_trial_s``)
-pays for them once and the second (``metrics_steady_trial_s``) is what
-every later trial costs.  ``metrics_batch_trial_s`` is the time per
-trial of a batch of 30 seeds, clustered and scored as ``twintree
-metrics`` does it (``TwinTreeBuilder.level_ids_batch``, or seed by
-seed in a checkout without it; then one ``align_and_score`` call for
-the batch, or one per trial in a checkout whose ``align_and_score``
-takes one trial's (es, os) matrices), and ``metrics_score_trial_s`` the
-scoring part of it alone, per trial.  The
+first ``level_ids_batch`` call, so the first trial
+(``metrics_first_trial_s``) pays for them once and the second
+(``metrics_steady_trial_s``) is what every later trial costs.
+``metrics_batch_trial_s`` is the time per trial of a batch of 30 seeds,
+clustered and scored as ``twintree metrics`` does it (one
+``level_ids_batch`` call, then one ``align_and_score`` call, each
+checkout's output passed to its own scorer, whichever of the two
+signatures it has), and ``metrics_score_trial_s`` the scoring part of
+it alone, per trial.  The
 inner times, and the call counts next to them (``*_calls``), come from
 wrappers this script installs on the imported modules; the library has
 no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
@@ -97,13 +97,14 @@ def install_timers() -> dict:
     return totals
 
 
-def score(align_and_score, G, batch: list, labels) -> list:
-    """Every trial's records of a batch of (es, os) level-id pairs: one
-    call with the batch signature, or one per trial in a checkout whose
-    ``align_and_score`` takes one trial's two matrices."""
+def score(align_and_score, G, ids, labels) -> list:
+    """The records of a checkout's ``level_ids_batch`` output ids, scored
+    by that checkout's ``align_and_score``: a list of (es, os) pairs, one
+    per trial, where it takes the batch as that list, else the two
+    (trials, depth, n) level-id stacks."""
     if "batch" in inspect.signature(align_and_score).parameters:
-        return align_and_score(G, batch, labels=labels)
-    return [align_and_score(G, *ids, labels=labels) for ids in batch]
+        return align_and_score(G, ids, labels=labels)
+    return align_and_score(G, *ids, labels=labels)
 
 
 def run_point(n: int) -> dict:
@@ -139,14 +140,10 @@ def run_point(n: int) -> dict:
     builder = TwinTreeBuilder(G, (2, 8))
     for trial in ("first", "steady"):
         start = time.perf_counter()
-        score(align_and_score, G, [builder.level_ids(3)], G.labels)
+        score(align_and_score, G, builder.level_ids_batch([3]), G.labels)
         out[f"metrics_{trial}_trial_s"] = time.perf_counter() - start
-    # a checkout without the batched entry clusters seed by seed, as its
-    # own ``twintree metrics`` does
-    batch = getattr(builder, "level_ids_batch",
-                    lambda seeds: [builder.level_ids(s) for s in seeds])
     start = time.perf_counter()
-    ids = batch(list(range(BATCH)))
+    ids = builder.level_ids_batch(list(range(BATCH)))
     scoring = time.perf_counter()
     score(align_and_score, G, ids, G.labels)
     end = time.perf_counter()

@@ -6,10 +6,11 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides thirteen synthesized graphs, the corpus ingests five edge lists
+Besides thirteen synthesized graphs, the corpus ingests six edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
-planted 20/20 digraph and four degenerate ones (fragmented, out-star,
-self-loops, heavy-tailed weights).  Two configurations (`*_deep`) ask
+planted 20/20 digraph, four degenerate ones (fragmented, out-star,
+self-loops, heavy-tailed weights) and a planted 20/20/6 one with no
+edges between blocks, labeled v % 3.  Two configurations (`*_deep`) ask
 for three levels, so that a coarse graph is coarse-grained again.  One
 (`planted_volume_blocks`, planted 60/60, exact mode) is large enough
 that the rank scan runs over several blocks: |Omega| = 7 058 and full
@@ -17,8 +18,11 @@ rank is reached at Omega row 3 035, both past the 256 rows of
 `analysis.SCAN_BLOCK`.  One (`planted_components`, planted 20/20/6
 with no edges between blocks) has three weak components of unequal
 depth: the 6-vertex one clips the levels 2,4,8 to (2, 4), so its
-leaves stand in for it at the deepest level.  Run it once per
-checkout; then
+leaves stand in for it at the deepest level.  The 20/20/6 edge list
+runs mbo (`ingest_components_mbo_train`, levels 2,4,8, --train-pct 5,
+12 trials), whose trials draw so few labeled vertices that their twin
+trees differ in depth: its metrics.csv has levels that fewer than 12
+trials reach.  Run it once per checkout; then
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -87,11 +91,13 @@ def edge_lists() -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
     heavy = planted(np.random.default_rng(4), [20, 20])[0]
     heavy[heavy > 0] = np.random.default_rng(5).lognormal(
         0.0, 6.0, int((heavy > 0).sum()))
+    components = planted(np.random.default_rng(6), [20, 20, 6], p_out=0.0)[0]
     return {"ingest_planted": (W, block),
             "ingest_fragmented": (fragmented, None),
             "ingest_out_star": (star, None),
             "ingest_self_loops": (loops, None),
-            "ingest_heavy_tailed": (heavy, None)}
+            "ingest_heavy_tailed": (heavy, None),
+            "ingest_components": (components, np.arange(46) % 3)}
 
 
 def main(out: Path) -> None:
@@ -113,6 +119,9 @@ def main(out: Path) -> None:
                                             for v, b in enumerate(labels)))
             runs[name] += ["--labels", path, "--labeled"]
     runs["ingest_heavy_tailed_deep"] = runs["ingest_heavy_tailed"] + DEEP
+    # per-trial training labels: trials of unequal depth
+    runs["ingest_components_mbo_train"] = runs.pop("ingest_components") + [
+        "--algo", "mbo", *DEEP, "--train-pct", "5", "--trials", "12"]
     for name, args in runs.items():
         cmd = [sys.executable, "-m", "twintree.cli", "pipeline", "--out",
                name, "--trials", "3", "--baseline-trials", "10", *args]
