@@ -209,7 +209,7 @@ class TensorRows:
 
 
 def gram_orthonormalize(rows, masses: np.ndarray
-                        ) -> tuple[np.ndarray, list[int], list[int]]:
+                        ) -> tuple[np.ndarray, list[int]]:
     """Modified Gram-Schmidt under a weighted inner product.
 
     ``rows`` is a float matrix or a ``TensorRows``; it is only read by
@@ -217,10 +217,10 @@ def gram_orthonormalize(rows, masses: np.ndarray
     processed in order; a row whose residual norm falls below
     DROP_TOL * max(1, own norm) is dropped as dependent.  Two projection
     passes keep the result orthonormal to machine precision.  Returns
-    (orthonormal rows, kept row indices, dropped row indices).
+    (orthonormal rows, kept row indices); every other row is dropped.
 
-    The scan stops once as many rows are kept as there are columns and
-    reports every later row as dropped.  That exit is exact: N rows
+    The scan stops once as many rows are kept as there are columns, so
+    every later row is dropped.  That exit is exact: N rows
     orthonormal under the nu-weighted product force nu > 0 everywhere,
     so they span R^N, and every later residual is roundoff far below
     DROP_TOL.
@@ -272,9 +272,7 @@ def gram_orthonormalize(rows, masses: np.ndarray
             kept.append(i)
             if len(kept) == ncols:
                 break
-    is_dropped = np.ones(nrows, dtype=bool)
-    is_dropped[kept] = False
-    return E[:len(kept)], kept, np.flatnonzero(is_dropped).tolist()
+    return E[:len(kept)], kept
 
 
 def box_filter(n: int, base: int = 2) -> dict[tuple[int, int], float]:
@@ -445,7 +443,7 @@ class GridAnalysis:
         k1, k2 = self.freqs.k1, self.freqs.k2
         raw = TensorRows(self._v1, self._v2, k1, k2)
         if mode == "exact":
-            self._rows, kept, _ = gram_orthonormalize(raw, self.nu)
+            self._rows, kept = gram_orthonormalize(raw, self.nu)
             if len(kept) < len(grid):
                 raise AssertionError(
                     f"exact mode kept {len(kept)} rows for {len(grid)} grid "

@@ -410,7 +410,7 @@ def coarse_grain_brute(W: np.ndarray, parts,
 
 def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
                    drop_tol: float = 1e-9
-                   ) -> tuple[np.ndarray, list[int], list[int]]:
+                   ) -> tuple[np.ndarray, list[int]]:
     """Weighted modified Gram-Schmidt that tests every row.
 
     The same drop rule and two projection passes as the package, but the
@@ -418,7 +418,6 @@ def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
     a row after full rank is dropped only because its residual is small.
     """
     kept: list[int] = []
-    dropped: list[int] = []
     basis: list[np.ndarray] = []
     for i, row in enumerate(np.asarray(rows, dtype=float)):
         r = row.copy()
@@ -429,12 +428,11 @@ def full_scan_gram(rows: np.ndarray, masses: np.ndarray,
                 r = r - (E @ (r * masses)) @ E
         norm = np.sqrt(float((r * r * masses).sum()))
         if norm <= drop_tol * max(1.0, own):
-            dropped.append(i)
             continue
         kept.append(i)
         basis.append(r / norm)
     E = np.vstack(basis) if basis else np.zeros((0, rows.shape[1]))
-    return E, kept, dropped
+    return E, kept
 
 
 def loop_synthesis(rows: np.ndarray, w: np.ndarray) -> np.ndarray:

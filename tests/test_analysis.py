@@ -155,8 +155,8 @@ def test_gram_schmidt_keeps_orthonormal_input():
     raw = rng.standard_normal((4, 6))
     q, _ = np.linalg.qr((raw * np.sqrt(masses)).T)
     rows = q.T / np.sqrt(masses)
-    E, kept, dropped = gram_orthonormalize(rows, masses)
-    assert kept == [0, 1, 2, 3] and dropped == []
+    E, kept = gram_orthonormalize(rows, masses)
+    assert kept == [0, 1, 2, 3]
     assert np.allclose(np.abs(E), np.abs(rows), atol=1e-12)
     G = (E * masses) @ E.T
     assert np.allclose(G, np.eye(4), atol=1e-12)
@@ -168,9 +168,8 @@ def test_gram_schmidt_reports_dependent_rows():
                      [1.0, 1.0, -1.0, -1.0],
                      [2.0, 2.0, 0.0, 0.0],   # sum of the first two
                      [0.0, 1.0, 0.0, 0.0]])
-    E, kept, dropped = gram_orthonormalize(rows, masses)
+    E, kept = gram_orthonormalize(rows, masses)
     assert kept == [0, 1, 3]
-    assert dropped == [2]
     G = (E * masses) @ E.T
     assert np.allclose(G, np.eye(3), atol=1e-12)
 
@@ -180,8 +179,8 @@ def test_gram_schmidt_preserves_the_span():
     masses = rng.uniform(0.1, 1.0, 8)
     rows = rng.standard_normal((5, 8))
     rows[4] = rows[0] - 2 * rows[2]          # force rank deficiency
-    E, kept, dropped = gram_orthonormalize(rows, masses)
-    assert dropped == [4]
+    E, kept = gram_orthonormalize(rows, masses)
+    assert kept == [0, 1, 2, 3]
     f = rng.standard_normal(8)
     proj_new = E.T @ (E @ (masses * f))
     # raw-row projector through the weighted normal equations
@@ -259,12 +258,10 @@ def independent_rows_in_blocks(rng) -> np.ndarray:
                             "blocks"])
 def test_full_rank_exit_matches_full_scan_oracle(case, request):
     rows, masses = gram_case(case, request)
-    E, kept, dropped = gram_orthonormalize(rows, masses)
-    E_ref, kept_ref, dropped_ref = full_scan_gram(rows, masses)
+    E, kept = gram_orthonormalize(rows, masses)
+    E_ref, kept_ref = full_scan_gram(rows, masses)
     assert kept == kept_ref
-    assert dropped == dropped_ref
     assert np.array_equal(E, E_ref)
-    assert sorted(kept + dropped) == list(range(len(rows)))
     if case.startswith("tall") or case in ("toy_raw", "wide", "blocks"):
         # full rank is reached with rows still to scan, so the exit fires
         assert len(kept) == rows.shape[1] and kept[-1] < len(rows) - 1
@@ -350,7 +347,8 @@ def test_exact_build_equals_gram_of_the_dense_raw_matrix(case):
     # the package on the dense matrix, and the oracle that re-stacks its
     # basis for every row and never stops early
     for gram in (gram_orthonormalize, full_scan_gram):
-        E, kept, dropped = gram(dense, an.nu)
+        E, kept = gram(dense, an.nu)
+        dropped = np.setdiff1d(np.arange(len(k1)), kept)
         assert an._rows.shape == E.shape
         assert an._rows.tobytes() == E.tobytes()
         assert an.active == list(zip(k1[kept].tolist(), k2[kept].tolist()))
@@ -465,8 +463,8 @@ def test_exact_mode_asserts_one_kept_row_per_grid_point(case, monkeypatch):
     scan = analysis.gram_orthonormalize
 
     def lose_last_row(rows, masses):
-        E, kept, dropped = scan(rows, masses)
-        return E[:-1], kept[:-1], sorted(dropped + kept[-1:])
+        E, kept = scan(rows, masses)
+        return E[:-1], kept[:-1]
     monkeypatch.setattr(analysis, "gram_orthonormalize", lose_last_row)
     with pytest.raises(AssertionError,
                        match=f"kept {n - 1} rows for {n} grid points"):

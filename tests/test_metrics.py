@@ -291,14 +291,17 @@ def test_alignment_requires_complete_labels(twin_ids):
         align_and_score(G, es, os_, labels=labels)
 
 
-def test_alignment_requires_level_id_matrices(twin_ids):
-    """A 2-D matrix, unequal trial counts, a wrong width, zero depth and
-    zero trials, on either side, each raise naming the two shapes."""
+def test_alignment_requires_level_id_matrices(twin_trees, twin_ids):
+    """A 2-D matrix, unequal trial counts, a wrong width, zero depth,
+    zero trials and a tree in place of its ids, on either side, each
+    raise naming the two shapes."""
     G, es, os_ = twin_ids
     for bad in (es[0], np.concatenate([es, es]), es[:, :, :-1],
-                np.concatenate([es, es], axis=2), es[:, :0], es[:0]):
+                np.concatenate([es, es], axis=2), es[:, :0], es[:0],
+                twin_trees[1]):
         for args in ((bad, os_), (es, bad)):
-            shapes = re.escape(f"shapes {args[0].shape} and {args[1].shape}")
+            shapes = re.escape(f"shapes {np.shape(args[0])} and "
+                               f"{np.shape(args[1])}")
             with pytest.raises(ValueError, match=rf"{shapes}, not \(trials >= "
                                rf"1, depth >= 1, {G.n}\) with equal trials"):
                 align_and_score(G, *args)
