@@ -9,12 +9,11 @@ points, and the products of the two univariate orthonormal systems,
 restricted to those points, supply the analysis system.
 
 The restriction is not automatically orthogonal — the grid occupies
-only a sliver of the full product partition — so the module offers two
-modes.  "exact" re-orthonormalizes the restricted products by modified
-Gram-Schmidt in graded lexicographic order, dropping dependent rows
-(the surviving index set is reported); every Parseval/projection
-statement then holds to machine precision.  "idealized" keeps the raw
-restricted products and reports their orthogonality defect instead.
+only a sliver of the full product partition — so the engine
+re-orthonormalizes the restricted products by modified Gram-Schmidt in
+graded lexicographic order, dropping dependent rows (the surviving
+index set is reported); every Parseval/projection statement then holds
+to machine precision.
 
 Frequencies are pairs k = (k1, k2).  The dyadic shell of an index is
 shell(k) = max over axes of ceil(log2(ki + 1)).  The graded
@@ -180,9 +179,6 @@ def compute_omega(v1, v2) -> FrequencySet:
 
 # Relative residual norm below which a row counts as dependent.
 DROP_TOL = 1e-9
-
-# Rows per block wherever the engine streams over its |Omega| rows.
-CHUNK = 1024
 
 # Rows per block of the rank scan's GEMM prefilter.
 SCAN_BLOCK = 256
@@ -366,14 +362,12 @@ def _to_padded_array(h) -> np.ndarray:
 
 
 class GridAnalysis:
-    """Tensor system restricted to a grid, ready for expansion work.
+    """Orthonormal tensor system restricted to a grid, ready for
+    expansion work.
 
-    mode="exact" (default) re-orthonormalizes the restricted products
-    and exposes a genuinely orthonormal discrete system (surviving
-    indices in ``active``, and as a mask over Omega in ``is_active``);
-    mode="idealized" keeps the raw restricted products of the
-    orthonormalized univariate functions and reports their
-    orthogonality defect.
+    The restricted products are re-orthonormalized into a genuinely
+    orthonormal discrete system: surviving indices in ``active``, and as
+    a mask over Omega in ``is_active``.
 
     Each axis's functions are held on the grid points as two tables,
     both made from the exact records of ``TreeBasis.value_table`` (see
@@ -381,33 +375,30 @@ class GridAnalysis:
     classes below exactly, and floats scaled by sqrt(aleph), whose
     products are the raw rows.  No N x N table of Fractions is built.
 
-    Exact mode never stores the raw rows: ``TensorRows`` forms each
-    scan block of them, and each row the scan decides on its own, from
-    the two float tables when they are read, so the build needs O(N^2)
-    memory plus O(|Omega|) index arrays.  Idealized mode keeps all
-    |Omega| raw rows as its working system and so needs O(|Omega| * N).
+    The raw rows are never stored: ``TensorRows`` forms each scan block
+    of them, and each row the scan decides on its own, from the two
+    float tables when they are read, so the build needs O(N^2) memory
+    plus O(|Omega|) index arrays.
 
     The shells of Omega (``omega_shell``) and of the kept rows are
     computed once per build; heads, blocks, degree spans and multiplier
     symbols are masks or per-shell scales of one coefficient array.
 
-    Exact mode keeps exactly N = len(grid) rows.  Every grid point owns
+    The build keeps exactly N = len(grid) rows.  Every grid point owns
     a singleton leaf of each tree (``build_grid`` pairs only those, and
     loaded trees end in singleton leaves), and each basis spans its
     tree's leaf-measurable functions, so each axis value table has rank
     N on the grid.  psi_0 is a nonzero constant, so every nonzero row
     k1 of the first table puts (k1, 0) in Omega, and those rows alone
-    span R^N; so do idealized mode's raw rows, which include them.  The
-    build raises AssertionError, naming both counts, if the float rank
-    scan ever keeps fewer.
+    span R^N.  The build raises AssertionError, naming both counts, if
+    the float rank scan ever keeps fewer.
 
-    Exact mode answers E_n without an LP on a *cell shell*.  An axis
-    class at level n is a sign pattern of the prefix {psi_k : k <
-    base**n} on the grid points, read from the sign table (each psi_k,
-    k > 0, takes one positive value, one negative value and 0, so its
-    signs decide its values); a cell is the set of grid points that
-    share their classes on both axes.  Shell n is a cell shell when,
-    in integers,
+    E_n is answered without an LP on a *cell shell*.  An axis class at
+    level n is a sign pattern of the prefix {psi_k : k < base**n} on the
+    grid points, read from the sign table (each psi_k, k > 0, takes one
+    positive value, one negative value and 0, so its signs decide its
+    values); a cell is the set of grid points that share their classes
+    on both axes.  Shell n is a cell shell when, in integers,
       - the kept rows of shell <= n are the first d kept rows.
         Gram-Schmidt keeps the span of every prefix, so those rows span
         the same space as d raw products with k1, k2 < base**n, and each
@@ -418,19 +409,14 @@ class GridAnalysis:
     largest cellwise (max f - min f) / 2; it, and what is derived from
     it (the degree error, its ratio and the smoothness sequences), may
     differ from the LP's value in the last bits.  Each shell is decided
-    on first use and kept, so the build does no extra work.  Idealized
-    mode keeps the LP: its row count is not its span's dimension.
+    on first use and kept, so the build does no extra work.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
-                 basis_os: TreeBasis, mode: str = "exact",
-                 partition_base: int = 2):
-        if mode not in ("exact", "idealized"):
-            raise ValueError(f"unknown mode {mode!r}")
+                 basis_os: TreeBasis, partition_base: int = 2):
         self.grid = grid
         self.basis_es = basis_es
         self.basis_os = basis_os
-        self.mode = mode
         self.base = partition_base
         self.nu = grid.masses()
         if abs(self.nu.sum() - 1.0) > 1e-9 and grid.normalized:
@@ -441,18 +427,12 @@ class GridAnalysis:
             _axis_tables(b, grid) for b in (basis_es, basis_os))
         self.freqs = compute_omega(self._s1, self._s2)
         k1, k2 = self.freqs.k1, self.freqs.k2
-        raw = TensorRows(self._v1, self._v2, k1, k2)
-        if mode == "exact":
-            self._rows, kept = gram_orthonormalize(raw, self.nu)
-            if len(kept) < len(grid):
-                raise AssertionError(
-                    f"exact mode kept {len(kept)} rows for {len(grid)} grid "
-                    "points; their span must be all of R^N")
-        else:
-            kept = list(range(len(k1)))
-            self._rows = np.empty(raw.shape)
-            for s in range(0, len(k1), CHUNK):  # no |Omega| x N temporary
-                self._rows[s:s + CHUNK] = raw[s:s + CHUNK]
+        self._rows, kept = gram_orthonormalize(
+            TensorRows(self._v1, self._v2, k1, k2), self.nu)
+        if len(kept) < len(grid):
+            raise AssertionError(
+                f"the rank scan kept {len(kept)} rows for {len(grid)} grid "
+                "points; their span must be all of R^N")
         self.is_active = np.zeros(len(k1), dtype=bool)
         self.is_active[kept] = True
         self.active = list(zip(k1[kept].tolist(), k2[kept].tolist()))
@@ -481,18 +461,10 @@ class GridAnalysis:
         return int(self._shell.max())
 
     def orthogonality_defect(self) -> float:
-        """Max deviation of the working system's Gram matrix from I.
-
-        The Gram matrix is formed CHUNK rows at a time, so idealized
-        mode's |Omega| rows never need an |Omega| x |Omega| matrix.
-        """
-        rows, defect = self._rows, 0.0
-        for s in range(0, len(rows), CHUNK):
-            G = (rows[s:s + CHUNK] * self.nu) @ rows.T
-            G[np.arange(len(G)), np.arange(s, s + len(G))] -= 1.0
-            defect = max(defect, float(G.max()), -float(G.min()))
-            del G  # one block alive at a time
-        return defect
+        """Max deviation of the system's N x N Gram matrix from I."""
+        G = (self._rows * self.nu) @ self._rows.T
+        G[np.diag_indices_from(G)] -= 1.0
+        return max(float(G.max()), -float(G.min()))
 
     # -- norms ------------------------------------------------------------
 
@@ -513,21 +485,12 @@ class GridAnalysis:
 
     def _synth(self, w: np.ndarray) -> np.ndarray:
         """sum_i w[i] (kept row i), added one row after another in kept-row
-        order onto +0.0; a zero w[i] adds only zeros, so the sum is bit
-        for bit that over the nonzero w[i].  The rows are reduced CHUNK
-        at a time, each block under the running sum as its first row, so
-        idealized mode's |Omega| rows never need an |Omega| x N temporary;
-        a running sum from +0.0 is never -0.0, so the blocks change no
-        bit."""
-        out = np.zeros(self._rows.shape[1])
-        terms = np.empty((min(len(w), CHUNK) + 1, len(out)))
-        for s in range(0, len(w), CHUNK):
-            rows = self._rows[s:s + CHUNK]
-            block = terms[:len(rows) + 1]
-            block[0] = out
-            np.multiply(w[s:s + CHUNK, None], rows, out=block[1:])
-            out = np.add.reduce(block, axis=0)
-        return out
+        order onto +0.0: np.add.reduce along axis 0 adds the rows of the
+        terms array in order.  A zero w[i] adds only zeros, so the sum is
+        bit for bit that over the nonzero w[i]."""
+        terms = np.zeros((len(w) + 1, self._rows.shape[1]))
+        np.multiply(w[:, None], self._rows, out=terms[1:])
+        return np.add.reduce(terms, axis=0)
 
     def _symbol(self, mu: MultiplierSequence) -> np.ndarray:
         """mu on the kept rows, one power of mu.base per shell."""
@@ -602,7 +565,7 @@ class GridAnalysis:
             span = self._shell <= n
             d = int(span.sum())
             cells = None
-            if self.mode == "exact" and span[:d].all():
+            if span[:d].all():
                 top = self.base ** n
                 axes = [np.unique(s[:top], axis=1,
                                   return_inverse=True)[1].reshape(-1)
@@ -619,16 +582,15 @@ class GridAnalysis:
         """Sup-norm distance to the degree-n span.
 
         Returns (distance, best approximant's grid values).  The top
-        shell's span needs no LP in either mode: it holds every row, and
-        those span R^N (see the class docstring), so f itself is the
-        best approximant, at distance exactly 0.  In exact mode a cell
-        shell (class docstring) needs none either: its span is the
-        functions constant on cells, so the distance is the largest
-        cellwise (max f - min f) / 2 and the cellwise midrange is a best
-        approximant (Chebyshev).  That value may differ from the LP's in
-        the last bits.  Every other shell, and every shell below the top
-        in idealized mode, solves the minimax LP.  A non-finite value of
-        f is a ValueError naming its grid point.
+        shell's span needs no LP: it holds every row, and those span R^N
+        (see the class docstring), so f itself is the best approximant,
+        at distance exactly 0.  A cell shell (class docstring) needs
+        none either: its span is the functions constant on cells, so the
+        distance is the largest cellwise (max f - min f) / 2 and the
+        cellwise midrange is a best approximant (Chebyshev).  That value
+        may differ from the LP's in the last bits.  Every other shell
+        solves the minimax LP.  A non-finite value of f is a ValueError
+        naming its grid point.
         """
         fvals = self._finite(fvals)
         span = self._shell <= n
@@ -703,12 +665,11 @@ class GridAnalysis:
         Every sequence is measured in the sup norm, which the report
         records as rho = inf.  The degree spans are nested and E_n >= 0,
         so once one shell's degree error is exactly 0 every later one is
-        0 as well and gets no LP (nor does the full-span top shell, nor,
-        in exact mode, a cell shell: see best_uniform_approx and the
-        class docstring).  On cell shells the degree error, and the
-        exponent fitted from it, may differ from the LP's in the last
-        bits.  A non-finite value of f is a ValueError naming its grid
-        point.
+        0 as well and gets no LP (nor does the full-span top shell, nor
+        a cell shell: see best_uniform_approx and the class docstring).
+        On cell shells the degree error, and the exponent fitted from it,
+        may differ from the LP's in the last bits.  A non-finite value of
+        f is a ValueError naming its grid point.
         """
         fvals = self._finite(fvals)
         mu = default_multiplier(self.freqs, order, self.base)

@@ -167,8 +167,7 @@ def _grid(args, G: WeightedDigraph, scheme: str, normalize: bool):
     return _shared(args, ("grid", scheme, normalize), make)
 
 
-def _build_analysis(args, G: WeightedDigraph, mode: str,
-                    base: int) -> GridAnalysis:
+def _build_analysis(args, G: WeightedDigraph, base: int) -> GridAnalysis:
     """The analysis engine on the grid that the grid stage configured."""
     grid_cfg = _load_config(Path(args.out)).get("grid", {})
     scheme = grid_cfg.get("scheme", "uniform")
@@ -177,8 +176,20 @@ def _build_analysis(args, G: WeightedDigraph, mode: str,
     def make() -> GridAnalysis:
         filt_es, filt_os, grid = _grid(args, G, scheme, normalize)
         return GridAnalysis(grid, TreeBasis(filt_es), TreeBasis(filt_os),
-                            mode=mode, partition_base=base)
-    return _shared(args, ("engine", scheme, normalize, mode, base), make)
+                            partition_base=base)
+    return _shared(args, ("engine", scheme, normalize, base), make)
+
+
+def _analyzed(cfg: dict) -> dict:
+    """The analyze stage's settings in a workspace config.  The engine is
+    exact, so a workspace that an older version analyzed in another mode
+    is a SystemExit naming that mode."""
+    analyzed = cfg.get("analyze", {})
+    mode = analyzed.get("mode", "exact")
+    if mode != "exact":
+        raise SystemExit(f"the workspace was analyzed in mode {mode!r}, "
+                         "which this version no longer has; rerun analyze")
+    return analyzed
 
 
 def _smoothness_profile(args, engine: GridAnalysis, f: np.ndarray,
@@ -356,7 +367,7 @@ def cmd_analyze(args) -> int:
     ws = Path(args.out)
     G = _load_graph(args)
     f = vertex_signal(G, args.signal)
-    engine = _build_analysis(args, G, args.mode, args.partition_base)
+    engine = _build_analysis(args, G, args.partition_base)
     status = np.where(engine.is_active, "active", "dropped")
     _write_rows(ws / "omega.csv", ["k1", "k2", "shell", "status"],
                 zip(engine.freqs.k1.tolist(), engine.freqs.k2.tolist(),
@@ -367,7 +378,7 @@ def cmd_analyze(args) -> int:
     defect = engine.orthogonality_defect()
     resid = engine.l2_norm(f - engine.synthesize(coeffs))
     summary = {
-        "mode": engine.mode,
+        "mode": "exact",
         "signal": args.signal,
         "grid_points": len(engine.grid),
         "omega_size": len(engine.freqs),
@@ -379,9 +390,9 @@ def cmd_analyze(args) -> int:
     }
     _write_json(ws / "analysis.json", summary)
     _update_config(ws, "analyze",
-                   {"mode": args.mode, "signal": args.signal,
+                   {"mode": "exact", "signal": args.signal,
                     "partition_base": args.partition_base})
-    print(f"mode {engine.mode}: {len(engine.active)} active of "
+    print(f"mode exact: {len(engine.active)} active of "
           f"{len(engine.freqs)} indices, defect {defect:.2e}")
     return 0
 
@@ -394,12 +405,11 @@ def cmd_approx(args) -> int:
     per-shell agreement fraction is recorded alongside the errors.
     """
     ws = Path(args.out)
-    analyzed = _load_config(ws).get("analyze", {})
+    analyzed = _analyzed(_load_config(ws))
     signal = analyzed.get("signal", args.signal)
     G = _load_graph(args)
     f = vertex_signal(G, signal)
-    engine = _build_analysis(args, G, analyzed.get("mode", "exact"),
-                             analyzed.get("partition_base", 2))
+    engine = _build_analysis(args, G, analyzed.get("partition_base", 2))
     try:
         report = _smoothness_profile(args, engine, f, args.order)
     except MultiplierError as exc:
@@ -519,12 +529,11 @@ def cmd_metrics(args) -> int:
 def cmd_report(args) -> int:
     ws = Path(args.out)
     cfg = _load_config(ws)
-    analyzed = cfg.get("analyze", {})
+    analyzed = _analyzed(cfg)
     order = cfg.get("approx", {}).get("order", 1.0)
     G = _load_graph(args)
     f = vertex_signal(G, analyzed.get("signal", "outdeg"))
-    engine = _build_analysis(args, G, analyzed.get("mode", "exact"),
-                             analyzed.get("partition_base", 2))
+    engine = _build_analysis(args, G, analyzed.get("partition_base", 2))
     report = _smoothness_profile(args, engine, f, order)
     report.save_json(ws / "smoothness.json")
     shown = {k: (f"{v:.3f}" if v is not None else "n/a")
@@ -660,9 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["uniform", "volume"],
                       help="leaf masses: equal, or by weighted out-degree")
     analyze = group()
-    analyze.add_argument("--mode", default="exact",
-                         choices=["exact", "idealized"],
-                         help="re-orthonormalized or raw tensor products")
+    analyze.add_argument("--mode", default="exact", choices=["exact"],
+                         help="re-orthonormalized tensor products, the "
+                              "only mode")
     analyze.add_argument("--partition-base", type=_partition_base, default=2,
                          dest="partition_base", help="shell base, at least 2")
     approx = group()

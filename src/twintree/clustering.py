@@ -954,7 +954,10 @@ class TwinTreeBuilder:
         side, the trials whose components all have the same depths (for
         nhc and mll, every trial) are numbered by one _level_ids call per
         component and grafted by one _graft_ids call into their block of
-        the stack."""
+        the stack.  An empty batch is a ValueError."""
+        if len(seeds) == 0:
+            raise ValueError("level_ids_batch needs at least one seed, "
+                             "got an empty batch")
         labeled = [None] * len(seeds) if labeled is None else labeled
         out = []
         for side in self._levels(seeds, labeled):

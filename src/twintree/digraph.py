@@ -212,18 +212,6 @@ def extend(G: WeightedDigraph) -> WeightedDigraph:
     return WeightedDigraph(G.weights + eye, G.names, G.labels)
 
 
-def _mirror_upper(mat: sparse.csr_array) -> sparse.csr_array:
-    """Make a nearly-symmetric matrix exactly symmetric.
-
-    The upper triangle (diagonal included) is kept and reflected, so the
-    result is bitwise equal to its transpose even when sparse products
-    accumulate the two triangles in different orders.
-    """
-    upper = sparse.triu(mat, k=0, format="csr")
-    strict = sparse.triu(mat, k=1, format="csr")
-    return sparse.csr_array(upper + strict.T)
-
-
 def symmetrize(G: WeightedDigraph, kind: str) -> UndirectedGraph:
     """Build one of the two symmetric companions of a digraph.
 
@@ -232,13 +220,16 @@ def symmetrize(G: WeightedDigraph, kind: str) -> UndirectedGraph:
                self-loop-extended matrix times its transpose.
         "os" : couples vertices pointed at by common sources; the
                transpose of the extended matrix times itself.
+
+    The product's canonical CSR has sorted indices, so each entry and
+    its mirror are summed over the same terms in the same order and the
+    product is exactly symmetric; UndirectedGraph raises if it is not.
     """
     if kind not in ("es", "os"):
         raise ValueError(f"unknown symmetrization kind {kind!r}")
     we = extend(G).weights
     sym = we @ we.T if kind == "es" else we.T @ we
-    return UndirectedGraph(_mirror_upper(sparse.csr_array(sym)),
-                           G.names, G.labels)
+    return UndirectedGraph(sym, G.names, G.labels)
 
 
 def weak_component_indices(G: WeightedDigraph) -> list[np.ndarray]:

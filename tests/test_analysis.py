@@ -28,12 +28,12 @@ from util import (degenerate_digraphs, random_filtration,
                   value_table_filtration)
 
 
-def make_analysis(graph_seed=1, tree_seed=9, K=(2, 6), **kw):
-    G = synth_digraph("toy25", seed=graph_seed)
-    es, os_ = twt(G, K=K, seed=tree_seed)
+def make_analysis():
+    G = synth_digraph("toy25", seed=1)
+    es, os_ = twt(G, K=(2, 6), seed=9)
     fes, fos = build_filtration(es), build_filtration(os_)
     grid = build_grid(fes, fos)
-    return GridAnalysis(grid, TreeBasis(fes), TreeBasis(fos), **kw)
+    return GridAnalysis(grid, TreeBasis(fes), TreeBasis(fos))
 
 
 @pytest.fixture(scope="module")
@@ -356,18 +356,10 @@ def test_exact_build_equals_gram_of_the_dense_raw_matrix(case):
                                       k2[dropped].tolist()))
 
 
-SYNTH_CASES = [(case, mode) for mode in ("exact", "idealized")
-               for case in KEPT_SET_CASES]
-
-
-@pytest.mark.parametrize("case, mode", SYNTH_CASES,
-                         ids=[c if m == "exact" else f"{c}-{m}"
-                              for c, m in SYNTH_CASES])
-def test_synth_adds_rows_bit_for_bit_as_the_row_loop(case, mode):
-    # idealized "fragmented" engines have 1 044 rows: two CHUNK blocks
+@pytest.mark.parametrize("case", KEPT_SET_CASES)
+def test_synth_adds_rows_bit_for_bit_as_the_row_loop(case):
     f1, f2 = kept_set_case(case)
-    an = GridAnalysis(build_grid(f1, f2), TreeBasis(f1), TreeBasis(f2),
-                      mode=mode)
+    an = GridAnalysis(build_grid(f1, f2), TreeBasis(f1), TreeBasis(f2))
     rng = np.random.default_rng(list(case.encode()))
     n = len(an.active)
     for trial in range(60):
@@ -400,27 +392,6 @@ def test_exact_build_stores_no_omega_by_n_matrix():
     raw_bytes = len(an.freqs) * len(grid) * 8
     assert raw_bytes > 30e6
     assert peak < raw_bytes / 4
-
-
-def test_idealized_sigma_forms_no_omega_by_n_temporary():
-    # L(100) of tools/bench.py: its 4 674 idealized rows take 3.7 MB
-    G = synth_digraph("planted", seed=3, sizes=[50, 50])
-    es, os_ = twt(G, K=(2, 8), seed=3)
-    fes, fos = build_filtration(es), build_filtration(os_)
-    an = GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos),
-                      mode="idealized")
-    f = np.random.default_rng(0).standard_normal(len(an))
-    n = an.max_shell() - 1
-    tracemalloc.start()
-    try:
-        head = an.sigma(f, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(an.active) > 4 * analysis.CHUNK
-    assert peak < an._rows.nbytes / 3
-    w = np.where(an._shell <= n, an._coef(f), 0.0)
-    assert head.tobytes() == loop_synthesis(an._rows, w).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "volume"])
@@ -472,7 +443,6 @@ def test_exact_mode_asserts_one_kept_row_per_grid_point(case, monkeypatch):
 
 
 def test_exact_mode_is_orthonormal_and_complete(toy):
-    assert toy.mode == "exact"
     assert toy.orthogonality_defect() <= 1e-10
     # 25 independent functions span everything on 25 points
     assert len(toy.active) == len(toy.grid) == 25
@@ -551,31 +521,17 @@ def test_axis_tables_equal_the_dense_fraction_tables_bit_for_bit(case):
             assert cells is None, n
 
 
-def test_idealized_mode_reports_its_defect():
-    an = make_analysis(mode="idealized")
-    assert an.active == an.freqs.omega
-    assert an.dropped == []
-    assert an.orthogonality_defect() > 1e-6  # genuinely non-orthonormal
-    with pytest.raises(ValueError, match="mode"):
-        make_analysis(mode="sloppy")
-
-
-@pytest.mark.parametrize("chunk", [7, analysis.CHUNK])
-@pytest.mark.parametrize("case", ["toy", "toy_idealized", "planted_volume",
-                                  "planted_idealized"])
-def test_orthogonality_defect_streams_the_full_gram(case, chunk,
-                                                    monkeypatch):
+@pytest.mark.parametrize("case", ["toy", "planted_volume"])
+def test_orthogonality_defect_is_the_full_gram(case):
     an, _ = oracle_engine(case)
     G = (an._rows * an.nu) @ an._rows.T
     full = float(np.max(np.abs(G - np.eye(len(G)))))
-    monkeypatch.setattr(analysis, "CHUNK", chunk)
     assert an.orthogonality_defect() == full
 
 
-@pytest.mark.parametrize("mode", ["exact", "idealized"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_signals_are_rejected_naming_the_point(mode, bad):
-    an = make_analysis(mode=mode)
+def test_non_finite_signals_are_rejected_naming_the_point(bad):
+    an = make_analysis()
     f = np.arange(len(an), dtype=float)
     f[[7, 11]] = bad, math.nan
     vertex = an.grid.points[7].vertex
@@ -931,6 +887,26 @@ def test_power_law_signals_fit_their_exponent(toy):
         assert seqs["k_functional"][n] == toy.k_functional(f, 2.0 ** -n, mu)
 
 
+def test_fit_points_keep_values_far_below_1e_9(toy):
+    # g lies in the span of shell <= 2, so a 1e-11 perturbation leaves
+    # the errors above shell 1 near 1e-11: far below 1e-9, far above
+    # the top shell's roundoff
+    rng = np.random.default_rng(97)
+    g = toy.sigma(rng.standard_normal(len(toy)), 2)
+    f = g + 1e-11 * rng.standard_normal(len(toy))
+    report = toy.smoothness_profile(f)
+    proj = report.sequences["projection_error"]
+    top = toy.max_shell()
+    assert top >= 4
+    assert all(1e-13 < proj[n] <= 1e-9 for n in range(2, top))
+    assert proj[top] <= 1e-13
+    assert report.fit_points["projection_error"] == list(range(top))
+    assert report.gamma["projection_error"] is not None
+    for name, ys in report.sequences.items():
+        assert report.fit_points[name] == [j for j, y in enumerate(ys)
+                                           if y > 1e-13], name
+
+
 def test_single_shell_signal_is_flagged_insufficient(toy):
     k = next(k for k in toy.active if shell_index(k) == 1)
     report = toy.smoothness_profile(toy.row(k))
@@ -957,7 +933,7 @@ def test_report_roundtrips_to_json(tmp_path, toy):
 
 def oracle_engine(case):
     """(engine, graph) for the oracle tests: the toy graph, or a planted
-    one under volume masses, in base 2 or 3, exact or idealized."""
+    one under volume masses, in base 2 or 3."""
     if case.startswith("toy"):
         G = synth_digraph("toy25", seed=1)
         K, seed, scheme = (2, 6), 9, "uniform"
@@ -968,8 +944,6 @@ def oracle_engine(case):
     fes = build_filtration(es, scheme, G)
     fos = build_filtration(os_, scheme, G)
     kw = {"partition_base": 3} if case.endswith("base3") else {}
-    if case.endswith("idealized"):
-        kw["mode"] = "idealized"
     return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos),
                         **kw), G
 
@@ -1074,13 +1048,13 @@ def cell_shells(an) -> list[int]:
 
 
 @pytest.mark.parametrize("case", ["toy", "toy_base3", "planted_volume",
-                                  "planted_base3", "planted_idealized"])
+                                  "planted_base3"])
 def test_degree_errors_equal_the_lp_oracle_at_every_shell(case):
     an, G = oracle_engine(case)
     top = an.max_shell()
     closed = cell_shells(an)
-    # shell 0 spans the constants, one cell; idealized mode keeps its LPs
-    assert closed[:1] == ([] if case.endswith("idealized") else [0])
+    # shell 0 spans the constants, one cell
+    assert closed[:1] == [0]
     signals = {"outdeg": vertex_signal(G, "outdeg"),
                "noise": np.random.default_rng(list(case.encode()))
                .standard_normal(len(an))}
@@ -1172,13 +1146,11 @@ def test_a_shell_whose_count_matches_but_not_its_prefix_keeps_its_lp(
     assert len(lp_calls) == 1
 
 
-@pytest.mark.parametrize("case", ["planted_volume", "planted_idealized"])
+@pytest.mark.parametrize("case", ["planted_volume", "planted_base3"])
 def test_profile_solves_no_lp_whose_answer_is_exactly_zero(case, lp_calls):
     an, G = oracle_engine(case)
     top = an.max_shell()
     open_shells = [n for n in range(top) if n not in cell_shells(an)]
-    if case.endswith("idealized"):
-        assert open_shells == list(range(top))
     noise = np.random.default_rng(89).standard_normal(len(an))
     generic = an.smoothness_profile(noise).sequences["degree_error"]
     assert 0.0 not in generic[:-1]

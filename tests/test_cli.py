@@ -162,7 +162,7 @@ STAGE_CASES = {
     "toy25": {"kind": "toy25", "seed": "1", "levels": "2,6"},
     "planted_volume_label": {"kind": "planted", "seed": "2",
                              "param": "sizes=[15,15]", "scheme": "volume",
-                             "signal": "label", "mode": "idealized",
+                             "signal": "label", "mode": "exact",
                              "levels": "2,6"},
 }
 STAGE_FLAGS = {"synth": ("kind", "seed", "param"),
@@ -444,6 +444,26 @@ def test_rejected_analyze_leaves_the_workspace_usable(tmp_path, capsys):
     assert (ws / "config.json").read_bytes() == config
     assert main(["approx", "--out", str(ws)]) == 0
     assert main(["report", "--out", str(ws)]) == 0
+
+
+def test_approx_and_report_refuse_a_workspace_of_another_mode(
+        gridded, tmp_path, capsys):
+    ws = tmp_path / "older"
+    shutil.copytree(gridded, ws)
+    assert main(["analyze", "--out", str(ws)]) == 0
+    config = json.loads((ws / "config.json").read_text())
+    assert config["analyze"]["mode"] == "exact"
+    # the raw-product mode that older versions could record
+    config["analyze"]["mode"] = "idealized"
+    (ws / "config.json").write_text(json.dumps(config))
+    for command in ("approx", "report"):
+        with pytest.raises(SystemExit, match="analyzed in mode 'idealized'"):
+            main([command, "--out", str(ws)])
+    assert not (ws / "approx.csv").exists()
+    assert not (ws / "smoothness.json").exists()
+    with pytest.raises(SystemExit):
+        main(["analyze", "--out", str(ws), "--mode", "idealized"])
+    assert "invalid choice: 'idealized'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("item", ["sizes", "sizes=[20,", "=[20, 20]"])

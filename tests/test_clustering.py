@@ -892,6 +892,15 @@ def test_batched_numbering_matches_the_per_trial_oracle(algo):
         assert ("unequal trials", True) in kinds
 
 
+def test_an_empty_batch_is_rejected_by_name():
+    G = synth_digraph("planted", seed=6, sizes=(20, 20, 6), p_out=0.0)
+    for algo in ("nhc", "mll", "mbo"):
+        builder = TwinTreeBuilder(G, (2, 4), algo=algo)
+        for labeled in (None, []):
+            with pytest.raises(ValueError, match="empty batch"):
+                builder.level_ids_batch([], labeled)
+
+
 def test_trials_whose_clusters_coincide_continue_in_groups():
     """Distances floored to even steps make points coincide, so trials
     keep different numbers of clusters, at the finest level and again at

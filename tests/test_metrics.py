@@ -166,6 +166,14 @@ def test_planted_structure_beats_random_colorings():
     assert q > mean + 5 * std
 
 
+def test_random_baseline_reports_the_population_std():
+    G = synth_digraph("planted", seed=3, sizes=(8, 8), p_in=0.5, p_out=0.1)
+    mean, std, samples = random_coloring_baseline(G, 3, trials=12, seed=7)
+    assert mean == np.mean(samples)
+    assert std == np.std(samples)
+    assert std != np.std(samples, ddof=1)
+
+
 def test_random_baseline_is_reproducible():
     rng = np.random.default_rng(5)
     G = random_digraph(rng, 12, density=0.4, weighted=True)

@@ -6,13 +6,13 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides thirteen synthesized graphs, the corpus ingests six edge lists
+Besides twelve synthesized graphs, the corpus ingests six edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph, four degenerate ones (fragmented, out-star,
 self-loops, heavy-tailed weights) and a planted 20/20/6 one with no
 edges between blocks, labeled v % 3.  Two configurations (`*_deep`) ask
 for three levels, so that a coarse graph is coarse-grained again.  One
-(`planted_volume_blocks`, planted 60/60, exact mode) is large enough
+(`planted_volume_blocks`, planted 60/60) is large enough
 that the rank scan runs over several blocks: |Omega| = 7 058 and full
 rank is reached at Omega row 3 035, both past the 256 rows of
 `analysis.SCAN_BLOCK`.  One (`planted_components`, planted 20/20/6
@@ -47,8 +47,6 @@ SYNTH = {
     "toy25": ["--kind", "toy25"],
     "planted_volume_label": PLANTED + ["--scheme", "volume", "--signal",
                                        "label", "--labeled"],
-    "planted_idealized": PLANTED + ["--param", "sizes=[12,12]", "--mode",
-                                    "idealized"],
     "planted_base3": PLANTED + ["--partition-base", "3", "--order", "2.5"],
     "planted_mll": PLANTED + ["--algo", "mll"],
     "planted_mll_labeled": PLANTED + ["--algo", "mll", "--labeled",
