@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import TreeBasis, linprog
+from .basis import TreeBasis, linprog, minimax_answer, minimax_lp
 from .filtration import Filtration
 
 
@@ -144,22 +144,17 @@ def _axis_tables(basis: TreeBasis, grid: GridSet
     Row n, column i: psi_n of ``basis`` on the leaf cell of
     ``basis.filtration`` that holds grid point i, as an int8 sign
     (+1, -1 or 0) and as a float scaled by sqrt(aleph(n)).  Both come
-    from the records of ``basis.value_table()``: the signs from their
-    integer cell ranges alone, and the floats from converting each
-    row's two exact values once, float(up) and float(-down), so that
-    every entry is the float of its exact value and zeros are +0.0.
+    from ``basis.cell_table()``, the float of every exact value with
+    +0.0 for the zeros; the signs are ``np.sign`` of it, which is exact
+    because up and down are always > 0.
     """
-    records = basis.value_table()
-    signs = np.zeros((basis.size, basis.size), dtype=np.int8)
-    values = np.zeros((basis.size, basis.size))
-    for s, v, (lo, mid, hi, up, down, _) in zip(signs, values, records):
-        s[lo:mid], s[mid:hi] = 1, -1
-        v[lo:mid], v[mid:hi] = float(up), float(-down)
-    values *= np.sqrt([float(r[5]) for r in records])[:, None]
+    table = basis.cell_table()
+    signs = np.sign(table).astype(np.int8)
+    table *= np.sqrt([float(r[5]) for r in basis.value_table()])[:, None]
     filt = basis.filtration
     cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
     cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
-    return signs[:, cols], values[:, cols]
+    return signs[:, cols], table[:, cols]
 
 
 def compute_omega(v1, v2) -> FrequencySet:
@@ -211,9 +206,10 @@ def gram_orthonormalize(rows, masses: np.ndarray
     ``rows`` is a float matrix or a ``TensorRows``; it is only read by
     index, so a ``TensorRows`` is never formed whole.  Rows are
     processed in order; a row whose residual norm falls below
-    DROP_TOL * max(1, own norm) is dropped as dependent.  Two projection
-    passes keep the result orthonormal to machine precision.  Returns
-    (orthonormal rows, kept row indices); every other row is dropped.
+    DROP_TOL * max(1, own norm) is dropped as dependent.  This rule
+    projects each row it decides twice, which keeps the result
+    orthonormal to machine precision.  Returns (orthonormal rows, kept
+    row indices); every other row is dropped.
 
     The scan stops once as many rows are kept as there are columns, so
     every later row is dropped.  That exit is exact: N rows
@@ -224,14 +220,14 @@ def gram_orthonormalize(rows, masses: np.ndarray
     One loop takes the rows SCAN_BLOCK at a time, reading each block
     only when the scan reaches it.  Two filters, in sqrt(masses)-scaled
     coordinates where the weighted products are plain dot products,
-    skip most dependent rows cheaply: the block is projected twice onto
-    the complement of the rows kept so far (a scaled copy of E), two
-    GEMMs per pass, and each remaining candidate once more onto the rows
-    its block has kept.  Projecting out more rows can only shrink a
-    residual, so, up to roundoff, the filters drop only rows the rule
-    above drops.  A candidate that passes both is read again, alone,
-    and decided by the rule itself with its two passes against E, so E
-    is bit for bit the E of one per-row loop over every row.
+    skip most dependent rows cheaply: the block is projected once onto
+    the complement of the rows kept so far (a scaled copy of E), with two
+    GEMMs, and each remaining candidate onto the rows its block has kept.
+    Projecting out more rows can only shrink a residual, so, up to
+    roundoff, the filters drop only rows the rule above drops.  A
+    candidate that passes both is read again, alone, and decided by the
+    rule itself with its two passes against E, so E is bit for bit the
+    E of one per-row loop over every row.
     """
     nrows, ncols = rows.shape
     w = np.sqrt(masses)
@@ -243,11 +239,10 @@ def gram_orthonormalize(rows, masses: np.ndarray
             break
         R = rows[s:s + SCAN_BLOCK] * w
         tol = DROP_TOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", R, R)))
-        place, basis = np.arange(s, s + len(R)), scaled[:start]
-        for _ in range(2):
-            R -= (R @ basis.T) @ basis
-            live = np.sqrt(np.einsum("ij,ij->i", R, R)) > tol
-            R, tol, place = R[live], tol[live], place[live]
+        basis = scaled[:start]
+        R -= (R @ basis.T) @ basis
+        live = np.sqrt(np.einsum("ij,ij->i", R, R)) > tol
+        R, tol, place = R[live], tol[live], s + np.flatnonzero(live)
         for r, t, i in zip(R, tol.tolist(), place.tolist()):
             new = scaled[start:len(kept)]
             for _ in range(2):
@@ -370,10 +365,11 @@ class GridAnalysis:
     a mask over Omega in ``is_active``.
 
     Each axis's functions are held on the grid points as two tables,
-    both made from the exact records of ``TreeBasis.value_table`` (see
-    ``_axis_tables``): int8 signs, which decide Omega and the cell
-    classes below exactly, and floats scaled by sqrt(aleph), whose
-    products are the raw rows.  No N x N table of Fractions is built.
+    both made from ``TreeBasis.cell_table``, the floats of the exact
+    records of ``TreeBasis.value_table`` (see ``_axis_tables``): int8
+    signs, which decide Omega and the cell classes below exactly, and
+    floats scaled by sqrt(aleph), whose products are the raw rows.  No
+    N x N table of Fractions is built.
 
     The raw rows are never stored: ``TensorRows`` forms each scan block
     of them, and each row the scan decides on its own, from the two
@@ -607,18 +603,8 @@ class GridAnalysis:
             half = (hi - lo) / 2
             return float(half.max()), (lo + half)[cells]
         A = self._rows[span].T
-        npts, ncols = A.shape
-        A_ub = np.block([[A, -np.ones((npts, 1))],
-                         [-A, -np.ones((npts, 1))]])
-        b_ub = np.concatenate([fvals, -fvals])
-        cost = np.zeros(ncols + 1)
-        cost[-1] = 1.0
-        bounds = [(None, None)] * ncols + [(0, None)]
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"minimax LP failed: {res.message}")
-        return float(res.fun), A @ res.x[:ncols]
+        dist, coef = minimax_answer(linprog(**minimax_lp(A, fvals)))
+        return dist, A @ coef
 
     # -- differentiation -------------------------------------------------------
 

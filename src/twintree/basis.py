@@ -41,8 +41,9 @@ Conventions used throughout this module:
   (b-a)^2 / ((b'-a')(a'-a)(b'-a)).  The system is orthogonal, constant
   on leaf cells, and spans exactly the leaf-measurable functions.
 
-Expansions and best uniform approximation from leading spans (a small
-linear program) live at the bottom of the module.
+Expansions and best uniform approximation from leading spans live at
+the bottom of the module; the latter's minimax linear program is
+encoded once, by ``minimax_lp`` at the top, which ``analysis`` shares.
 """
 
 from __future__ import annotations
@@ -61,6 +62,27 @@ def linprog(*args, **kwargs):
     only the commands that solve an LP pay for importing the solver."""
     from scipy.optimize import linprog as solve
     return solve(*args, **kwargs)
+
+
+def minimax_lp(A: np.ndarray, fvals: np.ndarray) -> dict:
+    """``linprog``'s arguments for min over c of max_i |fvals - A c|_i:
+    minimize t subject to +-(A c - fvals) <= t, c free and t >= 0."""
+    npts, ncols = A.shape
+    cost = np.zeros(ncols + 1)
+    cost[-1] = 1.0
+    return {"c": cost,
+            "A_ub": np.block([[A, -np.ones((npts, 1))],
+                              [-A, -np.ones((npts, 1))]]),
+            "b_ub": np.concatenate([fvals, -fvals]),
+            "bounds": [(None, None)] * ncols + [(0, None)],
+            "method": "highs"}
+
+
+def minimax_answer(res) -> tuple[float, np.ndarray]:
+    """(distance, c) from ``linprog``'s result for a ``minimax_lp``."""
+    if not res.success:
+        raise RuntimeError(f"minimax LP failed: {res.message}")
+    return float(res.fun), res.x[:-1]
 
 
 # -- piecewise-constant functions -------------------------------------------
@@ -384,6 +406,14 @@ class TreeBasis:
             self._values = table
         return self._values
 
+    def cell_table(self) -> np.ndarray:
+        """psi_n on leaf cell j at [n, j], the float of its exact value in
+        ``value_table``: float(up), float(-down) or +0.0 (see there)."""
+        table = np.zeros((self.size, self.size))
+        for row, (lo, mid, hi, up, down, _) in zip(table, self.value_table()):
+            row[lo:mid], row[mid:hi] = float(up), float(-down)
+        return table
+
     # -- expansions ------------------------------------------------------
 
     def analyze(self, f: PiecewiseConstant) -> list:
@@ -418,21 +448,6 @@ class TreeBasis:
             raise ValueError(f"index {n} outside 0..{self.size - 1}")
         grid = self.leaf_breakpoints()
         fvals = np.array([float(v) for v in f.values_on(grid)])
-        A = np.zeros((self.size, n + 1))
-        for col, (lo, mid, hi, up, down, _) in zip(A.T, self.value_table()):
-            col[lo:mid], col[mid:hi] = float(up), float(-down)
-        ncells, ncols = A.shape
-        # variables: coefficients c (free) then the bound t
-        A_ub = np.block([[A, -np.ones((ncells, 1))],
-                         [-A, -np.ones((ncells, 1))]])
-        b_ub = np.concatenate([fvals, -fvals])
-        cost = np.zeros(ncols + 1)
-        cost[-1] = 1.0
-        bounds = [(None, None)] * ncols + [(0, None)]
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"minimax LP failed: {res.message}")
-        witness = self.synthesize(list(res.x[:ncols]))
-        return float(res.fun), witness
-
+        dist, coef = minimax_answer(
+            linprog(**minimax_lp(self.cell_table()[:n + 1].T, fvals)))
+        return dist, self.synthesize(list(coef))

@@ -43,9 +43,6 @@ class ClusterNode:
     parent: Optional[int]
     children: list[int] = field(default_factory=list)
     members: frozenset[int] = frozenset()
-    # Nothing sets this flag any more; it stays because tree JSON
-    # carries the key.
-    synthetic: bool = False
 
 
 class ClusterTree:
@@ -154,7 +151,9 @@ class ClusterTree:
             {"id": n.id, "level": n.level, "parent": n.parent,
              "children": list(n.children),
              "members": sorted(n.members),
-             "synthetic": n.synthetic}
+             # No node is synthetic any more; the key stays so that tree
+             # JSON keeps its bytes, and loading ignores it.
+             "synthetic": False}
             for n in sorted(self.nodes.values(), key=lambda x: x.id)]}
 
     def save_json(self, path) -> None:
@@ -171,8 +170,7 @@ class ClusterTree:
                 id=int(rec["id"]), level=int(rec["level"]),
                 parent=None if rec["parent"] is None else int(rec["parent"]),
                 children=[int(c) for c in rec["children"]],
-                members=frozenset(int(m) for m in rec["members"]),
-                synthetic=bool(rec.get("synthetic", False)))
+                members=frozenset(int(m) for m in rec["members"]))
             nodes[node.id] = node
             if node.parent is None:
                 root = node.id

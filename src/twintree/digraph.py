@@ -285,20 +285,18 @@ def reciprocal_lengths(G: WeightedDigraph) -> WeightedDigraph:
 
 
 def _open_text(source) -> IO[str]:
+    """A new text stream of a path's or stream's text.  Bytes are
+    gunzipped if gzip's magic number starts them, then UTF-8 decoded."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            if data[:2] == b"\x1f\x8b":
-                data = gzip.decompress(data)
-            return io.StringIO(data.decode("utf-8"))
-        return io.StringIO(data)
-    with open(source, "rb") as fh:
-        head = fh.read(2)
-        fh.seek(0)
-        raw = fh.read()
-    if head == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    return io.StringIO(raw.decode("utf-8"))
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        if data[:2] == b"\x1f\x8b":
+            data = gzip.decompress(data)
+        data = data.decode("utf-8")
+    return io.StringIO(data)
 
 
 def load_edge_list(source, labels_source=None) -> WeightedDigraph:

@@ -94,7 +94,7 @@ def collapse_chains(tree: ClusterTree) -> ClusterTree:
         while len(bottom.children) == 1:
             bottom = tree.nodes[bottom.children[0]]
         nodes[nid] = ClusterNode(nid, level, parent, list(bottom.children),
-                                 top.members, top.synthetic)
+                                 top.members)
         stack.extend((c, nid, level + 1) for c in reversed(bottom.children))
     return ClusterTree(nodes, tree.root)
 

@@ -901,7 +901,7 @@ def collapse_chains_fixpoint(tree) -> ClusterTree:
     merge applies, then levels recomputed as depth from the root: the
     repeat-until-stable route to ``filtration.collapse_chains``."""
     nodes = {nid: ClusterNode(n.id, n.level, n.parent, list(n.children),
-                              n.members, n.synthetic)
+                              n.members)
              for nid, n in tree.nodes.items()}
     changed = True
     while changed:

@@ -182,6 +182,10 @@ def test_value_table_matches_pointwise_evaluation(case):
                      for n in range(basis.size)]
     assert all(isinstance(v, Fraction) for row in table for v in row)
     assert len(table) == len(mids) == filt.n_leaves()
+    floats = np.array([[float(v) for v in row] for row in table])
+    cells = basis.cell_table()
+    assert cells.shape == floats.shape
+    assert cells.tobytes() == floats.tobytes()
 
 
 def test_analysis_synthesis_roundtrip_is_exact():

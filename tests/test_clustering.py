@@ -188,7 +188,6 @@ def test_shallow_leaf_is_its_own_ancestor():
 
 def test_tree_json_roundtrip(tmp_path):
     tree = chain_tree()
-    tree.nodes[tree.leaf_of_vertex(2)].synthetic = True
     path = tmp_path / "tree.json"
     tree.save_json(path)
     back = ClusterTree.load_json(path)

@@ -259,6 +259,17 @@ def test_edge_list_gzip_roundtrip(tmp_path):
     assert A.names == B.names
 
 
+@pytest.mark.parametrize("pack", [bytes, gzip.compress])
+def test_edge_list_loads_from_a_binary_stream(pack):
+    text = "u v 1.0\nv wé 2.5\n"
+    raw = io.BytesIO(pack(text.encode("utf-8")))
+    G = load_edge_list(raw)
+    ref = load_edge_list(io.StringIO(text))
+    assert G.names == ref.names == ["u", "v", "wé"]
+    assert np.array_equal(G.to_dense(), ref.to_dense())
+    assert not raw.closed
+
+
 @pytest.mark.parametrize("bad, lineno", [
     ("a b\n", 1),
     ("a b one\n", 1),

@@ -32,13 +32,11 @@ first ``level_ids_batch`` call, so the first trial
 (``metrics_steady_trial_s``) is what every later trial costs.
 ``metrics_batch_trial_s`` is the time per trial of a batch of 30 seeds,
 clustered and scored as ``twintree metrics`` does it (one
-``level_ids_batch`` call, then one ``align_and_score`` call, each
-checkout's output passed to its own scorer, whichever of the two
-signatures it has), and ``metrics_score_trial_s`` the scoring part of
-it alone, per trial.  The
-inner times, and the call counts next to them (``*_calls``), come from
-wrappers this script installs on the imported modules; the library has
-no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
+``level_ids_batch`` call, then one ``align_and_score`` call on its two
+level-id stacks), and ``metrics_score_trial_s`` the scoring part of it
+alone, per trial.  The inner times, and the call counts next to them
+(``*_calls``), come from wrappers this script installs on the imported
+modules; the library has no hook of its own.  A run also records the peak ``ru_maxrss`` in MB,
 |Omega|, and the full-rank row: the 0-based Omega row at which the
 rank scan keeps its N-th row.  OUT.json holds, per size, checkout and
 quantity, every run's value with their median, minimum and maximum.
@@ -48,7 +46,6 @@ Children run with OMP_NUM_THREADS=1 unless the caller sets it.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -97,16 +94,6 @@ def install_timers() -> dict:
     return totals
 
 
-def score(align_and_score, G, ids, labels) -> list:
-    """The records of a checkout's ``level_ids_batch`` output ids, scored
-    by that checkout's ``align_and_score``: a list of (es, os) pairs, one
-    per trial, where it takes the batch as that list, else the two
-    (trials, depth, n) level-id stacks."""
-    if "batch" in inspect.signature(align_and_score).parameters:
-        return align_and_score(G, ids, labels=labels)
-    return align_and_score(G, *ids, labels=labels)
-
-
 def run_point(n: int) -> dict:
     """One run of L(n) in this process; returns its measurements."""
     import scipy.optimize  # noqa: F401  (keeps its import out of lp_s)
@@ -140,12 +127,12 @@ def run_point(n: int) -> dict:
     builder = TwinTreeBuilder(G, (2, 8))
     for trial in ("first", "steady"):
         start = time.perf_counter()
-        score(align_and_score, G, builder.level_ids_batch([3]), G.labels)
+        align_and_score(G, *builder.level_ids_batch([3]), labels=G.labels)
         out[f"metrics_{trial}_trial_s"] = time.perf_counter() - start
     start = time.perf_counter()
     ids = builder.level_ids_batch(list(range(BATCH)))
     scoring = time.perf_counter()
-    score(align_and_score, G, ids, G.labels)
+    align_and_score(G, *ids, labels=G.labels)
     end = time.perf_counter()
     out["metrics_batch_trial_s"] = (end - start) / BATCH
     out["metrics_score_trial_s"] = (end - scoring) / BATCH
