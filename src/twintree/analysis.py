@@ -406,6 +406,14 @@ class GridAnalysis:
     it (the degree error, its ratio and the smoothness sequences), may
     differ from the LP's value in the last bits.  Each shell is decided
     on first use and kept, so the build does no extra work.
+
+    Every other shell below the top solves ``basis.minimax_lp``, which
+    gives HiGHS one pair of constraints per distinct grid row of the
+    span (grid points whose rows are bitwise equal share it), not one
+    per grid point.  The feasible set and optimum are those of the
+    2N-row LP, but HiGHS may reach it by another path, so an LP shell's
+    E_n may differ from the 2N-row LP's in the last bits, as a cell
+    shell's may.
     """
 
     def __init__(self, grid: GridSet, basis_es: TreeBasis,
@@ -585,8 +593,10 @@ class GridAnalysis:
         distance is the largest cellwise (max f - min f) / 2 and the
         cellwise midrange is a best approximant (Chebyshev).  That value
         may differ from the LP's in the last bits.  Every other shell
-        solves the minimax LP.  A non-finite value of f is a ValueError
-        naming its grid point.
+        solves the minimax LP over the distinct grid rows of its span
+        (``basis.minimax_lp``); its value may differ from the 2N-row
+        LP's in the last bits too.  A non-finite value of f is a
+        ValueError naming its grid point.
         """
         fvals = self._finite(fvals)
         span = self._shell <= n
@@ -653,9 +663,14 @@ class GridAnalysis:
         so once one shell's degree error is exactly 0 every later one is
         0 as well and gets no LP (nor does the full-span top shell, nor
         a cell shell: see best_uniform_approx and the class docstring).
-        On cell shells the degree error, and the exponent fitted from it,
-        may differ from the LP's in the last bits.  A non-finite value of
-        f is a ValueError naming its grid point.
+        The degree error, and the exponent fitted from it, may differ in
+        the last bits from the one-pair-per-point LP's: on cell shells,
+        and on LP shells, whose LP has one pair per distinct grid row.
+        An LP answer below HiGHS's absolute tolerance reads as exactly
+        0.0 and so ends the sequence: on toy25 with f = sigma_2(g) +
+        1e-11 h, shell 3's LP returns 0.0, and shell 4, a cell shell
+        whose closed form is 6.7e-12, is then reported as 0.  A
+        non-finite value of f is a ValueError naming its grid point.
         """
         fvals = self._finite(fvals)
         mu = default_multiplier(self.freqs, order, self.base)

@@ -44,6 +44,10 @@ Conventions used throughout this module:
 Expansions and best uniform approximation from leading spans live at
 the bottom of the module; the latter's minimax linear program is
 encoded once, by ``minimax_lp`` at the top, which ``analysis`` shares.
+It gives the solver one pair of constraints per distinct row of the
+span's grid table, not one per grid point: the same feasible set and
+optimum, though the answer may differ in the last bits from that of
+the one-pair-per-point LP.
 """
 
 from __future__ import annotations
@@ -66,14 +70,33 @@ def linprog(*args, **kwargs):
 
 def minimax_lp(A: np.ndarray, fvals: np.ndarray) -> dict:
     """``linprog``'s arguments for min over c of max_i |fvals - A c|_i:
-    minimize t subject to +-(A c - fvals) <= t, c free and t >= 0."""
+    minimize t subject to +-(A c - fvals) <= t, c free and t >= 0.
+
+    Rows of A that are bitwise equal share one pair of constraints:
+    A_g c - t <= lo and -A_g c - t <= -hi, with lo and hi the least and
+    greatest fvals over the group.  Every other point of the group has
+    the same left-hand side and a looser right-hand side, so the
+    feasible set, and the optimum, are those of the one-pair-per-point
+    LP; HiGHS may reach that optimum by another path, so the distance
+    can differ from that LP's in the last bits.  Groups are in the
+    bytewise order of their rows; -0.0 and +0.0 differ in bytes, so
+    rows that differ only there are two groups.
+    """
+    A = np.ascontiguousarray(A)
     npts, ncols = A.shape
+    keys = A.view(np.dtype((np.void, A.itemsize * ncols))).reshape(npts)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    lo = np.full(len(first), np.inf)
+    hi = np.full(len(first), -np.inf)
+    np.minimum.at(lo, group, fvals)
+    np.maximum.at(hi, group, fvals)
+    rows = A[first]
+    ones = np.ones((len(rows), 1))
     cost = np.zeros(ncols + 1)
     cost[-1] = 1.0
     return {"c": cost,
-            "A_ub": np.block([[A, -np.ones((npts, 1))],
-                              [-A, -np.ones((npts, 1))]]),
-            "b_ub": np.concatenate([fvals, -fvals]),
+            "A_ub": np.block([[rows, -ones], [-rows, -ones]]),
+            "b_ub": np.concatenate([lo, -hi]),
             "bounds": [(None, None)] * ncols + [(0, None)],
             "method": "highs"}
 

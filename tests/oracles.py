@@ -824,19 +824,50 @@ def lp_degree_errors(engine, f) -> list[float]:
     zero: no shortcut, so it shows what each skipped LP would return.
     """
     f = np.asarray(f, dtype=float)
+    return [_minimax_value(A, f, f) for A in _span_tables(engine)]
+
+
+def grouped_lp_degree_errors(engine, f) -> list[float]:
+    """E_n(f) for every shell n = 0..max_shell, one minimax LP each,
+    with one constraint pair per distinct grid row of the span.
+
+    The grid points are grouped in a dict keyed by the bytes of their
+    row of A, the kept rows of shells <= n; each group's pair is
+    A_g c - t <= min f and -A_g c - t <= -max f over the group, and the
+    groups go to HiGHS in the sorted order of their keys.  Like
+    ``lp_degree_errors``, it takes no shortcut at any shell.
+    """
+    f = np.asarray(f, dtype=float)
     out = []
-    for n in range(engine.max_shell() + 1):
-        A = np.vstack([engine.row(k) for k in engine.degree_span(n)]).T
-        npts, ncols = A.shape
-        ones = np.ones((npts, 1))
-        res = linprog(np.r_[np.zeros(ncols), 1.0],
-                      A_ub=np.block([[A, -ones], [-A, -ones]]),
-                      b_ub=np.concatenate([f, -f]),
-                      bounds=[(None, None)] * ncols + [(0, None)],
-                      method="highs")
-        assert res.success, res.message
-        out.append(float(res.fun))
+    for A in _span_tables(engine):
+        groups: dict[bytes, list[float]] = {}
+        for row, value in zip(A, f):
+            groups.setdefault(row.tobytes(), []).append(float(value))
+        keys = sorted(groups)
+        rows = np.array([np.frombuffer(key) for key in keys])
+        out.append(_minimax_value(rows, [min(groups[key]) for key in keys],
+                                  [max(groups[key]) for key in keys]))
     return out
+
+
+def _span_tables(engine) -> list[np.ndarray]:
+    """A = the kept rows of shells <= n, one grid point a row, for every
+    shell n = 0..max_shell."""
+    return [np.vstack([engine.row(k) for k in engine.degree_span(n)]).T
+            for n in range(engine.max_shell() + 1)]
+
+
+def _minimax_value(A, lows, highs) -> float:
+    """min t subject to A c - t <= lows and -A c - t <= -highs, by HiGHS."""
+    npts, ncols = A.shape
+    ones = np.ones((npts, 1))
+    res = linprog(np.r_[np.zeros(ncols), 1.0],
+                  A_ub=np.block([[A, -ones], [-A, -ones]]),
+                  b_ub=np.concatenate([lows, np.negative(highs)]),
+                  bounds=[(None, None)] * ncols + [(0, None)],
+                  method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def exact_cells(engine, n: int) -> list[tuple]:

@@ -21,7 +21,8 @@ from frozen_constants import FILTERED_RATIO, HEADROOM
 from oracles import (PRIMES, axis_value_matrix, cell_midrange_errors,
                      dict_filtered_synthesis, exact_cells, exact_greedy_rank,
                      exact_rank, float_axis_table, float_sign_cells,
-                     full_scan_gram, graded_lex_key, loop_synthesis,
+                     full_scan_gram, graded_lex_key,
+                     grouped_lp_degree_errors, loop_synthesis,
                      lp_degree_errors, minimax_distance, prime_field_kept_sets,
                      residue_axis_table, shell_loop, variation_2d_brute)
 from util import (degenerate_digraphs, random_filtration,
@@ -1062,42 +1063,47 @@ def test_degree_errors_equal_the_lp_oracle_at_every_shell(case):
         signals["label"] = vertex_signal(G, "label")
     for name, f in signals.items():
         lp = lp_degree_errors(an, f)
+        grouped = grouped_lp_degree_errors(an, f)
         midrange = cell_midrange_errors(an, f)
-        want = [midrange[n] if n in closed else lp[n] for n in range(top + 1)]
+        want = [midrange[n] if n in closed else grouped[n]
+                for n in range(top + 1)]
         got = an.smoothness_profile(f).sequences["degree_error"]
         # bit for bit, the sign of a zero included
         assert [x.hex() for x in got] == [x.hex() for x in want], name
         assert an.best_uniform_approx(f, top)[0] == want[-1] == 0.0
-        for n in closed:
-            # the closed form is the LP's value up to roundoff
-            assert abs(midrange[n] - lp[n]) <= 1e-12 * abs(lp[n]), (name, n)
+        for n in range(top):
+            # the closed form, and the LP over distinct rows, are the
+            # 2N-row LP's value up to roundoff
+            assert abs(want[n] - lp[n]) <= 1e-12 * abs(lp[n]), (name, n)
     if G.labels:
         # the label signal reaches an exact zero below the top shell
         assert want.index(0.0) < top
 
 
 def soundness_engine(case):
-    """An exact engine of the oracle corpus or of the degenerate one."""
+    """(engine, graph): an exact engine of the oracle corpus or of the
+    degenerate one."""
     if case in ("toy", "toy_base3", "planted_volume", "planted_base3"):
-        return oracle_engine(case)[0]
+        return oracle_engine(case)
     name, scheme = case.rsplit("_", 1)
     G, kw = degenerate_graph(name)
     es, os_ = twt(G, K=(2, 6), seed=7, **kw)
     fes = build_filtration(es, scheme, G)
     fos = build_filtration(os_, scheme, G)
-    return GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+    return (GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos)),
+            G)
 
 
-@pytest.mark.parametrize("case", ["toy", "toy_base3", "planted_volume",
-                                  "planted_base3"]
-                         + [f"{c}_{s}" for c in ("one_vertex", "two_vertices",
-                                                 "fragmented_sparse",
-                                                 "out_star",
-                                                 "lognormal_weights",
-                                                 "mll_planted")
-                            for s in ("uniform", "volume")])
+SOUNDNESS_CASES = (["toy", "toy_base3", "planted_volume", "planted_base3"]
+                   + [f"{c}_{s}" for c in ("one_vertex", "two_vertices",
+                                           "fragmented_sparse", "out_star",
+                                           "lognormal_weights", "mll_planted")
+                      for s in ("uniform", "volume")])
+
+
+@pytest.mark.parametrize("case", SOUNDNESS_CASES)
 def test_cell_shells_span_exactly_the_cell_space(case):
-    an = soundness_engine(case)
+    an, _ = soundness_engine(case)
     v1, v2 = (axis_value_matrix(b, an.grid)
               for b in (an.basis_es, an.basis_os))
     for n in cell_shells(an):
@@ -1123,15 +1129,36 @@ def test_cell_shells_span_exactly_the_cell_space(case):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """One entry per minimax LP the engine solves."""
+    """One entry per minimax LP the engine solves: its constraint rows."""
     calls = []
 
     def counted(*args, _real=analysis.linprog, **kw):
-        calls.append(1)
+        calls.append(len(kw["A_ub"]))
         return _real(*args, **kw)
 
     monkeypatch.setattr(analysis, "linprog", counted)
     return calls
+
+
+@pytest.mark.parametrize("case", SOUNDNESS_CASES)
+def test_lp_approximants_are_within_the_distance_at_every_grid_point(case):
+    # the LP keeps one constraint pair per distinct row; its answer must
+    # still bound |f - g| on all N points, or the grouping lost some.
+    # HiGHS meets its constraints to its primal feasibility tolerance,
+    # 1e-7: on the badly scaled spans of lognormal_weights_volume
+    # (condition number 5e7) |f - g| exceeds dist by 6e-10 * max |f|
+    an, G = soundness_engine(case)
+    signals = [vertex_signal(G, "outdeg"),
+               np.random.default_rng(list(case.encode()))
+               .standard_normal(len(an))]
+    if G.labels:
+        signals.append(vertex_signal(G, "label"))
+    for f in signals:
+        for n in range(an.max_shell()):
+            if an._cells(n) is None:
+                dist, g = an.best_uniform_approx(f, n)
+                assert (np.abs(f - g).max()
+                        <= dist + 1e-7 * np.abs(f).max()), n
 
 
 def test_a_shell_whose_count_matches_but_not_its_prefix_keeps_its_lp(
@@ -1142,8 +1169,20 @@ def test_a_shell_whose_count_matches_but_not_its_prefix_keeps_its_lp(
     assert len(set(exact_cells(an, 1))) == len(an.degree_span(1)) == 4
     assert an._cells(1) is None
     f = vertex_signal(G, "outdeg")
-    assert an.best_uniform_approx(f, 1)[0] == lp_degree_errors(an, f)[1]
+    got = an.best_uniform_approx(f, 1)[0]
+    assert got == grouped_lp_degree_errors(an, f)[1]
+    lp = lp_degree_errors(an, f)[1]
+    assert abs(got - lp) <= 1e-12 * abs(lp)
     assert len(lp_calls) == 1
+
+
+def test_a_signals_size_engine_gives_the_solver_fewer_than_2n_rows(lp_calls):
+    G = synth_digraph("planted", seed=1, sizes=[60, 60])
+    es, os_ = twt(G, K=(2, 8), seed=1)
+    fes, fos = (build_filtration(t, "volume", G) for t in (es, os_))
+    an = GridAnalysis(build_grid(fes, fos), TreeBasis(fes), TreeBasis(fos))
+    an.smoothness_profile(np.random.default_rng(97).standard_normal(len(an)))
+    assert lp_calls and max(lp_calls) < 2 * len(an)
 
 
 @pytest.mark.parametrize("case", ["planted_volume", "planted_base3"])

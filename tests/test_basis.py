@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twintree.basis import (PiecewiseConstant, TreeBasis, local_basis,
+from twintree.basis import (PiecewiseConstant, TreeBasis, linprog,
+                            local_basis, minimax_answer, minimax_lp,
                             verify_local_identities)
 
 from oracles import (expanded_value_table, minimax_distance,
@@ -292,6 +293,28 @@ def test_best_uniform_approx_matches_smoothed_oracle():
         # the witness achieves the reported distance
         assert float((f - witness).sup_norm()) == pytest.approx(got,
                                                                 abs=1e-9)
+
+
+def test_minimax_lp_keeps_one_constraint_pair_per_distinct_row():
+    half_up = np.nextafter(0.5, 1.0)
+    A = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, 0.5], [1.0, half_up],
+                  [-0.0, 2.0], [1.0, 0.5], [0.0, 2.0]])
+    f = np.array([3.0, 5.0, -1.0, 2.0, 7.0, 0.25, 4.0])
+    lp = minimax_lp(A, f)
+    rows, t = lp["A_ub"][:, :-1], lp["A_ub"][:, -1]
+    # [1, 0.5] thrice and [0, 2] twice; the last-bit neighbour of
+    # [1, 0.5] and [-0.0, 2] differ in bytes, so each is its own group
+    assert rows.shape == (2 * 4, 2) and (t == -1.0).all()
+    assert rows[4:].tobytes() == (-rows[:4]).tobytes()
+    # (row, min f, max f) of each group, keyed by the row's bytes
+    want = [([1.0, 0.5], -1.0, 3.0), ([0.0, 2.0], 4.0, 5.0),
+            ([1.0, half_up], 2.0, 2.0), ([-0.0, 2.0], 7.0, 7.0)]
+    got = {row.tobytes(): (lo, -neg_hi) for row, lo, neg_hi
+           in zip(rows[:4], lp["b_ub"][:4], lp["b_ub"][4:])}
+    assert got == {np.array(row).tobytes(): (lo, hi) for row, lo, hi in want}
+    dist, c = minimax_answer(linprog(**lp))
+    assert dist == pytest.approx(minimax_distance(A, f), abs=1e-4)
+    assert np.abs(f - A @ c).max() <= dist * (1 + 1e-12) + 1e-15
 
 
 def test_filtered_sum_respects_variation_bound():

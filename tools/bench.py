@@ -21,10 +21,11 @@ of ``symmetrize`` and ``graph_distance``; filtration + grid; the engine
 (both bases and ``GridAnalysis``), and inside it the inclusive time of
 ``TreeBasis.value_table``, ``compute_omega`` and ``gram_orthonormalize``;
 one ``smoothness_profile`` of the out-degree signal, and inside it the
-minimax LPs (``lp_s``, ``lp_calls``; ``scipy.optimize`` is imported
-before the clock starts, so ``lp_s`` is solver time); and two metrics
-trials, each ``TwinTreeBuilder.level_ids_batch`` of seed 3 alone then
-``align_and_score`` against the planted labels.  The builder's
+minimax LPs (``lp_s``, ``lp_calls``, and ``lp_rows``, the constraint
+rows of ``A_ub`` they hand to HiGHS in all; ``scipy.optimize`` is
+imported before the clock starts, so ``lp_s`` is solver time); and two
+metrics trials, each ``TwinTreeBuilder.level_ids_batch`` of seed 3
+alone then ``align_and_score`` against the planted labels.  The builder's
 preparation is not timed, as ``twintree metrics`` prepares it once for
 all its trials; but nhc computes its finest-level distances on the
 first ``level_ids_batch`` call, so the first trial
@@ -69,7 +70,8 @@ def install_timers() -> dict:
     calls to ``NAME_calls`` of the returned dict; the library looks each
     one up at call time, on the class or in the module (``twt`` through
     ``twintree.clustering``'s own copies of the two graph functions, the
-    engine through ``twintree.analysis``'s copy of ``linprog``)."""
+    engine through ``twintree.analysis``'s copy of ``linprog``).  The
+    LPs' constraint rows are added up in ``lp_rows``."""
     from twintree import analysis, basis, clustering
 
     totals: dict = {}
@@ -91,6 +93,14 @@ def install_timers() -> dict:
                 totals[f"{_name}_calls"] += 1
 
         setattr(owner, attr, timed)
+
+    totals["lp_rows"] = 0
+
+    def counted(*args, _solve=analysis.linprog, **kwargs):
+        totals["lp_rows"] += len(kwargs["A_ub"])
+        return _solve(*args, **kwargs)
+
+    analysis.linprog = counted
     return totals
 
 
@@ -124,6 +134,7 @@ def run_point(n: int) -> dict:
     engine.smoothness_profile(vertex_signal(G, "outdeg"))
     out["profile_s"] = time.perf_counter() - start
     out["lp_s"], out["lp_calls"] = totals["lp_s"], totals["lp_calls"]
+    out["lp_rows"] = totals["lp_rows"]
     builder = TwinTreeBuilder(G, (2, 8))
     for trial in ("first", "steady"):
         start = time.perf_counter()
