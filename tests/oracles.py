@@ -824,41 +824,49 @@ def lp_degree_errors(engine, f) -> list[float]:
     zero: no shortcut, so it shows what each skipped LP would return.
     """
     f = np.asarray(f, dtype=float)
-    return [_minimax_value(A, f, f) for A in _span_tables(engine)]
+    return [float(_minimax_solve(A, f, f).fun) for A in span_tables(engine)]
 
 
 def grouped_lp_degree_errors(engine, f) -> list[float]:
     """E_n(f) for every shell n = 0..max_shell, one minimax LP each,
-    with one constraint pair per distinct grid row of the span.
-
-    The grid points are grouped in a dict keyed by the bytes of their
-    row of A, the kept rows of shells <= n; each group's pair is
-    A_g c - t <= min f and -A_g c - t <= -max f over the group, and the
-    groups go to HiGHS in the sorted order of their keys.  Like
-    ``lp_degree_errors``, it takes no shortcut at any shell.
+    with one constraint pair per distinct grid row of the span
+    (``grouped_minimax``).  Like ``lp_degree_errors``, it takes no
+    shortcut at any shell.
     """
     f = np.asarray(f, dtype=float)
-    out = []
-    for A in _span_tables(engine):
-        groups: dict[bytes, list[float]] = {}
-        for row, value in zip(A, f):
-            groups.setdefault(row.tobytes(), []).append(float(value))
-        keys = sorted(groups)
-        rows = np.array([np.frombuffer(key) for key in keys])
-        out.append(_minimax_value(rows, [min(groups[key]) for key in keys],
-                                  [max(groups[key]) for key in keys]))
-    return out
+    return [grouped_minimax(A, f)[0] for A in span_tables(engine)]
 
 
-def _span_tables(engine) -> list[np.ndarray]:
+def grouped_minimax(A: np.ndarray, f) -> tuple[float, np.ndarray]:
+    """(min over c of max_i |f - A c|_i, the c found), by
+    ``scipy.optimize.linprog(method="highs")`` with one constraint pair
+    per distinct row of A.
+
+    The points are grouped in a dict keyed by the bytes of their row of
+    A; each group's pair is A_g c - t <= min f and -A_g c - t <= -max f
+    over the group, and the groups go to HiGHS in the sorted order of
+    their keys.
+    """
+    groups: dict[bytes, list[float]] = {}
+    for row, value in zip(A, np.asarray(f, dtype=float)):
+        groups.setdefault(row.tobytes(), []).append(float(value))
+    keys = sorted(groups)
+    rows = np.array([np.frombuffer(key) for key in keys])
+    res = _minimax_solve(rows, [min(groups[key]) for key in keys],
+                         [max(groups[key]) for key in keys])
+    return float(res.fun), res.x[:-1]
+
+
+def span_tables(engine) -> list[np.ndarray]:
     """A = the kept rows of shells <= n, one grid point a row, for every
     shell n = 0..max_shell."""
     return [np.vstack([engine.row(k) for k in engine.degree_span(n)]).T
             for n in range(engine.max_shell() + 1)]
 
 
-def _minimax_value(A, lows, highs) -> float:
-    """min t subject to A c - t <= lows and -A c - t <= -highs, by HiGHS."""
+def _minimax_solve(A, lows, highs):
+    """min t subject to A c - t <= lows and -A c - t <= -highs, by HiGHS
+    through ``scipy.optimize.linprog``; its result, (c, t) in ``x``."""
     npts, ncols = A.shape
     ones = np.ones((npts, 1))
     res = linprog(np.r_[np.zeros(ncols), 1.0],
@@ -867,7 +875,7 @@ def _minimax_value(A, lows, highs) -> float:
                   bounds=[(None, None)] * ncols + [(0, None)],
                   method="highs")
     assert res.success, res.message
-    return float(res.fun)
+    return res
 
 
 def exact_cells(engine, n: int) -> list[tuple]:

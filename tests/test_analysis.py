@@ -22,9 +22,10 @@ from oracles import (PRIMES, axis_value_matrix, cell_midrange_errors,
                      dict_filtered_synthesis, exact_cells, exact_greedy_rank,
                      exact_rank, float_axis_table, float_sign_cells,
                      full_scan_gram, graded_lex_key,
-                     grouped_lp_degree_errors, loop_synthesis,
-                     lp_degree_errors, minimax_distance, prime_field_kept_sets,
-                     residue_axis_table, shell_loop, variation_2d_brute)
+                     grouped_lp_degree_errors, grouped_minimax,
+                     loop_synthesis, lp_degree_errors, minimax_distance,
+                     prime_field_kept_sets, residue_axis_table, shell_loop,
+                     span_tables, variation_2d_brute)
 from util import (degenerate_digraphs, random_filtration,
                   value_table_filtration)
 
@@ -1140,6 +1141,16 @@ def lp_calls(monkeypatch):
     return calls
 
 
+def corpus_signals(case, an, G) -> list[np.ndarray]:
+    """Out-degree, seeded noise and, on a labeled graph, the label."""
+    signals = [vertex_signal(G, "outdeg"),
+               np.random.default_rng(list(case.encode()))
+               .standard_normal(len(an))]
+    if G.labels:
+        signals.append(vertex_signal(G, "label"))
+    return signals
+
+
 @pytest.mark.parametrize("case", SOUNDNESS_CASES)
 def test_lp_approximants_are_within_the_distance_at_every_grid_point(case):
     # the LP keeps one constraint pair per distinct row; its answer must
@@ -1148,17 +1159,27 @@ def test_lp_approximants_are_within_the_distance_at_every_grid_point(case):
     # 1e-7: on the badly scaled spans of lognormal_weights_volume
     # (condition number 5e7) |f - g| exceeds dist by 6e-10 * max |f|
     an, G = soundness_engine(case)
-    signals = [vertex_signal(G, "outdeg"),
-               np.random.default_rng(list(case.encode()))
-               .standard_normal(len(an))]
-    if G.labels:
-        signals.append(vertex_signal(G, "label"))
-    for f in signals:
+    for f in corpus_signals(case, an, G):
         for n in range(an.max_shell()):
             if an._cells(n) is None:
                 dist, g = an.best_uniform_approx(f, n)
                 assert (np.abs(f - g).max()
                         <= dist + 1e-7 * np.abs(f).max()), n
+
+
+@pytest.mark.parametrize("case", SOUNDNESS_CASES)
+def test_lp_shells_equal_scipy_linprog_bit_for_bit(case):
+    # the engine reaches HiGHS through scipy.optimize.milp; the oracle
+    # hands the same grouped LP to scipy.optimize.linprog
+    an, G = soundness_engine(case)
+    tables = span_tables(an)
+    for f in corpus_signals(case, an, G):
+        for n in range(an.max_shell()):
+            if an._cells(n) is None:
+                dist, g = an.best_uniform_approx(f, n)
+                want, coef = grouped_minimax(tables[n], f)
+                assert dist.hex() == want.hex(), n
+                assert g.tobytes() == (tables[n] @ coef).tobytes(), n
 
 
 def test_a_shell_whose_count_matches_but_not_its_prefix_keeps_its_lp(

@@ -7,8 +7,8 @@ from twintree.basis import (PiecewiseConstant, TreeBasis, linprog,
                             local_basis, minimax_answer, minimax_lp,
                             verify_local_identities)
 
-from oracles import (expanded_value_table, minimax_distance,
-                     weighted_lstsq_fit)
+from oracles import (expanded_value_table, grouped_minimax,
+                     minimax_distance, weighted_lstsq_fit)
 from util import (random_filtration, random_leaf_function,
                   value_table_filtration)
 
@@ -315,6 +315,32 @@ def test_minimax_lp_keeps_one_constraint_pair_per_distinct_row():
     dist, c = minimax_answer(linprog(**lp))
     assert dist == pytest.approx(minimax_distance(A, f), abs=1e-4)
     assert np.abs(f - A @ c).max() <= dist * (1 + 1e-12) + 1e-15
+
+
+def test_univariate_lp_equals_scipy_linprog_bit_for_bit():
+    # the basis reaches HiGHS through scipy.optimize.milp; the oracle
+    # hands the same grouped LP to scipy.optimize.linprog
+    for seed in range(4):
+        rng = np.random.default_rng(720 + seed)
+        basis = tree_basis(seed, n=10, sizes=(3,))
+        f = random_leaf_function(rng, basis.filtration)
+        fvals = [float(v) for v in f.values_on(basis.leaf_breakpoints())]
+        table = basis.cell_table()
+        for n in range(basis.size):
+            dist, g = basis.best_uniform_approx(f, n)
+            want, coef = grouped_minimax(table[:n + 1].T, fvals)
+            assert dist.hex() == want.hex(), (seed, n)
+            assert g.values == basis.synthesize(list(coef)).values
+
+
+def test_a_failed_lp_is_a_runtime_error_with_the_solver_message():
+    # one free variable with cost -1 and no constraint row: unbounded
+    res = linprog(np.array([-1.0]), A_ub=np.zeros((0, 1)), b_ub=np.zeros(0),
+                  bounds=(np.array([-np.inf]), np.inf))
+    assert not res.success and "unbounded" in res.message
+    with pytest.raises(RuntimeError) as err:
+        minimax_answer(res)
+    assert str(err.value) == f"minimax LP failed: {res.message}"
 
 
 def test_filtered_sum_respects_variation_bound():
