@@ -22,8 +22,10 @@ the indices of shell <= n and block j those of shell exactly j, each
 applied as a mask of the shell array.  The default differentiation
 multiplier is 2**(r * shell(k)).  Filtered sums, mixed-difference
 variation (the four-term Hardy-Krause style functional), best uniform
-approximation from shell spans, a discrete K-functional, and the
-four-sequence smoothness profile complete the toolbox.
+approximation from shell spans, and the four-sequence smoothness
+profile (whose last sequence is a discrete K-functional) complete the
+toolbox.  Each axis's functions are held on the grid points as one
+float table, whose signs decide Omega and the cells.
 """
 
 from __future__ import annotations
@@ -137,33 +139,32 @@ class FrequencySet:
         return bool(np.any((self.k1 == k[0]) & (self.k2 == k[1])))
 
 
-def _axis_tables(basis: TreeBasis, grid: GridSet
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and float values of every psi_n at the grid points.
+def _axis_tables(basis: TreeBasis, grid: GridSet) -> np.ndarray:
+    """Float values of every psi_n at the grid points.
 
     Row n, column i: psi_n of ``basis`` on the leaf cell of
-    ``basis.filtration`` that holds grid point i, as an int8 sign
-    (+1, -1 or 0) and as a float scaled by sqrt(aleph(n)).  Both come
-    from ``basis.cell_table()``, the float of every exact value with
-    +0.0 for the zeros; the signs are ``np.sign`` of it, which is exact
-    because up and down are always > 0.
+    ``basis.filtration`` that holds grid point i, scaled by
+    sqrt(aleph(n)).  The values come from ``basis.cell_table()``, the
+    float of every exact value with +0.0 for the zeros.  The scale is
+    positive and finite and up and down are always > 0, so the sign of
+    each entry is the sign of its exact value: Omega and the cell
+    classes read the signs off this one table.
     """
     table = basis.cell_table()
-    signs = np.sign(table).astype(np.int8)
     table *= np.sqrt([float(r[5]) for r in basis.value_table()])[:, None]
     filt = basis.filtration
     cells = {leaf.id: j for j, leaf in enumerate(filt.leaves())}
     cols = [cells[filt.leaf_of_vertex(p.vertex)] for p in grid.points]
-    return signs[:, cols], table[:, cols]
+    return table[:, cols]
 
 
 def compute_omega(v1, v2) -> FrequencySet:
     """Indices whose tensor product survives restriction to the grid.
 
     Takes one table per axis whose nonzero entries are the supports of
-    its functions on the grid points (the engine passes its sign tables;
-    value tables, exact or float, serve too); a product is kept iff
-    some grid point carries a nonzero value of both factors.
+    its functions on the grid points (the engine passes its float
+    tables; exact value tables serve too); a product is kept iff some
+    grid point carries a nonzero value of both factors.
     """
     b1, b2 = ((np.asarray(v) != 0).astype(float) for v in (v1, v2))
     return FrequencySet(np.argwhere(b1 @ b2.T > 0))
@@ -364,12 +365,12 @@ class GridAnalysis:
     orthonormal discrete system: surviving indices in ``active``, and as
     a mask over Omega in ``is_active``.
 
-    Each axis's functions are held on the grid points as two tables,
-    both made from ``TreeBasis.cell_table``, the floats of the exact
-    records of ``TreeBasis.value_table`` (see ``_axis_tables``): int8
-    signs, which decide Omega and the cell classes below exactly, and
-    floats scaled by sqrt(aleph), whose products are the raw rows.  No
-    N x N table of Fractions is built.
+    Each axis's functions are held on the grid points as one float
+    table, made from ``TreeBasis.cell_table``, the floats of the exact
+    records of ``TreeBasis.value_table``, and scaled by sqrt(aleph) (see
+    ``_axis_tables``).  Its products are the raw rows, and its signs,
+    which are the exact values' signs, decide Omega and the cell classes
+    below.  No N x N table of Fractions is built.
 
     The raw rows are never stored: ``TensorRows`` forms each scan block
     of them, and each row the scan decides on its own, from the two
@@ -391,10 +392,10 @@ class GridAnalysis:
 
     E_n is answered without an LP on a *cell shell*.  An axis class at
     level n is a sign pattern of the prefix {psi_k : k < base**n} on the
-    grid points, read from the sign table (each psi_k, k > 0, takes one
-    positive value, one negative value and 0, so its signs decide its
-    values); a cell is the set of grid points that share their classes
-    on both axes.  Shell n is a cell shell when, in integers,
+    grid points, read from the float table's signs (each psi_k, k > 0,
+    takes one positive value, one negative value and 0, so its signs
+    decide its values); a cell is the set of grid points that share
+    their classes on both axes.  Shell n is a cell shell when, in integers,
       - the kept rows of shell <= n are the first d kept rows.
         Gram-Schmidt keeps the span of every prefix, so those rows span
         the same space as d raw products with k1, k2 < base**n, and each
@@ -426,10 +427,10 @@ class GridAnalysis:
         if abs(self.nu.sum() - 1.0) > 1e-9 and grid.normalized:
             raise AssertionError("normalized grid mass must be 1")
 
-        # exact sign tables, and float tables scaled by sqrt(aleph(n))
-        (self._s1, self._v1), (self._s2, self._v2) = (
-            _axis_tables(b, grid) for b in (basis_es, basis_os))
-        self.freqs = compute_omega(self._s1, self._s2)
+        # float tables scaled by sqrt(aleph(n)), with the exact signs
+        self._v1, self._v2 = (_axis_tables(b, grid)
+                              for b in (basis_es, basis_os))
+        self.freqs = compute_omega(self._v1, self._v2)
         k1, k2 = self.freqs.k1, self.freqs.k2
         self._rows, kept = gram_orthonormalize(
             TensorRows(self._v1, self._v2, k1, k2), self.nu)
@@ -577,8 +578,8 @@ class GridAnalysis:
                 # whose sort of a structured view costs several times
                 # as much
                 axes = []
-                for s in (self._s1, self._s2):
-                    codes = np.ascontiguousarray((s[:top] + 1).T,
+                for v in (self._v1, self._v2):
+                    codes = np.ascontiguousarray((np.sign(v[:top]) + 1).T,
                                                  dtype=np.uint8)
                     keys = codes.view(np.dtype((np.void, codes.shape[1])))
                     axes.append(np.unique(keys.reshape(-1),
@@ -633,35 +634,6 @@ class GridAnalysis:
         """Coefficientwise action of a multiplier symbol."""
         return self._synth(self._symbol(mu) * self._coef(fvals))
 
-    def k_functional(self, fvals: np.ndarray, delta: float,
-                     mu: MultiplierSequence) -> float:
-        """Best trade-off ||f - g|| + delta^r ||Dg|| over graded candidates.
-
-        Candidates are g = 0 and the graded projections sigma_n; this is
-        an upper bound for the true infimum and the standard computable
-        surrogate.  Nondecreasing in delta by construction.
-        """
-        fvals = np.asarray(fvals, dtype=float)
-        terms = self._graded_terms(fvals, self._coef(fvals), mu)
-        return self._k_best(fvals, terms, delta, mu.order)
-
-    def _graded_terms(self, fvals: np.ndarray, coef: np.ndarray,
-                      mu: MultiplierSequence) -> list[tuple[float, float]]:
-        """(||f - sigma_n||, ||D sigma_n||) in the sup norm, shell by shell."""
-        scaled = self._symbol(mu) * coef
-        out = []
-        for n in range(self.max_shell() + 1):
-            head = self._shell <= n
-            out.append(
-                (self.sup_norm(fvals - self._synth(np.where(head, coef, 0.0))),
-                 self.sup_norm(self._synth(np.where(head, scaled, 0.0)))))
-        return out
-
-    def _k_best(self, fvals: np.ndarray, terms: list[tuple[float, float]],
-                delta: float, r: float) -> float:
-        return min([self.sup_norm(fvals)]
-                   + [err + delta ** r * dnorm for err, dnorm in terms])
-
     # -- smoothness --------------------------------------------------------------
 
     def smoothness_profile(self, fvals: np.ndarray, order: float = 1.0
@@ -669,10 +641,18 @@ class GridAnalysis:
         """Fit the decay exponent of the four graded error sequences.
 
         Every sequence is measured in the sup norm, which the report
-        records as rho = inf.  The degree spans are nested and E_n >= 0,
-        so once one shell's degree error is exactly 0 every later one is
-        0 as well and gets no LP (nor does the full-span top shell, nor
-        a cell shell: see best_uniform_approx and the class docstring).
+        records as rho = inf.  One loop over the shells n measures the
+        degree error E_n, the projection error ||f - sigma_n||, the
+        block norm ||tau_n|| and the D-norm ||D sigma_n||, D being the
+        default multiplier of ``order``.  The K-functional at delta =
+        base**-n is the best trade-off ||f - g|| + delta**order ||D g||
+        over g = 0 and the graded projections sigma_m: an upper bound
+        for the true infimum and the standard computable surrogate,
+        nondecreasing in delta, so nonincreasing in n.  The degree spans
+        are nested and E_n >= 0, so once one shell's degree error is
+        exactly 0 every later one is 0 as well and gets no LP (nor does
+        the full-span top shell, nor a cell shell: see
+        best_uniform_approx and the class docstring).
         The degree error, and the exponent fitted from it, may differ in
         the last bits from the one-pair-per-point LP's: on cell shells,
         and on LP shells, whose LP has one pair per distinct grid row.
@@ -685,21 +665,25 @@ class GridAnalysis:
         fvals = self._finite(fvals)
         mu = default_multiplier(self.freqs, order, self.base)
         coef = self._coef(fvals)
-        terms = self._graded_terms(fvals, coef, mu)
-        top = range(len(terms))
-        degree: list[float] = []
-        for n in top:
+        scaled = self._symbol(mu) * coef
+        degree, proj, block, dnorm = [], [], [], []
+        for n in range(self.max_shell() + 1):
+            head = self._shell <= n
             degree.append(0.0 if degree and degree[-1] == 0.0
                           else self.best_uniform_approx(fvals, n)[0])
+            proj.append(self.sup_norm(
+                fvals - self._synth(np.where(head, coef, 0.0))))
+            block.append(self.sup_norm(self._synth(
+                np.where(self._shell == n, coef, 0.0))))
+            dnorm.append(self.sup_norm(self._synth(
+                np.where(head, scaled, 0.0))))
+        sup, base = self.sup_norm(fvals), float(self.base)
         seqs: dict[str, list[float]] = {
-            "degree_error": degree,
-            "projection_error": [err for err, _ in terms],
-            "block_norm": [self.sup_norm(self._synth(
-                               np.where(self._shell == n, coef, 0.0)))
-                           for n in top],
-            "k_functional": [self._k_best(fvals, terms,
-                                          float(self.base) ** (-n), order)
-                             for n in top]}
+            "degree_error": degree, "projection_error": proj,
+            "block_norm": block,
+            "k_functional": [min([sup] + [e + (base ** -n) ** order * d
+                                          for e, d in zip(proj, dnorm)])
+                             for n in range(len(proj))]}
         gamma: dict[str, Optional[float]] = {}
         fit_points: dict[str, list[int]] = {}
         for name, ys in seqs.items():

@@ -1,12 +1,12 @@
 """Hierarchical clustering of graphs into trees of nested vertex sets.
 
-Three clusterers share one center/medoid iteration over a coarsening
-loop (``_medoid_hierarchy``): nhc measures shortest paths in the
-symmetrized graph, mll Euclidean distances between diffusion
-coordinates, and mbo partitions the finest level by semi-supervised
-threshold dynamics.  Coarser levels always come from re-clustering the
-coarse-grained cluster graph, so every level is a partition nested in
-the one below.
+Three clusterers share one center/medoid iteration (``_medoid_hierarchy``):
+nhc measures shortest paths in the symmetrized graph, mll Euclidean
+distances between diffusion coordinates, and mbo partitions the finest
+level by semi-supervised threshold dynamics.  Coarser levels always come
+from re-clustering the coarse-grained cluster graph, by one recursion
+(``_descend``) that carries each batch of trials down to the coarsest
+level, so every level is a partition nested in the one below.
 
 A ClusterTree records the hierarchy: the root at level 0 holds every
 vertex, each internal node's children partition its members, and leaves
@@ -475,76 +475,72 @@ def _medoid_hierarchy(G, K: Sequence[int], seeds: Sequence[int],
     Trial t draws from default_rng(seeds[t]).  The finest level splits G
     into K[-1] clusters by the best of n_init medoid starts (at most 100
     rounds each); each coarser level re-runs it on the coarse-grained
-    cluster graph, whose edge weight between two clusters is the total
-    original weight between their members.  dist_of maps a graph to its
-    distance matrix: it is called once on G for every trial, and on the
-    block-diagonal union of several trials' coarse graphs, whose diagonal
-    blocks must be the graphs' own distances (as shortest paths are).
-    The labeled vertices labeled[t] seed trial t's finest level only,
-    where vertices are original.  A given (T, G.n) ``finest`` label
-    matrix is taken as the finest level instead of clustering it.
-    Returns a (T, len(K), G.n) array: per trial, one label vector per
-    level, coarsest first; a level's nonempty clusters are numbered 0,
-    1, ... in the order of their cluster indices.
+    cluster graph (see ``_descend``), whose edge weight between two
+    clusters is the total original weight between their members.
+    dist_of maps a graph to its distance matrix: it is called once on G
+    for all trials, and on the block-diagonal union of several trials'
+    coarse graphs, whose diagonal blocks must be the graphs' own
+    distances (as shortest paths are).  The labeled vertices labeled[t]
+    seed trial t's finest level only, where vertices are original.  A
+    given (T, G.n) ``finest`` label matrix is taken as the finest level
+    instead of clustering it.  Returns a (T, len(K), G.n) array: per
+    trial, one label vector per level, coarsest first; a level's
+    nonempty clusters are numbered 0, 1, ... in the order of their
+    cluster indices.
     """
     K = check_level_spec(K, G.n)
+    if not K:
+        return np.zeros((len(seeds), 0, G.n), dtype=np.intp)
     rngs = [np.random.default_rng(s) for s in seeds]
-    starts = [_label_seed_vertices(lab) for lab in labeled]
-    levels = _descend(G, 0, K, rngs, starts, dist_of, n_init, finest,
+    if finest is None:
+        finest = medoid_partition(
+            dist_of(G)[None], K[-1], rngs,
+            [_label_seed_vertices(lab) for lab in labeled], n_init)
+    levels = _descend(G, finest, K[:-1], rngs, dist_of, n_init,
                       np.arange(G.n), G.n)
-    return np.stack(levels[::-1], axis=1) if levels else np.zeros(
-        (len(seeds), 0, G.n), dtype=np.intp)
+    return np.stack(levels[::-1], axis=1)
 
 
-def _descend(graph, blocks: int, K: tuple[int, ...], rngs: list,
-             starts: Optional[list], dist_of, n_init: int,
-             finest: Optional[np.ndarray], labels: np.ndarray,
+def _descend(graph, assign: np.ndarray, K: tuple[int, ...], rngs: list,
+             dist_of, n_init: int, labels: np.ndarray,
              n: int) -> list[np.ndarray]:
-    """The levels K[-1], K[-2], ... of ``_medoid_hierarchy`` for the
-    trials of rngs, finest first, each a (T, n) label matrix over the
-    original vertices.  graph is G itself (blocks 0), or the union of
-    one coarse graph per trial (blocks T); labels maps each trial's
-    original vertices to graph's vertices of its own block.  Trials
-    whose coarse graphs differ in size, and trials beyond the first
-    n * n // k**2 of a coarse size k, continue in separate batches."""
-    T = len(rngs)
-    levels = []
-    for li in range(len(K), 0, -1):
-        if finest is not None and li == len(K):
-            assign = finest
-        else:
-            assign = medoid_partition(
-                _block_distances(graph, blocks, n, dist_of), K[li - 1],
-                rngs, starts if li == len(K) else None, n_init)
-        present = _counts(assign, int(assign.max()) + 1) > 0
-        trial = np.arange(T)[:, None]
-        assign = (np.cumsum(present, axis=1) - 1)[trial, assign]
-        labels = assign[trial, labels]
-        levels.append(labels)
-        if li == 1:  # the coarsest level's graph is never clustered
-            break
-        # the trials go on in batches of one coarse size k, at most
-        # n * n // k**2 trials each, so that no batch's (trials, k, k)
-        # distances or weights hold more than n * n entries
-        sizes = present.sum(axis=1)
-        per = max(1, n * n // int(sizes.max()) ** 2)
-        groups = [same[lo:lo + per] for size in np.unique(sizes).tolist()
-                  for same in [np.flatnonzero(sizes == size)]
-                  for lo in range(0, same.size, per)]
-        if len(groups) == 1:
-            graph, blocks = coarse_grain(graph, assign), T
-            continue
-        rest = [np.empty((T, n), dtype=np.intp) for _ in range(li - 1)]
-        for group in groups:
-            part = graph if not blocks else _blocks(
-                graph, graph.n // blocks, group)
-            deeper = _descend(coarse_grain(part, assign[group]), group.size,
-                              K[:li - 1], [rngs[t] for t in group], None,
-                              dist_of, n_init, None, labels[group], n)
-            for level, rows in zip(rest, deeper):
-                level[group] = rows
-        return levels + rest
-    return levels
+    """The levels of ``_medoid_hierarchy`` from the clustering assign of
+    graph down to K[0], finest first, each a (T, n) label matrix over
+    the original vertices, for the trials of rngs.  graph is G itself,
+    every row of the (T, m) assign clustering it, or the union of T
+    graphs of m vertices, row t clustering block t; labels maps each
+    trial's original vertices to its graph's vertices.  The level is
+    numbered; then each batch of trials of one coarse size k, at most
+    n * n // k**2 of them so that no batch's (trials, k, k) distances
+    or weights hold more than n * n entries, is coarse-grained,
+    clustered into K[-1] clusters and descended from."""
+    T, m = assign.shape
+    present = _counts(assign, int(assign.max()) + 1) > 0
+    trial = np.arange(T)[:, None]
+    assign = (np.cumsum(present, axis=1) - 1)[trial, assign]
+    labels = assign[trial, labels]
+    if not K:  # the coarsest level's graph is never clustered
+        return [labels]
+    sizes = present.sum(axis=1)
+    per = max(1, n * n // int(sizes.max()) ** 2)
+    groups = [same[lo:lo + per] for size in np.unique(sizes).tolist()
+              for same in [np.flatnonzero(sizes == size)]
+              for lo in range(0, same.size, per)]
+    rest = [np.empty((T, n), dtype=np.intp) for _ in K]
+    for group in groups:
+        # G itself, or every block of the union, needs no copy
+        part = (graph if graph.n in (m, group.size * m)
+                else _blocks(graph, m, group))
+        coarse = coarse_grain(part, assign[group])
+        batch = [rngs[t] for t in group]
+        deeper = _descend(
+            coarse, medoid_partition(
+                _block_distances(coarse, group.size, n, dist_of), K[-1],
+                batch, None, n_init),
+            K[:-1], batch, dist_of, n_init, labels[group], n)
+        for level, rows in zip(rest, deeper):
+            level[group] = rows
+    return [labels, *rest]
 
 
 def _blocks(graph, m: int, rows: np.ndarray):
@@ -557,12 +553,10 @@ def _blocks(graph, m: int, rows: np.ndarray):
 
 
 def _block_distances(graph, blocks: int, n: int, dist_of) -> np.ndarray:
-    """dist_of of graph, as a (1, n, n) stack when blocks is 0 (graph is
-    G), else of each of its blocks as a (blocks, m, m) stack: dist_of
-    runs on unions of up to n // m blocks, so that no call returns more
-    than n x n distances."""
-    if not blocks:
-        return dist_of(graph)[None]
+    """dist_of of each block of graph, the block-diagonal union of
+    blocks graphs, as a (blocks, m, m) stack: dist_of runs on unions of
+    up to n // m blocks, so that no call returns more than n x n
+    distances."""
     m = graph.n // blocks
     per = max(1, n // m)
     out = np.empty((blocks, m, m))

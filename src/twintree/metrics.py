@@ -169,10 +169,11 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
 
     Colorings that miss a color are kept (their occupied classes form
     the partition, in color order); the std is the population standard
-    deviation.  Each coloring is one ``rng.integers`` draw; the
-    colorings are scored in blocks of at most BLOCK_ENTRIES
-    (coloring, stored edge) pairs, against the degree totals that G
-    keeps.  Each coloring's sums stay in its own bins, so the block
+    deviation.  The colorings are drawn and scored in blocks of at most
+    BLOCK_ENTRIES (coloring, stored edge) pairs, each block's by one
+    ``rng.integers`` draw of (colorings, G.n), the same stream as one
+    draw of G.n per coloring, and scored against the degree totals that
+    G keeps.  Each coloring's sums stay in its own bins, so the block
     size does not change a score.
     """
     if n_colors < 1 or trials < 1:
@@ -183,8 +184,8 @@ def random_coloring_baseline(G: WeightedDigraph, n_colors: int,
     block = max(1, BLOCK_ENTRIES // G.weights.nnz)
     samples: list[float] = []
     for start in range(0, trials, block):
-        colors = np.array([rng.integers(0, n_colors, size=G.n)
-                           for _ in range(min(block, trials - start))])
+        colors = rng.integers(0, n_colors,
+                              size=(min(block, trials - start), G.n))
         samples += _modularity_scores(G, colors, n_colors, totals).tolist()
     arr = np.array(samples)
     return float(arr.mean()), float(arr.std()), samples

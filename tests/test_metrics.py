@@ -134,6 +134,21 @@ def test_random_baseline_blocks_do_not_change_a_sample(monkeypatch):
                        for _ in range(20))
 
 
+def test_random_baseline_equals_one_draw_and_one_score_per_coloring():
+    # several blocks, the last one short: each block is one (rows, n) draw
+    G = synth_digraph("planted", seed=2, sizes=(40, 40, 40))
+    block = metrics.BLOCK_ENTRIES // G.weights.nnz
+    trials = 2 * block + block // 2
+    assert 1 < block < trials
+    for k in (2, 3, 7):
+        _, _, samples = random_coloring_baseline(G, k, trials, seed=k)
+        colors = np.random.default_rng(k)
+        want = [modularity(G, partition_from_labels(
+                    colors.integers(0, k, size=G.n)))
+                for _ in range(trials)]
+        assert samples == want
+
+
 def test_single_cluster_scores_zero():
     rng = np.random.default_rng(1)
     G = random_digraph(rng, 10, density=0.5, weighted=True)

@@ -3,15 +3,18 @@ tests, reach.
 
 Usage:  python3 tools/reach.py
 
-Runs pytest three times, each time in a fresh interpreter under a
+Runs pytest four times, each time in a fresh interpreter under a
 ``sys.setprofile`` hook that records every Python function called:
 over tests/test_cli.py (every CLI command), over tests/test_acceptance.py
-plus tests/test_cli.py (adding all acceptance criteria), and over all
-of tests/.  Then prints, each with its line count (from its ``def``
-line), the functions defined in src/twintree that the acceptance
-criteria reach but no CLI test does, those that only the unit tests
-reach, and those that no test reaches.  Nested functions count;
-lambdas do not.
+plus tests/test_cli.py (adding all acceptance criteria), over all of
+tests/, and over perfbench/ plus tests/test_calibration.py (the
+benchmark's workloads and checks, and tools/calibrate_constants.py,
+which that test runs).  Then prints, each with its line count (from its
+``def`` line), the functions defined in src/twintree that the
+acceptance criteria reach but no CLI test does, those that the
+acceptance criteria do not reach but the benchmark or the calibration
+tool does, those that only the unit tests reach, and those that no
+test reaches.  Nested functions count; lambdas do not.
 
 Failed tests are listed but change nothing else: the hook slows every
 call, so a test with a time budget (criterion 1's 5 s) can fail after
@@ -35,7 +38,9 @@ SRC = ROOT / "src" / "twintree"
 RUNS = {"CLI tests": ["tests/test_cli.py"],
         "acceptance and CLI tests": ["tests/test_acceptance.py",
                                      "tests/test_cli.py"],
-        "all tests": ["tests"]}
+        "all tests": ["tests"],
+        "benchmark and calibration tool": ["perfbench",
+                                           "tests/test_calibration.py"]}
 
 
 def functions() -> dict[tuple[str, int], tuple[str, int]]:
@@ -129,11 +134,14 @@ def main() -> None:
               f"{len(reached[-1])} functions reached")
         for nodeid in data["failed"]:
             print(f"  failed: {nodeid}")
-    cli, acceptance, every = reached
+    cli, acceptance, every, tools = reached
     report("reached by the acceptance criteria but by no CLI test",
            acceptance - cli, funcs)
-    report("reached only by the unit tests", every - acceptance, funcs)
-    report("reached by no test", funcs.keys() - every, funcs)
+    report("reached by the benchmark or the calibration tool but by no "
+           "acceptance criterion", tools - acceptance, funcs)
+    report("reached only by the unit tests", every - acceptance - tools,
+           funcs)
+    report("reached by no test", funcs.keys() - every - tools, funcs)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Every configuration runs `twintree pipeline --trials 3
 --baseline-trials 10` into the workspace OUT/<name> and saves its
 stdout as OUT/<name>.stdout; paths are given relative to OUT, so
 neither depends on where OUT is.
-Besides twelve synthesized graphs, the corpus ingests six edge lists
+Besides thirteen synthesized graphs, the corpus ingests six edge lists
 that the script writes to OUT/inputs from fixed numpy seeds: a labeled
 planted 20/20 digraph, four degenerate ones (fragmented, out-star,
 self-loops, heavy-tailed weights) and a planted 20/20/6 one with no
@@ -18,7 +18,12 @@ rank is reached at Omega row 3 035, both past the 256 rows of
 `analysis.SCAN_BLOCK`.  One (`planted_components`, planted 20/20/6
 with no edges between blocks) has three weak components of unequal
 depth: the 6-vertex one clips the levels 2,4,8 to (2, 4), so its
-leaves stand in for it at the deepest level.  The 20/20/6 edge list
+leaves stand in for it at the deepest level.  One
+(`planted_split_batches`, planted 40/40/40, levels 3,30,60, 20 trials,
+200 baseline colorings) splits the coarse descent into batches: at
+most n**2 // k**2 = 4 trials go on together from the 60 clusters to 30.
+Its random baseline is drawn and scored in four blocks of at most
+`metrics.BLOCK_ENTRIES // nnz` = 62 colorings.  The 20/20/6 edge list
 runs mbo (`ingest_components_mbo_train`, levels 2,4,8, --train-pct 5,
 12 trials), whose trials draw so few labeled vertices that their twin
 trees differ in depth: its metrics.csv has levels that fewer than 12
@@ -65,6 +70,12 @@ SYNTH = {
     # three weak components; the smallest is one level shallower
     "planted_components": PLANTED + ["--param", "sizes=[20,20,6]",
                                      "--param", "p_out=0.0", *DEEP],
+    # the coarse descent splits its trials into batches, and the random
+    # baseline is drawn and scored in several blocks
+    "planted_split_batches": PLANTED + ["--param", "sizes=[40,40,40]",
+                                        "--levels", "3,30,60",
+                                        "--trials", "20",
+                                        "--baseline-trials", "200"],
 }
 
 
